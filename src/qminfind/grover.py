@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "StateVector",
     "GroverAngle",
+    "rotation_angle",
     "uniform_state",
     "grover_iterate",
     "success_probability",
@@ -82,11 +83,21 @@ class GroverAngle:
 
     @classmethod
     def from_counts(cls, n: int, t: int) -> "GroverAngle":
-        if n < 1:
-            raise ValueError("n must be positive")
-        if not 0 <= t <= n:
-            raise ValueError(f"marked count t={t} outside [0, {n}]")
-        return cls(theta=math.asin(math.sqrt(t / n)), n_total=n, n_marked=t)
+        return cls(theta=rotation_angle(n, t), n_total=n, n_marked=t)
+
+
+def rotation_angle(n: int, t: int) -> float:
+    """theta = arcsin(sqrt(t/n)), the rotation per iteration with t of n marked.
+
+    j iterations from the uniform state hit a marked index with probability
+    sin^2((2j+1) * theta); callers that evaluate many j for one (n, t)
+    compute theta once here.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0 <= t <= n:
+        raise ValueError(f"marked count t={t} outside [0, {n}]")
+    return math.asin(math.sqrt(t / n))
 
 
 def uniform_state(n: int) -> StateVector:
@@ -124,8 +135,7 @@ def success_probability(n: int, t: int, j: int) -> float:
     """
     if j < 0:
         raise ValueError("iteration count must be >= 0")
-    angle = GroverAngle.from_counts(n, t)
-    return math.sin((2 * j + 1) * angle.theta) ** 2
+    return math.sin((2 * j + 1) * rotation_angle(n, t)) ** 2
 
 
 def measure(state: StateVector, rng) -> int:

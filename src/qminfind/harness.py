@@ -119,8 +119,10 @@ class ExperimentConfig:
             raise ValueError("boost count must be >= 1")
         if self.boost_strategy not in ("repeat", "extend"):
             raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError("timeout must be >= 0")
+        # An infinite cap never stops a search with nothing marked, and NaN
+        # cannot be written as JSON, so only finite caps are accepted.
+        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout >= 0):
+            raise ValueError(f"timeout must be a finite number >= 0, got {self.timeout}")
         if self.backend is Backend.EXACT_STATEVECTOR and self.n > EXACT_BACKEND_MAX_N:
             raise ValueError(f"exact backend is limited to n <= {EXACT_BACKEND_MAX_N}")
         if self.experiment == "equivalence" and self.n > EQUIVALENCE_MAX_N:

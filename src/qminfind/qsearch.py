@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grover import grover_iterate, measure, success_probability, uniform_state
+from .grover import grover_iterate, measure, rotation_angle, success_probability, uniform_state
 
 __all__ = [
     "Backend",
@@ -135,22 +135,13 @@ class FixedSetOracle:
         return int(self._unmarked_arr[rng.randrange(free)])
 
 
-def _round_result(oracle, j: int, backend: Backend, rng) -> tuple[int, bool]:
-    """Run one round of j iterations and measure; return (index, hit)."""
-    if backend is Backend.EXACT_STATEVECTOR:
-        state = uniform_state(oracle.n)
-        for _ in range(j):
-            state = grover_iterate(state, oracle.is_marked)
-        idx = measure(state, rng)
-        return idx, bool(oracle.is_marked(np.asarray([idx]))[0])
-    t = oracle.marked_count
-    n = oracle.n
-    if t > 0 and rng.random() < success_probability(n, t, j):
-        return oracle.sample_marked(rng), True
-    if t == n:
-        # Failure class is empty; cannot happen since success prob is 1.
-        raise AssertionError("failure sampled with every index marked")
-    return oracle.sample_unmarked(rng), False
+def _statevector_round(oracle, j: int, rng) -> tuple[int, bool]:
+    """Run one round of j iterations on the statevector and measure; return (index, hit)."""
+    state = uniform_state(oracle.n)
+    for _ in range(j):
+        state = grover_iterate(state, oracle.is_marked)
+    idx = measure(state, rng)
+    return idx, bool(oracle.is_marked(np.asarray([idx]))[0])
 
 
 def exponential_search(oracle, params: SearchParams, budget: float, backend: Backend, rng) -> SearchOutcome:
@@ -162,9 +153,15 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
     Running out of budget is a normal outcome, not an error; with nothing
     marked the search always ends that way, consuming the whole budget.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     n = oracle.n
+    statevector = backend is Backend.EXACT_STATEVECTOR
+    if not statevector:
+        # The marked count, and with it the rotation angle, stays fixed for
+        # the whole search; each round then costs one sine.
+        t = oracle.marked_count
+        theta = rotation_angle(n, t)
     m_cap = math.sqrt(n)
     m = min(params.m_init, m_cap)
     remaining = budget
@@ -175,7 +172,14 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         truncated = j > remaining
         if truncated:
             j = int(remaining)
-        idx, hit = _round_result(oracle, j, backend, rng)
+        if statevector:
+            idx, hit = _statevector_round(oracle, j, rng)
+        elif t > 0 and rng.random() < math.sin((2 * j + 1) * theta) ** 2:
+            idx, hit = oracle.sample_marked(rng), True
+        else:
+            # A miss.  With every index marked the success probability is
+            # exactly 1 and no miss is drawn; the oracle would raise.
+            idx, hit = oracle.sample_unmarked(rng), False
         remaining -= j
         used += j
         if hit:

@@ -12,6 +12,7 @@ so both are safe to share across concurrent runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
     "read_table",
     "write_table",
 ]
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,35 @@ class Table:
             raise ValueError("table needs at least one value")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.distinct and len(np.unique(vals)) != len(vals):
+        # ``permutation`` is the only caller passing ``_order``, and it has
+        # already checked that the values are distinct.
+        if self.distinct and self._order is None and len(np.unique(vals)) != len(vals):
             raise ValueError("table flagged distinct but holds duplicate values")
+
+    @classmethod
+    def permutation(cls, values) -> "Table":
+        """Distinct table holding a permutation of 0..n-1, with order and ranks in O(n).
+
+        Value v has rank v + 1, so a single scatter inverts the permutation
+        into ``order``.  Reading it back (``values[order] == 0..n-1``) is a
+        bijection test: it fails on a repeated value, which leaves some
+        value missing, and is why no sort or ``np.unique`` is needed.
+        """
+        vals = np.asarray(values, dtype=np.int64)
+        if vals.ndim != 1 or len(vals) < 1:
+            raise ValueError("table needs at least one value")
+        n = len(vals)
+        if vals.min() < 0 or vals.max() >= n:
+            raise ValueError(f"permutation table holds a value outside 0..{n - 1}")
+        positions = np.arange(n, dtype=np.int64)
+        order = np.zeros(n, dtype=np.int64)
+        order[vals] = positions
+        if not np.array_equal(vals[order], positions):
+            raise ValueError("table flagged distinct but holds duplicate values")
+        ranks = vals + 1
+        order.setflags(write=False)
+        ranks.setflags(write=False)
+        return cls(vals, distinct=True, _order=order, _ranks=ranks)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -72,7 +102,7 @@ class Table:
 
     def is_minimum(self, i: int) -> bool:
         """True when index i holds a minimal value (ties all count)."""
-        return int(self.values[i]) == self.minimum()
+        return int(self.ranks[i]) == 1
 
 
 @dataclass(frozen=True)
@@ -94,11 +124,13 @@ class ThresholdOracle:
                 f"threshold index {self.threshold_index} outside table of size {len(self.table)}"
             )
 
-    @property
+    # Both are read on every search round; the table never changes, so
+    # they are computed once per oracle.
+    @cached_property
     def n(self) -> int:
         return len(self.table)
 
-    @property
+    @cached_property
     def marked_count(self) -> int:
         """Number of marked entries; equals rank(y) - 1."""
         return int(self.table.ranks[self.threshold_index]) - 1
@@ -135,22 +167,25 @@ def rank_of(table: Table, i: int) -> int:
 def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:
     """Draw a fresh random table.
 
-    mode="distinct": uniformly random permutation of 0..n-1 (Fisher-Yates
-    on the caller's stream, so results are reproducible from the seed).
+    The values come from a numpy PCG64 generator seeded with 128 bits of
+    the caller's stream, so results are reproducible from the seed and the
+    caller's stream advances by the same amount for every n.
+    mode="distinct": uniformly random permutation of 0..n-1.
     mode="dup": each entry drawn uniformly from the k values 0..k-1.
     """
     if n < 1:
         raise ValueError("table size must be >= 1")
     if mode == "distinct":
-        values = list(range(n))
-        rng.shuffle(values)
-        return Table(np.asarray(values, dtype=np.int64), distinct=True)
+        return Table.permutation(_numpy_stream(rng).permutation(n))
     if mode == "dup":
         if k is None or not 1 <= k <= n:
             raise ValueError(f"duplicates mode needs 1 <= k <= {n}, got {k}")
-        values = [rng.randrange(k) for _ in range(n)]
-        return Table(np.asarray(values, dtype=np.int64), distinct=False)
+        return Table(_numpy_stream(rng).integers(0, k, n), distinct=False)
     raise ValueError(f"unknown table mode {mode!r}")
+
+
+def _numpy_stream(rng) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(rng.getrandbits(128)))
 
 
 def read_table(path: str | Path) -> Table:
@@ -162,9 +197,12 @@ def read_table(path: str | Path) -> Table:
             if not text:
                 continue
             try:
-                values.append(int(text, 10))
+                value = int(text, 10)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: not a decimal integer: {text!r}") from exc
+            if not _INT64.min <= value <= _INT64.max:
+                raise ValueError(f"{path}:{line_no}: value outside int64 range")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no values")
     arr = np.asarray(values, dtype=np.int64)

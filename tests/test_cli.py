@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +133,28 @@ def test_stdout_reports_are_invocation_stable(capsys):
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def _cli_subprocess(*args: str) -> subprocess.CompletedProcess:
+    # A separate process with a timeout, so that a hang fails the test
+    # instead of stalling the suite.
+    return subprocess.run(
+        [sys.executable, "-m", "qminfind", *args], capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_timeout_is_config_error(value):
+    result = _cli_subprocess("success", "--n", "4", "--runs", "1", f"--timeout={value}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "timeout must be a finite number" in result.stderr
+
+
+def test_table_value_outside_int64_is_config_error(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("1\n99999999999999999999\n")
+    result = _cli_subprocess("success", "--n", "2", "--runs", "1", "--table", str(path))
+    assert result.returncode == 2
+    assert f"{path}:2: value outside int64 range" in result.stderr
+    assert "Traceback" not in result.stderr

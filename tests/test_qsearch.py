@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qminfind.grover import success_probability
 from qminfind.qsearch import (
     Backend,
     FixedSetOracle,
@@ -183,3 +184,55 @@ def test_round_distribution_masses_sum_to_one(n, t_frac, j):
     dist = outcome_distribution(n, t, j)
     total = t * dist.marked_index_probability + (n - t) * dist.unmarked_index_probability
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class _ScriptedStream:
+    """Stream stub: the first ``randrange`` gives ``j``, ``random`` always gives ``u``.
+
+    Later ``randrange`` calls (the class samples) return the lowest value.
+    """
+
+    def __init__(self, j: int, u: float):
+        self.j = j
+        self.u = u
+        self.j_drawn = False
+        self.uniform_draws = 0
+
+    def randrange(self, start, stop=None):
+        if not self.j_drawn:
+            self.j_drawn = True
+            return self.j
+        return 0 if stop is None else start
+
+    def random(self):
+        self.uniform_draws += 1
+        return self.u
+
+
+def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
+    """Whether one analytic round of j iterations hits when its uniform draw is u."""
+    oracle = FixedSetOracle(n, tuple(range(t)))
+    rng = _ScriptedStream(j, u)
+    # m_init = sqrt(n) makes the first round draw j; a budget of exactly j
+    # ends the search after that round whatever it measures.
+    params = SearchParams(m_init=max(1.0, math.sqrt(n)))
+    out = exponential_search(oracle, params, float(j), Backend.ANALYTIC_SAMPLER, rng)
+    assert out.iterations_used == j
+    assert rng.uniform_draws == (1 if t > 0 else 0)
+    return out.index < t
+
+
+def test_analytic_round_uses_the_closed_form_exactly():
+    # The round hits iff its uniform draw lies below its success probability.
+    # A draw of p itself must miss and the next float below p must hit, which
+    # pins the probability the round computed to p bit for bit.
+    for n in range(1, 65):
+        for t in range(n + 1):
+            for j in range(13) if n > 1 else (0,):
+                p = success_probability(n, t, j)
+                if t == 0:
+                    assert not _scripted_round_hits(n, t, j, 0.0)
+                    continue
+                assert _scripted_round_hits(n, t, j, math.nextafter(p, -math.inf))
+                if t < n:
+                    assert not _scripted_round_hits(n, t, j, p)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from qminfind.table import (
     Table,
@@ -42,6 +44,53 @@ def test_generate_rejects_bad_arguments():
 def test_distinct_flag_is_validated():
     with pytest.raises(ValueError, match="duplicate"):
         Table(np.array([3, 3, 1]), distinct=True)
+
+
+@given(seed=st.integers(0, 2**64), n=st.integers(1, 2000))
+def test_permutation_metadata_matches_sorting(seed, n):
+    table = generate_table(n, "distinct", random.Random(seed))
+    values = np.array(table.values)
+    order = np.argsort(values, kind="stable")
+    assert table.distinct
+    assert table.order.tolist() == order.tolist()
+    assert table.ranks.tolist() == (np.searchsorted(values[order], values, side="left") + 1).tolist()
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [([0, 2, 2], "duplicate"), ([1, 0, 3], "outside"), ([0, -1, 1], "outside"), ([], "at least one")],
+)
+def test_permutation_rejects_non_permutations(values, match):
+    with pytest.raises(ValueError, match=match):
+        Table.permutation(np.array(values, dtype=np.int64))
+
+
+def test_permutation_metadata_is_read_only():
+    table = Table.permutation(np.array([2, 0, 1]))
+    for array in (table.values, table.order, table.ranks):
+        with pytest.raises(ValueError):
+            array[0] = 5
+
+
+@pytest.mark.parametrize("mode, k", [("distinct", None), ("dup", 5)])
+def test_generation_is_reproducible_from_the_seed(mode, k):
+    rng_a, rng_b = random.Random(21), random.Random(21)
+    first = generate_table(300, mode, rng_a, k=k)
+    again = generate_table(300, mode, rng_b, k=k)
+    assert first.values.tolist() == again.values.tolist()
+    # The caller's stream is left in the same state, so later draws agree too.
+    assert rng_a.random() == rng_b.random()
+    assert generate_table(300, mode, random.Random(22), k=k).values.tolist() != first.values.tolist()
+
+
+def test_distinct_generation_is_uniform_over_permutations():
+    n, draws = 4, 24_000
+    index = {p: i for i, p in enumerate(itertools.permutations(range(n)))}
+    counts = np.zeros(len(index), dtype=np.int64)
+    rng = random.Random(2024)
+    for _ in range(draws):
+        counts[index[tuple(generate_table(n, "distinct", rng).values.tolist())]] += 1
+    assert chisquare(counts).pvalue > 1e-3
 
 
 def test_values_are_read_only():
@@ -152,6 +201,13 @@ def test_read_table_rejects_junk(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1\ntwo\n")
     with pytest.raises(ValueError, match="not a decimal integer"):
+        read_table(path)
+
+
+def test_read_table_rejects_values_outside_int64(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"1\n{2**63 - 1}\n{-(2**63)}\n99999999999999999999\n")
+    with pytest.raises(ValueError, match=r"big.txt:4: value outside int64 range"):
         read_table(path)
 
 
