@@ -23,7 +23,6 @@ from .bounds import (
     timeout_cap,
 )
 from .grover import (
-    GroverAngle,
     StateVector,
     grover_iterate,
     marked_subset,
@@ -37,16 +36,13 @@ from .minfind import (
     RunResult,
     find_minimum,
     find_minimum_boosted,
-    find_minimum_infinite,
 )
 from .qsearch import (
     Backend,
     FixedSetOracle,
-    OutcomeDistribution,
     SearchOutcome,
     SearchParams,
     exponential_search,
-    outcome_distribution,
 )
 from .seeding import derive_stream
 from .table import Table, ThresholdOracle, generate_table, read_table, write_table
@@ -58,8 +54,6 @@ __all__ = [
     "CostLedger",
     "ExperimentConfig",
     "FixedSetOracle",
-    "GroverAngle",
-    "OutcomeDistribution",
     "Report",
     "RunResult",
     "SearchOutcome",
@@ -74,13 +68,11 @@ __all__ = [
     "exponential_search",
     "find_minimum",
     "find_minimum_boosted",
-    "find_minimum_infinite",
     "generate_table",
     "grover_iterate",
     "harmonic_number",
     "marked_subset",
     "measure",
-    "outcome_distribution",
     "read_table",
     "run_experiment",
     "search_iterations_bound",

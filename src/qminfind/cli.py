@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument(
         "--backend",
-        type=Backend.parse,
+        type=Backend,
         default=Backend.ANALYTIC_SAMPLER,
         help="exact | analytic (default analytic)",
     )

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "StateVector",
-    "GroverAngle",
     "rotation_angle",
     "uniform_state",
     "grover_iterate",
@@ -67,23 +66,6 @@ class StateVector:
         """Total probability mass on indices satisfying ``marked``."""
         mask = _evaluate(marked, len(self))
         return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
-
-
-@dataclass(frozen=True)
-class GroverAngle:
-    """Rotation angle per iteration for t marked items out of n.
-
-    theta = arcsin(sqrt(t/n)), so theta = 0 when nothing is marked and
-    pi/2 when everything is.
-    """
-
-    theta: float
-    n_total: int
-    n_marked: int
-
-    @classmethod
-    def from_counts(cls, n: int, t: int) -> "GroverAngle":
-        return cls(theta=rotation_angle(n, t), n_total=n, n_marked=t)
 
 
 def rotation_angle(n: int, t: int) -> float:

@@ -10,11 +10,14 @@ runs plus a statistical verdict:
 * ``bounds``        closed-form identities and inequality sweeps;
 * ``single-run``    raw per-run records, no verdict.
 
-Runs are embarrassingly parallel: run i draws its private stream from
-(seed, experiment, i), workers only ever fold integer counts or
-concatenate per-run records in run order, so a report is byte-identical
-for any worker count.  Reports deliberately contain no wall-clock data;
-timing goes to stderr in the CLI layer.
+The four run-based experiments share one map: ``_map_runs`` draws run
+i's table and run from the private stream (seed, experiment tag, i),
+runs the configured variant through ``_run`` (uncapped, capped or
+boosted), and yields a small per-run record.  Each experiment folds its records in run
+order into a verdict.  Worker processes only split the run range into
+spans and send their records back in span order, so a report is
+byte-identical for any worker count.  Reports deliberately contain no
+wall-clock data; timing goes to stderr in the CLI layer.
 
 Verdict conventions: equality checks pass within max(0.01, 3 standard
 errors), one-sided bound checks require estimate + 3 SE below the bound,
@@ -27,8 +30,10 @@ import functools
 import io
 import json
 import math
+import os
 import subprocess
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +52,7 @@ from .bounds import (
     timeout_cap,
 )
 from .grover import grover_iterate, measure, success_probability, uniform_state
-from .minfind import INIT_CHARGE_POLICY, find_minimum, find_minimum_boosted, find_minimum_infinite
+from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
 from .qsearch import Backend, FixedSetOracle, SearchParams, exponential_search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table
@@ -70,6 +75,8 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("lemma1", "success", "expected-cost", "equivalence", "bounds", "single-run")
+# Experiments measuring the uncapped run; they ignore boost and timeout.
+UNCAPPED_EXPERIMENTS = ("lemma1", "expected-cost")
 
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
 CHI2_ALPHA = 1e-3
@@ -119,6 +126,10 @@ class ExperimentConfig:
             raise ValueError("boost count must be >= 1")
         if self.boost_strategy not in ("repeat", "extend"):
             raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
+        # Boosting sets its own cap (the default one per repetition, or c
+        # times it when extending), so a timeout would be silently ignored.
+        if self.boost is not None and self.timeout is not None:
+            raise ValueError("boost sets its own cap and cannot be combined with a timeout")
         # An infinite cap never stops a search with nothing marked, and NaN
         # cannot be written as JSON, so only finite caps are accepted.
         if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout >= 0):
@@ -319,56 +330,74 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
-def _map_chunks(chunk_fn, config: ExperimentConfig, fixed_table: Table | None) -> list:
-    """Apply ``chunk_fn(config, fixed_table, span)`` over the run range.
-
-    Chunk results come back in span order, so folds that respect run order
-    (or commute, like integer counts) are identical for any worker count.
-    """
-    bound = functools.partial(chunk_fn, config, fixed_table)
-    if config.workers <= 1:
-        return [bound((0, config.runs))]
-    spans = _spans(config.runs, config.workers * 4)
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(bound, spans))
-
-
-def _load_fixed_table(config: ExperimentConfig) -> Table | None:
-    if config.table_path is None:
-        return None
-    table = read_table(config.table_path)
-    if len(table) != config.n:
-        # The file wins; n is display metadata in this case.
-        raise ValueError(
-            f"table file holds {len(table)} values but --n is {config.n}; pass --n {len(table)}"
+def _run(config: ExperimentConfig, params: SearchParams, table: Table, rng) -> RunResult:
+    """One run of the configured variant: uncapped, boosted or capped."""
+    if config.experiment in UNCAPPED_EXPERIMENTS:
+        return find_minimum(table, config.backend, params, timeout_override=math.inf, rng=rng)
+    if config.boost:
+        return find_minimum_boosted(
+            table, config.backend, params, c=config.boost, rng=rng, strategy=config.boost_strategy
         )
-    return table
+    return find_minimum(
+        table,
+        config.backend,
+        params,
+        timeout_override=config.timeout,
+        rng=rng,
+        record_history=config.experiment == "single-run",
+    )
 
 
-def _run_table(config: ExperimentConfig, fixed_table: Table | None, rng) -> Table:
-    if fixed_table is not None:
-        return fixed_table
-    return generate_table(config.n, config.mode, rng, k=config.dup_k)
+def _run_span(config: ExperimentConfig, tag: str, record, fixed_table: Table | None, span):
+    params = config.search_params()
+    for i in range(*span):
+        rng = derive_stream(config.seed, tag, i)
+        if fixed_table is None:
+            table = generate_table(config.n, config.mode, rng, k=config.dup_k)
+        else:
+            table = fixed_table
+        yield record(table, _run(config, params, table, rng))
+
+
+def _collect_span(config: ExperimentConfig, tag: str, record, fixed_table: Table | None, span):
+    return list(_run_span(config, tag, record, fixed_table, span))
+
+
+def _map_runs(config: ExperimentConfig, tag: str, record) -> Iterator:
+    """Yield ``record(table, result)`` for every run, in run order.
+
+    Run i draws its table (unless a table file fixes it) and then its run
+    from the stream (seed, tag, i).  Worker processes each take a span of
+    runs and send back its records; spans come back in order, so a fold
+    over the records sees the same sequence for any worker count.
+    """
+    fixed_table = None
+    if config.table_path is not None:
+        fixed_table = read_table(config.table_path)
+        if len(fixed_table) != config.n:
+            # The file wins; n is display metadata in this case.
+            raise ValueError(
+                f"table file holds {len(fixed_table)} values but --n is {config.n}; "
+                f"pass --n {len(fixed_table)}"
+            )
+    workers = min(config.workers, config.runs, os.cpu_count() or 1)
+    if workers <= 1:
+        yield from _run_span(config, tag, record, fixed_table, (0, config.runs))
+        return
+    span_records = functools.partial(_collect_span, config, tag, record, fixed_table)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for records in pool.map(span_records, _spans(config.runs, workers * 4)):
+            yield from records
 
 
 # ---------------------------------------------------------------------------
 # lemma1: rank-selection frequencies
 
 
-def _lemma1_chunk(config: ExperimentConfig, fixed_table: Table | None, span: tuple[int, int]):
-    n = config.n
-    params = config.search_params()
-    represented = np.zeros(n + 1, dtype=np.int64)
-    chosen = np.zeros(n + 1, dtype=np.int64)
-    for i in range(*span):
-        rng = derive_stream(config.seed, "lemma1", i)
-        table = _run_table(config, fixed_table, rng)
-        result = find_minimum_infinite(table, config.backend, params, rng)
-        ranks = table.ranks
-        represented += np.bincount(ranks, minlength=n + 1)
-        chosen_indices = np.fromiter((y for _, y in result.history), dtype=np.int64)
-        chosen += np.bincount(ranks[chosen_indices], minlength=n + 1)
-    return represented, chosen
+def _lemma1_record(table: Table, result: RunResult):
+    ranks = table.ranks
+    chosen = ranks[[y for _, y in result.history]]
+    return table.distinct, ranks, chosen
 
 
 def estimate_rank_selection(config: ExperimentConfig) -> Report:
@@ -378,12 +407,14 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
-    fixed_table = _load_fixed_table(config)
-    chunks = _map_chunks(_lemma1_chunk, config, fixed_table)
-    represented = np.sum([c[0] for c in chunks], axis=0)
-    chosen = np.sum([c[1] for c in chunks], axis=0)
+    represented = np.zeros(config.n + 1, dtype=np.int64)
+    chosen = np.zeros(config.n + 1, dtype=np.int64)
+    for distinct, ranks, chosen_ranks in _map_runs(config, "lemma1", _lemma1_record):
+        represented += np.bincount(ranks, minlength=config.n + 1)
+        chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
 
-    distinct = config.mode == "distinct"
+    # Every run sees the same kind of table (the file's, or the mode's), so
+    # the last run's flag holds for all of them.
     rows = []
     all_ok = True
     worst_dev = 0.0
@@ -443,22 +474,8 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
 # success: capped-run success fraction
 
 
-def _success_chunk(config: ExperimentConfig, fixed_table: Table | None, span: tuple[int, int]):
-    params = config.search_params()
-    out = []
-    for i in range(*span):
-        rng = derive_stream(config.seed, "success", i)
-        table = _run_table(config, fixed_table, rng)
-        if config.boost:
-            result = find_minimum_boosted(
-                table, config.backend, params, c=config.boost, rng=rng, strategy=config.boost_strategy
-            )
-        else:
-            result = find_minimum(
-                table, config.backend, params, timeout_override=config.timeout, rng=rng
-            )
-        out.append((bool(result.returned_is_minimum), result.total_spent, result.loop_passes))
-    return out
+def _success_record(table: Table, result: RunResult):
+    return result.returned_is_minimum, result.total_spent, result.loop_passes
 
 
 def estimate_success_rate(config: ExperimentConfig) -> Report:
@@ -468,12 +485,8 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
     1/2; with c-fold boosting the floor rises to 1 - 1/2^c (checked within
     three standard errors).
     """
-    fixed_table = _load_fixed_table(config)
-    chunks = _map_chunks(_success_chunk, config, fixed_table)
-    records = [rec for chunk in chunks for rec in chunk]
-    successes = sum(1 for rec in records if rec[0])
-    spent = np.asarray([rec[1] for rec in records])
-    passes = np.asarray([rec[2] for rec in records])
+    hits, spent, passes = zip(*_map_runs(config, "success", _success_record))
+    successes = sum(hits)
 
     fraction = successes / config.runs
     lo, hi = wilson_interval(successes, config.runs)
@@ -508,17 +521,9 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
 # expected-cost: uncapped-run cost against the closed-form bound
 
 
-def _cost_chunk(config: ExperimentConfig, fixed_table: Table | None, span: tuple[int, int]):
-    params = config.search_params()
-    lg_n = math.log2(config.n)
-    out = []
-    for i in range(*span):
-        rng = derive_stream(config.seed, "cost", i)
-        table = _run_table(config, fixed_table, rng)
-        result = find_minimum_infinite(table, config.backend, params, rng)
-        search_steps = result.total_spent - result.loop_passes * lg_n
-        out.append((result.first_hit_time, result.loop_passes, search_steps))
-    return out
+def _cost_record(table: Table, result: RunResult):
+    search_steps = result.total_spent - result.loop_passes * math.log2(len(table))
+    return result.first_hit_time, result.loop_passes, search_steps
 
 
 def estimate_expected_cost(config: ExperimentConfig) -> Report:
@@ -528,12 +533,7 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
     search-iteration share alone below its exact-sum bound, both with a
     three-standard-error allowance.
     """
-    fixed_table = _load_fixed_table(config)
-    chunks = _map_chunks(_cost_chunk, config, fixed_table)
-    records = [rec for chunk in chunks for rec in chunk]
-    first_hits = np.asarray([rec[0] for rec in records])
-    passes = np.asarray([rec[1] for rec in records])
-    search_steps = np.asarray([rec[2] for rec in records])
+    first_hits, passes, search_steps = zip(*_map_runs(config, "cost", _cost_record))
 
     mean_cost, se_cost = mean_and_stderr(first_hits)
     mean_search, se_search = mean_and_stderr(search_steps)
@@ -622,10 +622,8 @@ def _sampled_fixed_j(config: ExperimentConfig) -> tuple[list[dict], bool]:
     return rows, ok
 
 
-def _qsearch_cell_chunk(config: ExperimentConfig, cell: tuple[str, int], span: tuple[int, int]):
+def _qsearch_cell(config: ExperimentConfig, backend: Backend, t: int):
     """Counts of (hit, iterations) and per-index hits for one backend/t cell."""
-    backend = Backend.parse(cell[0])
-    t = cell[1]
     n = config.n
     params = config.search_params()
     oracle = FixedSetOracle(n, tuple(range(t)))
@@ -633,7 +631,7 @@ def _qsearch_cell_chunk(config: ExperimentConfig, cell: tuple[str, int], span: t
     outcome_counts: Counter = Counter()
     hit_index_counts = np.zeros(n, dtype=np.int64)
     miss_index_counts = np.zeros(n, dtype=np.int64)
-    for i in range(*span):
+    for i in range(config.runs):
         rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
         outcome = exponential_search(oracle, params, budget, backend, rng)
         hit = outcome.index < t
@@ -652,9 +650,7 @@ def _search_distribution_cells(config: ExperimentConfig) -> tuple[list[dict], bo
     for t in _equivalence_cells(config.n):
         per_backend = {}
         for backend in Backend:
-            counts, hit_idx, miss_idx = _qsearch_cell_chunk(
-                config, (backend.value, t), (0, config.runs)
-            )
+            counts, hit_idx, miss_idx = _qsearch_cell(config, backend, t)
             per_backend[backend] = (counts, hit_idx, miss_idx)
             for label, class_counts in (("hit", hit_idx[:t]), ("miss", miss_idx[t:])):
                 _, p_uniform, _ = uniform_chisquare(class_counts)
@@ -819,59 +815,26 @@ def bounds_report(config: ExperimentConfig) -> Report:
 # single-run: raw records
 
 
-def _record_cap(config: ExperimentConfig) -> float:
-    if config.n == 1:
-        return 0.0
-    base = config.timeout if config.timeout is not None else timeout_cap(config.n)
-    if config.boost and config.boost_strategy == "extend":
-        return config.boost * timeout_cap(config.n)
-    return base
-
-
-def _single_run_chunk(config: ExperimentConfig, fixed_table: Table | None, span: tuple[int, int]):
-    params = config.search_params()
-    cap = _record_cap(config)
-    out = []
-    for i in range(*span):
-        rng = derive_stream(config.seed, "run", i)
-        table = _run_table(config, fixed_table, rng)
-        if config.boost:
-            result = find_minimum_boosted(
-                table, config.backend, params, c=config.boost, rng=rng, strategy=config.boost_strategy
-            )
-        else:
-            result = find_minimum(
-                table,
-                config.backend,
-                params,
-                timeout_override=config.timeout,
-                rng=rng,
-                record_history=True,
-            )
-        out.append(
-            {
-                "n": config.n,
-                "seed": config.seed,
-                "backend": config.backend.value,
-                "lambda": config.growth,
-                "cap": cap,
-                "returned_index": int(result.returned_index),
-                "returned_is_minimum": bool(result.returned_is_minimum),
-                "first_hit_time": None
-                if result.first_hit_time is None
-                else float(result.first_hit_time),
-                "total_spent": float(result.total_spent),
-                "loop_passes": int(result.loop_passes),
-            }
-        )
-    return out
+def _single_run_record(table: Table, result: RunResult) -> dict:
+    return {
+        "cap": result.cap,
+        "returned_index": int(result.returned_index),
+        "returned_is_minimum": bool(result.returned_is_minimum),
+        "first_hit_time": None if result.first_hit_time is None else float(result.first_hit_time),
+        "total_spent": float(result.total_spent),
+        "loop_passes": int(result.loop_passes),
+    }
 
 
 def single_run_records(config: ExperimentConfig) -> Report:
     """Per-run records with no statistical verdict attached."""
-    fixed_table = _load_fixed_table(config)
-    chunks = _map_chunks(_single_run_chunk, config, fixed_table)
-    records = [rec for chunk in chunks for rec in chunk]
+    shared = {
+        "n": config.n,
+        "seed": config.seed,
+        "backend": config.backend.value,
+        "lambda": config.growth,
+    }
+    records = [{**shared, **rec} for rec in _map_runs(config, "run", _single_run_record)]
     hits = sum(1 for rec in records if rec["returned_is_minimum"])
     summary = {"runs": config.runs, "successes": hits}
     return Report(

@@ -1,15 +1,18 @@
 """Threshold-descent minimum finding around the exponential search.
 
-One run: pick a threshold index uniformly at random, then repeatedly
+One loop: pick a threshold index uniformly at random, then repeatedly
 initialize (lg N time steps), search for an index holding a strictly
 smaller value (one time step per iteration), observe, and move the
-threshold to the observed index when it improves.  A run with the default
-time cap of 22.5*sqrt(N) + 1.4*lg^2(N) steps returns an index of the
-minimum value with probability at least 1/2; the uncapped variant runs
-until the threshold first holds the minimum and exists for cost and
-rank-selection analysis (the stopping check compares against the known
+threshold to the observed index when it improves, until the step cap runs
+out.  With the default cap of 22.5*sqrt(N) + 1.4*lg^2(N) steps the run
+returns an index of the minimum value with probability at least 1/2.
+
+An infinite cap gives the uncapped run used for cost and rank-selection
+analysis.  It records the threshold history and stops the moment the
+threshold holds a minimal value: that check compares against the known
 table minimum, which is the analyst's clock, not something the algorithm
-itself could do).
+itself could do.  Without it an infinite cap would never stop, since a
+search with nothing marked never ends on its own.
 
 Classical bookkeeping (choosing the start index, comparisons, the final
 return) is free; only initializations and search iterations are charged.
@@ -25,10 +28,8 @@ from .table import Table, ThresholdOracle
 
 __all__ = [
     "CostLedger",
-    "ThresholdState",
     "RunResult",
     "find_minimum",
-    "find_minimum_infinite",
     "find_minimum_boosted",
     "INIT_CHARGE_POLICY",
 ]
@@ -69,23 +70,6 @@ class CostLedger:
         return self.spent > self.cap
 
 
-@dataclass
-class ThresholdState:
-    """Current threshold index and, optionally, every accepted move.
-
-    Updates are accepted only on strict improvement, so recorded threshold
-    values are strictly decreasing.
-    """
-
-    y: int
-    history: list[tuple[float, int]] | None = None
-
-    def accept(self, y_new: int, time: float) -> None:
-        self.y = y_new
-        if self.history is not None:
-            self.history.append((time, y_new))
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one algorithm run.
@@ -93,7 +77,8 @@ class RunResult:
     ``first_hit_time`` is the time step at which the threshold first held a
     minimal value (None when unknown because history was off, or when the
     capped run never got there).  ``total_spent`` counts lg N per pass plus
-    all search iterations.
+    all search iterations; ``cap`` is the step cap the run used (0 for a
+    one-entry table, which needs no step).
     """
 
     returned_index: int
@@ -101,10 +86,13 @@ class RunResult:
     first_hit_time: float | None
     total_spent: float
     loop_passes: int
+    cap: float
     history: list[tuple[float, int]] | None = field(default=None, compare=False)
 
 
-def _immediate_result(table: Table, y: int, record_history: bool, known_hit: bool) -> RunResult:
+def _immediate_result(
+    table: Table, y: int, cap: float, record_history: bool, known_hit: bool
+) -> RunResult:
     is_min = table.is_minimum(y)
     history = [(0.0, y)] if record_history else None
     first_hit = 0.0 if (record_history or known_hit) and is_min else None
@@ -114,6 +102,7 @@ def _immediate_result(table: Table, y: int, record_history: bool, known_hit: boo
         first_hit_time=first_hit,
         total_spent=0.0,
         loop_passes=0,
+        cap=cap,
         history=history,
     )
 
@@ -126,81 +115,51 @@ def find_minimum(
     rng=None,
     record_history: bool = False,
 ) -> RunResult:
-    """One capped run; the default cap is 22.5*sqrt(N) + 1.4*lg^2(N) steps.
+    """One run; the default cap is 22.5*sqrt(N) + 1.4*lg^2(N) steps.
 
     A zero (or negative) cap returns the uniformly random start index
-    unexamined, which makes a handy 1/N null baseline.
-    """
-    params = params or SearchParams()
-    n = len(table)
-    if n == 1:
-        return _immediate_result(table, 0, record_history, known_hit=True)
-    cap = timeout_cap(n) if timeout_override is None else float(timeout_override)
-    y0 = rng.randrange(n)
-    if cap <= 0.0:
-        return _immediate_result(table, y0, record_history, known_hit=False)
-
-    state = ThresholdState(y=y0, history=[(0.0, y0)] if record_history else None)
-    ledger = CostLedger(cap=cap)
-    first_hit: float | None = None
-    if record_history and table.is_minimum(y0):
-        first_hit = 0.0
-    while True:
-        ledger.charge_init(n)
-        oracle = ThresholdOracle(table, state.y)
-        outcome = exponential_search(oracle, params, ledger.remaining, backend, rng)
-        ledger.charge_iterations(outcome.iterations_used)
-        observed = outcome.index
-        if table.values[observed] < table.values[state.y]:
-            state.accept(observed, ledger.spent)
-            if record_history and first_hit is None and table.is_minimum(observed):
-                first_hit = ledger.spent
-        if outcome.interrupted or ledger.exceeded:
-            break
-    return RunResult(
-        returned_index=state.y,
-        returned_is_minimum=table.is_minimum(state.y),
-        first_hit_time=first_hit,
-        total_spent=ledger.spent,
-        loop_passes=ledger.init_charges,
-        history=state.history,
-    )
-
-
-def find_minimum_infinite(
-    table: Table,
-    backend: Backend = Backend.ANALYTIC_SAMPLER,
-    params: SearchParams | None = None,
-    rng=None,
-) -> RunResult:
-    """Uncapped run, stopped the moment the threshold holds a minimal value.
-
-    Always records the threshold history; ``first_hit_time`` equals
-    ``total_spent`` by construction.  Termination is sure because every
+    unexamined, which makes a handy 1/N null baseline.  An infinite cap
+    (``math.inf``) is the uncapped run: history is always recorded and the
+    run stops once the threshold holds a minimal value, so
+    ``first_hit_time == total_spent``.  Termination is sure because every
     accepted move strictly lowers the threshold value.
     """
     params = params or SearchParams()
     n = len(table)
+    uncapped = timeout_override == math.inf
+    record_history = record_history or uncapped
     if n == 1:
-        return _immediate_result(table, 0, record_history=True, known_hit=True)
-    y0 = rng.randrange(n)
-    state = ThresholdState(y=y0, history=[(0.0, y0)])
-    ledger = CostLedger(cap=math.inf)
-    while not table.is_minimum(state.y):
+        return _immediate_result(table, 0, 0.0, record_history, known_hit=True)
+    cap = timeout_cap(n) if timeout_override is None else float(timeout_override)
+    y = rng.randrange(n)
+    if cap <= 0.0:
+        return _immediate_result(table, y, cap, record_history, known_hit=False)
+
+    history = [(0.0, y)] if record_history else None
+    ledger = CostLedger(cap=cap)
+    first_hit = 0.0 if record_history and table.is_minimum(y) else None
+    while not (uncapped and first_hit is not None):
         ledger.charge_init(n)
-        oracle = ThresholdOracle(table, state.y)
-        outcome = exponential_search(oracle, params, math.inf, backend, rng)
+        oracle = ThresholdOracle(table, y)
+        outcome = exponential_search(oracle, params, ledger.remaining, backend, rng)
         ledger.charge_iterations(outcome.iterations_used)
         observed = outcome.index
-        if table.values[observed] < table.values[state.y]:
-            state.accept(observed, ledger.spent)
+        if table.values[observed] < table.values[y]:
+            y = observed
+            if record_history:
+                history.append((ledger.spent, y))
+                if first_hit is None and table.is_minimum(y):
+                    first_hit = ledger.spent
+        if outcome.interrupted or ledger.exceeded:
+            break
     return RunResult(
-        returned_index=state.y,
-        returned_is_minimum=True,
-        first_hit_time=ledger.spent,
+        returned_index=y,
+        returned_is_minimum=table.is_minimum(y),
+        first_hit_time=first_hit,
         total_spent=ledger.spent,
         loop_passes=ledger.init_charges,
-        history=state.history,
+        cap=cap,
+        history=history,
     )
 
 
@@ -243,5 +202,6 @@ def find_minimum_boosted(
         first_hit_time=None,
         total_spent=total_spent,
         loop_passes=total_passes,
+        cap=best.cap,
         history=None,
     )

@@ -27,16 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grover import grover_iterate, measure, rotation_angle, success_probability, uniform_state
+from .grover import grover_iterate, measure, rotation_angle, uniform_state
 
 __all__ = [
     "Backend",
     "SearchParams",
     "SearchOutcome",
-    "OutcomeDistribution",
     "FixedSetOracle",
     "exponential_search",
-    "outcome_distribution",
 ]
 
 DEFAULT_GROWTH = 8.0 / 7.0
@@ -47,13 +45,6 @@ class Backend(enum.Enum):
 
     EXACT_STATEVECTOR = "exact"
     ANALYTIC_SAMPLER = "analytic"
-
-    @classmethod
-    def parse(cls, text: str) -> "Backend":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown backend {text!r} (expected 'exact' or 'analytic')")
 
 
 @dataclass(frozen=True)
@@ -192,34 +183,3 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
             return SearchOutcome(index=idx, iterations_used=used, interrupted=True)
         m = min(params.growth * m, m_cap)
 
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Law of one round at fixed iteration count j.
-
-    Success happens with ``p_success``; conditioned on the class, the
-    returned index is uniform, so each marked index carries probability
-    ``p_success / t`` and each unmarked one ``(1 - p_success) / (n - t)``.
-    """
-
-    n: int
-    t: int
-    j: int
-    p_success: float
-
-    @property
-    def marked_index_probability(self) -> float:
-        if self.t == 0:
-            return 0.0
-        return self.p_success / self.t
-
-    @property
-    def unmarked_index_probability(self) -> float:
-        if self.t == self.n:
-            return 0.0
-        return (1.0 - self.p_success) / (self.n - self.t)
-
-
-def outcome_distribution(n: int, t: int, j: int) -> OutcomeDistribution:
-    """Closed-form law of a single round: success mass and per-index weights."""
-    return OutcomeDistribution(n=n, t=t, j=j, p_success=success_probability(n, t, j))

@@ -20,8 +20,6 @@ import numpy as np
 __all__ = [
     "Table",
     "ThresholdOracle",
-    "marked_count",
-    "rank_of",
     "generate_table",
     "read_table",
     "write_table",
@@ -150,18 +148,6 @@ class ThresholdOracle:
         """Uniform random unmarked index (the threshold index is one of them)."""
         t = self.marked_count
         return int(self.table.order[rng.randrange(t, self.n)])
-
-
-def marked_count(oracle: ThresholdOracle) -> int:
-    """Count of entries strictly below the oracle's threshold value."""
-    return oracle.marked_count
-
-
-def rank_of(table: Table, i: int) -> int:
-    """1-based rank of index i: 1 + number of strictly smaller values."""
-    if not 0 <= i < len(table):
-        raise IndexError(f"index {i} outside table of size {len(table)}")
-    return int(table.ranks[i])
 
 
 def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:

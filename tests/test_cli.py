@@ -158,3 +158,25 @@ def test_table_value_outside_int64_is_config_error(tmp_path):
     assert result.returncode == 2
     assert f"{path}:2: value outside int64 range" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_lemma1_takes_its_comparison_from_a_duplicate_table_file(tmp_path, capsys):
+    # 48 values from -4..4: ties everywhere, under the default --mode distinct.
+    path = tmp_path / "dup.txt"
+    path.write_text("".join(f"{(i * 31 + 5) % 9 - 4}\n" for i in range(48)))
+    code, out, _ = run_cli(
+        capsys, "lemma1", "--n", "48", "--runs", "300", "--seed", "9", "--table", str(path)
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["comparison"] == "upper-bound"
+
+
+@pytest.mark.parametrize("strategy", ["repeat", "extend"])
+def test_boost_with_timeout_is_config_error(capsys, strategy):
+    code, out, err = run_cli(
+        capsys, "run", "--n", "16", "--runs", "2", "--seed", "1", "--boost", "2",
+        "--boost-strategy", strategy, "--timeout", "3", "--format", "csv",
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot be combined with a timeout" in err

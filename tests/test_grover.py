@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind.grover import (
-    GroverAngle,
     StateVector,
     grover_iterate,
     marked_subset,
     measure,
+    rotation_angle,
     success_probability,
     uniform_state,
 )
@@ -122,7 +122,7 @@ def test_success_probability_rejects_bad_domain():
     with pytest.raises(ValueError):
         success_probability(8, 2, -1)
     with pytest.raises(ValueError):
-        GroverAngle.from_counts(0, 0)
+        rotation_angle(0, 0)
 
 
 def test_measure_follows_amplitude_weights():

@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qminfind import harness
 from qminfind.harness import (
     ExperimentConfig,
     _spans,
@@ -126,6 +128,8 @@ def test_config_validation():
         ExperimentConfig(experiment="success", boost=0)
     with pytest.raises(ValueError, match="needs n >= 2"):
         ExperimentConfig(experiment="expected-cost", n=1)
+    with pytest.raises(ValueError, match="timeout"):
+        ExperimentConfig(experiment="success", boost=2, timeout=3.0)
 
 
 def test_config_dict_omits_worker_count():
@@ -240,3 +244,37 @@ def test_equivalence_battery_passes_at_small_size():
     assert "closed-form" in checks
     assert "outcome-distribution" in checks
     assert "full-algorithm-success" in checks
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    ("workers", "runs", "cpus", "expected"),
+    [(64, 10, 3, [3]), (64, 2, 8, [2]), (2, 50, 8, [2]), (5, 50, None, []), (1, 50, 8, [])],
+)
+def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = ExperimentConfig(experiment="success", n=16, runs=runs, seed=13, workers=workers)
+    report = run_experiment(config)
+    assert _InlineExecutor.started == expected
+    # The clamp is a throughput knob only: the report matches a serial run.
+    serial = run_experiment(ExperimentConfig(experiment="success", n=16, runs=runs, seed=13))
+    assert report.to_json() == serial.to_json()

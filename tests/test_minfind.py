@@ -11,7 +11,6 @@ from qminfind.minfind import (
     CostLedger,
     find_minimum,
     find_minimum_boosted,
-    find_minimum_infinite,
 )
 from qminfind.qsearch import Backend, SearchParams
 from qminfind.seeding import derive_stream
@@ -64,7 +63,7 @@ def test_capped_run_respects_budget_accounting(seed, n):
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64))
 def test_uncapped_run_always_finds_the_minimum(seed, n):
     table = generate_table(n, "distinct", random.Random(seed))
-    result = find_minimum_infinite(table, rng=derive_stream(seed, "unit-inf", n))
+    result = find_minimum(table, timeout_override=math.inf, rng=derive_stream(seed, "unit-inf", n))
     assert result.returned_is_minimum
     assert table.is_minimum(result.returned_index)
     assert result.first_hit_time == result.total_spent
@@ -73,14 +72,16 @@ def test_uncapped_run_always_finds_the_minimum(seed, n):
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64), k=st.integers(1, 8))
 def test_uncapped_run_reaches_minimal_value_with_duplicates(seed, n, k):
     table = generate_table(n, "dup", random.Random(seed), k=min(k, n))
-    result = find_minimum_infinite(table, rng=derive_stream(seed, "unit-dup", n, k))
+    result = find_minimum(
+        table, timeout_override=math.inf, rng=derive_stream(seed, "unit-dup", n, k)
+    )
     assert int(table.values[result.returned_index]) == table.minimum()
 
 
 @given(seed=st.integers(0, 2000))
 def test_history_thresholds_strictly_improve(seed):
     table = generate_table(48, "dup", random.Random(seed), k=6)
-    result = find_minimum_infinite(table, rng=derive_stream(seed, "unit-hist"))
+    result = find_minimum(table, timeout_override=math.inf, rng=derive_stream(seed, "unit-hist"))
     times = [entry[0] for entry in result.history]
     values = [int(table.values[entry[1]]) for entry in result.history]
     assert times[0] == 0.0
@@ -168,5 +169,28 @@ def test_boost_raises_success_rate():
 @pytest.mark.parametrize("backend", list(Backend))
 def test_backends_share_interfaces_end_to_end(backend):
     table = generate_table(16, "distinct", random.Random(17))
-    result = find_minimum_infinite(table, backend, SearchParams(), derive_stream(18, backend.value))
+    rng = derive_stream(18, backend.value)
+    result = find_minimum(table, backend, SearchParams(), timeout_override=math.inf, rng=rng)
     assert result.returned_is_minimum
+
+
+def test_run_result_records_the_cap_it_used():
+    table = generate_table(24, "distinct", random.Random(19))
+    assert find_minimum(table, rng=random.Random(0)).cap == timeout_cap(24)
+    assert find_minimum(table, timeout_override=7.5, rng=random.Random(0)).cap == 7.5
+    assert find_minimum(table, timeout_override=0.0, rng=random.Random(0)).cap == 0.0
+    extend = find_minimum_boosted(table, c=3, rng=random.Random(0), strategy="extend")
+    assert extend.cap == 3 * timeout_cap(24)
+    # Repetitions each run under the default cap.
+    assert find_minimum_boosted(table, c=3, rng=random.Random(0)).cap == timeout_cap(24)
+    # A one-entry table needs no step, whatever the cap.
+    single = Table(np.array([4]), distinct=True)
+    assert find_minimum(single, timeout_override=9.0, rng=random.Random(0)).cap == 0.0
+
+
+def test_uncapped_single_entry_run_records_history():
+    result = find_minimum(
+        Table(np.array([4]), distinct=True), timeout_override=math.inf, rng=random.Random(0)
+    )
+    assert result.history == [(0.0, 0)]
+    assert result.first_hit_time == result.total_spent == 0.0

@@ -11,16 +11,15 @@ from qminfind.qsearch import (
     FixedSetOracle,
     SearchParams,
     exponential_search,
-    outcome_distribution,
 )
 from qminfind.seeding import derive_stream
 
 
 def test_backend_parse():
-    assert Backend.parse("exact") is Backend.EXACT_STATEVECTOR
-    assert Backend.parse("analytic") is Backend.ANALYTIC_SAMPLER
-    with pytest.raises(ValueError, match="unknown backend"):
-        Backend.parse("quantum")
+    assert Backend("exact") is Backend.EXACT_STATEVECTOR
+    assert Backend("analytic") is Backend.ANALYTIC_SAMPLER
+    with pytest.raises(ValueError, match="quantum"):
+        Backend("quantum")
 
 
 def test_growth_factor_bounds():
@@ -167,23 +166,6 @@ def test_backends_hit_at_matching_rates():
     diff = abs(fractions[Backend.EXACT_STATEVECTOR] - fractions[Backend.ANALYTIC_SAMPLER])
     sigma = math.sqrt(2 * 0.25 / runs)  # worst-case joint deviation
     assert diff <= 4 * sigma
-
-
-def test_round_distribution_matches_closed_form():
-    dist = outcome_distribution(8, 2, 1)
-    assert dist.p_success == pytest.approx(1.0, abs=1e-12)
-    dist = outcome_distribution(8, 2, 0)
-    assert dist.p_success == pytest.approx(0.25, abs=1e-12)
-    assert dist.marked_index_probability == pytest.approx(0.125, abs=1e-12)
-    assert dist.unmarked_index_probability == pytest.approx(0.125, abs=1e-12)
-
-
-@given(n=st.integers(1, 64), t_frac=st.floats(0.0, 1.0), j=st.integers(0, 12))
-def test_round_distribution_masses_sum_to_one(n, t_frac, j):
-    t = round(t_frac * n)
-    dist = outcome_distribution(n, t, j)
-    total = t * dist.marked_index_probability + (n - t) * dist.unmarked_index_probability
-    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class _ScriptedStream:
