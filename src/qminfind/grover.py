@@ -10,6 +10,12 @@ Starting from the uniform state with t of N indices marked, j iterations
 rotate the marked-subset amplitude to sin((2j+1) * theta) with
 theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form,
 and the statevector path is checked against it in the test suite.
+
+``GroverLadder`` serves a search that measures many rounds under one
+fixed predicate: every round starts from the uniform state, so the state
+after j iterations is the same in each of them.  The ladder evolves one
+amplitude vector in place, computes each iteration once, and keeps the
+measurement CDF of every state it has passed.
 """
 from __future__ import annotations
 
@@ -21,11 +27,13 @@ import numpy as np
 
 __all__ = [
     "StateVector",
+    "GroverLadder",
     "rotation_angle",
     "uniform_state",
     "grover_iterate",
     "success_probability",
     "measure",
+    "sample",
     "marked_subset",
 ]
 
@@ -51,9 +59,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or len(amps) < 1:
             raise ValueError("state needs at least one amplitude")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
+        _check_norm(float(np.sum(np.abs(amps) ** 2)))
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -89,6 +95,11 @@ def uniform_state(n: int) -> StateVector:
     return StateVector(np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128))
 
 
+def _check_norm(norm_sq: float) -> None:
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
+
+
 def _evaluate(marked: MarkedPredicate, n: int) -> np.ndarray:
     mask = np.asarray(marked(np.arange(n)), dtype=bool)
     if mask.shape != (n,):
@@ -96,17 +107,53 @@ def _evaluate(marked: MarkedPredicate, n: int) -> np.ndarray:
     return mask
 
 
+def _reflect(amps: np.ndarray, sign: np.ndarray) -> None:
+    """One iteration in place: multiply by the +-1 phase ``sign``, then invert about the mean."""
+    amps *= sign
+    np.subtract(2.0 * amps.mean(), amps, out=amps)
+
+
 def grover_iterate(state: StateVector, marked: MarkedPredicate) -> StateVector:
     """One iteration: phase-flip marked amplitudes, invert all about the mean.
 
     The predicate is queried afresh on every call (one oracle query per
-    iteration); no marked-index list is materialized by the caller.
+    iteration).  A search evolving many iterations under one predicate
+    uses ``GroverLadder``, which queries it once and yields bit for bit the
+    same states.
     """
-    mask = _evaluate(marked, len(state))
+    sign = np.where(_evaluate(marked, len(state)), -1.0, 1.0)
     amps = state.amplitudes.copy()
-    amps[mask] = -amps[mask]
-    amps = 2.0 * amps.mean() - amps
+    _reflect(amps, sign)
     return StateVector(amps)
+
+
+class GroverLadder:
+    """Measurement CDFs after 0, 1, 2, ... iterations from the uniform state.
+
+    The predicate is evaluated once, into ``mask``.  ``cdf(j)`` extends one
+    amplitude vector in place by the iterations not yet computed and keeps
+    the CDF of each state it passes (norm-checked once, read-only), so each
+    iteration is computed once and depth j holds j + 1 CDFs of n floats.
+    """
+
+    def __init__(self, marked: MarkedPredicate, n: int):
+        self.mask = _evaluate(marked, n)
+        self._sign = np.where(self.mask, -1.0, 1.0)
+        self._amps = uniform_state(n).amplitudes.copy()
+        self._cdfs: list[np.ndarray] = []
+
+    def cdf(self, j: int) -> np.ndarray:
+        """Cumulative |a_i|^2 of the state after j iterations."""
+        if j < 0:
+            raise ValueError("iteration count must be >= 0")
+        while len(self._cdfs) <= j:
+            if self._cdfs:
+                _reflect(self._amps, self._sign)
+            cdf = _cumulative(self._amps)
+            _check_norm(float(cdf[-1]))
+            cdf.setflags(write=False)
+            self._cdfs.append(cdf)
+        return self._cdfs[j]
 
 
 def success_probability(n: int, t: int, j: int) -> float:
@@ -126,11 +173,23 @@ def measure(state: StateVector, rng) -> int:
     Consumes one uniform draw from ``rng``.  The post-measurement state is
     never needed by callers, so none is returned.
     """
-    probs = state.probabilities()
-    cumulative = np.cumsum(probs)
-    # Guard the top end against float round-off in the cumulative sum.
-    idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
-    return min(idx, len(state) - 1)
+    return sample(_cumulative(state.amplitudes), rng)
+
+
+def _cumulative(amps: np.ndarray) -> np.ndarray:
+    return np.cumsum(np.abs(amps) ** 2)
+
+
+def sample(cdf: np.ndarray, rng) -> int:
+    """Draw index i with probability proportional to cdf[i] - cdf[i-1].
+
+    Consumes one uniform draw from ``rng``; ``measure`` and every search
+    round on a ``GroverLadder`` draw through here.
+    """
+    # Scaling by the total and clamping guard the top end against float
+    # round-off in the cumulative sum.
+    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(idx, len(cdf) - 1)
 
 
 def marked_subset(indices: Sequence[int]) -> MarkedPredicate:

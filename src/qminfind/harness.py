@@ -51,7 +51,7 @@ from .bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
-from .grover import grover_iterate, measure, success_probability, uniform_state
+from .grover import GroverLadder, grover_iterate, sample, success_probability, uniform_state
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
 from .qsearch import Backend, FixedSetOracle, SearchParams, exponential_search
 from .seeding import derive_stream
@@ -75,7 +75,10 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("lemma1", "success", "expected-cost", "equivalence", "bounds", "single-run")
-# Experiments measuring the uncapped run; they ignore boost and timeout.
+# Experiments whose runs go through ``_map_runs``, so a table file is read.
+RUN_EXPERIMENTS = ("lemma1", "success", "expected-cost", "single-run")
+# Experiments measuring the uncapped run; they have no cap for boost or
+# timeout to change, so they reject both.
 UNCAPPED_EXPERIMENTS = ("lemma1", "expected-cost")
 
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
@@ -126,6 +129,12 @@ class ExperimentConfig:
             raise ValueError("boost count must be >= 1")
         if self.boost_strategy not in ("repeat", "extend"):
             raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
+        if self.experiment in UNCAPPED_EXPERIMENTS and (
+            self.boost is not None or self.timeout is not None
+        ):
+            raise ValueError(
+                f"{self.experiment} measures the uncapped run and takes no boost or timeout"
+            )
         # Boosting sets its own cap (the default one per repetition, or c
         # times it when extending), so a timeout would be silently ignored.
         if self.boost is not None and self.timeout is not None:
@@ -141,9 +150,27 @@ class ExperimentConfig:
         if self.experiment in ("expected-cost", "bounds") and self.n < 2:
             raise ValueError(f"{self.experiment} experiment needs n >= 2")
 
+    @functools.cached_property
+    def fixed_table(self) -> Table | None:
+        """The table file every run uses, read once; None when runs draw their own."""
+        if self.table_path is None or self.experiment not in RUN_EXPERIMENTS:
+            return None
+        table = read_table(self.table_path)
+        if len(table) != self.n:
+            # The file wins; n is display metadata in this case.
+            raise ValueError(
+                f"table file holds {len(table)} values but --n is {self.n}; "
+                f"pass --n {len(table)}"
+            )
+        return table
+
     @property
     def mode_label(self) -> str:
-        return "distinct" if self.mode == "distinct" else f"dup:{self.dup_k}"
+        """``distinct`` or ``dup:<k>``: the table file's kind when runs use one."""
+        table = self.fixed_table
+        if table is None:
+            return "distinct" if self.mode == "distinct" else f"dup:{self.dup_k}"
+        return "distinct" if table.distinct else f"dup:{len(np.unique(table.values))}"
 
     def search_params(self) -> SearchParams:
         return SearchParams(growth=self.growth)
@@ -371,15 +398,7 @@ def _map_runs(config: ExperimentConfig, tag: str, record) -> Iterator:
     runs and send back its records; spans come back in order, so a fold
     over the records sees the same sequence for any worker count.
     """
-    fixed_table = None
-    if config.table_path is not None:
-        fixed_table = read_table(config.table_path)
-        if len(fixed_table) != config.n:
-            # The file wins; n is display metadata in this case.
-            raise ValueError(
-                f"table file holds {len(fixed_table)} values but --n is {config.n}; "
-                f"pass --n {len(fixed_table)}"
-            )
+    fixed_table = config.fixed_table
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     if workers <= 1:
         yield from _run_span(config, tag, record, fixed_table, (0, config.runs))
@@ -592,17 +611,12 @@ def _sampled_fixed_j(config: ExperimentConfig) -> tuple[list[dict], bool]:
     rows = []
     ok = True
     for t in _equivalence_cells(n):
-        oracle = FixedSetOracle(n, tuple(range(t)))
-        state = uniform_state(n)
+        ladder = GroverLadder(FixedSetOracle(n, tuple(range(t))).is_marked, n)
         for j in range(min(config.j_max, 8) + 1):
-            if j > 0:
-                state = grover_iterate(state, oracle.is_marked)
+            cdf = ladder.cdf(j)
             p_true = success_probability(n, t, j)
             rng = derive_stream(config.seed, "eqv-fixedj", t, j)
-            hits = 0
-            for _ in range(samples):
-                if measure(state, rng) < t:
-                    hits += 1
+            hits = sum(sample(cdf, rng) < t for _ in range(samples))
             p_hat = hits / samples
             tolerance = 4.0 * proportion_stderr(p_true, samples) + 1e-9
             cell_ok = abs(p_hat - p_true) <= tolerance

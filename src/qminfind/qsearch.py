@@ -10,7 +10,11 @@ it would run forever, so a time-step budget bounds it from outside.
 Two interchangeable backends produce identical outcome distributions:
 
 * ``EXACT_STATEVECTOR`` evolves the dense amplitude vector and measures it;
-  it sees the oracle only through its index predicate.
+  it sees the oracle only through its index predicate, evaluated once per
+  search.  The oracle is fixed within a search and every round starts from
+  the uniform state, so one ``GroverLadder`` computes each iteration once
+  and a round of j iterations measures the cached state for its j.  Each
+  iteration is still charged one time step, as in every round.
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
   sin^2((2j+1) arcsin(sqrt(t/N))) and draws a uniform index within the
   success or failure class; it needs the classical marked count instead of
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grover import grover_iterate, measure, rotation_angle, uniform_state
+from .grover import GroverLadder, rotation_angle, sample
 
 __all__ = [
     "Backend",
@@ -126,15 +130,6 @@ class FixedSetOracle:
         return int(self._unmarked_arr[rng.randrange(free)])
 
 
-def _statevector_round(oracle, j: int, rng) -> tuple[int, bool]:
-    """Run one round of j iterations on the statevector and measure; return (index, hit)."""
-    state = uniform_state(oracle.n)
-    for _ in range(j):
-        state = grover_iterate(state, oracle.is_marked)
-    idx = measure(state, rng)
-    return idx, bool(oracle.is_marked(np.asarray([idx]))[0])
-
-
 def exponential_search(oracle, params: SearchParams, budget: float, backend: Backend, rng) -> SearchOutcome:
     """Hunt for a marked index within ``budget`` time steps.
 
@@ -148,7 +143,11 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         raise ValueError(f"budget must be >= 0, got {budget}")
     n = oracle.n
     statevector = backend is Backend.EXACT_STATEVECTOR
-    if not statevector:
+    if statevector:
+        # Every round starts from the uniform state under the same oracle,
+        # so the state after j iterations is computed once per search.
+        ladder = GroverLadder(oracle.is_marked, n)
+    else:
         # The marked count, and with it the rotation angle, stays fixed for
         # the whole search; each round then costs one sine.
         t = oracle.marked_count
@@ -164,7 +163,8 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         if truncated:
             j = int(remaining)
         if statevector:
-            idx, hit = _statevector_round(oracle, j, rng)
+            idx = sample(ladder.cdf(j), rng)
+            hit = bool(ladder.mask[idx])
         elif t > 0 and rng.random() < math.sin((2 * j + 1) * theta) ** 2:
             idx, hit = oracle.sample_marked(rng), True
         else:

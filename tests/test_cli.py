@@ -180,3 +180,35 @@ def test_boost_with_timeout_is_config_error(capsys, strategy):
     assert code == 2
     assert out == ""
     assert "cannot be combined with a timeout" in err
+
+
+@pytest.mark.parametrize("command", ["lemma1", "cost"])
+@pytest.mark.parametrize("flag", [["--timeout", "1"], ["--boost", "3"]])
+def test_uncapped_experiments_reject_timeout_and_boost(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, "--n", "16", "--runs", "50", "--seed", "2", *flag)
+    assert code == 2
+    assert out == ""
+    assert "measures the uncapped run and takes no boost or timeout" in err
+
+
+@pytest.mark.parametrize(
+    ("values", "mode", "label"),
+    [
+        ([(i * 31 + 5) % 9 - 4 for i in range(48)], "distinct", "dup:9"),
+        ([3, 3, 1, 3, 1, 1, 3, 1], "distinct", "dup:2"),
+        ([5, -2, 9, 0, 7, 4, 1, 8], "dup:2", "distinct"),
+    ],
+    ids=["dup-48", "dup-8", "distinct-under-dup-mode"],
+)
+def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, mode, label):
+    path = tmp_path / "table.txt"
+    path.write_text("".join(f"{v}\n" for v in values))
+    code, out, _ = run_cli(
+        capsys, "lemma1", "--n", str(len(values)), "--runs", "300", "--seed", "9",
+        "--mode", mode, "--table", str(path),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["mode"] == label
+    expected = "equality" if label == "distinct" else "upper-bound"
+    assert report["summary"]["comparison"] == expected

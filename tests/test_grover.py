@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qminfind import grover
 from qminfind.grover import (
+    GroverLadder,
     StateVector,
     grover_iterate,
     marked_subset,
     measure,
     rotation_angle,
+    sample,
     success_probability,
     uniform_state,
 )
@@ -151,3 +154,65 @@ def test_measure_returns_valid_index():
 def test_marked_subset_predicate():
     pred = marked_subset([3, 1, 3])
     assert pred(np.arange(5)).tolist() == [False, True, False, True, False]
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 257, 1024, 4096])
+def test_ladder_cdfs_equal_the_iterate_chain_bit_for_bit(n):
+    depth = math.ceil(math.sqrt(n))
+    for t in sorted({0, 1, n // 2, n}):
+        marked = marked_subset(range(t))
+        ladder = GroverLadder(marked, n)
+        # Jump to the deepest state first: the ones below it must be kept.
+        ladder.cdf(depth)
+        state = uniform_state(n)
+        for j in range(depth + 1):
+            if j > 0:
+                state = grover_iterate(state, marked)
+            assert np.array_equal(ladder.cdf(j), np.cumsum(state.probabilities())), (t, j)
+
+
+def test_ladder_evaluates_the_predicate_once():
+    calls = 0
+
+    def counting(indices):
+        nonlocal calls
+        calls += 1
+        return np.isin(indices, [1, 4])
+
+    ladder = GroverLadder(counting, 16)
+    for j in (3, 0, 4, 2):
+        ladder.cdf(j)
+    assert calls == 1
+    assert ladder.mask.tolist() == [i in (1, 4) for i in range(16)]
+
+
+def test_ladder_cdfs_are_read_only():
+    cdf = GroverLadder(marked_subset([0]), 8).cdf(1)
+    with pytest.raises(ValueError):
+        cdf[0] = 0.0
+
+
+def test_ladder_rejects_bad_input():
+    with pytest.raises(ValueError, match="iteration count"):
+        GroverLadder(marked_subset([0]), 8).cdf(-1)
+    with pytest.raises(ValueError, match="shape"):
+        GroverLadder(lambda idx: np.array([True]), 4)
+
+
+def test_ladder_checks_the_norm_of_every_state(monkeypatch):
+    def leaky(amps, sign):
+        amps *= sign
+        amps *= 1.001
+
+    monkeypatch.setattr(grover, "_reflect", leaky)
+    ladder = GroverLadder(marked_subset([0]), 8)
+    ladder.cdf(0)
+    with pytest.raises(ValueError, match="not normalized"):
+        ladder.cdf(1)
+
+
+def test_measure_draws_through_sample():
+    state = grover_iterate(uniform_state(32), marked_subset([3, 9]))
+    cdf = np.cumsum(state.probabilities())
+    rng_a, rng_b = random.Random(8), random.Random(8)
+    assert [measure(state, rng_a) for _ in range(50)] == [sample(cdf, rng_b) for _ in range(50)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -130,6 +131,11 @@ def test_config_validation():
         ExperimentConfig(experiment="expected-cost", n=1)
     with pytest.raises(ValueError, match="timeout"):
         ExperimentConfig(experiment="success", boost=2, timeout=3.0)
+    for experiment in ("lemma1", "expected-cost"):
+        with pytest.raises(ValueError, match="uncapped"):
+            ExperimentConfig(experiment=experiment, timeout=3.0)
+        with pytest.raises(ValueError, match="uncapped"):
+            ExperimentConfig(experiment=experiment, boost=2)
 
 
 def test_config_dict_omits_worker_count():
@@ -174,6 +180,17 @@ def test_reports_identical_across_worker_counts():
     duo = run_experiment(ExperimentConfig(**base, workers=2))
     assert solo.to_json() == duo.to_json()
     assert solo.to_csv() == duo.to_csv()
+
+
+def test_table_file_reports_identical_across_worker_counts(tmp_path):
+    # Workers receive the table already read.
+    path = tmp_path / "table.txt"
+    path.write_text("".join(f"{i * 7 % 5}\n" for i in range(16)))
+    config = ExperimentConfig(experiment="success", n=16, runs=200, seed=5, table_path=str(path))
+    solo = run_experiment(config)
+    duo = run_experiment(dataclasses.replace(config, workers=2))
+    assert solo.to_json() == duo.to_json()
+    assert json.loads(solo.to_json())["config"]["mode"] == "dup:5"
 
 
 def test_repeated_runs_are_byte_identical():

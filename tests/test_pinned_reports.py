@@ -1,4 +1,4 @@
-"""Report bytes pinned for four small configs of three experiments.
+"""Report bytes pinned for five small configs of three experiments.
 
 Every run draws from the stream (seed, experiment tag, run index), and a
 report is a deterministic fold of those runs, so a refactor of the run
@@ -25,6 +25,15 @@ n,seed,backend,lambda,cap,returned_index,returned_is_minimum,first_hit_time,tota
 16,3,analytic,1.1428571428571428,224.8,8,True,,224.0,2
 16,3,analytic,1.1428571428571428,224.8,7,True,,224.0,1
 16,3,analytic,1.1428571428571428,224.8,0,True,,224.0,2
+"""
+
+RUN_EXACT = """\
+n,seed,backend,lambda,cap,returned_index,returned_is_minimum,first_hit_time,total_spent,loop_passes
+64,3,exact,1.1428571428571428,230.4,51,True,44.0,230.0,6
+64,3,exact,1.1428571428571428,230.4,35,True,17.0,230.0,3
+64,3,exact,1.1428571428571428,230.4,38,True,23.0,230.0,4
+64,3,exact,1.1428571428571428,230.4,43,True,13.0,230.0,3
+64,3,exact,1.1428571428571428,230.4,38,True,31.0,230.0,5
 """
 
 COST_UNCAPPED = """\
@@ -55,10 +64,11 @@ rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
              "--boost-strategy", "extend"],
             RUN_BOOST_EXTEND,
         ),
+        (["run", "--n", "64", "--runs", "5", "--seed", "3", "--backend", "exact"], RUN_EXACT),
         (["cost", "--n", "16", "--runs", "50", "--seed", "2"], COST_UNCAPPED),
         (["lemma1", "--n", "8", "--runs", "200", "--seed", "9"], LEMMA1),
     ],
-    ids=["run-dup", "run-boost-extend", "cost-uncapped", "lemma1"],
+    ids=["run-dup", "run-boost-extend", "run-exact", "cost-uncapped", "lemma1"],
 )
 def test_csv_report_bytes_are_pinned(capsys, argv, expected):
     assert main([*argv, "--format", "csv"]) == 0

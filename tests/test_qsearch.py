@@ -218,3 +218,25 @@ def test_analytic_round_uses_the_closed_form_exactly():
                 assert _scripted_round_hits(n, t, j, math.nextafter(p, -math.inf))
                 if t < n:
                     assert not _scripted_round_hits(n, t, j, p)
+
+
+class CountingOracle:
+    """A fixed-set oracle that counts predicate evaluations."""
+
+    def __init__(self, n, marked):
+        self.inner = FixedSetOracle(n, marked)
+        self.n = n
+        self.calls = 0
+
+    def is_marked(self, indices):
+        self.calls += 1
+        return self.inner.is_marked(indices)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_backend_evaluates_the_predicate_once_per_search(seed):
+    # One marked index of 256: a search runs many rounds of many iterations.
+    oracle = CountingOracle(256, (7,))
+    out = exponential_search(oracle, SearchParams(), 500.0, Backend.EXACT_STATEVECTOR, random.Random(seed))
+    assert out.iterations_used > 0
+    assert oracle.calls == 1
