@@ -13,10 +13,13 @@ runs plus a statistical verdict:
 The four run-based experiments share one map: ``_map_runs`` draws run
 i's table and run from the private stream (seed, experiment tag, i),
 runs the configured variant through ``_run`` (uncapped, capped or
-boosted), and yields a small per-run record.  Each experiment folds its records in run
-order into a verdict.  Worker processes only split the run range into
-spans and send their records back in span order, so a report is
-byte-identical for any worker count.  Reports deliberately contain no
+boosted), and yields a small per-run record.  Each experiment folds its
+records in run order into a verdict.  Without a table file, analytic
+runs use their values in sorted order (the analytic law depends only on
+ranks), so an analytic ``single-run`` ``returned_index`` is a rank-order
+position; exact runs draw randomly arranged tables.  Worker processes
+only split the run range into spans and send their records back in span
+order, so a report is byte-identical for any worker count.  Reports deliberately contain no
 wall-clock data; timing goes to stderr in the CLI layer.
 
 Verdict conventions: equality checks pass within max(0.01, 3 standard
@@ -55,7 +58,7 @@ from .grover import GroverLadder, grover_iterate, sample, success_probability, u
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
 from .qsearch import Backend, FixedSetOracle, SearchParams, exponential_search
 from .seeding import derive_stream
-from .table import Table, generate_table, read_table
+from .table import Table, generate_table, read_table, sorted_table
 
 __all__ = [
     "ExperimentConfig",
@@ -76,6 +79,8 @@ __all__ = [
 
 EXPERIMENTS = ("lemma1", "success", "expected-cost", "equivalence", "bounds", "single-run")
 # Experiments whose runs go through ``_map_runs``, so a table file is read.
+# The others draw their own inputs and reject a table, a mode, a boost and a
+# timeout rather than ignore them.
 RUN_EXPERIMENTS = ("lemma1", "success", "expected-cost", "single-run")
 # Experiments measuring the uncapped run; they have no cap for boost or
 # timeout to change, so they reject both.
@@ -83,6 +88,11 @@ UNCAPPED_EXPERIMENTS = ("lemma1", "expected-cost")
 
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
 CHI2_ALPHA = 1e-3
+# A table of n values holds three int64 arrays (values, order, ranks), so
+# 2^24 entries take about 400 MB; a bound sweep to m holds a few float64
+# arrays of length m, about 400 MB at 10^7.
+MAX_N = 2**24
+MAX_SWEEP = 10**7
 EXACT_BACKEND_MAX_N = 2**14
 EQUIVALENCE_MAX_N = 2**10
 # Rank rows below this many (run, index) pairs carry no 0.01-scale
@@ -114,8 +124,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
+        if not 2 <= self.sweep_max <= MAX_SWEEP:
+            raise ValueError(f"sweep_max must lie in 2..{MAX_SWEEP}, got {self.sweep_max}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.workers < 1:
@@ -129,6 +141,16 @@ class ExperimentConfig:
             raise ValueError("boost count must be >= 1")
         if self.boost_strategy not in ("repeat", "extend"):
             raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
+        if self.experiment not in RUN_EXPERIMENTS and (
+            self.table_path is not None
+            or self.mode == "dup"
+            or self.boost is not None
+            or self.timeout is not None
+        ):
+            raise ValueError(
+                f"{self.experiment} draws its own inputs and takes no table, dup mode, "
+                "boost or timeout"
+            )
         if self.experiment in UNCAPPED_EXPERIMENTS and (
             self.boost is not None or self.timeout is not None
         ):
@@ -153,7 +175,7 @@ class ExperimentConfig:
     @functools.cached_property
     def fixed_table(self) -> Table | None:
         """The table file every run uses, read once; None when runs draw their own."""
-        if self.table_path is None or self.experiment not in RUN_EXPERIMENTS:
+        if self.table_path is None:
             return None
         table = read_table(self.table_path)
         if len(table) != self.n:
@@ -375,12 +397,23 @@ def _run(config: ExperimentConfig, params: SearchParams, table: Table, rng) -> R
     )
 
 
+def _table_source(backend: Backend):
+    """How runs on ``backend`` draw a table when no table file fixes one.
+
+    The analytic law depends only on ranks, so analytic runs take their
+    values in sorted order (the distinct table is one shared, read-only
+    0..n-1); the exact backend, the reference, keeps randomly arranged tables.
+    """
+    return sorted_table if backend is Backend.ANALYTIC_SAMPLER else generate_table
+
+
 def _run_span(config: ExperimentConfig, tag: str, record, fixed_table: Table | None, span):
     params = config.search_params()
+    draw_table = _table_source(config.backend)
     for i in range(*span):
         rng = derive_stream(config.seed, tag, i)
         if fixed_table is None:
-            table = generate_table(config.n, config.mode, rng, k=config.dup_k)
+            table = draw_table(config.n, config.mode, rng, k=config.dup_k)
         else:
             table = fixed_table
         yield record(table, _run(config, params, table, rng))
@@ -718,7 +751,7 @@ def _full_algorithm_rates(config: ExperimentConfig) -> tuple[list[dict], bool]:
         successes = 0
         for i in range(runs):
             rng = derive_stream(config.seed, "eqv-full", backend.value, i)
-            table = generate_table(config.n, "distinct", rng)
+            table = _table_source(backend)(config.n, "distinct", rng)
             result = find_minimum(table, backend, params, rng=rng)
             successes += bool(result.returned_is_minimum)
         rates[backend] = successes / runs

@@ -18,7 +18,12 @@ Two interchangeable backends produce identical outcome distributions:
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
   sin^2((2j+1) arcsin(sqrt(t/N))) and draws a uniform index within the
   success or failure class; it needs the classical marked count instead of
-  the statevector and runs in O(1) per round, independent of N.
+  the statevector and runs in O(1) per round, independent of N.  A miss
+  index is uniform over the unmarked set whatever the rounds did, so it is
+  drawn once, when a search ends on a miss, rather than every miss round.
+  With nothing marked (t = 0, N >= 2) every round misses with certainty and
+  the rounds spend a finite budget down to its floor, so such a search is
+  settled in closed form with one index draw and no rounds.
 
 Each search consumes one random stream and one budget; concurrent searches
 need disjoint streams.
@@ -137,7 +142,9 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
     cover is truncated to the affordable count, the (partially rotated)
     state is still measured, and the outcome comes back ``interrupted``.
     Running out of budget is a normal outcome, not an error; with nothing
-    marked the search always ends that way, consuming the whole budget.
+    marked the search always ends that way, consuming the whole budget
+    (its floor), so an infinite budget with nothing marked is rejected
+    unless the domain has a single index.
     """
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -147,11 +154,23 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         # Every round starts from the uniform state under the same oracle,
         # so the state after j iterations is computed once per search.
         ladder = GroverLadder(oracle.is_marked, n)
+        nothing_marked = not ladder.mask.any()
     else:
         # The marked count, and with it the rotation angle, stays fixed for
         # the whole search; each round then costs one sine.
         t = oracle.marked_count
         theta = rotation_angle(n, t)
+        nothing_marked = t == 0
+    if nothing_marked and n >= 2:
+        if budget == math.inf:
+            raise ValueError("a search with nothing marked never ends without a finite budget")
+        if not statevector:
+            # Every round misses, and the rounds end exactly when their
+            # integer iteration counts have spent the budget down to its
+            # floor, the last one truncated if need be.
+            return SearchOutcome(
+                index=oracle.sample_unmarked(rng), iterations_used=int(budget), interrupted=True
+            )
     m_cap = math.sqrt(n)
     m = min(params.m_init, m_cap)
     remaining = budget
@@ -165,21 +184,22 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         if statevector:
             idx = sample(ladder.cdf(j), rng)
             hit = bool(ladder.mask[idx])
-        elif t > 0 and rng.random() < math.sin((2 * j + 1) * theta) ** 2:
-            idx, hit = oracle.sample_marked(rng), True
         else:
-            # A miss.  With every index marked the success probability is
-            # exactly 1 and no miss is drawn; the oracle would raise.
-            idx, hit = oracle.sample_unmarked(rng), False
+            # A miss draws no index here; one is drawn if the search ends
+            # on it.  With every index marked the success probability is
+            # exactly 1, so no miss index is ever drawn; the oracle would
+            # raise.
+            hit = t > 0 and rng.random() < math.sin((2 * j + 1) * theta) ** 2
+            idx = oracle.sample_marked(rng) if hit else None
         remaining -= j
         used += j
         if hit:
             return SearchOutcome(index=idx, iterations_used=used, interrupted=truncated)
-        if truncated or remaining <= 0:
-            return SearchOutcome(index=idx, iterations_used=used, interrupted=True)
-        if high == 1 and m >= m_cap:
-            # Degenerate domain (sqrt(N) <= 1): every draw is j = 0, so the
-            # budget can never be consumed; report the interruption now.
+        # A miss ends the search when its round was truncated, when the
+        # budget is spent, or on a degenerate domain (sqrt(N) <= 1): there
+        # every draw is j = 0, so the budget can never be consumed.
+        if truncated or remaining <= 0 or (high == 1 and m >= m_cap):
+            if idx is None:
+                idx = oracle.sample_unmarked(rng)
             return SearchOutcome(index=idx, iterations_used=used, interrupted=True)
         m = min(params.growth * m, m_cap)
-

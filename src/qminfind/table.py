@@ -8,11 +8,16 @@ the all-duplicates table have zero marked entries.
 
 Tables are immutable after construction and oracles are read-only views,
 so both are safe to share across concurrent runs.
+
+Two ways to draw a table: ``generate_table`` arranges its values at random,
+which the exact statevector backend needs; ``sorted_table`` holds them in
+value order, which is all the analytic law needs, since that law depends
+only on ranks and is the same for every arrangement of the values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,7 @@ __all__ = [
     "Table",
     "ThresholdOracle",
     "generate_table",
+    "sorted_table",
     "read_table",
     "write_table",
 ]
@@ -159,15 +165,40 @@ def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:
     mode="distinct": uniformly random permutation of 0..n-1.
     mode="dup": each entry drawn uniformly from the k values 0..k-1.
     """
-    if n < 1:
-        raise ValueError("table size must be >= 1")
+    _check_request(n, mode, k)
     if mode == "distinct":
         return Table.permutation(_numpy_stream(rng).permutation(n))
-    if mode == "dup":
-        if k is None or not 1 <= k <= n:
-            raise ValueError(f"duplicates mode needs 1 <= k <= {n}, got {k}")
-        return Table(_numpy_stream(rng).integers(0, k, n), distinct=False)
-    raise ValueError(f"unknown table mode {mode!r}")
+    return Table(_numpy_stream(rng).integers(0, k, n), distinct=False)
+
+
+def sorted_table(n: int, mode: str, rng, k: int | None = None) -> Table:
+    """Draw a table whose values sit in value order, so index i has rank-order position i.
+
+    mode="distinct": the values 0..n-1, one read-only table shared per n;
+    nothing is drawn from the caller's stream.
+    mode="dup": how often each of the k values 0..k-1 occurs is a
+    multinomial draw (the law of n uniform draws below k), taken from a
+    numpy PCG64 generator seeded with 128 bits of the caller's stream.
+    """
+    _check_request(n, mode, k)
+    if mode == "distinct":
+        return _identity_table(n)
+    counts = _numpy_stream(rng).multinomial(n, np.full(k, 1.0 / k))
+    return Table(np.repeat(np.arange(k, dtype=np.int64), counts), distinct=False)
+
+
+def _check_request(n: int, mode: str, k: int | None) -> None:
+    if n < 1:
+        raise ValueError("table size must be >= 1")
+    if mode not in ("distinct", "dup"):
+        raise ValueError(f"unknown table mode {mode!r}")
+    if mode == "dup" and (k is None or not 1 <= k <= n):
+        raise ValueError(f"duplicates mode needs 1 <= k <= {n}, got {k}")
+
+
+@lru_cache(maxsize=8)
+def _identity_table(n: int) -> Table:
+    return Table.permutation(np.arange(n, dtype=np.int64))
 
 
 def _numpy_stream(rng) -> np.random.Generator:

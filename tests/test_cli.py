@@ -191,20 +191,23 @@ def test_uncapped_experiments_reject_timeout_and_boost(capsys, command, flag):
     assert "measures the uncapped run and takes no boost or timeout" in err
 
 
+# A distinct file gets the equality verdict, which asserts every rank of
+# n=8; 40 000 runs make its 0.01 floor at least 4 SE at each of them (at 300
+# runs the 3 SE test rejected 12 of 400 seeds of correct code).
 @pytest.mark.parametrize(
-    ("values", "mode", "label"),
+    ("values", "mode", "label", "runs"),
     [
-        ([(i * 31 + 5) % 9 - 4 for i in range(48)], "distinct", "dup:9"),
-        ([3, 3, 1, 3, 1, 1, 3, 1], "distinct", "dup:2"),
-        ([5, -2, 9, 0, 7, 4, 1, 8], "dup:2", "distinct"),
+        ([(i * 31 + 5) % 9 - 4 for i in range(48)], "distinct", "dup:9", 300),
+        ([3, 3, 1, 3, 1, 1, 3, 1], "distinct", "dup:2", 300),
+        ([5, -2, 9, 0, 7, 4, 1, 8], "dup:2", "distinct", 40_000),
     ],
     ids=["dup-48", "dup-8", "distinct-under-dup-mode"],
 )
-def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, mode, label):
+def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, mode, label, runs):
     path = tmp_path / "table.txt"
     path.write_text("".join(f"{v}\n" for v in values))
     code, out, _ = run_cli(
-        capsys, "lemma1", "--n", str(len(values)), "--runs", "300", "--seed", "9",
+        capsys, "lemma1", "--n", str(len(values)), "--runs", str(runs), "--seed", "9",
         "--mode", mode, "--table", str(path),
     )
     assert code == 0
@@ -212,3 +215,34 @@ def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, mode, l
     assert report["config"]["mode"] == label
     expected = "equality" if label == "distinct" else "upper-bound"
     assert report["summary"]["comparison"] == expected
+
+
+@pytest.mark.parametrize("command", ["bounds", "equivalence"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--table", "/nonexistent"], ["--timeout", "5"], ["--boost", "2"], ["--mode", "dup:2"]],
+    ids=["table", "timeout", "boost", "dup-mode"],
+)
+def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, "--n", "8", "--runs", "10", "--sweep-max", "100", *flag)
+    assert code == 2
+    assert out == ""
+    assert "draws its own inputs" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "limit"),
+    [
+        (["success", "--n", "100000000000", "--runs", "1"], "1..16777216"),
+        (["run", "--n", str(2**24 + 1), "--runs", "1"], "1..16777216"),
+        (["bounds", "--n", "64", "--sweep-max", "1000000000000"], "2..10000000"),
+        (["bounds", "--n", "64", "--sweep-max", "1"], "2..10000000"),
+    ],
+    ids=["n-huge", "n-just-over", "sweep-huge", "sweep-too-small"],
+)
+def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
+    # Rejected while the config is built, before anything is allocated.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert limit in err

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import os
+import random
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from qminfind import harness
 from qminfind.harness import (
+    CHI2_ALPHA,
     ExperimentConfig,
     _spans,
     build_identifier,
@@ -19,7 +22,10 @@ from qminfind.harness import (
     uniform_chisquare,
     wilson_interval,
 )
+from qminfind.minfind import find_minimum
 from qminfind.qsearch import Backend
+from qminfind.seeding import derive_stream
+from qminfind.table import generate_table, sorted_table
 
 RECORD_FIELDS = [
     "n",
@@ -136,6 +142,17 @@ def test_config_validation():
             ExperimentConfig(experiment=experiment, timeout=3.0)
         with pytest.raises(ValueError, match="uncapped"):
             ExperimentConfig(experiment=experiment, boost=2)
+    for experiment in ("bounds", "equivalence"):
+        for flags in ({"table_path": "t.txt"}, {"timeout": 3.0}, {"boost": 2}, {"mode": "dup", "dup_k": 2}):
+            with pytest.raises(ValueError, match="draws its own inputs"):
+                ExperimentConfig(experiment=experiment, n=8, **flags)
+    with pytest.raises(ValueError, match="n must lie in"):
+        ExperimentConfig(experiment="success", n=2**24 + 1)
+    with pytest.raises(ValueError, match="sweep_max must lie in"):
+        ExperimentConfig(experiment="bounds", sweep_max=10**7 + 1)
+    # The limits themselves are accepted (building a config allocates nothing).
+    ExperimentConfig(experiment="success", n=2**24)
+    ExperimentConfig(experiment="bounds", sweep_max=10**7)
 
 
 def test_config_dict_omits_worker_count():
@@ -295,3 +312,36 @@ def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, 
     # The clamp is a throughput knob only: the report matches a serial run.
     serial = run_experiment(ExperimentConfig(experiment="success", n=16, runs=runs, seed=13))
     assert report.to_json() == serial.to_json()
+
+
+def test_runs_draw_sorted_tables_on_the_analytic_backend_only():
+    assert harness._table_source(Backend.ANALYTIC_SAMPLER) is sorted_table
+    assert harness._table_source(Backend.EXACT_STATEVECTOR) is generate_table
+    # The choice reaches the runs: analytic single-run records return
+    # rank-order positions, so index 0 is the minimum of a distinct table.
+    report = run_experiment(ExperimentConfig(experiment="single-run", n=16, runs=40, seed=3))
+    for row in report.rows:
+        assert row["returned_is_minimum"] == (row["returned_index"] == 0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("cap", [None, math.inf], ids=["capped", "uncapped"])
+def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, cap):
+    # The analytic law depends only on ranks, so runs on the table analytic
+    # runs draw must be distributed as runs on random permutations: compare
+    # loop passes and first-hit times by a two-sample chi-square.
+    runs = 2500
+    draw_table = harness._table_source(Backend.ANALYTIC_SAMPLER)
+    passes = {"sorted": Counter(), "random": Counter()}
+    first_hit = {"sorted": Counter(), "random": Counter()}
+    for label, source in (("sorted", draw_table), ("random", generate_table)):
+        for i in range(runs):
+            rng = derive_stream(17, "unit-rank-space", label, n, i)
+            table = source(n, "distinct", rng)
+            result = find_minimum(table, timeout_override=cap, rng=rng, record_history=True)
+            passes[label][result.loop_passes] += 1
+            first_hit[label][-1.0 if result.first_hit_time is None else result.first_hit_time] += 1
+    for counts in (passes, first_hit):
+        _, p_value, dof = two_sample_chisquare(counts["sorted"], counts["random"])
+        assert dof >= 3
+        assert p_value > CHI2_ALPHA

@@ -1,11 +1,16 @@
 import math
 import random
+import signal
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind.grover import success_probability
+from qminfind.harness import CHI2_ALPHA, uniform_chisquare
 from qminfind.qsearch import (
     Backend,
     FixedSetOracle,
@@ -74,6 +79,86 @@ def test_nothing_marked_consumes_integer_budget_exactly(backend, budget):
     out = exponential_search(oracle, SearchParams(), float(budget), backend, random.Random(2))
     assert out.interrupted
     assert out.iterations_used == budget
+
+
+class _CountingStream:
+    """Wraps a ``random.Random`` and counts the draws made through it."""
+
+    def __init__(self, seed):
+        self.inner = random.Random(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return self.inner.randrange(*args)
+
+    def random(self):
+        self.draws += 1
+        return self.inner.random()
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+@pytest.mark.parametrize("budget", [0.0, 0.5, 1.0, 7.25, 23.0, 23.9, 100.5])
+def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
+    # The exact backend still plays a search with nothing marked round by
+    # round; the analytic one settles it at once with one index draw.  Both
+    # must spend exactly the floor of the budget and report an interruption.
+    oracle = FixedSetOracle(n, ())
+    for seed in range(5):
+        rounds = exponential_search(
+            oracle, SearchParams(), budget, Backend.EXACT_STATEVECTOR, random.Random(seed)
+        )
+        rng = _CountingStream(seed)
+        settled = exponential_search(oracle, SearchParams(), budget, Backend.ANALYTIC_SAMPLER, rng)
+        assert rounds.iterations_used == settled.iterations_used == math.floor(budget)
+        assert type(settled.iterations_used) is int
+        assert rounds.interrupted and settled.interrupted
+        assert rng.draws == 1
+        assert 0 <= settled.index < n
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test still running after five seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the search did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("n", [2, 16])
+def test_nothing_marked_with_an_infinite_budget_is_rejected(deadline, backend, n):
+    with pytest.raises(ValueError, match="nothing marked"):
+        exponential_search(FixedSetOracle(n, ()), SearchParams(), math.inf, backend, random.Random(0))
+
+
+@pytest.mark.parametrize(("marked", "budget"), [((5,), 1.0), ((1, 4, 6, 11), 0.0), ((), 9.5)])
+def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
+    # A tight budget makes many searches with marked indices end on a miss
+    # (with one marked index, after any number of j = 0 rounds); with
+    # nothing marked every search does.  Either way the index returned for
+    # a miss must be uniform over the unmarked indices.
+    n = 16
+    oracle = FixedSetOracle(n, marked)
+    rng = derive_stream(7, "unit-miss", len(marked))
+    misses = Counter()
+    for _ in range(4000):
+        out = exponential_search(oracle, SearchParams(), budget, Backend.ANALYTIC_SAMPLER, rng)
+        if out.index not in marked:
+            assert out.interrupted
+            misses[out.index] += 1
+    unmarked = [i for i in range(n) if i not in marked]
+    assert set(misses) <= set(unmarked)
+    assert sum(misses.values()) >= 1000
+    _, p_value, dof = uniform_chisquare(np.array([misses[i] for i in unmarked]))
+    assert dof == len(unmarked) - 1
+    assert p_value > CHI2_ALPHA
 
 
 def test_zero_budget_still_measures_once():
@@ -169,9 +254,11 @@ def test_backends_hit_at_matching_rates():
 
 
 class _ScriptedStream:
-    """Stream stub: the first ``randrange`` gives ``j``, ``random`` always gives ``u``.
+    """Stream stub: the round's draw gives ``j``, ``random`` always gives ``u``.
 
-    Later ``randrange`` calls (the class samples) return the lowest value.
+    The round's draw is the one ``exponential_search`` makes itself; the
+    class samples are drawn by the oracle and get the lowest value of their
+    range, so a search settled without rounds still draws a valid index.
     """
 
     def __init__(self, j: int, u: float):
@@ -181,7 +268,8 @@ class _ScriptedStream:
         self.uniform_draws = 0
 
     def randrange(self, start, stop=None):
-        if not self.j_drawn:
+        if sys._getframe(1).f_code is exponential_search.__code__:
+            assert not self.j_drawn, "a scripted search draws one round"
             self.j_drawn = True
             return self.j
         return 0 if stop is None else start
@@ -201,6 +289,9 @@ def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     out = exponential_search(oracle, params, float(j), Backend.ANALYTIC_SAMPLER, rng)
     assert out.iterations_used == j
     assert rng.uniform_draws == (1 if t > 0 else 0)
+    # With nothing marked the search is settled without a round (n >= 2),
+    # and a one-index domain only ever runs j = 0, which it need not draw.
+    assert rng.j_drawn == (t > 0 and n > 1)
     return out.index < t
 
 

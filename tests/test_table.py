@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from qminfind.harness import two_sample_chisquare
+
 from qminfind.table import (
     Table,
     ThresholdOracle,
     generate_table,
     read_table,
+    sorted_table,
     write_table,
 )
 
@@ -90,6 +94,56 @@ def test_distinct_generation_is_uniform_over_permutations():
     for _ in range(draws):
         counts[index[tuple(generate_table(n, "distinct", rng).values.tolist())]] += 1
     assert chisquare(counts).pvalue > 1e-3
+
+
+def test_sorted_distinct_table_is_shared_read_only_and_draws_nothing():
+    rng, untouched = random.Random(5), random.Random(5)
+    table = sorted_table(300, "distinct", rng)
+    assert table is sorted_table(300, "distinct", random.Random(6))
+    assert table.distinct
+    assert table.values.tolist() == list(range(300))
+    assert table.order.tolist() == list(range(300))
+    assert table.ranks.tolist() == list(range(1, 301))
+    for array in (table.values, table.order, table.ranks):
+        with pytest.raises(ValueError):
+            array[0] = 5
+    assert rng.random() == untouched.random()
+
+
+def test_sorted_dup_table_is_reproducible_and_sorted():
+    rng_a, rng_b = random.Random(21), random.Random(21)
+    first = sorted_table(300, "dup", rng_a, k=5)
+    assert first.values.tolist() == sorted_table(300, "dup", rng_b, k=5).values.tolist()
+    assert rng_a.random() == rng_b.random()
+    assert not first.distinct
+    assert np.all(np.diff(first.values) >= 0)
+    assert set(first.values.tolist()) <= set(range(5))
+    assert sorted_table(300, "dup", random.Random(22), k=5).values.tolist() != first.values.tolist()
+
+
+def test_sorted_table_validates_like_generate_table():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        sorted_table(0, "distinct", rng)
+    with pytest.raises(ValueError, match="duplicates"):
+        sorted_table(8, "dup", rng, k=9)
+    with pytest.raises(ValueError, match="mode"):
+        sorted_table(8, "nope", rng)
+
+
+def test_sorted_dup_values_follow_the_law_of_independent_draws():
+    # The multiset of a sorted dup table must be distributed as that of n
+    # independent uniform draws below k: compare the counts of each value.
+    n, k, tables = 12, 3, 3000
+    for value in range(k):
+        held = {"sorted": Counter(), "drawn": Counter()}
+        rng = random.Random(31)
+        for _ in range(tables):
+            held["sorted"][int(np.sum(sorted_table(n, "dup", rng, k=k).values == value))] += 1
+            held["drawn"][int(np.sum(generate_table(n, "dup", rng, k=k).values == value))] += 1
+        _, p_value, dof = two_sample_chisquare(held["sorted"], held["drawn"])
+        assert dof >= 4
+        assert p_value > 1e-3
 
 
 def test_values_are_read_only():
