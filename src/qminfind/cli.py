@@ -11,17 +11,19 @@ One subcommand per experiment::
 
 Exit status: 0 when the experiment's verdict passes, 1 on a statistical
 failure, 2 on bad usage or configuration.  The report goes to stdout (or
---out); wall-clock timing goes to stderr only, so reports with the same
-seed are byte-identical across invocations and worker counts.
+--out); wall-clock timing and the git revision go to stderr only, so
+reports with the same seed are byte-identical across invocations, worker
+counts and commits.
 """
 from __future__ import annotations
 
 import argparse
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, build_identifier, run_experiment
 from .qsearch import Backend, SearchParams
 
 # subcommand -> experiment key
@@ -132,6 +134,22 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _build_label() -> str:
+    """The package version, with ``git describe`` when running from a checkout."""
+    label = build_identifier()
+    try:
+        result = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return label
+    return f"{label} ({result.stdout.strip()})" if result.returncode == 0 else label
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -161,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     verdict = "pass" if report.passed else "FAIL"
     print(
         f"qminfind {args.command}: n={config.n} runs={config.runs} "
-        f"{verdict} in {duration:.3f}s",
+        f"{verdict} in {duration:.3f}s [{_build_label()}]",
         file=sys.stderr,
     )
     return 0 if report.passed else 1

@@ -32,7 +32,6 @@ __all__ = [
     "uniform_state",
     "grover_iterate",
     "success_probability",
-    "measure",
     "sample",
     "marked_subset",
 ]
@@ -167,15 +166,6 @@ def success_probability(n: int, t: int, j: int) -> float:
     return math.sin((2 * j + 1) * rotation_angle(n, t)) ** 2
 
 
-def measure(state: StateVector, rng) -> int:
-    """Sample a basis index with probability |a_i|^2.
-
-    Consumes one uniform draw from ``rng``.  The post-measurement state is
-    never needed by callers, so none is returned.
-    """
-    return sample(_cumulative(state.amplitudes), rng)
-
-
 def _cumulative(amps: np.ndarray) -> np.ndarray:
     return np.cumsum(np.abs(amps) ** 2)
 
@@ -183,8 +173,8 @@ def _cumulative(amps: np.ndarray) -> np.ndarray:
 def sample(cdf: np.ndarray, rng) -> int:
     """Draw index i with probability proportional to cdf[i] - cdf[i-1].
 
-    Consumes one uniform draw from ``rng``; ``measure`` and every search
-    round on a ``GroverLadder`` draw through here.
+    Consumes one uniform draw from ``rng``; every measurement of a
+    ``GroverLadder`` state draws through here.
     """
     # Scaling by the total and clamping guard the top end against float
     # round-off in the cumulative sum.

@@ -34,12 +34,10 @@ import io
 import json
 import math
 import os
-import subprocess
 from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -77,14 +75,24 @@ __all__ = [
     "build_identifier",
 ]
 
-EXPERIMENTS = ("lemma1", "success", "expected-cost", "equivalence", "bounds", "single-run")
-# Experiments whose runs go through ``_map_runs``, so a table file is read.
-# The others draw their own inputs and reject a table, a mode, a boost and a
-# timeout rather than ignore them.
-RUN_EXPERIMENTS = ("lemma1", "success", "expected-cost", "single-run")
-# Experiments measuring the uncapped run; they have no cap for boost or
-# timeout to change, so they reject both.
-UNCAPPED_EXPERIMENTS = ("lemma1", "expected-cost")
+# The config fields each experiment reads besides ``experiment``.  A field
+# outside its experiment's set must keep its default, so no flag is
+# silently ignored.  The experiments reading no ``timeout`` measure the
+# uncapped run.
+_RUN_FIELDS = frozenset(
+    {"n", "runs", "seed", "backend", "growth", "mode", "dup_k", "table_path", "workers"}
+)
+_CAPPED_RUN_FIELDS = _RUN_FIELDS | {"boost", "boost_strategy", "timeout"}
+EXPERIMENT_FIELDS = {
+    "lemma1": _RUN_FIELDS | {"max_rank"},
+    "success": _CAPPED_RUN_FIELDS,
+    "expected-cost": _RUN_FIELDS,
+    "equivalence": frozenset({"n", "runs", "seed", "growth", "j_max"}),
+    "bounds": frozenset({"n", "sweep_max"}),
+    "single-run": _CAPPED_RUN_FIELDS,
+}
+# The command-line flag of each field whose flag is not its name hyphenated.
+_FLAGS = {"growth": "lambda", "dup_k": "mode", "table_path": "table"}
 
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
 CHI2_ALPHA = 1e-3
@@ -102,7 +110,11 @@ MIN_ASSERT_PAIRS = 100
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment invocation depends on."""
+    """Everything one experiment invocation depends on.
+
+    An experiment reads only the fields ``EXPERIMENT_FIELDS`` names for it;
+    a config setting any other field away from its default is rejected.
+    """
 
     experiment: str
     n: int = 64
@@ -122,8 +134,13 @@ class ExperimentConfig:
     table_path: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in EXPERIMENT_FIELDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        reads = EXPERIMENT_FIELDS[self.experiment] | {"experiment"}
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                flag = _FLAGS.get(f.name, f.name.replace("_", "-"))
+                raise ValueError(f"{self.experiment} does not read {f.name} (--{flag})")
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if not 2 <= self.sweep_max <= MAX_SWEEP:
@@ -141,22 +158,8 @@ class ExperimentConfig:
             raise ValueError("boost count must be >= 1")
         if self.boost_strategy not in ("repeat", "extend"):
             raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
-        if self.experiment not in RUN_EXPERIMENTS and (
-            self.table_path is not None
-            or self.mode == "dup"
-            or self.boost is not None
-            or self.timeout is not None
-        ):
-            raise ValueError(
-                f"{self.experiment} draws its own inputs and takes no table, dup mode, "
-                "boost or timeout"
-            )
-        if self.experiment in UNCAPPED_EXPERIMENTS and (
-            self.boost is not None or self.timeout is not None
-        ):
-            raise ValueError(
-                f"{self.experiment} measures the uncapped run and takes no boost or timeout"
-            )
+        if self.boost is None and self.boost_strategy != "repeat":
+            raise ValueError("boost_strategy (--boost-strategy) needs a boost (--boost)")
         # Boosting sets its own cap (the default one per repetition, or c
         # times it when extending), so a timeout would be silently ignored.
         if self.boost is not None and self.timeout is not None:
@@ -233,7 +236,7 @@ class Report:
     build: str
     passed: bool
     summary: dict
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
 
     def to_dict(self) -> dict:
         return {
@@ -265,23 +268,13 @@ class Report:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-@functools.lru_cache(maxsize=1)
 def build_identifier() -> str:
-    """Package version, with the git revision when running from a checkout."""
-    base = f"qminfind {__version__}"
-    try:
-        result = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return base
-    if result.returncode != 0:
-        return base
-    return f"{base} ({result.stdout.strip()})"
+    """Package name and version, the ``build`` field of every report."""
+    return f"qminfind {__version__}"
+
+
+def _report(config: ExperimentConfig, passed: bool, summary: dict, rows: list[dict]) -> Report:
+    return Report(config.experiment, config.to_dict(), build_identifier(), passed, summary, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +374,7 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
 
 def _run(config: ExperimentConfig, params: SearchParams, table: Table, rng) -> RunResult:
     """One run of the configured variant: uncapped, boosted or capped."""
-    if config.experiment in UNCAPPED_EXPERIMENTS:
+    if "timeout" not in EXPERIMENT_FIELDS[config.experiment]:
         return find_minimum(table, config.backend, params, timeout_override=math.inf, rng=rng)
     if config.boost:
         return find_minimum_boosted(
@@ -512,14 +505,7 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
         "minimum_always_chosen": minimum_always_chosen,
         "comparison": "equality" if distinct else "upper-bound",
     }
-    return Report(
-        experiment=config.experiment,
-        config=config.to_dict(),
-        build=build_identifier(),
-        passed=passed,
-        summary=summary,
-        rows=rows,
-    )
+    return _report(config, passed, summary, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +545,7 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
         "mean_spent": float(np.mean(spent)),
         "mean_loop_passes": float(np.mean(passes)),
     }
-    return Report(
-        experiment=config.experiment,
-        config=config.to_dict(),
-        build=build_identifier(),
-        passed=passed,
-        summary=summary,
-        rows=[summary],
-    )
+    return _report(config, passed, summary, [summary])
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +584,7 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
         "search_steps_ok": search_ok,
         "mean_loop_passes": float(np.mean(passes)),
     }
-    return Report(
-        experiment=config.experiment,
-        config=config.to_dict(),
-        build=build_identifier(),
-        passed=cost_ok and search_ok,
-        summary=summary,
-        rows=[summary],
-    )
+    return _report(config, cost_ok and search_ok, summary, [summary])
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +609,28 @@ def _equivalence_cells(n: int) -> list[int]:
     return sorted({0, 1, 2, n // 4, n // 2, n} & set(range(0, n + 1)))
 
 
-def _sampled_fixed_j(config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _check_row(
+    check: str, ok: bool, tolerance: float, t=None, j=None, estimate=None, expected=None,
+    p_value=None,
+) -> dict:
+    """One equivalence check; every row carries the same eight columns."""
+    return {
+        "check": check,
+        "t": t,
+        "j": j,
+        "estimate": estimate,
+        "expected": expected,
+        "tolerance": tolerance,
+        "p_value": p_value,
+        "ok": ok,
+    }
+
+
+def _sampled_fixed_j(config: ExperimentConfig) -> list[dict]:
     """Exact-backend measurement frequencies at pinned iteration counts."""
     n = config.n
     samples = min(config.runs, 20_000)
     rows = []
-    ok = True
     for t in _equivalence_cells(n):
         ladder = GroverLadder(FixedSetOracle(n, tuple(range(t))).is_marked, n)
         for j in range(min(config.j_max, 8) + 1):
@@ -652,21 +640,9 @@ def _sampled_fixed_j(config: ExperimentConfig) -> tuple[list[dict], bool]:
             hits = sum(sample(cdf, rng) < t for _ in range(samples))
             p_hat = hits / samples
             tolerance = 4.0 * proportion_stderr(p_true, samples) + 1e-9
-            cell_ok = abs(p_hat - p_true) <= tolerance
-            ok = ok and cell_ok
-            rows.append(
-                {
-                    "check": "fixed-j",
-                    "t": t,
-                    "j": j,
-                    "estimate": p_hat,
-                    "expected": p_true,
-                    "tolerance": tolerance,
-                    "p_value": None,
-                    "ok": cell_ok,
-                }
-            )
-    return rows, ok
+            ok = abs(p_hat - p_true) <= tolerance
+            rows.append(_check_row("fixed-j", ok, tolerance, t, j, p_hat, p_true))
+    return rows
 
 
 def _qsearch_cell(config: ExperimentConfig, backend: Backend, t: int):
@@ -690,59 +666,31 @@ def _qsearch_cell(config: ExperimentConfig, backend: Backend, t: int):
     return outcome_counts, hit_index_counts, miss_index_counts
 
 
-def _search_distribution_cells(config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _search_distribution_cells(config: ExperimentConfig) -> list[dict]:
     """Per-t comparison of the two backends' full search outcome law."""
     rows = []
-    ok = True
     for t in _equivalence_cells(config.n):
-        per_backend = {}
+        counts = {}
         for backend in Backend:
-            counts, hit_idx, miss_idx = _qsearch_cell(config, backend, t)
-            per_backend[backend] = (counts, hit_idx, miss_idx)
+            counts[backend], hit_idx, miss_idx = _qsearch_cell(config, backend, t)
             for label, class_counts in (("hit", hit_idx[:t]), ("miss", miss_idx[t:])):
                 _, p_uniform, _ = uniform_chisquare(class_counts)
-                cell_ok = p_uniform > CHI2_ALPHA
-                ok = ok and cell_ok
-                rows.append(
-                    {
-                        "check": f"uniformity-{label}-{backend.value}",
-                        "t": t,
-                        "j": None,
-                        "estimate": None,
-                        "expected": None,
-                        "tolerance": CHI2_ALPHA,
-                        "p_value": p_uniform,
-                        "ok": cell_ok,
-                    }
-                )
-        counts_exact = per_backend[Backend.EXACT_STATEVECTOR][0]
-        counts_analytic = per_backend[Backend.ANALYTIC_SAMPLER][0]
+                check = f"uniformity-{label}-{backend.value}"
+                ok = p_uniform > CHI2_ALPHA
+                rows.append(_check_row(check, ok, CHI2_ALPHA, t, p_value=p_uniform))
         if t == 0:
-            hits = sum(v for (hit, _), v in counts_exact.items() if hit) + sum(
-                v for (hit, _), v in counts_analytic.items() if hit
-            )
-            cell_ok = hits == 0
-            p_value = None
+            hits = sum(v for backend in Backend for (hit, _), v in counts[backend].items() if hit)
+            ok, p_value = hits == 0, None
         else:
-            _, p_value, _ = two_sample_chisquare(counts_exact, counts_analytic)
-            cell_ok = p_value > CHI2_ALPHA
-        ok = ok and cell_ok
-        rows.append(
-            {
-                "check": "outcome-distribution",
-                "t": t,
-                "j": None,
-                "estimate": None,
-                "expected": None,
-                "tolerance": CHI2_ALPHA,
-                "p_value": p_value,
-                "ok": cell_ok,
-            }
-        )
-    return rows, ok
+            _, p_value, _ = two_sample_chisquare(
+                counts[Backend.EXACT_STATEVECTOR], counts[Backend.ANALYTIC_SAMPLER]
+            )
+            ok = p_value > CHI2_ALPHA
+        rows.append(_check_row("outcome-distribution", ok, CHI2_ALPHA, t, p_value=p_value))
+    return rows
 
 
-def _full_algorithm_rates(config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _full_algorithm_rates(config: ExperimentConfig) -> dict:
     """Capped-run success rates under both backends must agree within 3 sigma."""
     runs = min(config.runs, 10_000)
     params = config.search_params()
@@ -761,17 +709,9 @@ def _full_algorithm_rates(config: ExperimentConfig) -> tuple[list[dict], bool]:
         proportion_stderr(p_exact, runs) ** 2 + proportion_stderr(p_analytic, runs) ** 2
     )
     ok = abs(p_exact - p_analytic) <= 3.0 * sigma + 1e-12
-    row = {
-        "check": "full-algorithm-success",
-        "t": None,
-        "j": None,
-        "estimate": p_exact,
-        "expected": p_analytic,
-        "tolerance": 3.0 * sigma,
-        "p_value": None,
-        "ok": ok,
-    }
-    return [row], ok
+    return _check_row(
+        "full-algorithm-success", ok, 3.0 * sigma, estimate=p_exact, expected=p_analytic
+    )
 
 
 def backend_equivalence(config: ExperimentConfig) -> Report:
@@ -781,40 +721,26 @@ def backend_equivalence(config: ExperimentConfig) -> Report:
     form, to 1e-9.  Stochastic parts: fixed-j measurement frequencies,
     chi-square comparison of (hit, iterations) search outcomes per t cell,
     class-conditional index uniformity, and whole-algorithm success rates.
+    The battery passes when every check does.
     """
     deviation = closed_form_deviation(config.n, config.j_max)
-    closed_ok = deviation <= 1e-9
+    closed_form = _check_row(
+        "closed-form", deviation <= 1e-9, 1e-9, j=config.j_max, estimate=deviation, expected=0.0
+    )
     rows = [
-        {
-            "check": "closed-form",
-            "t": None,
-            "j": config.j_max,
-            "estimate": deviation,
-            "expected": 0.0,
-            "tolerance": 1e-9,
-            "p_value": None,
-            "ok": closed_ok,
-        }
+        closed_form,
+        *_sampled_fixed_j(config),
+        *_search_distribution_cells(config),
+        _full_algorithm_rates(config),
     ]
-    sampled_rows, sampled_ok = _sampled_fixed_j(config)
-    cell_rows, cells_ok = _search_distribution_cells(config)
-    full_rows, full_ok = _full_algorithm_rates(config)
-    rows += sampled_rows + cell_rows + full_rows
-    passed = closed_ok and sampled_ok and cells_ok and full_ok
+    failed = sum(1 for row in rows if not row["ok"])
     summary = {
         "runs": config.runs,
         "closed_form_deviation": deviation,
         "checks": len(rows),
-        "failed_checks": sum(1 for row in rows if not row["ok"]),
+        "failed_checks": failed,
     }
-    return Report(
-        experiment=config.experiment,
-        config=config.to_dict(),
-        build=build_identifier(),
-        passed=passed,
-        summary=summary,
-        rows=rows,
-    )
+    return _report(config, failed == 0, summary, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -848,14 +774,7 @@ def bounds_report(config: ExperimentConfig) -> Report:
         {"quantity": f"search_iterations_bound[t={t}]", "n": config.n, "value": v}
         for t, v in sorted(report.search_bounds.items())
     ]
-    return Report(
-        experiment=config.experiment,
-        config=config.to_dict(),
-        build=build_identifier(),
-        passed=passed,
-        summary=summary,
-        rows=rows,
-    )
+    return _report(config, passed, summary, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -884,14 +803,7 @@ def single_run_records(config: ExperimentConfig) -> Report:
     records = [{**shared, **rec} for rec in _map_runs(config, "run", _single_run_record)]
     hits = sum(1 for rec in records if rec["returned_is_minimum"])
     summary = {"runs": config.runs, "successes": hits}
-    return Report(
-        experiment=config.experiment,
-        config=config.to_dict(),
-        build=build_identifier(),
-        passed=True,
-        summary=summary,
-        rows=records,
-    )
+    return _report(config, True, summary, records)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ Two interchangeable backends produce identical outcome distributions:
   the statevector and runs in O(1) per round, independent of N.  A miss
   index is uniform over the unmarked set whatever the rounds did, so it is
   drawn once, when a search ends on a miss, rather than every miss round.
-  With nothing marked (t = 0, N >= 2) every round misses with certainty and
-  the rounds spend a finite budget down to its floor, so such a search is
-  settled in closed form with one index draw and no rounds.
+
+With nothing marked (t = 0, N >= 2) every round misses with certainty and
+the rounds spend a finite budget down to its floor, so both backends settle
+such a search in closed form with one index draw and no rounds: the exact
+backend measures the uniform state (no iteration moves it), the analytic
+one draws an unmarked index.
 
 Each search consumes one random stream and one budget; concurrent searches
 need disjoint streams.
@@ -164,13 +167,11 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
     if nothing_marked and n >= 2:
         if budget == math.inf:
             raise ValueError("a search with nothing marked never ends without a finite budget")
-        if not statevector:
-            # Every round misses, and the rounds end exactly when their
-            # integer iteration counts have spent the budget down to its
-            # floor, the last one truncated if need be.
-            return SearchOutcome(
-                index=oracle.sample_unmarked(rng), iterations_used=int(budget), interrupted=True
-            )
+        # Every round misses, and the rounds end exactly when their integer
+        # iteration counts have spent the budget down to its floor, the last
+        # one truncated if need be.
+        index = sample(ladder.cdf(0), rng) if statevector else oracle.sample_unmarked(rng)
+        return SearchOutcome(index=index, iterations_used=int(budget), interrupted=True)
     m_cap = math.sqrt(n)
     m = min(params.m_init, m_cap)
     remaining = budget

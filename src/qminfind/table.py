@@ -101,9 +101,6 @@ class Table:
             object.__setattr__(self, "_ranks", ranks)
         return self._ranks
 
-    def minimum(self) -> int:
-        return int(self.values.min())
-
     def is_minimum(self, i: int) -> bool:
         """True when index i holds a minimal value (ties all count)."""
         return int(self.ranks[i]) == 1

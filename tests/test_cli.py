@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from qminfind.cli import build_parser, main
+from qminfind import __version__
+from qminfind.cli import _SUBCOMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -188,7 +189,7 @@ def test_uncapped_experiments_reject_timeout_and_boost(capsys, command, flag):
     code, out, err = run_cli(capsys, command, "--n", "16", "--runs", "50", "--seed", "2", *flag)
     assert code == 2
     assert out == ""
-    assert "measures the uncapped run and takes no boost or timeout" in err
+    assert f"does not read {flag[0][2:]} ({flag[0]})" in err
 
 
 # A distinct file gets the equality verdict, which asserts every rank of
@@ -224,10 +225,11 @@ def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, mode, l
     ids=["table", "timeout", "boost", "dup-mode"],
 )
 def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, flag):
-    code, out, err = run_cli(capsys, command, "--n", "8", "--runs", "10", "--sweep-max", "100", *flag)
+    code, out, err = run_cli(capsys, command, "--n", "8", *flag)
     assert code == 2
     assert out == ""
-    assert "draws its own inputs" in err
+    assert f"{command} does not read" in err
+    assert f"({flag[0]})" in err
 
 
 @pytest.mark.parametrize(
@@ -246,3 +248,106 @@ def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
     assert code == 2
     assert out == ""
     assert limit in err
+
+
+# The flags each subcommand reads besides --n (and --format and --out,
+# which shape the output of every subcommand).
+RUN_FLAGS = {"runs", "seed", "backend", "lambda", "mode", "table", "workers"}
+READS = {
+    "lemma1": RUN_FLAGS | {"max-rank"},
+    "success": RUN_FLAGS | {"boost", "boost-strategy", "timeout"},
+    "run": RUN_FLAGS | {"boost", "boost-strategy", "timeout"},
+    "cost": RUN_FLAGS,
+    "equivalence": {"runs", "seed", "lambda", "j-max"},
+    "bounds": {"sweep-max"},
+}
+# A value away from the default for every flag; "table" names an 8-value file.
+FLAG_VALUES = {
+    "runs": "7",
+    "seed": "5",
+    "backend": "exact",
+    "lambda": "1.3",
+    "mode": "dup:2",
+    "boost": "2",
+    "boost-strategy": "extend",
+    "timeout": "30",
+    "table": None,
+    "workers": "2",
+    "max-rank": "3",
+    "j-max": "3",
+    "sweep-max": "100",
+}
+
+
+def _flag_argv(tmp_path, command: str, flag: str) -> list[str]:
+    """Tiny-size arguments for ``command`` plus ``--flag value``."""
+    argv = [command, "--n", "8"]
+    if "runs" in READS[command]:
+        argv += ["--runs", "20"]
+    if "sweep-max" in READS[command]:
+        argv += ["--sweep-max", "100"]
+    value = FLAG_VALUES[flag]
+    if flag == "table":
+        path = tmp_path / "table.txt"
+        path.write_text("".join(f"{v}\n" for v in (5, -2, 9, 0, 7, 4, 1, 8)))
+        value = str(path)
+    if flag == "boost-strategy" and flag in READS[command]:
+        argv += ["--boost", "2"]  # a strategy needs a boost to apply to
+    return argv + [f"--{flag}", value]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [(command, flag) for command in READS for flag in FLAG_VALUES if flag in READS[command]],
+)
+def test_every_flag_a_subcommand_reads_is_accepted(tmp_path, capsys, command, flag):
+    code, out, err = run_cli(capsys, *_flag_argv(tmp_path, command, flag))
+    assert code in (0, 1), err
+    assert "error" not in err
+    assert json.loads(out)["experiment"] == _SUBCOMMANDS[command]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [(command, flag) for command in READS for flag in FLAG_VALUES if flag not in READS[command]],
+)
+def test_every_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    code, out, err = run_cli(capsys, *_flag_argv(tmp_path, command, flag))
+    assert code == 2
+    assert out == ""
+    assert f"(--{flag})" in err
+
+
+def test_boost_strategy_without_boost_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "success", "--n", "64", "--boost-strategy", "extend")
+    assert code == 2
+    assert out == ""
+    assert "--boost-strategy" in err and "--boost)" in err
+
+
+def test_exact_search_with_nothing_marked_and_a_huge_timeout_returns():
+    # n = 4 reaches the minimum fast; the search above it, with nothing
+    # marked, must settle the 10^12-step budget at once.
+    result = _cli_subprocess("run", "--n", "4", "--runs", "1", "--backend", "exact", "--timeout", "1e12")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["rows"][0]["total_spent"] == 1e12
+
+
+def test_timing_line_carries_the_git_revision(capsys, monkeypatch):
+    def describe(argv, **kwargs):
+        assert argv == ["git", "describe", "--always", "--dirty"]
+        return subprocess.CompletedProcess(argv, 0, stdout="abc1234-dirty\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", describe)
+    code, out, err = run_cli(capsys, "bounds", "--n", "8", "--sweep-max", "100")
+    assert code == 0
+    assert err.rstrip().endswith(f"[qminfind {__version__} (abc1234-dirty)]")
+    assert json.loads(out)["build"] == f"qminfind {__version__}"
+
+    def no_git(argv, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    code, _, err = run_cli(capsys, "bounds", "--n", "8", "--sweep-max", "100")
+    assert code == 0
+    assert err.rstrip().endswith(f"[qminfind {__version__}]")

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import subprocess
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import harness
+from qminfind import __version__, harness
 from qminfind.harness import (
     CHI2_ALPHA,
     ExperimentConfig,
@@ -138,14 +139,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="timeout"):
         ExperimentConfig(experiment="success", boost=2, timeout=3.0)
     for experiment in ("lemma1", "expected-cost"):
-        with pytest.raises(ValueError, match="uncapped"):
+        with pytest.raises(ValueError, match=f"{experiment} does not read timeout"):
             ExperimentConfig(experiment=experiment, timeout=3.0)
-        with pytest.raises(ValueError, match="uncapped"):
+        with pytest.raises(ValueError, match=f"{experiment} does not read boost"):
             ExperimentConfig(experiment=experiment, boost=2)
     for experiment in ("bounds", "equivalence"):
         for flags in ({"table_path": "t.txt"}, {"timeout": 3.0}, {"boost": 2}, {"mode": "dup", "dup_k": 2}):
-            with pytest.raises(ValueError, match="draws its own inputs"):
+            name = next(iter(flags))
+            with pytest.raises(ValueError, match=f"{experiment} does not read {name}"):
                 ExperimentConfig(experiment=experiment, n=8, **flags)
+    with pytest.raises(ValueError, match="needs a boost"):
+        ExperimentConfig(experiment="success", boost_strategy="extend")
     with pytest.raises(ValueError, match="n must lie in"):
         ExperimentConfig(experiment="success", n=2**24 + 1)
     with pytest.raises(ValueError, match="sweep_max must lie in"):
@@ -163,7 +167,30 @@ def test_config_dict_omits_worker_count():
 
 
 def test_build_identifier_names_the_package():
-    assert build_identifier().startswith("qminfind ")
+    assert build_identifier() == f"qminfind {__version__}"
+
+
+def test_experiments_start_no_subprocess(monkeypatch):
+    # The report's build field is the version alone, so reports from two
+    # commits differ only where their results do.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the harness started a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    report = run_experiment(ExperimentConfig(experiment="success", n=16, runs=20, seed=1))
+    assert report.build == f"qminfind {__version__}"
+
+
+@pytest.mark.parametrize(
+    ("experiment", "extra"),
+    [("success", {"max_rank": 10, "workers": 2}), ("lemma1", {"max_rank": 1, "workers": 2})],
+)
+def test_benchmark_configs_are_accepted(experiment, extra):
+    # perfbench sets max_rank on every workload: at its default it is
+    # accepted by an experiment that does not read it.
+    config = ExperimentConfig(experiment=experiment, n=1024, runs=15, **extra)
+    assert config.to_dict()["max_rank"] == extra["max_rank"]
 
 
 def test_bounds_experiment_passes():

@@ -97,24 +97,60 @@ class _CountingStream:
         return self.inner.random()
 
 
+def _play_out_nothing_marked(n: int, budget: float, params: SearchParams, rng) -> int:
+    """Iterations a search with nothing marked spends when its rounds are played one by one.
+
+    The schedule of ``exponential_search`` with every round a miss: draw j
+    below the growing cap, truncate it to the budget left, stop once the
+    budget is spent or a round was truncated.
+    """
+    m_cap = math.sqrt(n)
+    m = min(params.m_init, m_cap)
+    remaining, used = budget, 0
+    while True:
+        high = math.ceil(m)
+        j = rng.randrange(high) if high > 1 else 0
+        if j > remaining:
+            return used + int(remaining)
+        remaining -= j
+        used += j
+        if remaining <= 0:
+            return used
+        m = min(params.growth * m, m_cap)
+
+
 @pytest.mark.parametrize("n", [2, 3, 16, 64])
 @pytest.mark.parametrize("budget", [0.0, 0.5, 1.0, 7.25, 23.0, 23.9, 100.5])
 def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
-    # The exact backend still plays a search with nothing marked round by
-    # round; the analytic one settles it at once with one index draw.  Both
-    # must spend exactly the floor of the budget and report an interruption.
+    # Both backends settle a search with nothing marked at once with one
+    # index draw; playing its rounds out one by one must spend the same
+    # iterations, exactly the floor of the budget, for every stream.
     oracle = FixedSetOracle(n, ())
     for seed in range(5):
-        rounds = exponential_search(
-            oracle, SearchParams(), budget, Backend.EXACT_STATEVECTOR, random.Random(seed)
-        )
-        rng = _CountingStream(seed)
-        settled = exponential_search(oracle, SearchParams(), budget, Backend.ANALYTIC_SAMPLER, rng)
-        assert rounds.iterations_used == settled.iterations_used == math.floor(budget)
-        assert type(settled.iterations_used) is int
-        assert rounds.interrupted and settled.interrupted
-        assert rng.draws == 1
-        assert 0 <= settled.index < n
+        played = _play_out_nothing_marked(n, budget, SearchParams(), random.Random(seed))
+        assert played == math.floor(budget)
+        for backend in Backend:
+            rng = _CountingStream(seed)
+            settled = exponential_search(oracle, SearchParams(), budget, backend, rng)
+            assert settled.iterations_used == played
+            assert type(settled.iterations_used) is int
+            assert settled.interrupted
+            assert rng.draws == 1
+            assert 0 <= settled.index < n
+
+
+def test_exact_search_with_nothing_marked_measures_a_uniform_index():
+    # The state stays uniform, so the one measurement is uniform over all n.
+    n = 16
+    oracle = FixedSetOracle(n, ())
+    rng = derive_stream(8, "unit-exact-empty")
+    counts = np.zeros(n, dtype=np.int64)
+    for _ in range(4000):
+        out = exponential_search(oracle, SearchParams(), 9.5, Backend.EXACT_STATEVECTOR, rng)
+        counts[out.index] += 1
+    _, p_value, dof = uniform_chisquare(counts)
+    assert dof == n - 1
+    assert p_value > CHI2_ALPHA
 
 
 @pytest.fixture

