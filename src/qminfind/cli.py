@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from .harness import ExperimentConfig, build_identifier, run_experiment
+from .harness import EXPERIMENT_FIELDS, ExperimentConfig, build_identifier, run_experiment
 from .qsearch import Backend, SearchParams
 
 # subcommand -> experiment key
@@ -177,8 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(text)
     verdict = "pass" if report.passed else "FAIL"
+    runs = f" runs={config.runs}" if "runs" in EXPERIMENT_FIELDS[config.experiment] else ""
     print(
-        f"qminfind {args.command}: n={config.n} runs={config.runs} "
+        f"qminfind {args.command}: n={config.n}{runs} "
         f"{verdict} in {duration:.3f}s [{_build_label()}]",
         file=sys.stderr,
     )

@@ -11,7 +11,7 @@ rotate the marked-subset amplitude to sin((2j+1) * theta) with
 theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form,
 and the statevector path is checked against it in the test suite.
 
-``GroverLadder`` serves a search that measures many rounds under one
+``GroverLadder`` serves searches that measure many rounds under one
 fixed predicate: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder evolves one
 amplitude vector in place, computes each iteration once, and keeps the
@@ -133,6 +133,8 @@ class GroverLadder:
     amplitude vector in place by the iterations not yet computed and keeps
     the CDF of each state it passes (norm-checked once, read-only), so each
     iteration is computed once and depth j holds j + 1 CDFs of n floats.
+    Oracles build their ladder on first use and keep it (``oracle.ladder``),
+    so a ladder lives as long as its oracle and serves all of its searches.
     """
 
     def __init__(self, marked: MarkedPredicate, n: int):

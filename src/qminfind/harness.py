@@ -10,17 +10,22 @@ runs plus a statistical verdict:
 * ``bounds``        closed-form identities and inequality sweeps;
 * ``single-run``    raw per-run records, no verdict.
 
-The four run-based experiments share one map: ``_map_runs`` draws run
-i's table and run from the private stream (seed, experiment tag, i),
-runs the configured variant through ``_run`` (uncapped, capped or
-boosted), and yields a small per-run record.  Each experiment folds its
-records in run order into a verdict.  Without a table file, analytic
-runs use their values in sorted order (the analytic law depends only on
-ranks), so an analytic ``single-run`` ``returned_index`` is a rank-order
-position; exact runs draw randomly arranged tables.  Worker processes
-only split the run range into spans and send their records back in span
-order, so a report is byte-identical for any worker count.  Reports deliberately contain no
+Every batch of algorithm runs goes through one map: ``_map_runs`` draws
+run i's table and run from the private stream (seed, *key, i), runs the
+configured variant through ``_run`` (uncapped, capped or boosted), and
+yields a small per-run record.  Each experiment folds its records in run
+order into a verdict.  Without a table file, analytic runs use their
+values in sorted order (the analytic law depends only on ranks), so an
+analytic ``single-run`` ``returned_index`` is a rank-order position; exact
+runs draw randomly arranged tables.  Worker processes only split the run
+range into spans and send their records back in span order, so a report
+is byte-identical for any worker count.  Reports deliberately contain no
 wall-clock data; timing goes to stderr in the CLI layer.
+
+``equivalence`` maps its whole-algorithm runs as one derived ``success``
+config per backend.  Its other checks take one pass per (n, t) cell under
+one oracle, whose statevector ladder serves the cell's fixed-j draws and
+all of its exact searches.
 
 Verdict conventions: equality checks pass within max(0.01, 3 standard
 errors), one-sided bound checks require estimate + 3 SE below the bound,
@@ -52,7 +57,7 @@ from .bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
-from .grover import GroverLadder, grover_iterate, sample, success_probability, uniform_state
+from .grover import grover_iterate, sample, success_probability, uniform_state
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
 from .qsearch import Backend, FixedSetOracle, SearchParams, exponential_search
 from .seeding import derive_stream
@@ -400,11 +405,11 @@ def _table_source(backend: Backend):
     return sorted_table if backend is Backend.ANALYTIC_SAMPLER else generate_table
 
 
-def _run_span(config: ExperimentConfig, tag: str, record, fixed_table: Table | None, span):
+def _run_span(config: ExperimentConfig, key: tuple, record, fixed_table: Table | None, span):
     params = config.search_params()
     draw_table = _table_source(config.backend)
     for i in range(*span):
-        rng = derive_stream(config.seed, tag, i)
+        rng = derive_stream(config.seed, *key, i)
         if fixed_table is None:
             table = draw_table(config.n, config.mode, rng, k=config.dup_k)
         else:
@@ -412,24 +417,24 @@ def _run_span(config: ExperimentConfig, tag: str, record, fixed_table: Table | N
         yield record(table, _run(config, params, table, rng))
 
 
-def _collect_span(config: ExperimentConfig, tag: str, record, fixed_table: Table | None, span):
-    return list(_run_span(config, tag, record, fixed_table, span))
+def _collect_span(config: ExperimentConfig, key: tuple, record, fixed_table: Table | None, span):
+    return list(_run_span(config, key, record, fixed_table, span))
 
 
-def _map_runs(config: ExperimentConfig, tag: str, record) -> Iterator:
+def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
     """Yield ``record(table, result)`` for every run, in run order.
 
     Run i draws its table (unless a table file fixes it) and then its run
-    from the stream (seed, tag, i).  Worker processes each take a span of
+    from the stream (seed, *key, i).  Worker processes each take a span of
     runs and send back its records; spans come back in order, so a fold
     over the records sees the same sequence for any worker count.
     """
     fixed_table = config.fixed_table
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     if workers <= 1:
-        yield from _run_span(config, tag, record, fixed_table, (0, config.runs))
+        yield from _run_span(config, key, record, fixed_table, (0, config.runs))
         return
-    span_records = functools.partial(_collect_span, config, tag, record, fixed_table)
+    span_records = functools.partial(_collect_span, config, key, record, fixed_table)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for records in pool.map(span_records, _spans(config.runs, workers * 4)):
             yield from records
@@ -454,7 +459,7 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     """
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = np.zeros(config.n + 1, dtype=np.int64)
-    for distinct, ranks, chosen_ranks in _map_runs(config, "lemma1", _lemma1_record):
+    for distinct, ranks, chosen_ranks in _map_runs(config, ("lemma1",), _lemma1_record):
         represented += np.bincount(ranks, minlength=config.n + 1)
         chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
 
@@ -523,7 +528,7 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
     1/2; with c-fold boosting the floor rises to 1 - 1/2^c (checked within
     three standard errors).
     """
-    hits, spent, passes = zip(*_map_runs(config, "success", _success_record))
+    hits, spent, passes = zip(*_map_runs(config, ("success",), _success_record))
     successes = sum(hits)
 
     fraction = successes / config.runs
@@ -564,7 +569,7 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
     search-iteration share alone below its exact-sum bound, both with a
     three-standard-error allowance.
     """
-    first_hits, passes, search_steps = zip(*_map_runs(config, "cost", _cost_record))
+    first_hits, passes, search_steps = zip(*_map_runs(config, ("cost",), _cost_record))
 
     mean_cost, se_cost = mean_and_stderr(first_hits)
     mean_search, se_search = mean_and_stderr(search_steps)
@@ -626,83 +631,66 @@ def _check_row(
     }
 
 
-def _sampled_fixed_j(config: ExperimentConfig) -> list[dict]:
-    """Exact-backend measurement frequencies at pinned iteration counts."""
-    n = config.n
-    samples = min(config.runs, 20_000)
-    rows = []
-    for t in _equivalence_cells(n):
-        ladder = GroverLadder(FixedSetOracle(n, tuple(range(t))).is_marked, n)
-        for j in range(min(config.j_max, 8) + 1):
-            cdf = ladder.cdf(j)
-            p_true = success_probability(n, t, j)
-            rng = derive_stream(config.seed, "eqv-fixedj", t, j)
-            hits = sum(sample(cdf, rng) < t for _ in range(samples))
-            p_hat = hits / samples
-            tolerance = 4.0 * proportion_stderr(p_true, samples) + 1e-9
-            ok = abs(p_hat - p_true) <= tolerance
-            rows.append(_check_row("fixed-j", ok, tolerance, t, j, p_hat, p_true))
-    return rows
+def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], list[dict]]:
+    """The fixed-j rows and the search rows of the cell with indices 0..t-1 marked.
 
-
-def _qsearch_cell(config: ExperimentConfig, backend: Backend, t: int):
-    """Counts of (hit, iterations) and per-index hits for one backend/t cell."""
+    One oracle serves the whole cell, so its ladder computes each iteration
+    once for the exact fixed-j draws and every exact search.  Fixed-j rows
+    compare measurement frequencies at pinned iteration counts with the
+    closed form; search rows check that hit and miss indices are uniform
+    within their class and that both backends' (hit, iterations) laws agree.
+    """
     n = config.n
-    params = config.search_params()
     oracle = FixedSetOracle(n, tuple(range(t)))
+    samples = min(config.runs, 20_000)
+    fixed_rows = []
+    for j in range(min(config.j_max, 8) + 1):
+        cdf = oracle.ladder.cdf(j)
+        p_true = success_probability(n, t, j)
+        rng = derive_stream(config.seed, "eqv-fixedj", t, j)
+        hits = sum(sample(cdf, rng) < t for _ in range(samples))
+        p_hat = hits / samples
+        tolerance = 4.0 * proportion_stderr(p_true, samples) + 1e-9
+        ok = abs(p_hat - p_true) <= tolerance
+        fixed_rows.append(_check_row("fixed-j", ok, tolerance, t, j, p_hat, p_true))
+
+    params = config.search_params()
     budget = timeout_cap(n) if n >= 2 else float(n)
-    outcome_counts: Counter = Counter()
-    hit_index_counts = np.zeros(n, dtype=np.int64)
-    miss_index_counts = np.zeros(n, dtype=np.int64)
-    for i in range(config.runs):
-        rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
-        outcome = exponential_search(oracle, params, budget, backend, rng)
-        hit = outcome.index < t
-        outcome_counts[(hit, outcome.iterations_used)] += 1
-        if hit:
-            hit_index_counts[outcome.index] += 1
-        else:
-            miss_index_counts[outcome.index] += 1
-    return outcome_counts, hit_index_counts, miss_index_counts
-
-
-def _search_distribution_cells(config: ExperimentConfig) -> list[dict]:
-    """Per-t comparison of the two backends' full search outcome law."""
-    rows = []
-    for t in _equivalence_cells(config.n):
-        counts = {}
-        for backend in Backend:
-            counts[backend], hit_idx, miss_idx = _qsearch_cell(config, backend, t)
-            for label, class_counts in (("hit", hit_idx[:t]), ("miss", miss_idx[t:])):
-                _, p_uniform, _ = uniform_chisquare(class_counts)
-                check = f"uniformity-{label}-{backend.value}"
-                ok = p_uniform > CHI2_ALPHA
-                rows.append(_check_row(check, ok, CHI2_ALPHA, t, p_value=p_uniform))
-        if t == 0:
-            hits = sum(v for backend in Backend for (hit, _), v in counts[backend].items() if hit)
-            ok, p_value = hits == 0, None
-        else:
-            _, p_value, _ = two_sample_chisquare(
-                counts[Backend.EXACT_STATEVECTOR], counts[Backend.ANALYTIC_SAMPLER]
-            )
-            ok = p_value > CHI2_ALPHA
-        rows.append(_check_row("outcome-distribution", ok, CHI2_ALPHA, t, p_value=p_value))
-    return rows
+    search_rows = []
+    laws = {}
+    for backend in Backend:
+        law = laws[backend] = Counter()
+        index_counts = np.zeros(n, dtype=np.int64)
+        for i in range(config.runs):
+            rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
+            outcome = exponential_search(oracle, params, budget, backend, rng)
+            law[(outcome.index < t, outcome.iterations_used)] += 1
+            index_counts[outcome.index] += 1
+        for label, class_counts in (("hit", index_counts[:t]), ("miss", index_counts[t:])):
+            _, p_uniform, _ = uniform_chisquare(class_counts)
+            check = f"uniformity-{label}-{backend.value}"
+            ok = p_uniform > CHI2_ALPHA
+            search_rows.append(_check_row(check, ok, CHI2_ALPHA, t, p_value=p_uniform))
+    exact, analytic = laws[Backend.EXACT_STATEVECTOR], laws[Backend.ANALYTIC_SAMPLER]
+    if t == 0:
+        # With nothing marked every search misses after spending the floor
+        # of its budget, so the two laws must be equal, not merely close.
+        ok, p_value = exact == analytic, None
+    else:
+        _, p_value, _ = two_sample_chisquare(exact, analytic)
+        ok = p_value > CHI2_ALPHA
+    search_rows.append(_check_row("outcome-distribution", ok, CHI2_ALPHA, t, p_value=p_value))
+    return fixed_rows, search_rows
 
 
 def _full_algorithm_rates(config: ExperimentConfig) -> dict:
     """Capped-run success rates under both backends must agree within 3 sigma."""
     runs = min(config.runs, 10_000)
-    params = config.search_params()
     rates = {}
     for backend in Backend:
-        successes = 0
-        for i in range(runs):
-            rng = derive_stream(config.seed, "eqv-full", backend.value, i)
-            table = _table_source(backend)(config.n, "distinct", rng)
-            result = find_minimum(table, backend, params, rng=rng)
-            successes += bool(result.returned_is_minimum)
-        rates[backend] = successes / runs
+        success = ExperimentConfig("success", config.n, runs, config.seed, backend, config.growth)
+        hits, _, _ = zip(*_map_runs(success, ("eqv-full", backend.value), _success_record))
+        rates[backend] = sum(hits) / runs
     p_exact = rates[Backend.EXACT_STATEVECTOR]
     p_analytic = rates[Backend.ANALYTIC_SAMPLER]
     sigma = math.sqrt(
@@ -727,10 +715,11 @@ def backend_equivalence(config: ExperimentConfig) -> Report:
     closed_form = _check_row(
         "closed-form", deviation <= 1e-9, 1e-9, j=config.j_max, estimate=deviation, expected=0.0
     )
+    cells = [_equivalence_cell(config, t) for t in _equivalence_cells(config.n)]
     rows = [
         closed_form,
-        *_sampled_fixed_j(config),
-        *_search_distribution_cells(config),
+        *(row for fixed_rows, _ in cells for row in fixed_rows),
+        *(row for _, search_rows in cells for row in search_rows),
         _full_algorithm_rates(config),
     ]
     failed = sum(1 for row in rows if not row["ok"])
@@ -800,7 +789,7 @@ def single_run_records(config: ExperimentConfig) -> Report:
         "backend": config.backend.value,
         "lambda": config.growth,
     }
-    records = [{**shared, **rec} for rec in _map_runs(config, "run", _single_run_record)]
+    records = [{**shared, **rec} for rec in _map_runs(config, ("run",), _single_run_record)]
     hits = sum(1 for rec in records if rec["returned_is_minimum"])
     summary = {"runs": config.runs, "successes": hits}
     return _report(config, True, summary, records)

@@ -10,11 +10,11 @@ it would run forever, so a time-step budget bounds it from outside.
 Two interchangeable backends produce identical outcome distributions:
 
 * ``EXACT_STATEVECTOR`` evolves the dense amplitude vector and measures it;
-  it sees the oracle only through its index predicate, evaluated once per
-  search.  The oracle is fixed within a search and every round starts from
-  the uniform state, so one ``GroverLadder`` computes each iteration once
-  and a round of j iterations measures the cached state for its j.  Each
-  iteration is still charged one time step, as in every round.
+  it sees the oracle only through its ``ladder``, one ``GroverLadder`` that
+  the oracle builds on first use and keeps for every search it serves.
+  Every round starts from the uniform state, so each iteration is computed
+  once per oracle and a round of j iterations measures the cached state for
+  its j.  Each iteration is still charged one time step, as in every round.
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
   sin^2((2j+1) arcsin(sqrt(t/N))) and draws a uniform index within the
   success or failure class; it needs the classical marked count instead of
@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,9 +98,9 @@ class SearchOutcome:
 class FixedSetOracle:
     """Oracle over 0..n-1 with an explicit marked index set.
 
-    Mirrors the oracle surface of the threshold oracle (predicate for the
-    exact backend; count and class sampling for the analytic one), which
-    lets experiments pin (n, t) cells directly.
+    Mirrors the oracle surface of the threshold oracle (predicate and
+    ladder for the exact backend; count and class sampling for the analytic
+    one), which lets experiments pin (n, t) cells directly.
     """
 
     n: int
@@ -125,6 +126,11 @@ class FixedSetOracle:
 
     def is_marked(self, indices: np.ndarray) -> np.ndarray:
         return np.isin(np.asarray(indices), self._marked_arr)
+
+    @cached_property
+    def ladder(self) -> GroverLadder:
+        """The exact backend's states, built on first use and kept by the oracle."""
+        return GroverLadder(self.is_marked, self.n)
 
     def sample_marked(self, rng) -> int:
         if not self.marked:
@@ -155,8 +161,8 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
     statevector = backend is Backend.EXACT_STATEVECTOR
     if statevector:
         # Every round starts from the uniform state under the same oracle,
-        # so the state after j iterations is computed once per search.
-        ladder = GroverLadder(oracle.is_marked, n)
+        # so the oracle's ladder computes the state after j iterations once.
+        ladder = oracle.ladder
         nothing_marked = not ladder.mask.any()
     else:
         # The marked count, and with it the rotation angle, stays fixed for

@@ -6,8 +6,9 @@ comparison ambiguity.  The oracle for threshold index y marks exactly the
 entries strictly smaller than T[y]; y itself is never marked, which makes
 the all-duplicates table have zero marked entries.
 
-Tables are immutable after construction and oracles are read-only views,
-so both are safe to share across concurrent runs.
+Tables are immutable after construction, so they are safe to share
+across concurrent runs.  An oracle serves one pass of one run: a view of
+its table plus the statevector ladder it builds on first use.
 
 Two ways to draw a table: ``generate_table`` arranges its values at random,
 which the exact statevector backend needs; ``sorted_table`` holds them in
@@ -22,13 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .grover import GroverLadder
+
 __all__ = [
     "Table",
     "ThresholdOracle",
     "generate_table",
     "sorted_table",
     "read_table",
-    "write_table",
 ]
 
 _INT64 = np.iinfo(np.int64)
@@ -110,9 +112,9 @@ class Table:
 class ThresholdOracle:
     """Marks every index j with T[j] < T[y], strictly.
 
-    Also serves both search backends: ``is_marked`` is the per-index
-    predicate the statevector path queries, while ``marked_count`` and the
-    ``sample_*`` methods give the analytic sampler its classical view
+    Also serves both search backends: ``ladder`` holds the statevector
+    path's states under the predicate ``is_marked``; ``marked_count`` and
+    the ``sample_*`` methods give the analytic sampler its classical view
     (the count of marked items and uniform draws within each class).
     """
 
@@ -139,6 +141,11 @@ class ThresholdOracle:
     def is_marked(self, indices: np.ndarray) -> np.ndarray:
         threshold_value = self.table.values[self.threshold_index]
         return self.table.values[np.asarray(indices)] < threshold_value
+
+    @cached_property
+    def ladder(self) -> GroverLadder:
+        """The exact backend's states, built on first use and kept by the oracle."""
+        return GroverLadder(self.is_marked, self.n)
 
     def sample_marked(self, rng) -> int:
         """Uniform random marked index; requires at least one marked entry."""
@@ -221,10 +228,3 @@ def read_table(path: str | Path) -> Table:
         raise ValueError(f"{path}: no values")
     arr = np.asarray(values, dtype=np.int64)
     return Table(arr, distinct=len(np.unique(arr)) == len(arr))
-
-
-def write_table(table: Table, path: str | Path) -> None:
-    """Write one decimal value per line (the format ``read_table`` accepts)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for value in table.values:
-            fh.write(f"{int(value)}\n")

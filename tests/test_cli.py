@@ -333,6 +333,20 @@ def test_exact_search_with_nothing_marked_and_a_huge_timeout_returns():
     assert json.loads(result.stdout)["rows"][0]["total_spent"] == 1e12
 
 
+@pytest.mark.parametrize(
+    ("argv", "counts"),
+    [
+        (["bounds", "--n", "64", "--sweep-max", "1000"], "n=64 pass"),
+        (["success", "--n", "16", "--runs", "20"], "n=16 runs=20 pass"),
+    ],
+    ids=["bounds", "success"],
+)
+def test_timing_line_shows_a_run_count_only_where_runs_are_read(capsys, argv, counts):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.startswith(f"qminfind {argv[0]}: {counts} in ")
+
+
 def test_timing_line_carries_the_git_revision(capsys, monkeypatch):
     def describe(argv, **kwargs):
         assert argv == ["git", "describe", "--always", "--dirty"]

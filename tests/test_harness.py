@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import __version__, harness
+from qminfind import __version__, harness, qsearch
 from qminfind.harness import (
     CHI2_ALPHA,
     ExperimentConfig,
@@ -23,8 +23,9 @@ from qminfind.harness import (
     uniform_chisquare,
     wilson_interval,
 )
+from qminfind.grover import GroverLadder
 from qminfind.minfind import find_minimum
-from qminfind.qsearch import Backend
+from qminfind.qsearch import Backend, FixedSetOracle
 from qminfind.seeding import derive_stream
 from qminfind.table import generate_table, sorted_table
 
@@ -305,6 +306,62 @@ def test_equivalence_battery_passes_at_small_size():
     assert "closed-form" in checks
     assert "outcome-distribution" in checks
     assert "full-algorithm-success" in checks
+
+
+
+def test_equivalence_battery_fails_when_the_analytic_law_is_wrong(monkeypatch):
+    # A sampler rotating 10% too far per iteration (t < n; at t = n every
+    # round hits whatever the angle) must fail the cross-backend comparison.
+    rotation_angle = qsearch.rotation_angle
+
+    def skewed(n, t):
+        return rotation_angle(n, t) * (1.1 if t < n else 1.0)
+
+    monkeypatch.setattr(qsearch, "rotation_angle", skewed)
+    report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=1000, seed=1))
+    assert not report.passed
+    failed = {row["check"] for row in report.rows if not row["ok"]}
+    assert "outcome-distribution" in failed
+
+
+def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(monkeypatch):
+    # With nothing marked both backends must spend exactly the budget's floor.
+    search = harness.exponential_search
+
+    def short_exact(oracle, params, budget, backend, rng):
+        outcome = search(oracle, params, budget, backend, rng)
+        if oracle.marked_count == 0 and backend is Backend.EXACT_STATEVECTOR:
+            return dataclasses.replace(outcome, iterations_used=outcome.iterations_used - 1)
+        return outcome
+
+    monkeypatch.setattr(harness, "exponential_search", short_exact)
+    report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=100, seed=1))
+    failed = [(row["check"], row["t"]) for row in report.rows if not row["ok"]]
+    assert ("outcome-distribution", 0) in failed
+
+def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
+    # Each cell's oracle evaluates its predicate once, into one ladder that
+    # serves the cell's fixed-j draws and all of its exact searches.
+    ladder_oracles = []
+    evaluated = []
+    build = GroverLadder.__init__
+    is_marked = FixedSetOracle.is_marked
+
+    def counting_build(self, marked, n):
+        ladder_oracles.append(marked.__self__)
+        build(self, marked, n)
+
+    def counting_is_marked(self, indices):
+        evaluated.append(self)
+        return is_marked(self, indices)
+
+    monkeypatch.setattr(GroverLadder, "__init__", counting_build)
+    monkeypatch.setattr(FixedSetOracle, "is_marked", counting_is_marked)
+    run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=1))
+    cell_oracles = [o for o in ladder_oracles if isinstance(o, FixedSetOracle)]
+    assert sorted(o.marked_count for o in cell_oracles) == harness._equivalence_cells(16)
+    for oracle in cell_oracles:
+        assert sum(o is oracle for o in evaluated) == 1
 
 
 class _InlineExecutor:

@@ -1,7 +1,7 @@
-"""Report bytes pinned for five configs of three experiments.
+"""Report bytes pinned for seven configs of four experiments.
 
-Every run draws from the stream (seed, experiment tag, run index), and a
-report is a deterministic fold of those runs, so a refactor of the run
+Every run or draw uses its own stream (seed, experiment key, index), and
+a report is a deterministic fold of those runs, so a refactor of the run
 layer must leave these CSV texts byte for byte as they are.  A test failing
 here means some run now draws a different stream, or folds differently.
 A deliberate stream change (for example a new table or rank sampler)
@@ -58,6 +58,152 @@ rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
 8,40000,5040,0.126,0.125,0.00165924681708298,0.01,True,True
 """
 
+EQUIVALENCE = """\
+check,t,j,estimate,expected,tolerance,p_value,ok
+closed-form,,12,5.218048215738236e-15,0.0,1e-09,,True
+fixed-j,0,0,0.0,0.0,1e-09,,True
+fixed-j,0,1,0.0,0.0,1e-09,,True
+fixed-j,0,2,0.0,0.0,1e-09,,True
+fixed-j,0,3,0.0,0.0,1e-09,,True
+fixed-j,0,4,0.0,0.0,1e-09,,True
+fixed-j,0,5,0.0,0.0,1e-09,,True
+fixed-j,0,6,0.0,0.0,1e-09,,True
+fixed-j,0,7,0.0,0.0,1e-09,,True
+fixed-j,0,8,0.0,0.0,1e-09,,True
+fixed-j,1,0,0.08666666666666667,0.0625,0.05590170043749474,,True
+fixed-j,1,1,0.49666666666666665,0.47265625,0.1152972560898329,,True
+fixed-j,1,2,0.88,0.908447265625,0.06660163509545272,,True
+fixed-j,1,3,0.9666666666666667,0.9613189697265625,0.04453301986341439,,True
+fixed-j,1,4,0.6133333333333333,0.5817041397094724,0.11391796763783052,,True
+fixed-j,1,5,0.11666666666666667,0.1254916787147522,0.07650482168928052,,True
+fixed-j,1,6,0.013333333333333334,0.020380768924951515,0.03263159565546992,,True
+fixed-j,1,7,0.31666666666666665,0.36491288826800855,0.11117589101071733,,True
+fixed-j,1,8,0.9033333333333333,0.8360891748598078,0.08549278948091722,,True
+fixed-j,2,0,0.13,0.12500000000000003,0.07637626258259735,,True
+fixed-j,2,1,0.7566666666666667,0.7812500000000001,0.09547032797824666,,True
+fixed-j,2,2,0.97,0.9453124999999999,0.05250868083803571,,True
+fixed-j,2,3,0.3333333333333333,0.330078125,0.10859749793775558,,True
+fixed-j,2,4,0.0033333333333333335,0.01220703125000009,0.02535930660359686,,True
+fixed-j,2,5,0.5733333333333334,0.5479736328125003,0.11493732433865476,,True
+fixed-j,2,6,1.0,0.9997863769531249,0.0033750262310678,,True
+fixed-j,2,7,0.6233333333333333,0.5769729614257806,0.11409356803088808,,True
+fixed-j,2,8,0.03,0.019456863403320264,0.031898417988788896,,True
+fixed-j,4,0,0.24,0.25,0.100000001,,True
+fixed-j,4,1,1.0,1.0,1e-09,,True
+fixed-j,4,2,0.26,0.24999999999999956,0.10000000099999994,,True
+fixed-j,4,3,0.23,0.2500000000000001,0.10000000100000002,,True
+fixed-j,4,4,1.0,1.0,1e-09,,True
+fixed-j,4,5,0.23666666666666666,0.24999999999999967,0.10000000099999996,,True
+fixed-j,4,6,0.25333333333333335,0.2500000000000008,0.1000000010000001,,True
+fixed-j,4,7,1.0,1.0,1e-09,,True
+fixed-j,4,8,0.23666666666666666,0.24999999999999978,0.10000000099999996,,True
+fixed-j,8,0,0.44666666666666666,0.5000000000000001,0.11547005483792516,,True
+fixed-j,8,1,0.48333333333333334,0.4999999999999996,0.11547005483792516,,True
+fixed-j,8,2,0.52,0.5000000000000002,0.11547005483792516,,True
+fixed-j,8,3,0.5033333333333333,0.4999999999999993,0.11547005483792515,,True
+fixed-j,8,4,0.5266666666666666,0.5000000000000006,0.11547005483792516,,True
+fixed-j,8,5,0.48,0.49999999999999944,0.11547005483792516,,True
+fixed-j,8,6,0.47,0.5000000000000006,0.11547005483792516,,True
+fixed-j,8,7,0.5066666666666667,0.4999999999999996,0.11547005483792516,,True
+fixed-j,8,8,0.5,0.5000000000000021,0.11547005483792516,,True
+fixed-j,16,0,1.0,1.0,1e-09,,True
+fixed-j,16,1,1.0,1.0,1e-09,,True
+fixed-j,16,2,1.0,1.0,1e-09,,True
+fixed-j,16,3,1.0,1.0,1e-09,,True
+fixed-j,16,4,1.0,1.0,1e-09,,True
+fixed-j,16,5,1.0,1.0,1e-09,,True
+fixed-j,16,6,1.0,1.0,1e-09,,True
+fixed-j,16,7,1.0,1.0,1e-09,,True
+fixed-j,16,8,1.0,1.0,1e-09,,True
+uniformity-hit-exact,0,,,,0.001,1.0,True
+uniformity-miss-exact,0,,,,0.001,0.8981194620718362,True
+uniformity-hit-analytic,0,,,,0.001,1.0,True
+uniformity-miss-analytic,0,,,,0.001,0.26407010471191206,True
+outcome-distribution,0,,,,0.001,,True
+uniformity-hit-exact,1,,,,0.001,1.0,True
+uniformity-miss-exact,1,,,,0.001,1.0,True
+uniformity-hit-analytic,1,,,,0.001,1.0,True
+uniformity-miss-analytic,1,,,,0.001,1.0,True
+outcome-distribution,1,,,,0.001,0.12693710178964906,True
+uniformity-hit-exact,2,,,,0.001,0.20402387047443296,True
+uniformity-miss-exact,2,,,,0.001,1.0,True
+uniformity-hit-analytic,2,,,,0.001,1.0,True
+uniformity-miss-analytic,2,,,,0.001,1.0,True
+outcome-distribution,2,,,,0.001,0.9078318904554302,True
+uniformity-hit-exact,4,,,,0.001,0.2213853871894879,True
+uniformity-miss-exact,4,,,,0.001,1.0,True
+uniformity-hit-analytic,4,,,,0.001,0.314759857173171,True
+uniformity-miss-analytic,4,,,,0.001,1.0,True
+outcome-distribution,4,,,,0.001,0.9332429633393983,True
+uniformity-hit-exact,8,,,,0.001,0.5743869524909692,True
+uniformity-miss-exact,8,,,,0.001,1.0,True
+uniformity-hit-analytic,8,,,,0.001,0.5807591355146486,True
+uniformity-miss-analytic,8,,,,0.001,1.0,True
+outcome-distribution,8,,,,0.001,0.34853251070597496,True
+uniformity-hit-exact,16,,,,0.001,0.9905543217414559,True
+uniformity-miss-exact,16,,,,0.001,1.0,True
+uniformity-hit-analytic,16,,,,0.001,0.6870843272867911,True
+uniformity-miss-analytic,16,,,,0.001,1.0,True
+outcome-distribution,16,,,,0.001,1.0,True
+full-algorithm-success,,,1.0,1.0,0.0,,True
+"""
+
+EQUIVALENCE_LAMBDA = """\
+check,t,j,estimate,expected,tolerance,p_value,ok
+closed-form,,4,9.43689570931383e-16,0.0,1e-09,,True
+fixed-j,0,0,0.0,0.0,1e-09,,True
+fixed-j,0,1,0.0,0.0,1e-09,,True
+fixed-j,0,2,0.0,0.0,1e-09,,True
+fixed-j,0,3,0.0,0.0,1e-09,,True
+fixed-j,0,4,0.0,0.0,1e-09,,True
+fixed-j,1,0,0.15,0.12500000000000003,0.09354143566934854,,True
+fixed-j,1,1,0.82,0.7812500000000001,0.11692679433668565,,True
+fixed-j,1,2,0.96,0.9453124999999999,0.06430973733517718,,True
+fixed-j,1,3,0.355,0.330078125,0.13300422842047993,,True
+fixed-j,1,4,0.01,0.01220703125000009,0.031058680480057242,,True
+fixed-j,2,0,0.245,0.25,0.1224744881391589,,True
+fixed-j,2,1,1.0,1.0,1e-09,,True
+fixed-j,2,2,0.285,0.24999999999999956,0.12247448813915883,,True
+fixed-j,2,3,0.24,0.2500000000000001,0.12247448813915893,,True
+fixed-j,2,4,1.0,1.0,1e-09,,True
+fixed-j,4,0,0.5,0.5000000000000001,0.1414213572373095,,True
+fixed-j,4,1,0.45,0.4999999999999996,0.1414213572373095,,True
+fixed-j,4,2,0.49,0.5000000000000002,0.1414213572373095,,True
+fixed-j,4,3,0.4,0.4999999999999993,0.1414213572373095,,True
+fixed-j,4,4,0.535,0.5000000000000006,0.1414213572373095,,True
+fixed-j,8,0,1.0,1.0,1e-09,,True
+fixed-j,8,1,1.0,1.0,1e-09,,True
+fixed-j,8,2,1.0,1.0,1e-09,,True
+fixed-j,8,3,1.0,1.0,1e-09,,True
+fixed-j,8,4,1.0,1.0,1e-09,,True
+uniformity-hit-exact,0,,,,0.001,1.0,True
+uniformity-miss-exact,0,,,,0.001,0.39238299814365263,True
+uniformity-hit-analytic,0,,,,0.001,1.0,True
+uniformity-miss-analytic,0,,,,0.001,0.9161912964047852,True
+outcome-distribution,0,,,,0.001,,True
+uniformity-hit-exact,1,,,,0.001,1.0,True
+uniformity-miss-exact,1,,,,0.001,1.0,True
+uniformity-hit-analytic,1,,,,0.001,1.0,True
+uniformity-miss-analytic,1,,,,0.001,1.0,True
+outcome-distribution,1,,,,0.001,0.5361833202361665,True
+uniformity-hit-exact,2,,,,0.001,0.887537083981715,True
+uniformity-miss-exact,2,,,,0.001,1.0,True
+uniformity-hit-analytic,2,,,,0.001,0.2578990352923363,True
+uniformity-miss-analytic,2,,,,0.001,1.0,True
+outcome-distribution,2,,,,0.001,0.48662089508671036,True
+uniformity-hit-exact,4,,,,0.001,0.6413893691403019,True
+uniformity-miss-exact,4,,,,0.001,1.0,True
+uniformity-hit-analytic,4,,,,0.001,0.6236778212680716,True
+uniformity-miss-analytic,4,,,,0.001,1.0,True
+outcome-distribution,4,,,,0.001,0.05682858104477873,True
+uniformity-hit-exact,8,,,,0.001,0.20258690036443644,True
+uniformity-miss-exact,8,,,,0.001,1.0,True
+uniformity-hit-analytic,8,,,,0.001,0.779777408475716,True
+uniformity-miss-analytic,8,,,,0.001,1.0,True
+outcome-distribution,8,,,,0.001,1.0,True
+full-algorithm-success,,,1.0,1.0,0.0,,True
+"""
+
 
 @pytest.mark.parametrize(
     ("argv", "expected"),
@@ -71,8 +217,17 @@ rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
         (["run", "--n", "64", "--runs", "5", "--seed", "3", "--backend", "exact"], RUN_EXACT),
         (["cost", "--n", "16", "--runs", "50", "--seed", "2"], COST_UNCAPPED),
         (["lemma1", "--n", "8", "--runs", "40000", "--seed", "9"], LEMMA1),
+        (["equivalence", "--n", "16", "--runs", "300", "--seed", "1"], EQUIVALENCE),
+        (
+            ["equivalence", "--n", "8", "--runs", "200", "--seed", "5", "--lambda", "1.3",
+             "--j-max", "4"],
+            EQUIVALENCE_LAMBDA,
+        ),
     ],
-    ids=["run-dup", "run-boost-extend", "run-exact", "cost-uncapped", "lemma1"],
+    ids=[
+        "run-dup", "run-boost-extend", "run-exact", "cost-uncapped", "lemma1", "equivalence",
+        "equivalence-lambda",
+    ],
 )
 def test_csv_report_bytes_are_pinned(capsys, argv, expected):
     assert main([*argv, "--format", "csv"]) == 0

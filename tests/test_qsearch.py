@@ -18,6 +18,7 @@ from qminfind.qsearch import (
     exponential_search,
 )
 from qminfind.seeding import derive_stream
+from qminfind.table import ThresholdOracle, generate_table
 
 
 def test_backend_parse():
@@ -347,23 +348,33 @@ def test_analytic_round_uses_the_closed_form_exactly():
                     assert not _scripted_round_hits(n, t, j, p)
 
 
-class CountingOracle:
-    """A fixed-set oracle that counts predicate evaluations."""
-
-    def __init__(self, n, marked):
-        self.inner = FixedSetOracle(n, marked)
-        self.n = n
-        self.calls = 0
-
-    def is_marked(self, indices):
-        self.calls += 1
-        return self.inner.is_marked(indices)
-
-
 @pytest.mark.parametrize("seed", range(5))
-def test_exact_backend_evaluates_the_predicate_once_per_search(seed):
-    # One marked index of 256: a search runs many rounds of many iterations.
-    oracle = CountingOracle(256, (7,))
-    out = exponential_search(oracle, SearchParams(), 500.0, Backend.EXACT_STATEVECTOR, random.Random(seed))
-    assert out.iterations_used > 0
-    assert oracle.calls == 1
+def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed):
+    # Stronger than once per search: once per oracle, however many searches
+    # it serves.  One marked index of 256: a search runs many rounds of many
+    # iterations.
+    evaluated = []
+    is_marked = FixedSetOracle.is_marked
+
+    def counting(self, indices):
+        evaluated.append(self)
+        return is_marked(self, indices)
+
+    monkeypatch.setattr(FixedSetOracle, "is_marked", counting)
+    oracle = FixedSetOracle(256, (7,))
+    rng = random.Random(seed)
+    used = [
+        exponential_search(oracle, SearchParams(), 500.0, Backend.EXACT_STATEVECTOR, rng).iterations_used
+        for _ in range(4)
+    ]
+    assert min(used) > 0
+    assert len(evaluated) == 1 and evaluated[0] is oracle
+
+
+def test_both_oracle_classes_keep_one_ladder():
+    table = generate_table(16, "distinct", random.Random(1))
+    for oracle in (FixedSetOracle(16, (2, 5)), ThresholdOracle(table, int(table.order[3]))):
+        ladder = oracle.ladder
+        assert oracle.ladder is ladder
+        assert ladder.mask.tolist() == oracle.is_marked(np.arange(16)).tolist()
+        assert int(ladder.mask.sum()) == oracle.marked_count
