@@ -16,6 +16,14 @@ search with nothing marked never ends on its own.
 
 Classical bookkeeping (choosing the start index, comparisons, the final
 return) is free; only initializations and search iterations are charged.
+
+An exact pass builds the threshold's oracle and runs its statevector
+search.  An analytic pass works in rank space and builds no oracle: the
+marked count is t = rank(y) - 1, the t marked entries are the first t of
+the table's sorted order, and the search's rounds need nothing else.  A hit
+moves the threshold to a uniform one of those t entries, which always
+improves it; a miss draws its unmarked index all the same, since it is
+part of the run's stream (repeat boosting runs several runs on one stream).
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import timeout_cap
-from .qsearch import Backend, SearchParams, exponential_search
+from .qsearch import Backend, SearchParams, _analytic_search, exponential_search
 from .table import Table, ThresholdOracle
 
 __all__ = [
@@ -137,24 +145,39 @@ def find_minimum(
 
     history = [(0.0, y)] if record_history else None
     ledger = CostLedger(cap=cap)
-    first_hit = 0.0 if record_history and table.is_minimum(y) else None
+    analytic = backend is Backend.ANALYTIC_SAMPLER
+    order, ranks = table.order, table.ranks
+    # Entries strictly below the threshold: the marked count of its oracle.
+    t = int(ranks[y]) - 1
+    first_hit = 0.0 if record_history and t == 0 else None
     while not (uncapped and first_hit is not None):
         ledger.charge_init(n)
-        oracle = ThresholdOracle(table, y)
-        outcome = exponential_search(oracle, params, ledger.remaining, backend, rng)
-        ledger.charge_iterations(outcome.iterations_used)
-        observed = outcome.index
-        if table.values[observed] < table.values[y]:
-            y = observed
+        if analytic:
+            # A hit always improves the threshold; a miss still draws its
+            # unmarked index, since later runs may share the stream.
+            improved, used, interrupted = _analytic_search(n, t, ledger.remaining, params, rng)
+            if improved:
+                y = int(order[rng.randrange(t)])
+            else:
+                rng.randrange(t, n)
+        else:
+            outcome = exponential_search(ThresholdOracle(table, y), params, ledger.remaining, backend, rng)
+            used, interrupted = outcome.iterations_used, outcome.interrupted
+            improved = table.values[outcome.index] < table.values[y]
+            if improved:
+                y = outcome.index
+        ledger.charge_iterations(used)
+        if improved:
+            t = int(ranks[y]) - 1
             if record_history:
                 history.append((ledger.spent, y))
-                if first_hit is None and table.is_minimum(y):
+                if first_hit is None and t == 0:
                     first_hit = ledger.spent
-        if outcome.interrupted or ledger.exceeded:
+        if interrupted or ledger.exceeded:
             break
     return RunResult(
         returned_index=y,
-        returned_is_minimum=table.is_minimum(y),
+        returned_is_minimum=t == 0,
         first_hit_time=first_hit,
         total_spent=ledger.spent,
         loop_passes=ledger.init_charges,

@@ -16,11 +16,14 @@ Two interchangeable backends produce identical outcome distributions:
   once per oracle and a round of j iterations measures the cached state for
   its j.  Each iteration is still charged one time step, as in every round.
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
-  sin^2((2j+1) arcsin(sqrt(t/N))) and draws a uniform index within the
-  success or failure class; it needs the classical marked count instead of
-  the statevector and runs in O(1) per round, independent of N.  A miss
-  index is uniform over the unmarked set whatever the rounds did, so it is
-  drawn once, when a search ends on a miss, rather than every miss round.
+  sin^2((2j+1) arcsin(sqrt(t/N))); it needs only the counts N and t, not
+  the statevector, and runs in O(1) per round, independent of N.  Its
+  rounds are one loop over those counts (``_analytic_search``), whose caps
+  ceil(m) are computed once per (N, params), and it draws no index: the
+  index is uniform within the success or failure class whatever the rounds
+  did, so the caller draws one when the search ends.  ``exponential_search``
+  draws it from the oracle; ``find_minimum`` draws a sorted-order position
+  and builds no oracle.
 
 With nothing marked (t = 0, N >= 2) every round misses with certainty and
 the rounds spend a finite budget down to its floor, so both backends settle
@@ -36,7 +39,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -144,6 +148,75 @@ class FixedSetOracle:
         return int(self._unmarked_arr[rng.randrange(free)])
 
 
+@lru_cache(maxsize=64)
+def _round_schedule(n: int, params: SearchParams) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """The caps of a search's rounds over a domain of n, with their bit lengths.
+
+    Returns the ``(ceil(m), bit length)`` pairs of the rounds whose cap m is
+    still growing (m < sqrt(N)), then the pair of the saturated cap that
+    every later round uses.  They come from the float recurrence
+    ``m = min(growth * m, sqrt(N))`` that the exact backend steps round by
+    round, so both backends see the same caps.
+    """
+    m_cap = math.sqrt(n)
+    m = min(params.m_init, m_cap)
+    growing = []
+    while m < m_cap:
+        high = math.ceil(m)
+        growing.append((high, high.bit_length()))
+        m = min(params.growth * m, m_cap)
+    high = math.ceil(m_cap)
+    return tuple(growing), (high, high.bit_length())
+
+
+def _analytic_search(n: int, t: int, budget: float, params: SearchParams, rng) -> tuple[bool, int, bool]:
+    """The analytic backend's search with t of n marked: ``(hit, iterations_used, interrupted)``.
+
+    Each round hits with probability sin^2((2j+1) theta); the caller draws
+    the index within the class the search ended in.  A round's j is drawn
+    as ``randrange(high)`` draws it (``getrandbits`` of the cap's bit length
+    until the value is below the cap), so the stream advances exactly as it
+    would under ``randrange``.
+    """
+    if t == 0 and n >= 2:
+        if budget == math.inf:
+            raise ValueError("a search with nothing marked never ends without a finite budget")
+        # Every round misses, and the rounds end exactly when their integer
+        # iteration counts have spent the budget down to its floor, the last
+        # one truncated if need be.
+        return False, int(budget), True
+    growing, saturated = _round_schedule(n, params)
+    theta = rotation_angle(n, t)
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    sin = math.sin
+    remaining = budget
+    used = 0
+    for high, bits in chain(growing, repeat(saturated)):
+        if high > 1:
+            j = getrandbits(bits)
+            while j >= high:
+                j = getrandbits(bits)
+        else:
+            j = 0
+        truncated = j > remaining
+        if truncated:
+            j = int(remaining)
+        # t = 0 here only on a one-index domain.  With every index marked
+        # the success probability is exactly 1, so no search ends on a miss
+        # whose unmarked index could not be drawn.
+        hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
+        remaining -= j
+        used += j
+        if hit:
+            return True, used, truncated
+        # A miss ends the search when its round was truncated, when the
+        # budget is spent, or on a one-index domain: there every draw is
+        # j = 0, so the budget can never be consumed.
+        if truncated or remaining <= 0 or n == 1:
+            return False, used, True
+
+
 def exponential_search(oracle, params: SearchParams, budget: float, backend: Backend, rng) -> SearchOutcome:
     """Hunt for a marked index within ``budget`` time steps.
 
@@ -158,25 +231,22 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     n = oracle.n
-    statevector = backend is Backend.EXACT_STATEVECTOR
-    if statevector:
-        # Every round starts from the uniform state under the same oracle,
-        # so the oracle's ladder computes the state after j iterations once.
-        ladder = oracle.ladder
-        nothing_marked = not ladder.mask.any()
-    else:
-        # The marked count, and with it the rotation angle, stays fixed for
-        # the whole search; each round then costs one sine.
-        t = oracle.marked_count
-        theta = rotation_angle(n, t)
-        nothing_marked = t == 0
+    if backend is Backend.ANALYTIC_SAMPLER:
+        hit, used, interrupted = _analytic_search(n, oracle.marked_count, budget, params, rng)
+        # The search draws no index; one is drawn in the class it ended in.
+        index = oracle.sample_marked(rng) if hit else oracle.sample_unmarked(rng)
+        return SearchOutcome(index=index, iterations_used=used, interrupted=interrupted)
+    # Every round starts from the uniform state under the same oracle,
+    # so the oracle's ladder computes the state after j iterations once.
+    ladder = oracle.ladder
+    nothing_marked = not ladder.mask.any()
     if nothing_marked and n >= 2:
         if budget == math.inf:
             raise ValueError("a search with nothing marked never ends without a finite budget")
         # Every round misses, and the rounds end exactly when their integer
         # iteration counts have spent the budget down to its floor, the last
         # one truncated if need be.
-        index = sample(ladder.cdf(0), rng) if statevector else oracle.sample_unmarked(rng)
+        index = sample(ladder.cdf(0), rng)
         return SearchOutcome(index=index, iterations_used=int(budget), interrupted=True)
     m_cap = math.sqrt(n)
     m = min(params.m_init, m_cap)
@@ -188,16 +258,8 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         truncated = j > remaining
         if truncated:
             j = int(remaining)
-        if statevector:
-            idx = sample(ladder.cdf(j), rng)
-            hit = bool(ladder.mask[idx])
-        else:
-            # A miss draws no index here; one is drawn if the search ends
-            # on it.  With every index marked the success probability is
-            # exactly 1, so no miss index is ever drawn; the oracle would
-            # raise.
-            hit = t > 0 and rng.random() < math.sin((2 * j + 1) * theta) ** 2
-            idx = oracle.sample_marked(rng) if hit else None
+        idx = sample(ladder.cdf(j), rng)
+        hit = bool(ladder.mask[idx])
         remaining -= j
         used += j
         if hit:
@@ -206,7 +268,5 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
         # budget is spent, or on a degenerate domain (sqrt(N) <= 1): there
         # every draw is j = 0, so the budget can never be consumed.
         if truncated or remaining <= 0 or (high == 1 and m >= m_cap):
-            if idx is None:
-                idx = oracle.sample_unmarked(rng)
             return SearchOutcome(index=idx, iterations_used=used, interrupted=True)
         m = min(params.growth * m, m_cap)

@@ -7,8 +7,9 @@ entries strictly smaller than T[y]; y itself is never marked, which makes
 the all-duplicates table have zero marked entries.
 
 Tables are immutable after construction, so they are safe to share
-across concurrent runs.  An oracle serves one pass of one run: a view of
-its table plus the statevector ladder it builds on first use.
+across concurrent runs.  An oracle serves one exact-backend pass of one
+run: a view of its table plus the statevector ladder it builds on first
+use.  Analytic passes read the marked count off the ranks and build none.
 
 Two ways to draw a table: ``generate_table`` arranges its values at random,
 which the exact statevector backend needs; ``sorted_table`` holds them in
@@ -116,6 +117,9 @@ class ThresholdOracle:
     path's states under the predicate ``is_marked``; ``marked_count`` and
     the ``sample_*`` methods give the analytic sampler its classical view
     (the count of marked items and uniform draws within each class).
+    ``find_minimum`` builds one only for exact passes; its analytic passes
+    make the same count and draws in rank space.  ``n`` and
+    ``marked_count`` are each read once per search, so neither is cached.
     """
 
     table: Table
@@ -127,13 +131,11 @@ class ThresholdOracle:
                 f"threshold index {self.threshold_index} outside table of size {len(self.table)}"
             )
 
-    # Both are read on every search round; the table never changes, so
-    # they are computed once per oracle.
-    @cached_property
+    @property
     def n(self) -> int:
         return len(self.table)
 
-    @cached_property
+    @property
     def marked_count(self) -> int:
         """Number of marked entries; equals rank(y) - 1."""
         return int(self.table.ranks[self.threshold_index]) - 1

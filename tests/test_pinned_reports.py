@@ -1,4 +1,4 @@
-"""Report bytes pinned for seven configs of four experiments.
+"""Report bytes pinned for nine configs of five experiments.
 
 Every run or draw uses its own stream (seed, experiment key, index), and
 a report is a deterministic fold of those runs, so a refactor of the run
@@ -205,6 +205,17 @@ full-algorithm-success,,,1.0,1.0,0.0,,True
 """
 
 
+SUCCESS_16384 = """\
+runs,successes,success_fraction,wilson99_low,wilson99_high,floor,mean_spent,mean_loop_passes
+20,20,1.0,0.7508945989012465,1.0,0.5,3154.0,10.05
+"""
+
+SUCCESS_BOOST_REPEAT = """\
+runs,successes,success_fraction,wilson99_low,wilson99_high,floor,mean_spent,mean_loop_passes
+300,300,1.0,0.9783622259743834,1.0,0.875,2580.0,22.813333333333333
+"""
+
+
 @pytest.mark.parametrize(
     ("argv", "expected"),
     [
@@ -223,10 +234,12 @@ full-algorithm-success,,,1.0,1.0,0.0,,True
              "--j-max", "4"],
             EQUIVALENCE_LAMBDA,
         ),
+        (["success", "--n", "16384", "--runs", "20", "--seed", "7000000"], SUCCESS_16384),
+        (["success", "--n", "1024", "--runs", "300", "--seed", "4", "--boost", "3"], SUCCESS_BOOST_REPEAT),
     ],
     ids=[
         "run-dup", "run-boost-extend", "run-exact", "cost-uncapped", "lemma1", "equivalence",
-        "equivalence-lambda",
+        "equivalence-lambda", "success-16384", "success-boost-repeat",
     ],
 )
 def test_csv_report_bytes_are_pinned(capsys, argv, expected):

@@ -1,7 +1,6 @@
 import math
 import random
 import signal
-import sys
 from collections import Counter
 
 import numpy as np
@@ -9,12 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qminfind import qsearch
 from qminfind.grover import success_probability
 from qminfind.harness import CHI2_ALPHA, uniform_chisquare
 from qminfind.qsearch import (
     Backend,
     FixedSetOracle,
     SearchParams,
+    _analytic_search,
+    _round_schedule,
     exponential_search,
 )
 from qminfind.seeding import derive_stream
@@ -293,9 +295,10 @@ def test_backends_hit_at_matching_rates():
 class _ScriptedStream:
     """Stream stub: the round's draw gives ``j``, ``random`` always gives ``u``.
 
-    The round's draw is the one ``exponential_search`` makes itself; the
-    class samples are drawn by the oracle and get the lowest value of their
-    range, so a search settled without rounds still draws a valid index.
+    The round's draw is the one ``getrandbits`` call the analytic search
+    makes for j; the class samples are drawn by the oracle with
+    ``randrange`` and get the lowest value of their range, so a search
+    settled without rounds still draws a valid index.
     """
 
     def __init__(self, j: int, u: float):
@@ -304,11 +307,13 @@ class _ScriptedStream:
         self.j_drawn = False
         self.uniform_draws = 0
 
+    def getrandbits(self, k):
+        assert not self.j_drawn, "a scripted search draws one round"
+        assert self.j < 2**k
+        self.j_drawn = True
+        return self.j
+
     def randrange(self, start, stop=None):
-        if sys._getframe(1).f_code is exponential_search.__code__:
-            assert not self.j_drawn, "a scripted search draws one round"
-            self.j_drawn = True
-            return self.j
         return 0 if stop is None else start
 
     def random(self):
@@ -316,13 +321,20 @@ class _ScriptedStream:
         return self.u
 
 
+def _unclamped_schedule(n: int, params: SearchParams):
+    """A schedule whose every round has the cap ceil(m_init), even above sqrt(n)."""
+    high = math.ceil(params.m_init)
+    return (), (high, high.bit_length())
+
+
 def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     """Whether one analytic round of j iterations hits when its uniform draw is u."""
     oracle = FixedSetOracle(n, tuple(range(t)))
     rng = _ScriptedStream(j, u)
-    # m_init = sqrt(n) makes the first round draw j; a budget of exactly j
-    # ends the search after that round whatever it measures.
-    params = SearchParams(m_init=max(1.0, math.sqrt(n)))
+    # Under the unclamped schedule a cap of j + 2 makes j a legal draw for
+    # every j (a one-index domain keeps the cap 1 and never draws); a budget
+    # of exactly j ends the search after that round whatever it measures.
+    params = SearchParams(m_init=j + 2.0 if n > 1 else 1.0)
     out = exponential_search(oracle, params, float(j), Backend.ANALYTIC_SAMPLER, rng)
     assert out.iterations_used == j
     assert rng.uniform_draws == (1 if t > 0 else 0)
@@ -332,10 +344,11 @@ def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     return out.index < t
 
 
-def test_analytic_round_uses_the_closed_form_exactly():
+def test_analytic_round_uses_the_closed_form_exactly(monkeypatch):
     # The round hits iff its uniform draw lies below its success probability.
     # A draw of p itself must miss and the next float below p must hit, which
     # pins the probability the round computed to p bit for bit.
+    monkeypatch.setattr(qsearch, "_round_schedule", _unclamped_schedule)
     for n in range(1, 65):
         for t in range(n + 1):
             for j in range(13) if n > 1 else (0,):
@@ -346,6 +359,55 @@ def test_analytic_round_uses_the_closed_form_exactly():
                 assert _scripted_round_hits(n, t, j, math.nextafter(p, -math.inf))
                 if t < n:
                     assert not _scripted_round_hits(n, t, j, p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_round_draw_is_randrange_draw_for_draw(seed):
+    # With every index marked a round hits with probability exactly 1, so
+    # the search spends exactly its first round's j.  With n = high^2 and
+    # m_init = high that round's cap is high (the saturated caps at
+    # n = 16, 64, 1024 and 16384 are 4, 8, 32 and 128).  A twin stream that
+    # calls randrange(high) and then the hit's uniform draw must give the
+    # same j and end in the same state.
+    rng, twin = random.Random(seed), random.Random(seed)
+    for high in range(2, 4097):
+        n = high * high
+        hit, used, interrupted = _analytic_search(n, n, math.inf, SearchParams(m_init=high), rng)
+        assert hit and not interrupted
+        assert used == twin.randrange(high)
+        twin.random()
+        assert rng.getstate() == twin.getstate()
+    # A cap of 1 draws no j at all, only the hit's uniform draw.
+    assert _analytic_search(1, 1, math.inf, SearchParams(), rng) == (True, 0, False)
+    twin.random()
+    assert rng.getstate() == twin.getstate()
+
+
+def _caps_round_by_round(n: int, params: SearchParams, rounds: int) -> tuple[list[int], int]:
+    """The caps ceil(m) of the first ``rounds`` rounds, and how many had m < sqrt(n)."""
+    m_cap = math.sqrt(n)
+    m = min(params.m_init, m_cap)
+    caps, growing = [], 0
+    for _ in range(rounds):
+        caps.append(math.ceil(m))
+        growing += m < m_cap
+        m = min(params.growth * m, m_cap)
+    return caps, growing
+
+
+def test_round_schedule_matches_the_round_by_round_caps():
+    for n in [*range(1, 301), 16384]:
+        for growth in (1.01, 8 / 7, 1.33):
+            for m_init in (1.0, math.sqrt(n), 2 * math.sqrt(n)):
+                params = SearchParams(growth=growth, m_init=m_init)
+                growing, saturated = _round_schedule(n, params)
+                rounds = len(growing) + 5
+                caps = [high for high, _ in growing] + [saturated[0]] * 5
+                assert (caps, len(growing)) == _caps_round_by_round(n, params, rounds)
+                for high, bits in (*growing, saturated):
+                    assert bits == high.bit_length()
+    # The benchmark's size passes 37 growing rounds before it saturates.
+    assert len(_round_schedule(16384, SearchParams())[0]) == 37
 
 
 @pytest.mark.parametrize("seed", range(5))
