@@ -59,7 +59,7 @@ from .bounds import (
 )
 from .grover import grover_iterate, sample, success_probability, uniform_state
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
-from .qsearch import Backend, FixedSetOracle, SearchParams, exponential_search
+from .qsearch import Backend, Oracle, SearchParams, exponential_search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table, sorted_table
 
@@ -600,7 +600,7 @@ def closed_form_deviation(n: int, j_max: int) -> float:
     """Worst |statevector marked probability - closed form| over t and j <= j_max."""
     worst = 0.0
     for t in range(n + 1):
-        oracle = FixedSetOracle(n, tuple(range(t)))
+        oracle = Oracle(np.arange(n) < t)
         state = uniform_state(n)
         for j in range(j_max + 1):
             if j > 0:
@@ -641,7 +641,7 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     within their class and that both backends' (hit, iterations) laws agree.
     """
     n = config.n
-    oracle = FixedSetOracle(n, tuple(range(t)))
+    oracle = Oracle(np.arange(n) < t)
     samples = min(config.runs, 20_000)
     fixed_rows = []
     for j in range(min(config.j_max, 8) + 1):

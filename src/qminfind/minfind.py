@@ -17,7 +17,9 @@ search with nothing marked never ends on its own.
 Classical bookkeeping (choosing the start index, comparisons, the final
 return) is free; only initializations and search iterations are charged.
 
-An exact pass builds the threshold's oracle and runs its statevector
+An exact pass builds the threshold's oracle, which marks the entries
+strictly smaller than T[y] (so y itself is never marked, and an
+all-duplicates table has nothing marked), and runs its statevector
 search.  An analytic pass works in rank space and builds no oracle: the
 marked count is t = rank(y) - 1, the t marked entries are the first t of
 the table's sorted order, and the search's rounds need nothing else.  A hit
@@ -31,8 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import timeout_cap
-from .qsearch import Backend, SearchParams, _analytic_search, exponential_search
-from .table import Table, ThresholdOracle
+from .qsearch import Backend, Oracle, SearchParams, _search, exponential_search
+from .table import Table
 
 __all__ = [
     "CostLedger",
@@ -155,15 +157,17 @@ def find_minimum(
         if analytic:
             # A hit always improves the threshold; a miss still draws its
             # unmarked index, since later runs may share the stream.
-            improved, used, interrupted = _analytic_search(n, t, ledger.remaining, params, rng)
+            improved, used, interrupted = _search(n, t, ledger.remaining, params, rng)
             if improved:
                 y = int(order[rng.randrange(t)])
             else:
                 rng.randrange(t, n)
         else:
-            outcome = exponential_search(ThresholdOracle(table, y), params, ledger.remaining, backend, rng)
+            # The threshold's oracle marks the entries strictly below it.
+            oracle = Oracle(table.values < table.values[y])
+            outcome = exponential_search(oracle, params, ledger.remaining, backend, rng)
             used, interrupted = outcome.iterations_used, outcome.interrupted
-            improved = table.values[outcome.index] < table.values[y]
+            improved = bool(oracle.mask[outcome.index])
             if improved:
                 y = outcome.index
         ledger.charge_iterations(used)

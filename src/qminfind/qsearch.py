@@ -1,35 +1,35 @@
 """Search for a marked index when the number of marked items is unknown.
 
-The strategy: run the amplitude-amplification iteration a random number of
-times j, drawn uniformly below a cap m that grows geometrically after each
-failed measurement (growth factor strictly between 1 and 4/3, capped at
+The strategy (Boyer, Brassard, Hoyer and Tapp's exponential search): run
+the amplitude-amplification iteration a random number of times j, drawn
+uniformly below a cap m that grows geometrically after each failed
+measurement (growth factor strictly between 1 and 4/3, capped at
 sqrt(N)).  With t >= 1 marked items out of N this finds one of them, each
 with equal probability, in an expected O(sqrt(N/t)) iterations; with t = 0
 it would run forever, so a time-step budget bounds it from outside.
 
-Two interchangeable backends produce identical outcome distributions:
+One loop, ``_search``, runs the rounds of both backends over the counts N
+and t: the caps ceil(m) (computed once per (N, params) by
+``_round_schedule``), the j draw, truncation to the budget and the stop
+rule.  The backends differ only in how a round is measured:
 
-* ``EXACT_STATEVECTOR`` evolves the dense amplitude vector and measures it;
-  it sees the oracle only through its ``ladder``, one ``GroverLadder`` that
-  the oracle builds on first use and keeps for every search it serves.
-  Every round starts from the uniform state, so each iteration is computed
-  once per oracle and a round of j iterations measures the cached state for
-  its j.  Each iteration is still charged one time step, as in every round.
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
-  sin^2((2j+1) arcsin(sqrt(t/N))); it needs only the counts N and t, not
-  the statevector, and runs in O(1) per round, independent of N.  Its
-  rounds are one loop over those counts (``_analytic_search``), whose caps
-  ceil(m) are computed once per (N, params), and it draws no index: the
-  index is uniform within the success or failure class whatever the rounds
-  did, so the caller draws one when the search ends.  ``exponential_search``
-  draws it from the oracle; ``find_minimum`` draws a sorted-order position
-  and builds no oracle.
+  sin^2((2j+1) arcsin(sqrt(t/N))) in O(1) per round, independent of N, and
+  draws no index: the index is uniform within the success or failure class
+  whatever the rounds did, so the caller draws one when the search ends.
+  ``exponential_search`` draws it from the oracle; ``find_minimum`` draws a
+  sorted-order position and builds no oracle.
+* ``EXACT_STATEVECTOR`` measures the state after j iterations, read from
+  the oracle's ``ladder``: one ``GroverLadder``, built on first use and
+  kept for every search the oracle serves.  Every round starts from the
+  uniform state, so each iteration is computed once per oracle; each is
+  still charged one time step, as in every round.
 
 With nothing marked (t = 0, N >= 2) every round misses with certainty and
-the rounds spend a finite budget down to its floor, so both backends settle
-such a search in closed form with one index draw and no rounds: the exact
-backend measures the uniform state (no iteration moves it), the analytic
-one draws an unmarked index.
+the rounds spend a finite budget down to its floor, so the loop settles
+such a search in closed form without rounds; the caller then draws one
+index (the exact backend measures the uniform state, which no iteration
+moves; the analytic one draws an unmarked index).
 
 Each search consumes one random stream and one budget; concurrent searches
 need disjoint streams.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 
@@ -50,7 +50,7 @@ __all__ = [
     "Backend",
     "SearchParams",
     "SearchOutcome",
-    "FixedSetOracle",
+    "Oracle",
     "exponential_search",
 ]
 
@@ -66,22 +66,19 @@ class Backend(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs of the iteration-count schedule.
+    """Knob of the iteration-count schedule.
 
     ``growth`` multiplies the cap m after each failed round and must stay
     strictly inside (1, 4/3) for the expected-iteration bound to hold; m
-    starts at ``m_init`` and is clamped to sqrt(N).  The iteration count of
-    a round is uniform on {0, ..., ceil(m)-1}.
+    starts at 1 and is clamped to sqrt(N).  The iteration count of a round
+    is uniform on {0, ..., ceil(m)-1}.
     """
 
     growth: float = DEFAULT_GROWTH
-    m_init: float = 1.0
 
     def __post_init__(self):
         if not 1.0 < self.growth < 4.0 / 3.0:
             raise ValueError(f"growth factor must lie strictly in (1, 4/3), got {self.growth}")
-        if self.m_init < 1.0:
-            raise ValueError("initial cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -98,38 +95,28 @@ class SearchOutcome:
     interrupted: bool
 
 
-@dataclass(frozen=True)
-class FixedSetOracle:
-    """Oracle over 0..n-1 with an explicit marked index set.
+class Oracle:
+    """Marks the indices 0..n-1 where a boolean mask is True.
 
-    Mirrors the oracle surface of the threshold oracle (predicate and
-    ladder for the exact backend; count and class sampling for the analytic
-    one), which lets experiments pin (n, t) cells directly.
+    The mask is copied and kept read-only.  The exact backend reads the
+    oracle through ``ladder``; the analytic one through ``marked_count``
+    and the ``sample_*`` draws, which pick uniformly among the marked or
+    unmarked indices taken in index order.  Equivalence cells mark
+    ``np.arange(n) < t``; an exact pass of ``find_minimum`` marks the
+    entries strictly below its threshold's value.
     """
 
-    n: int
-    marked: tuple[int, ...]
-    _marked_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _unmarked_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, mask):
+        mask = np.array(mask, dtype=bool)
+        if mask.ndim != 1 or len(mask) < 1:
             raise ValueError("oracle domain must have size >= 1")
-        marked = tuple(sorted(set(int(i) for i in self.marked)))
-        if marked and not (0 <= marked[0] and marked[-1] < self.n):
-            raise ValueError("marked indices outside oracle domain")
-        object.__setattr__(self, "marked", marked)
-        marked_arr = np.asarray(marked, dtype=np.int64)
-        unmarked_arr = np.setdiff1d(np.arange(self.n, dtype=np.int64), marked_arr)
-        object.__setattr__(self, "_marked_arr", marked_arr)
-        object.__setattr__(self, "_unmarked_arr", unmarked_arr)
-
-    @property
-    def marked_count(self) -> int:
-        return len(self.marked)
+        mask.setflags(write=False)
+        self.mask = mask
+        self.n = len(mask)
+        self.marked_count = int(np.count_nonzero(mask))
 
     def is_marked(self, indices: np.ndarray) -> np.ndarray:
-        return np.isin(np.asarray(indices), self._marked_arr)
+        return self.mask[np.asarray(indices)]
 
     @cached_property
     def ladder(self) -> GroverLadder:
@@ -137,15 +124,21 @@ class FixedSetOracle:
         return GroverLadder(self.is_marked, self.n)
 
     def sample_marked(self, rng) -> int:
-        if not self.marked:
-            raise ValueError("no marked indices")
-        return int(self._marked_arr[rng.randrange(len(self.marked))])
+        return self._sample(True, rng)
 
     def sample_unmarked(self, rng) -> int:
-        free = self.n - len(self.marked)
-        if free == 0:
-            raise ValueError("every index is marked")
-        return int(self._unmarked_arr[rng.randrange(free)])
+        return self._sample(False, rng)
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unmarked and the marked indices, each in index order."""
+        return np.flatnonzero(~self.mask), np.flatnonzero(self.mask)
+
+    def _sample(self, marked: bool, rng) -> int:
+        indices = self._classes[marked]
+        if len(indices) == 0:
+            raise ValueError("no marked indices" if marked else "every index is marked")
+        return int(indices[rng.randrange(len(indices))])
 
 
 @lru_cache(maxsize=64)
@@ -155,11 +148,10 @@ def _round_schedule(n: int, params: SearchParams) -> tuple[tuple[tuple[int, int]
     Returns the ``(ceil(m), bit length)`` pairs of the rounds whose cap m is
     still growing (m < sqrt(N)), then the pair of the saturated cap that
     every later round uses.  They come from the float recurrence
-    ``m = min(growth * m, sqrt(N))`` that the exact backend steps round by
-    round, so both backends see the same caps.
+    ``m = min(growth * m, sqrt(N))`` from m = 1; no other code steps it.
     """
     m_cap = math.sqrt(n)
-    m = min(params.m_init, m_cap)
+    m = 1.0
     growing = []
     while m < m_cap:
         high = math.ceil(m)
@@ -169,14 +161,16 @@ def _round_schedule(n: int, params: SearchParams) -> tuple[tuple[tuple[int, int]
     return tuple(growing), (high, high.bit_length())
 
 
-def _analytic_search(n: int, t: int, budget: float, params: SearchParams, rng) -> tuple[bool, int, bool]:
-    """The analytic backend's search with t of n marked: ``(hit, iterations_used, interrupted)``.
+def _search(
+    n: int, t: int, budget: float, params: SearchParams, rng, measure=None
+) -> tuple[bool, int, bool]:
+    """The rounds of one search with t of n marked: ``(hit, iterations_used, interrupted)``.
 
-    Each round hits with probability sin^2((2j+1) theta); the caller draws
-    the index within the class the search ended in.  A round's j is drawn
-    as ``randrange(high)`` draws it (``getrandbits`` of the cap's bit length
-    until the value is below the cap), so the stream advances exactly as it
-    would under ``randrange``.
+    A round's j is drawn as ``randrange(high)`` draws it (``getrandbits`` of
+    the cap's bit length until the value is below the cap), so the stream
+    advances exactly as it would under ``randrange``.  ``measure(j)``
+    measures a round of j iterations and says whether it hit; without it
+    the round hits with probability sin^2((2j+1) theta).
     """
     if t == 0 and n >= 2:
         if budget == math.inf:
@@ -202,10 +196,15 @@ def _analytic_search(n: int, t: int, budget: float, params: SearchParams, rng) -
         truncated = j > remaining
         if truncated:
             j = int(remaining)
-        # t = 0 here only on a one-index domain.  With every index marked
-        # the success probability is exactly 1, so no search ends on a miss
-        # whose unmarked index could not be drawn.
-        hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
+        if measure is None:
+            # Inline, not a per-round callable: a call per round costs the
+            # analytic loop about a fifth of its speed.  t = 0 here only on
+            # a one-index domain.  With every index marked the probability
+            # is exactly 1, so no search ends on a miss whose unmarked index
+            # could not be drawn.
+            hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
+        else:
+            hit = measure(j)
         remaining -= j
         used += j
         if hit:
@@ -217,7 +216,9 @@ def _analytic_search(n: int, t: int, budget: float, params: SearchParams, rng) -
             return False, used, True
 
 
-def exponential_search(oracle, params: SearchParams, budget: float, backend: Backend, rng) -> SearchOutcome:
+def exponential_search(
+    oracle: Oracle, params: SearchParams, budget: float, backend: Backend, rng
+) -> SearchOutcome:
     """Hunt for a marked index within ``budget`` time steps.
 
     Rounds draw j uniformly below the growing cap; a draw the budget cannot
@@ -230,43 +231,22 @@ def exponential_search(oracle, params: SearchParams, budget: float, backend: Bac
     """
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    n = oracle.n
+    n, t = oracle.n, oracle.marked_count
     if backend is Backend.ANALYTIC_SAMPLER:
-        hit, used, interrupted = _analytic_search(n, oracle.marked_count, budget, params, rng)
+        hit, used, interrupted = _search(n, t, budget, params, rng)
         # The search draws no index; one is drawn in the class it ended in.
         index = oracle.sample_marked(rng) if hit else oracle.sample_unmarked(rng)
         return SearchOutcome(index=index, iterations_used=used, interrupted=interrupted)
-    # Every round starts from the uniform state under the same oracle,
-    # so the oracle's ladder computes the state after j iterations once.
     ladder = oracle.ladder
-    nothing_marked = not ladder.mask.any()
-    if nothing_marked and n >= 2:
-        if budget == math.inf:
-            raise ValueError("a search with nothing marked never ends without a finite budget")
-        # Every round misses, and the rounds end exactly when their integer
-        # iteration counts have spent the budget down to its floor, the last
-        # one truncated if need be.
+    index = None
+
+    def measure(j: int) -> bool:
+        nonlocal index
+        index = sample(ladder.cdf(j), rng)
+        return bool(ladder.mask[index])
+
+    hit, used, interrupted = _search(n, t, budget, params, rng, measure)
+    if index is None:
+        # Settled in closed form: the state is still uniform.
         index = sample(ladder.cdf(0), rng)
-        return SearchOutcome(index=index, iterations_used=int(budget), interrupted=True)
-    m_cap = math.sqrt(n)
-    m = min(params.m_init, m_cap)
-    remaining = budget
-    used = 0
-    while True:
-        high = math.ceil(m)
-        j = rng.randrange(high) if high > 1 else 0
-        truncated = j > remaining
-        if truncated:
-            j = int(remaining)
-        idx = sample(ladder.cdf(j), rng)
-        hit = bool(ladder.mask[idx])
-        remaining -= j
-        used += j
-        if hit:
-            return SearchOutcome(index=idx, iterations_used=used, interrupted=truncated)
-        # A miss ends the search when its round was truncated, when the
-        # budget is spent, or on a degenerate domain (sqrt(N) <= 1): there
-        # every draw is j = 0, so the budget can never be consumed.
-        if truncated or remaining <= 0 or (high == 1 and m >= m_cap):
-            return SearchOutcome(index=idx, iterations_used=used, interrupted=True)
-        m = min(params.growth * m, m_cap)
+    return SearchOutcome(index=index, iterations_used=used, interrupted=interrupted)

@@ -1,15 +1,11 @@
-"""Input tables, the threshold-comparison oracle, and rank utilities.
+"""Input tables and rank utilities.
 
 A table is an array of 64-bit signed integers; the algorithms only ever
 compare entries, so the integer carrier sidesteps any floating-point
-comparison ambiguity.  The oracle for threshold index y marks exactly the
-entries strictly smaller than T[y]; y itself is never marked, which makes
-the all-duplicates table have zero marked entries.
-
-Tables are immutable after construction, so they are safe to share
-across concurrent runs.  An oracle serves one exact-backend pass of one
-run: a view of its table plus the statevector ladder it builds on first
-use.  Analytic passes read the marked count off the ranks and build none.
+comparison ambiguity.  Tables are immutable after construction, so they
+are safe to share across concurrent runs.  The oracles that search them
+live in ``qsearch``: an exact pass of ``find_minimum`` builds one from the
+mask of entries strictly below its threshold.
 
 Two ways to draw a table: ``generate_table`` arranges its values at random,
 which the exact statevector backend needs; ``sorted_table`` holds them in
@@ -19,16 +15,13 @@ only on ranks and is the same for every arrangement of the values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .grover import GroverLadder
-
 __all__ = [
     "Table",
-    "ThresholdOracle",
     "generate_table",
     "sorted_table",
     "read_table",
@@ -107,59 +100,6 @@ class Table:
     def is_minimum(self, i: int) -> bool:
         """True when index i holds a minimal value (ties all count)."""
         return int(self.ranks[i]) == 1
-
-
-@dataclass(frozen=True)
-class ThresholdOracle:
-    """Marks every index j with T[j] < T[y], strictly.
-
-    Also serves both search backends: ``ladder`` holds the statevector
-    path's states under the predicate ``is_marked``; ``marked_count`` and
-    the ``sample_*`` methods give the analytic sampler its classical view
-    (the count of marked items and uniform draws within each class).
-    ``find_minimum`` builds one only for exact passes; its analytic passes
-    make the same count and draws in rank space.  ``n`` and
-    ``marked_count`` are each read once per search, so neither is cached.
-    """
-
-    table: Table
-    threshold_index: int
-
-    def __post_init__(self):
-        if not 0 <= self.threshold_index < len(self.table):
-            raise IndexError(
-                f"threshold index {self.threshold_index} outside table of size {len(self.table)}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.table)
-
-    @property
-    def marked_count(self) -> int:
-        """Number of marked entries; equals rank(y) - 1."""
-        return int(self.table.ranks[self.threshold_index]) - 1
-
-    def is_marked(self, indices: np.ndarray) -> np.ndarray:
-        threshold_value = self.table.values[self.threshold_index]
-        return self.table.values[np.asarray(indices)] < threshold_value
-
-    @cached_property
-    def ladder(self) -> GroverLadder:
-        """The exact backend's states, built on first use and kept by the oracle."""
-        return GroverLadder(self.is_marked, self.n)
-
-    def sample_marked(self, rng) -> int:
-        """Uniform random marked index; requires at least one marked entry."""
-        t = self.marked_count
-        if t == 0:
-            raise ValueError("no marked entries below the threshold")
-        return int(self.table.order[rng.randrange(t)])
-
-    def sample_unmarked(self, rng) -> int:
-        """Uniform random unmarked index (the threshold index is one of them)."""
-        t = self.marked_count
-        return int(self.table.order[rng.randrange(t, self.n)])
 
 
 def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:

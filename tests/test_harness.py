@@ -25,7 +25,7 @@ from qminfind.harness import (
 )
 from qminfind.grover import GroverLadder
 from qminfind.minfind import find_minimum
-from qminfind.qsearch import Backend, FixedSetOracle
+from qminfind.qsearch import Backend, Oracle
 from qminfind.seeding import derive_stream
 from qminfind.table import generate_table, sorted_table
 
@@ -341,11 +341,14 @@ def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(m
 
 def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
     # Each cell's oracle evaluates its predicate once, into one ladder that
-    # serves the cell's fixed-j draws and all of its exact searches.
+    # serves the cell's fixed-j draws and all of its exact searches.  The
+    # cell oracles are the ones whose ladder is built inside a cell.
     ladder_oracles = []
     evaluated = []
+    cell_oracles = {}
     build = GroverLadder.__init__
-    is_marked = FixedSetOracle.is_marked
+    is_marked = Oracle.is_marked
+    cell = harness._equivalence_cell
 
     def counting_build(self, marked, n):
         ladder_oracles.append(marked.__self__)
@@ -355,12 +358,19 @@ def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
         evaluated.append(self)
         return is_marked(self, indices)
 
+    def recording_cell(config, t):
+        built = len(ladder_oracles)
+        rows = cell(config, t)
+        cell_oracles[t] = ladder_oracles[built:]
+        return rows
+
     monkeypatch.setattr(GroverLadder, "__init__", counting_build)
-    monkeypatch.setattr(FixedSetOracle, "is_marked", counting_is_marked)
+    monkeypatch.setattr(Oracle, "is_marked", counting_is_marked)
+    monkeypatch.setattr(harness, "_equivalence_cell", recording_cell)
     run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=1))
-    cell_oracles = [o for o in ladder_oracles if isinstance(o, FixedSetOracle)]
-    assert sorted(o.marked_count for o in cell_oracles) == harness._equivalence_cells(16)
-    for oracle in cell_oracles:
+    assert sorted(cell_oracles) == harness._equivalence_cells(16)
+    for t, (oracle,) in cell_oracles.items():
+        assert oracle.marked_count == t
         assert sum(o is oracle for o in evaluated) == 1
 
 

@@ -13,14 +13,25 @@ from qminfind.grover import success_probability
 from qminfind.harness import CHI2_ALPHA, uniform_chisquare
 from qminfind.qsearch import (
     Backend,
-    FixedSetOracle,
+    Oracle,
     SearchParams,
-    _analytic_search,
     _round_schedule,
+    _search,
     exponential_search,
 )
 from qminfind.seeding import derive_stream
-from qminfind.table import ThresholdOracle, generate_table
+from qminfind.table import generate_table
+
+
+def _first_marked(n: int, t: int) -> Oracle:
+    """The oracle over 0..n-1 marking the first t indices, as equivalence cells build it."""
+    return Oracle(np.arange(n) < t)
+
+
+def _marking(n: int, marked) -> Oracle:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(marked)] = True
+    return Oracle(mask)
 
 
 def test_backend_parse():
@@ -36,39 +47,40 @@ def test_growth_factor_bounds():
     for bad in (1.0, 4.0 / 3.0, 1.5, 0.9):
         with pytest.raises(ValueError, match="growth factor"):
             SearchParams(growth=bad)
-    with pytest.raises(ValueError, match="initial cap"):
-        SearchParams(m_init=0.5)
 
 
 def test_oracle_validation():
-    with pytest.raises(ValueError):
-        FixedSetOracle(0, ())
-    with pytest.raises(ValueError):
-        FixedSetOracle(4, (4,))
-    oracle = FixedSetOracle(4, (2, 0, 2))
-    assert oracle.marked == (0, 2)
-    assert oracle.marked_count == 2
+    with pytest.raises(ValueError, match="size >= 1"):
+        Oracle(np.zeros(0, dtype=bool))
+    with pytest.raises(ValueError, match="size >= 1"):
+        Oracle(np.zeros((2, 2), dtype=bool))
+    mask = np.array([True, False, True, False])
+    oracle = Oracle(mask)
+    mask[1] = True  # the oracle keeps its own read-only copy
+    assert (oracle.n, oracle.marked_count) == (4, 2)
+    assert oracle.is_marked(np.arange(4)).tolist() == [True, False, True, False]
+    assert not oracle.mask.flags.writeable
 
 
 def test_oracle_sampling_errors():
     rng = random.Random(0)
     with pytest.raises(ValueError, match="no marked"):
-        FixedSetOracle(3, ()).sample_marked(rng)
+        _first_marked(3, 0).sample_marked(rng)
     with pytest.raises(ValueError, match="every index"):
-        FixedSetOracle(3, (0, 1, 2)).sample_unmarked(rng)
+        _first_marked(3, 3).sample_unmarked(rng)
 
 
 def test_negative_budget_rejected():
     with pytest.raises(ValueError, match="budget"):
         exponential_search(
-            FixedSetOracle(4, (0,)), SearchParams(), -1.0, Backend.ANALYTIC_SAMPLER, random.Random(0)
+            _first_marked(4, 1), SearchParams(), -1.0, Backend.ANALYTIC_SAMPLER, random.Random(0)
         )
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_everything_marked_ends_immediately(backend):
     # First round measures the uniform state with zero iterations and hits.
-    oracle = FixedSetOracle(9, tuple(range(9)))
+    oracle = _first_marked(9, 9)
     out = exponential_search(oracle, SearchParams(), 100.0, backend, random.Random(1))
     assert out.iterations_used == 0
     assert not out.interrupted
@@ -78,7 +90,7 @@ def test_everything_marked_ends_immediately(backend):
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("budget", [1, 5, 23])
 def test_nothing_marked_consumes_integer_budget_exactly(backend, budget):
-    oracle = FixedSetOracle(16, ())
+    oracle = _first_marked(16, 0)
     out = exponential_search(oracle, SearchParams(), float(budget), backend, random.Random(2))
     assert out.interrupted
     assert out.iterations_used == budget
@@ -108,7 +120,7 @@ def _play_out_nothing_marked(n: int, budget: float, params: SearchParams, rng) -
     budget is spent or a round was truncated.
     """
     m_cap = math.sqrt(n)
-    m = min(params.m_init, m_cap)
+    m = 1.0
     remaining, used = budget, 0
     while True:
         high = math.ceil(m)
@@ -128,7 +140,7 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
     # Both backends settle a search with nothing marked at once with one
     # index draw; playing its rounds out one by one must spend the same
     # iterations, exactly the floor of the budget, for every stream.
-    oracle = FixedSetOracle(n, ())
+    oracle = _first_marked(n, 0)
     for seed in range(5):
         played = _play_out_nothing_marked(n, budget, SearchParams(), random.Random(seed))
         assert played == math.floor(budget)
@@ -145,7 +157,7 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
 def test_exact_search_with_nothing_marked_measures_a_uniform_index():
     # The state stays uniform, so the one measurement is uniform over all n.
     n = 16
-    oracle = FixedSetOracle(n, ())
+    oracle = _first_marked(n, 0)
     rng = derive_stream(8, "unit-exact-empty")
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(4000):
@@ -174,7 +186,7 @@ def deadline():
 @pytest.mark.parametrize("n", [2, 16])
 def test_nothing_marked_with_an_infinite_budget_is_rejected(deadline, backend, n):
     with pytest.raises(ValueError, match="nothing marked"):
-        exponential_search(FixedSetOracle(n, ()), SearchParams(), math.inf, backend, random.Random(0))
+        exponential_search(_first_marked(n, 0), SearchParams(), math.inf, backend, random.Random(0))
 
 
 @pytest.mark.parametrize(("marked", "budget"), [((5,), 1.0), ((1, 4, 6, 11), 0.0), ((), 9.5)])
@@ -184,7 +196,7 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
     # nothing marked every search does.  Either way the index returned for
     # a miss must be uniform over the unmarked indices.
     n = 16
-    oracle = FixedSetOracle(n, marked)
+    oracle = _marking(n, marked)
     rng = derive_stream(7, "unit-miss", len(marked))
     misses = Counter()
     for _ in range(4000):
@@ -201,7 +213,7 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
 
 
 def test_zero_budget_still_measures_once():
-    oracle = FixedSetOracle(8, ())
+    oracle = _first_marked(8, 0)
     out = exponential_search(oracle, SearchParams(), 0.0, Backend.ANALYTIC_SAMPLER, random.Random(3))
     assert out.interrupted
     assert out.iterations_used == 0
@@ -212,12 +224,12 @@ def test_single_index_domain_terminates():
     # sqrt(1) = 1 keeps every draw at j = 0; an unmarked domain can never
     # consume the budget, so the search must bail out rather than spin.
     out = exponential_search(
-        FixedSetOracle(1, ()), SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, random.Random(4)
+        _first_marked(1, 0), SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, random.Random(4)
     )
     assert out.interrupted
     assert out.iterations_used == 0
     out = exponential_search(
-        FixedSetOracle(1, (0,)), SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, random.Random(4)
+        _first_marked(1, 1), SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, random.Random(4)
     )
     assert not out.interrupted
     assert out.index == 0
@@ -231,7 +243,7 @@ def test_single_index_domain_terminates():
 )
 def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
     t = max(1, round(t_frac * n))
-    oracle = FixedSetOracle(n, tuple(range(t)))
+    oracle = _first_marked(n, t)
     out = exponential_search(oracle, SearchParams(), math.inf, backend, random.Random(seed))
     assert not out.interrupted
     assert out.index < t
@@ -241,14 +253,14 @@ def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
 def test_iterations_never_exceed_budget(seed, n, budget):
     rng = random.Random(seed)
     t = rng.randrange(n + 1)
-    oracle = FixedSetOracle(n, tuple(range(t)))
+    oracle = _first_marked(n, t)
     out = exponential_search(oracle, SearchParams(), budget, Backend.ANALYTIC_SAMPLER, rng)
     assert out.iterations_used <= budget
 
 
 @given(seed=st.integers(0, 10**6))
 def test_search_is_deterministic_per_stream(seed):
-    oracle = FixedSetOracle(32, (3, 17))
+    oracle = _marking(32, (3, 17))
     a = exponential_search(oracle, SearchParams(), 40.0, Backend.ANALYTIC_SAMPLER, random.Random(seed))
     b = exponential_search(oracle, SearchParams(), 40.0, Backend.ANALYTIC_SAMPLER, random.Random(seed))
     assert a == b
@@ -257,7 +269,7 @@ def test_search_is_deterministic_per_stream(seed):
 @pytest.mark.parametrize("n,t", [(64, 4), (256, 16)])
 def test_mean_iterations_below_sqrt_bound(n, t):
     # 4.5 * sqrt(n/t) bounds the expected iteration count; check with slack.
-    oracle = FixedSetOracle(n, tuple(range(t)))
+    oracle = _first_marked(n, t)
     rng = derive_stream(12, "unit-iterbound", n, t)
     runs = 2000
     total = 0
@@ -278,7 +290,7 @@ def test_backends_hit_at_matching_rates():
     # Same (n, t) and a tight budget, so hits are not certain; the two
     # backends must agree on the hit frequency within sampling noise.
     n, t, budget, runs = 16, 3, 20.0, 600
-    oracle = FixedSetOracle(n, tuple(range(t)))
+    oracle = _first_marked(n, t)
     fractions = {}
     for backend in Backend:
         hits = 0
@@ -321,21 +333,21 @@ class _ScriptedStream:
         return self.u
 
 
-def _unclamped_schedule(n: int, params: SearchParams):
-    """A schedule whose every round has the cap ceil(m_init), even above sqrt(n)."""
-    high = math.ceil(params.m_init)
-    return (), (high, high.bit_length())
+def _fixed_cap(high: int):
+    """A round schedule whose every round has the cap ``high``, even above sqrt(n)."""
+    return lambda n, params: ((), (high, high.bit_length()))
 
 
 def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
-    """Whether one analytic round of j iterations hits when its uniform draw is u."""
-    oracle = FixedSetOracle(n, tuple(range(t)))
+    """Whether one analytic round of j iterations hits when its uniform draw is u.
+
+    The caller patches in a schedule whose cap makes j a legal draw; a
+    budget of exactly j ends the search after that round whatever it
+    measures.
+    """
     rng = _ScriptedStream(j, u)
-    # Under the unclamped schedule a cap of j + 2 makes j a legal draw for
-    # every j (a one-index domain keeps the cap 1 and never draws); a budget
-    # of exactly j ends the search after that round whatever it measures.
-    params = SearchParams(m_init=j + 2.0 if n > 1 else 1.0)
-    out = exponential_search(oracle, params, float(j), Backend.ANALYTIC_SAMPLER, rng)
+    oracle = _first_marked(n, t)
+    out = exponential_search(oracle, SearchParams(), float(j), Backend.ANALYTIC_SAMPLER, rng)
     assert out.iterations_used == j
     assert rng.uniform_draws == (1 if t > 0 else 0)
     # With nothing marked the search is settled without a round (n >= 2),
@@ -348,45 +360,74 @@ def test_analytic_round_uses_the_closed_form_exactly(monkeypatch):
     # The round hits iff its uniform draw lies below its success probability.
     # A draw of p itself must miss and the next float below p must hit, which
     # pins the probability the round computed to p bit for bit.
-    monkeypatch.setattr(qsearch, "_round_schedule", _unclamped_schedule)
-    for n in range(1, 65):
-        for t in range(n + 1):
-            for j in range(13) if n > 1 else (0,):
-                p = success_probability(n, t, j)
-                if t == 0:
-                    assert not _scripted_round_hits(n, t, j, 0.0)
-                    continue
-                assert _scripted_round_hits(n, t, j, math.nextafter(p, -math.inf))
-                if t < n:
-                    assert not _scripted_round_hits(n, t, j, p)
+    def check(n, t, j):
+        p = success_probability(n, t, j)
+        if t == 0:
+            assert not _scripted_round_hits(n, t, j, 0.0)
+            return
+        assert _scripted_round_hits(n, t, j, math.nextafter(p, -math.inf))
+        if t < n:
+            assert not _scripted_round_hits(n, t, j, p)
+
+    for j in range(13):
+        # A cap of j + 2 makes j a legal draw.
+        monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(j + 2))
+        for n in range(2, 65):
+            for t in range(n + 1):
+                check(n, t, j)
+    # A one-index domain keeps the cap 1 and never draws.
+    monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(1))
+    for t in (0, 1):
+        check(1, t, 0)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_round_draw_is_randrange_draw_for_draw(seed):
+def test_round_draw_is_randrange_draw_for_draw(monkeypatch, seed):
     # With every index marked a round hits with probability exactly 1, so
-    # the search spends exactly its first round's j.  With n = high^2 and
-    # m_init = high that round's cap is high (the saturated caps at
-    # n = 16, 64, 1024 and 16384 are 4, 8, 32 and 128).  A twin stream that
+    # the search spends exactly its first round's j.  A twin stream that
     # calls randrange(high) and then the hit's uniform draw must give the
-    # same j and end in the same state.
+    # same j and end in the same state, for every cap up to 4096 (the
+    # saturated caps at n = 16, 64, 1024 and 16384 are 4, 8, 32 and 128).
     rng, twin = random.Random(seed), random.Random(seed)
     for high in range(2, 4097):
-        n = high * high
-        hit, used, interrupted = _analytic_search(n, n, math.inf, SearchParams(m_init=high), rng)
+        monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
+        hit, used, interrupted = _search(16, 16, math.inf, SearchParams(), rng)
         assert hit and not interrupted
         assert used == twin.randrange(high)
         twin.random()
         assert rng.getstate() == twin.getstate()
     # A cap of 1 draws no j at all, only the hit's uniform draw.
-    assert _analytic_search(1, 1, math.inf, SearchParams(), rng) == (True, 0, False)
+    monkeypatch.undo()
+    assert _search(1, 1, math.inf, SearchParams(), rng) == (True, 0, False)
     twin.random()
     assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_both_backends_run_the_rounds_of_one_schedule(monkeypatch, backend):
+    # Both backends take each round's cap from ``_round_schedule`` and draw
+    # j as randrange(cap) draws it.  With every index marked the first round
+    # hits, so the search spends exactly that j; a twin stream then makes
+    # the measurement's uniform draw and, on the analytic backend, the
+    # index draw, and must end in the same state.
+    n = 4
+    oracle = _first_marked(n, n)
+    rng, twin = random.Random(11), random.Random(11)
+    for high in range(2, 300):
+        monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
+        out = exponential_search(oracle, SearchParams(), math.inf, backend, rng)
+        assert not out.interrupted
+        assert out.iterations_used == twin.randrange(high)
+        twin.random()
+        if backend is Backend.ANALYTIC_SAMPLER:
+            assert out.index == twin.randrange(n)
+        assert rng.getstate() == twin.getstate()
 
 
 def _caps_round_by_round(n: int, params: SearchParams, rounds: int) -> tuple[list[int], int]:
     """The caps ceil(m) of the first ``rounds`` rounds, and how many had m < sqrt(n)."""
     m_cap = math.sqrt(n)
-    m = min(params.m_init, m_cap)
+    m = 1.0
     caps, growing = [], 0
     for _ in range(rounds):
         caps.append(math.ceil(m))
@@ -398,14 +439,13 @@ def _caps_round_by_round(n: int, params: SearchParams, rounds: int) -> tuple[lis
 def test_round_schedule_matches_the_round_by_round_caps():
     for n in [*range(1, 301), 16384]:
         for growth in (1.01, 8 / 7, 1.33):
-            for m_init in (1.0, math.sqrt(n), 2 * math.sqrt(n)):
-                params = SearchParams(growth=growth, m_init=m_init)
-                growing, saturated = _round_schedule(n, params)
-                rounds = len(growing) + 5
-                caps = [high for high, _ in growing] + [saturated[0]] * 5
-                assert (caps, len(growing)) == _caps_round_by_round(n, params, rounds)
-                for high, bits in (*growing, saturated):
-                    assert bits == high.bit_length()
+            params = SearchParams(growth=growth)
+            growing, saturated = _round_schedule(n, params)
+            rounds = len(growing) + 5
+            caps = [high for high, _ in growing] + [saturated[0]] * 5
+            assert (caps, len(growing)) == _caps_round_by_round(n, params, rounds)
+            for high, bits in (*growing, saturated):
+                assert bits == high.bit_length()
     # The benchmark's size passes 37 growing rounds before it saturates.
     assert len(_round_schedule(16384, SearchParams())[0]) == 37
 
@@ -416,14 +456,14 @@ def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed
     # it serves.  One marked index of 256: a search runs many rounds of many
     # iterations.
     evaluated = []
-    is_marked = FixedSetOracle.is_marked
+    is_marked = Oracle.is_marked
 
     def counting(self, indices):
         evaluated.append(self)
         return is_marked(self, indices)
 
-    monkeypatch.setattr(FixedSetOracle, "is_marked", counting)
-    oracle = FixedSetOracle(256, (7,))
+    monkeypatch.setattr(Oracle, "is_marked", counting)
+    oracle = _marking(256, (7,))
     rng = random.Random(seed)
     used = [
         exponential_search(oracle, SearchParams(), 500.0, Backend.EXACT_STATEVECTOR, rng).iterations_used
@@ -433,10 +473,31 @@ def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed
     assert len(evaluated) == 1 and evaluated[0] is oracle
 
 
-def test_both_oracle_classes_keep_one_ladder():
+def test_oracle_keeps_one_ladder():
     table = generate_table(16, "distinct", random.Random(1))
-    for oracle in (FixedSetOracle(16, (2, 5)), ThresholdOracle(table, int(table.order[3]))):
-        ladder = oracle.ladder
-        assert oracle.ladder is ladder
-        assert ladder.mask.tolist() == oracle.is_marked(np.arange(16)).tolist()
-        assert int(ladder.mask.sum()) == oracle.marked_count
+    oracle = Oracle(table.values < table.values[int(table.order[3])])
+    ladder = oracle.ladder
+    assert oracle.ladder is ladder
+    assert ladder.mask.tolist() == oracle.mask.tolist()
+    assert int(ladder.mask.sum()) == oracle.marked_count == 3
+
+
+class _PickStream:
+    """Stream stub whose ``randrange`` always gives ``k``."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def randrange(self, stop):
+        assert 0 <= self.k < stop
+        return self.k
+
+
+def test_oracle_samples_each_class_in_index_order():
+    # The k-th draw value picks the k-th marked (or unmarked) index in
+    # index order, whatever order the mask came from.
+    mask = np.array([False, True, True, False, False, True, False])
+    oracle = Oracle(mask)
+    marked, unmarked = [1, 2, 5], [0, 3, 4, 6]
+    assert [oracle.sample_marked(_PickStream(k)) for k in range(3)] == marked
+    assert [oracle.sample_unmarked(_PickStream(k)) for k in range(4)] == unmarked

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from qminfind import minfind
 from qminfind.harness import two_sample_chisquare
-
+from qminfind.qsearch import Backend, Oracle
 from qminfind.table import (
     Table,
-    ThresholdOracle,
     generate_table,
     read_table,
     sorted_table,
@@ -182,30 +182,46 @@ def test_minimum_with_duplicates():
     assert not table.is_minimum(0)
 
 
+def _threshold_oracle(table: Table, y: int) -> Oracle:
+    """The oracle of threshold y, as an exact pass of ``find_minimum`` builds it."""
+    return Oracle(table.values < table.values[y])
+
+
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 48))
 def test_threshold_marks_strictly_smaller_entries(seed, n):
+    # Every exact pass searches under an oracle marking exactly the entries
+    # strictly below its threshold; the threshold itself is never marked.
     rng = random.Random(seed)
     table = generate_table(n, "dup", rng, k=max(1, n // 2))
-    y = rng.randrange(n)
-    oracle = ThresholdOracle(table, y)
-    mask = oracle.is_marked(np.arange(n))
-    assert mask.tolist() == (table.values < table.values[y]).tolist()
-    assert oracle.marked_count == int(np.sum(mask))
-    # the threshold index itself is never marked (strict inequality)
-    assert not mask[y]
+    search = minfind.exponential_search
+    passes = []
 
+    def recording(oracle, params, budget, backend, stream):
+        outcome = search(oracle, params, budget, backend, stream)
+        passes.append((oracle, outcome.index))
+        return outcome
 
-def test_threshold_rejects_out_of_range_index():
-    table = generate_table(4, "distinct", random.Random(0))
-    with pytest.raises(IndexError):
-        ThresholdOracle(table, 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minfind, "exponential_search", recording)
+        result = minfind.find_minimum(
+            table, Backend.EXACT_STATEVECTOR, rng=rng, record_history=True
+        )
+    y = result.history[0][1]
+    for oracle, index in passes:
+        assert oracle.mask.tolist() == (table.values < table.values[y]).tolist()
+        assert oracle.marked_count == int(np.sum(oracle.mask))
+        assert not oracle.mask[y]
+        if oracle.mask[index]:
+            y = index
+    assert len(passes) == result.loop_passes
+    assert y == result.returned_index
 
 
 def test_sampling_stays_inside_each_class():
     rng = random.Random(3)
     table = generate_table(20, "distinct", rng)
     y = int(table.order[10])  # rank 11, so 10 marked
-    oracle = ThresholdOracle(table, y)
+    oracle = _threshold_oracle(table, y)
     for _ in range(100):
         assert table.values[oracle.sample_marked(rng)] < table.values[y]
         assert table.values[oracle.sample_unmarked(rng)] >= table.values[y]
@@ -213,7 +229,7 @@ def test_sampling_stays_inside_each_class():
 
 def test_sampling_errors_on_empty_class():
     table = generate_table(5, "distinct", random.Random(4))
-    at_min = ThresholdOracle(table, int(table.order[0]))
+    at_min = _threshold_oracle(table, int(table.order[0]))
     with pytest.raises(ValueError):
         at_min.sample_marked(random.Random(0))
 
@@ -222,7 +238,7 @@ def test_marked_sampling_is_uniform():
     rng = random.Random(8)
     table = generate_table(8, "distinct", rng)
     y = int(table.order[4])
-    oracle = ThresholdOracle(table, y)
+    oracle = _threshold_oracle(table, y)
     counts = {}
     draws = 8000
     for _ in range(draws):
