@@ -29,7 +29,9 @@ all of its exact searches.
 
 Verdict conventions: equality checks pass within max(0.01, 3 standard
 errors), one-sided bound checks require estimate + 3 SE below the bound,
-distribution comparisons use a chi-square threshold of p > 0.001.
+distribution comparisons use a chi-square threshold of p > 0.001, and
+equivalence's fixed-j frequencies an exact two-sided binomial test at the
+level of a 4-sigma normal test.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import binomtest
 from scipy.stats import chi2 as chi2_dist
 
 from . import __version__
@@ -101,6 +104,9 @@ _FLAGS = {"growth": "lambda", "dup_k": "mode", "table_path": "table"}
 
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
 CHI2_ALPHA = 1e-3
+# The two-sided level of a 4-sigma normal test, 2(1 - Phi(4)), held exactly
+# by the fixed-j rows' binomial test.
+FIXED_J_ALPHA = float(2.0 * ndtr(-4.0))
 # A table of n values holds three int64 arrays (values, order, ranks), so
 # 2^24 entries take about 400 MB; a bound sweep to m holds a few float64
 # arrays of length m, about 400 MB at 10^7.
@@ -649,10 +655,12 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
         p_true = success_probability(n, t, j)
         rng = derive_stream(config.seed, "eqv-fixedj", t, j)
         hits = sum(sample(cdf, rng) < t for _ in range(samples))
-        p_hat = hits / samples
-        tolerance = 4.0 * proportion_stderr(p_true, samples) + 1e-9
-        ok = abs(p_hat - p_true) <= tolerance
-        fixed_rows.append(_check_row("fixed-j", ok, tolerance, t, j, p_hat, p_true))
+        # Exact, so a probability near 0 or 1 keeps the nominal level.
+        p_value = float(binomtest(hits, samples, p_true).pvalue)
+        ok = p_value > FIXED_J_ALPHA
+        fixed_rows.append(
+            _check_row("fixed-j", ok, FIXED_J_ALPHA, t, j, hits / samples, p_true, p_value)
+        )
 
     params = config.search_params()
     budget = timeout_cap(n) if n >= 2 else float(n)

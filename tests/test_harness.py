@@ -23,7 +23,7 @@ from qminfind.harness import (
     uniform_chisquare,
     wilson_interval,
 )
-from qminfind.grover import GroverLadder
+from qminfind.grover import GroverLadder, success_probability
 from qminfind.minfind import find_minimum
 from qminfind.qsearch import Backend, Oracle
 from qminfind.seeding import derive_stream
@@ -338,6 +338,29 @@ def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(m
     report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=100, seed=1))
     failed = [(row["check"], row["t"]) for row in report.rows if not row["ok"]]
     assert ("outcome-distribution", 0) in failed
+
+@pytest.mark.parametrize("seed", [29, 31])
+def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeypatch, seed):
+    # At t = 2, j = 6 of n = 16 a hit has probability 0.99979, so one miss
+    # in 200 samples (about 4% likely) is no evidence against the law: the
+    # exact binomial test passes it.  Sampling the state one iteration late
+    # must still fail every row whose probability that moves by 0.25 or more.
+    config = ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=seed)
+    rows = [row for row in run_experiment(config).rows if row["check"] == "fixed-j"]
+    near_certain = next(row for row in rows if (row["t"], row["j"]) == (2, 6))
+    assert near_certain["estimate"] == 0.995 and near_certain["ok"]
+    assert all(row["ok"] for row in rows)
+
+    cdf = GroverLadder.cdf
+    monkeypatch.setattr(GroverLadder, "cdf", lambda self, j: cdf(self, j + 1))
+    late = [row for row in run_experiment(config).rows if row["check"] == "fixed-j"]
+    moved = [
+        row for row in late
+        if abs(success_probability(16, row["t"], row["j"] + 1) - row["expected"]) >= 0.25
+    ]
+    assert len(moved) >= 10
+    assert not any(row["ok"] for row in moved)
+
 
 def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
     # Each cell's oracle evaluates its predicate once, into one ladder that

@@ -61,60 +61,60 @@ rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
 EQUIVALENCE = """\
 check,t,j,estimate,expected,tolerance,p_value,ok
 closed-form,,12,5.218048215738236e-15,0.0,1e-09,,True
-fixed-j,0,0,0.0,0.0,1e-09,,True
-fixed-j,0,1,0.0,0.0,1e-09,,True
-fixed-j,0,2,0.0,0.0,1e-09,,True
-fixed-j,0,3,0.0,0.0,1e-09,,True
-fixed-j,0,4,0.0,0.0,1e-09,,True
-fixed-j,0,5,0.0,0.0,1e-09,,True
-fixed-j,0,6,0.0,0.0,1e-09,,True
-fixed-j,0,7,0.0,0.0,1e-09,,True
-fixed-j,0,8,0.0,0.0,1e-09,,True
-fixed-j,1,0,0.08666666666666667,0.0625,0.05590170043749474,,True
-fixed-j,1,1,0.49666666666666665,0.47265625,0.1152972560898329,,True
-fixed-j,1,2,0.88,0.908447265625,0.06660163509545272,,True
-fixed-j,1,3,0.9666666666666667,0.9613189697265625,0.04453301986341439,,True
-fixed-j,1,4,0.6133333333333333,0.5817041397094724,0.11391796763783052,,True
-fixed-j,1,5,0.11666666666666667,0.1254916787147522,0.07650482168928052,,True
-fixed-j,1,6,0.013333333333333334,0.020380768924951515,0.03263159565546992,,True
-fixed-j,1,7,0.31666666666666665,0.36491288826800855,0.11117589101071733,,True
-fixed-j,1,8,0.9033333333333333,0.8360891748598078,0.08549278948091722,,True
-fixed-j,2,0,0.13,0.12500000000000003,0.07637626258259735,,True
-fixed-j,2,1,0.7566666666666667,0.7812500000000001,0.09547032797824666,,True
-fixed-j,2,2,0.97,0.9453124999999999,0.05250868083803571,,True
-fixed-j,2,3,0.3333333333333333,0.330078125,0.10859749793775558,,True
-fixed-j,2,4,0.0033333333333333335,0.01220703125000009,0.02535930660359686,,True
-fixed-j,2,5,0.5733333333333334,0.5479736328125003,0.11493732433865476,,True
-fixed-j,2,6,1.0,0.9997863769531249,0.0033750262310678,,True
-fixed-j,2,7,0.6233333333333333,0.5769729614257806,0.11409356803088808,,True
-fixed-j,2,8,0.03,0.019456863403320264,0.031898417988788896,,True
-fixed-j,4,0,0.24,0.25,0.100000001,,True
-fixed-j,4,1,1.0,1.0,1e-09,,True
-fixed-j,4,2,0.26,0.24999999999999956,0.10000000099999994,,True
-fixed-j,4,3,0.23,0.2500000000000001,0.10000000100000002,,True
-fixed-j,4,4,1.0,1.0,1e-09,,True
-fixed-j,4,5,0.23666666666666666,0.24999999999999967,0.10000000099999996,,True
-fixed-j,4,6,0.25333333333333335,0.2500000000000008,0.1000000010000001,,True
-fixed-j,4,7,1.0,1.0,1e-09,,True
-fixed-j,4,8,0.23666666666666666,0.24999999999999978,0.10000000099999996,,True
-fixed-j,8,0,0.44666666666666666,0.5000000000000001,0.11547005483792516,,True
-fixed-j,8,1,0.48333333333333334,0.4999999999999996,0.11547005483792516,,True
-fixed-j,8,2,0.52,0.5000000000000002,0.11547005483792516,,True
-fixed-j,8,3,0.5033333333333333,0.4999999999999993,0.11547005483792515,,True
-fixed-j,8,4,0.5266666666666666,0.5000000000000006,0.11547005483792516,,True
-fixed-j,8,5,0.48,0.49999999999999944,0.11547005483792516,,True
-fixed-j,8,6,0.47,0.5000000000000006,0.11547005483792516,,True
-fixed-j,8,7,0.5066666666666667,0.4999999999999996,0.11547005483792516,,True
-fixed-j,8,8,0.5,0.5000000000000021,0.11547005483792516,,True
-fixed-j,16,0,1.0,1.0,1e-09,,True
-fixed-j,16,1,1.0,1.0,1e-09,,True
-fixed-j,16,2,1.0,1.0,1e-09,,True
-fixed-j,16,3,1.0,1.0,1e-09,,True
-fixed-j,16,4,1.0,1.0,1e-09,,True
-fixed-j,16,5,1.0,1.0,1e-09,,True
-fixed-j,16,6,1.0,1.0,1e-09,,True
-fixed-j,16,7,1.0,1.0,1e-09,,True
-fixed-j,16,8,1.0,1.0,1e-09,,True
+fixed-j,0,0,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,1,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,2,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,3,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,4,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,5,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,6,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,7,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,8,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,1,0,0.08666666666666667,0.0625,6.334248366623973e-05,0.09350314234471085,True
+fixed-j,1,1,0.49666666666666665,0.47265625,6.334248366623973e-05,0.4185058459912866,True
+fixed-j,1,2,0.88,0.908447265625,6.334248366623973e-05,0.08890038069300027,True
+fixed-j,1,3,0.9666666666666667,0.9613189697265625,6.334248366623973e-05,0.7644632997177476,True
+fixed-j,1,4,0.6133333333333333,0.5817041397094724,6.334248366623973e-05,0.292143962039084,True
+fixed-j,1,5,0.11666666666666667,0.1254916787147522,6.334248366623973e-05,0.7272848915188914,True
+fixed-j,1,6,0.013333333333333334,0.020380768924951515,6.334248366623973e-05,0.5378567879332738,True
+fixed-j,1,7,0.31666666666666665,0.36491288826800855,6.334248366623973e-05,0.09294291807508398,True
+fixed-j,1,8,0.9033333333333333,0.8360891748598078,6.334248366623973e-05,0.0010208340583449725,True
+fixed-j,2,0,0.13,0.12500000000000003,6.334248366623973e-05,0.7932427735520724,True
+fixed-j,2,1,0.7566666666666667,0.7812500000000001,6.334248366623973e-05,0.29552412561118147,True
+fixed-j,2,2,0.97,0.9453124999999999,6.334248366623973e-05,0.056959375473803434,True
+fixed-j,2,3,0.3333333333333333,0.330078125,6.334248366623973e-05,0.9023875003332471,True
+fixed-j,2,4,0.0033333333333333335,0.01220703125000009,6.334248366623973e-05,0.28155554953689715,True
+fixed-j,2,5,0.5733333333333334,0.5479736328125003,6.334248366623973e-05,0.38489139993292276,True
+fixed-j,2,6,1.0,0.9997863769531249,6.334248366623973e-05,1.0,True
+fixed-j,2,7,0.6233333333333333,0.5769729614257806,6.334248366623973e-05,0.11450896683104517,True
+fixed-j,2,8,0.03,0.019456863403320264,6.334248366623973e-05,0.20211244874853862,True
+fixed-j,4,0,0.24,0.25,6.334248366623973e-05,0.7389805144668815,True
+fixed-j,4,1,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,4,2,0.26,0.24999999999999956,6.334248366623973e-05,0.6892942315956309,True
+fixed-j,4,3,0.23,0.2500000000000001,6.334248366623973e-05,0.46340110805665435,True
+fixed-j,4,4,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,4,5,0.23666666666666666,0.24999999999999967,6.334248366623973e-05,0.640843676326119,True
+fixed-j,4,6,0.25333333333333335,0.2500000000000008,6.334248366623973e-05,0.8939784507261347,True
+fixed-j,4,7,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,4,8,0.23666666666666666,0.24999999999999978,6.334248366623973e-05,0.6408436763261197,True
+fixed-j,8,0,0.44666666666666666,0.5000000000000001,6.334248366623973e-05,0.0733119525988469,True
+fixed-j,8,1,0.48333333333333334,0.4999999999999996,6.334248366623973e-05,0.603405717872137,True
+fixed-j,8,2,0.52,0.5000000000000002,6.334248366623973e-05,0.5254419954235532,True
+fixed-j,8,3,0.5033333333333333,0.4999999999999993,6.334248366623973e-05,0.9539724855809664,True
+fixed-j,8,4,0.5266666666666666,0.5000000000000006,6.334248366623973e-05,0.38650982711273896,True
+fixed-j,8,5,0.48,0.49999999999999944,6.334248366623973e-05,0.525441995423553,True
+fixed-j,8,6,0.47,0.5000000000000006,6.334248366623973e-05,0.3263539919250459,True
+fixed-j,8,7,0.5066666666666667,0.4999999999999996,6.334248366623973e-05,0.8625270926954663,True
+fixed-j,8,8,0.5,0.5000000000000021,6.334248366623973e-05,1.0,True
+fixed-j,16,0,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,1,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,2,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,3,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,4,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,5,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,6,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,7,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,16,8,1.0,1.0,6.334248366623973e-05,1.0,True
 uniformity-hit-exact,0,,,,0.001,1.0,True
 uniformity-miss-exact,0,,,,0.001,0.8981194620718362,True
 uniformity-hit-analytic,0,,,,0.001,1.0,True
@@ -151,31 +151,31 @@ full-algorithm-success,,,1.0,1.0,0.0,,True
 EQUIVALENCE_LAMBDA = """\
 check,t,j,estimate,expected,tolerance,p_value,ok
 closed-form,,4,9.43689570931383e-16,0.0,1e-09,,True
-fixed-j,0,0,0.0,0.0,1e-09,,True
-fixed-j,0,1,0.0,0.0,1e-09,,True
-fixed-j,0,2,0.0,0.0,1e-09,,True
-fixed-j,0,3,0.0,0.0,1e-09,,True
-fixed-j,0,4,0.0,0.0,1e-09,,True
-fixed-j,1,0,0.15,0.12500000000000003,0.09354143566934854,,True
-fixed-j,1,1,0.82,0.7812500000000001,0.11692679433668565,,True
-fixed-j,1,2,0.96,0.9453124999999999,0.06430973733517718,,True
-fixed-j,1,3,0.355,0.330078125,0.13300422842047993,,True
-fixed-j,1,4,0.01,0.01220703125000009,0.031058680480057242,,True
-fixed-j,2,0,0.245,0.25,0.1224744881391589,,True
-fixed-j,2,1,1.0,1.0,1e-09,,True
-fixed-j,2,2,0.285,0.24999999999999956,0.12247448813915883,,True
-fixed-j,2,3,0.24,0.2500000000000001,0.12247448813915893,,True
-fixed-j,2,4,1.0,1.0,1e-09,,True
-fixed-j,4,0,0.5,0.5000000000000001,0.1414213572373095,,True
-fixed-j,4,1,0.45,0.4999999999999996,0.1414213572373095,,True
-fixed-j,4,2,0.49,0.5000000000000002,0.1414213572373095,,True
-fixed-j,4,3,0.4,0.4999999999999993,0.1414213572373095,,True
-fixed-j,4,4,0.535,0.5000000000000006,0.1414213572373095,,True
-fixed-j,8,0,1.0,1.0,1e-09,,True
-fixed-j,8,1,1.0,1.0,1e-09,,True
-fixed-j,8,2,1.0,1.0,1e-09,,True
-fixed-j,8,3,1.0,1.0,1e-09,,True
-fixed-j,8,4,1.0,1.0,1e-09,,True
+fixed-j,0,0,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,1,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,2,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,3,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,0,4,0.0,0.0,6.334248366623973e-05,1.0,True
+fixed-j,1,0,0.15,0.12500000000000003,6.334248366623973e-05,0.2845671764723673,True
+fixed-j,1,1,0.82,0.7812500000000001,6.334248366623973e-05,0.19992064751277322,True
+fixed-j,1,2,0.96,0.9453124999999999,6.334248366623973e-05,0.4376958088394636,True
+fixed-j,1,3,0.355,0.330078125,6.334248366623973e-05,0.4528392607493694,True
+fixed-j,1,4,0.01,0.01220703125000009,6.334248366623973e-05,1.0,True
+fixed-j,2,0,0.245,0.25,6.334248366623973e-05,0.9349705173409752,True
+fixed-j,2,1,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,2,2,0.285,0.24999999999999956,6.334248366623973e-05,0.2534291695805573,True
+fixed-j,2,3,0.24,0.2500000000000001,6.334248366623973e-05,0.8066172987437576,True
+fixed-j,2,4,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,4,0,0.5,0.5000000000000001,6.334248366623973e-05,1.0,True
+fixed-j,4,1,0.45,0.4999999999999996,6.334248366623973e-05,0.1789640395332509,True
+fixed-j,4,2,0.49,0.5000000000000002,6.334248366623973e-05,0.8320703744377608,True
+fixed-j,4,3,0.4,0.4999999999999993,6.334248366623973e-05,0.00568515599675034,True
+fixed-j,4,4,0.535,0.5000000000000006,6.334248366623973e-05,0.358003090624502,True
+fixed-j,8,0,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,8,1,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,8,2,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,8,3,1.0,1.0,6.334248366623973e-05,1.0,True
+fixed-j,8,4,1.0,1.0,6.334248366623973e-05,1.0,True
 uniformity-hit-exact,0,,,,0.001,1.0,True
 uniformity-miss-exact,0,,,,0.001,0.39238299814365263,True
 uniformity-hit-analytic,0,,,,0.001,1.0,True
