@@ -114,6 +114,10 @@ MAX_N = 2**24
 MAX_SWEEP = 10**7
 EXACT_BACKEND_MAX_N = 2**14
 EQUIVALENCE_MAX_N = 2**10
+# The closed-form check takes (n + 1)(j_max + 1) statevector iterations,
+# about 2.5 s at j_max = 64 and n = EQUIVALENCE_MAX_N, whose searches
+# never run more than ceil(sqrt(n)) - 1 = 31 iterations in a round.
+MAX_J = 64
 # Rank rows below this many (run, index) pairs carry no 0.01-scale
 # information and are reported but not asserted.
 MIN_ASSERT_PAIRS = 100
@@ -156,6 +160,11 @@ class ExperimentConfig:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if not 2 <= self.sweep_max <= MAX_SWEEP:
             raise ValueError(f"sweep_max must lie in 2..{MAX_SWEEP}, got {self.sweep_max}")
+        # Below these no equality row is asserted, so the verdict could not fail.
+        if not 0 <= self.j_max <= MAX_J:
+            raise ValueError(f"j_max must lie in 0..{MAX_J}, got {self.j_max}")
+        if self.max_rank < 1:
+            raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.workers < 1:

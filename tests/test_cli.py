@@ -239,11 +239,21 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
         (["run", "--n", str(2**24 + 1), "--runs", "1"], "1..16777216"),
         (["bounds", "--n", "64", "--sweep-max", "1000000000000"], "2..10000000"),
         (["bounds", "--n", "64", "--sweep-max", "1"], "2..10000000"),
+        (["equivalence", "--n", "1024", "--runs", "1", "--j-max", "100000000"], "0..64"),
+        (["equivalence", "--n", "16", "--runs", "1", "--j-max", "65"], "0..64"),
+        (["equivalence", "--n", "16", "--runs", "1", "--j-max", "-1"], "0..64"),
+        (["lemma1", "--n", "16", "--runs", "1", "--max-rank", "0"], ">= 1"),
+        (["lemma1", "--n", "16", "--runs", "1", "--max-rank", "-3"], ">= 1"),
     ],
-    ids=["n-huge", "n-just-over", "sweep-huge", "sweep-too-small"],
+    ids=[
+        "n-huge", "n-just-over", "sweep-huge", "sweep-too-small", "j-max-huge",
+        "j-max-just-over", "j-max-negative", "max-rank-zero", "max-rank-negative",
+    ],
 )
 def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
-    # Rejected while the config is built, before anything is allocated.
+    # Rejected while the config is built, before anything is allocated or
+    # iterated.  A negative --j-max or a --max-rank below 1 asserts no row,
+    # so its verdict could not fail; a huge --j-max would run for hours.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
