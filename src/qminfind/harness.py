@@ -160,7 +160,8 @@ class ExperimentConfig:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if not 2 <= self.sweep_max <= MAX_SWEEP:
             raise ValueError(f"sweep_max must lie in 2..{MAX_SWEEP}, got {self.sweep_max}")
-        # Below these no equality row is asserted, so the verdict could not fail.
+        # A negative j_max or a max_rank below 1 asserts no row, so the
+        # verdict could not fail; MAX_J bounds the closed-form check's time.
         if not 0 <= self.j_max <= MAX_J:
             raise ValueError(f"j_max must lie in 0..{MAX_J}, got {self.j_max}")
         if self.max_rank < 1:

@@ -163,7 +163,6 @@ def find_minimum(
             else:
                 rng.randrange(t, n)
         else:
-            # The threshold's oracle marks the entries strictly below it.
             oracle = Oracle(table.values < table.values[y])
             outcome = exponential_search(oracle, params, ledger.remaining, backend, rng)
             used, interrupted = outcome.iterations_used, outcome.interrupted

@@ -197,9 +197,9 @@ def _search(
         if truncated:
             j = int(remaining)
         if measure is None:
-            # Inline, not a per-round callable: a call per round costs the
-            # analytic loop about a fifth of its speed.  t = 0 here only on
-            # a one-index domain.  With every index marked the probability
+            # Inline, not a per-round callable: a call per round makes the
+            # analytic loop take about 15% longer.  t = 0 here only on a
+            # one-index domain.  With every index marked the probability
             # is exactly 1, so no search ends on a miss whose unmarked index
             # could not be drawn.
             hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
