@@ -160,10 +160,9 @@ class BoundReport:
     search_bounds: dict[int, float]
 
     @classmethod
-    def for_size(cls, n: int, t_grid: tuple[int, ...] | None = None) -> "BoundReport":
+    def for_size(cls, n: int) -> "BoundReport":
         _require_size(n, 2)
-        if t_grid is None:
-            t_grid = tuple(sorted({1, 2, max(1, n // 16), max(1, n // 4), n}))
+        t_grid = sorted({1, 2, max(1, n // 16), max(1, n // 4), n})
         return cls(
             n=n,
             expected_cost_bound=expected_cost_bound(n),

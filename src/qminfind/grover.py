@@ -15,7 +15,12 @@ and the statevector path is checked against it in the test suite.
 fixed predicate: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder evolves one
 amplitude vector in place, computes each iteration once, and keeps the
-measurement CDF of every state it has passed.
+measurement CDF of every state it has passed.  Both the exact backend
+and the closed-form check read a ladder.  ``StateVector``,
+``grover_iterate`` and ``marked_subset`` evolve one immutable state per
+iteration under a predicate queried afresh each time; no production path
+uses them, and they stay as the test suite's independent reference for
+the closed form and for the ladder's states, bit for bit.
 """
 from __future__ import annotations
 

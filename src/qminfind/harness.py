@@ -60,7 +60,7 @@ from .bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
-from .grover import grover_iterate, sample, success_probability, uniform_state
+from .grover import sample, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
 from .qsearch import Backend, Oracle, SearchParams, exponential_search
 from .seeding import derive_stream
@@ -114,8 +114,8 @@ MAX_N = 2**24
 MAX_SWEEP = 10**7
 EXACT_BACKEND_MAX_N = 2**14
 EQUIVALENCE_MAX_N = 2**10
-# The closed-form check takes (n + 1)(j_max + 1) statevector iterations,
-# about 2.5 s at j_max = 64 and n = EQUIVALENCE_MAX_N, whose searches
+# The closed-form check takes (n + 1)(j_max + 1) ladder iterations,
+# about 2 s at j_max = 64 and n = EQUIVALENCE_MAX_N, whose searches
 # never run more than ceil(sqrt(n)) - 1 = 31 iterations in a round.
 MAX_J = 64
 # Rank rows below this many (run, index) pairs carry no 0.01-scale
@@ -421,9 +421,10 @@ def _table_source(backend: Backend):
     return sorted_table if backend is Backend.ANALYTIC_SAMPLER else generate_table
 
 
-def _run_span(config: ExperimentConfig, key: tuple, record, fixed_table: Table | None, span):
+def _run_span(config: ExperimentConfig, key: tuple, record, span):
     params = config.search_params()
     draw_table = _table_source(config.backend)
+    fixed_table = config.fixed_table
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
         if fixed_table is None:
@@ -433,8 +434,8 @@ def _run_span(config: ExperimentConfig, key: tuple, record, fixed_table: Table |
         yield record(table, _run(config, params, table, rng))
 
 
-def _collect_span(config: ExperimentConfig, key: tuple, record, fixed_table: Table | None, span):
-    return list(_run_span(config, key, record, fixed_table, span))
+def _collect_span(config: ExperimentConfig, key: tuple, record, span):
+    return list(_run_span(config, key, record, span))
 
 
 def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
@@ -445,12 +446,14 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
     runs and send back its records; spans come back in order, so a fold
     over the records sees the same sequence for any worker count.
     """
-    fixed_table = config.fixed_table
+    # Read the table file here, before any worker starts: the cached table
+    # travels inside the pickled config, so no worker reads the file again.
+    config.fixed_table
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     if workers <= 1:
-        yield from _run_span(config, key, record, fixed_table, (0, config.runs))
+        yield from _run_span(config, key, record, (0, config.runs))
         return
-    span_records = functools.partial(_collect_span, config, key, record, fixed_table)
+    span_records = functools.partial(_collect_span, config, key, record)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for records in pool.map(span_records, _spans(config.runs, workers * 4)):
             yield from records
@@ -574,8 +577,7 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
 
 
 def _cost_record(table: Table, result: RunResult):
-    search_steps = result.total_spent - result.loop_passes * math.log2(len(table))
-    return result.first_hit_time, result.loop_passes, search_steps
+    return result.first_hit_time, result.loop_passes, result.search_steps
 
 
 def estimate_expected_cost(config: ExperimentConfig) -> Report:
@@ -613,16 +615,17 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
 
 
 def closed_form_deviation(n: int, j_max: int) -> float:
-    """Worst |statevector marked probability - closed form| over t and j <= j_max."""
+    """Worst |statevector marked probability - closed form| over t and j <= j_max.
+
+    The statevector side is the exact backend's own ladder: with indices
+    0..t-1 marked, the marked probability is the CDF at index t - 1.
+    """
     worst = 0.0
     for t in range(n + 1):
-        oracle = Oracle(np.arange(n) < t)
-        state = uniform_state(n)
+        ladder = Oracle(np.arange(n) < t).ladder
         for j in range(j_max + 1):
-            if j > 0:
-                state = grover_iterate(state, oracle.is_marked)
-            deviation = abs(state.subset_probability(oracle.is_marked) - success_probability(n, t, j))
-            worst = max(worst, deviation)
+            marked = float(ladder.cdf(j)[t - 1]) if t else 0.0
+            worst = max(worst, abs(marked - success_probability(n, t, j)))
     return worst
 
 

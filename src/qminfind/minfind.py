@@ -16,6 +16,11 @@ search with nothing marked never ends on its own.
 
 Classical bookkeeping (choosing the start index, comparisons, the final
 return) is free; only initializations and search iterations are charged.
+The loop keeps that whole account itself (time spent, passes, search
+iterations) and builds the one ``RunResult``, so nothing outside this
+module needs to know the lg N charge: ``search_steps`` is the iteration
+share of ``total_spent``, counted where it is charged.  A one-entry table
+and a cap of zero or less skip the loop.
 
 An exact pass builds the threshold's oracle, which marks the entries
 strictly smaller than T[y] (so y itself is never marked, and an
@@ -37,7 +42,6 @@ from .qsearch import Backend, Oracle, SearchParams, _search, exponential_search
 from .table import Table
 
 __all__ = [
-    "CostLedger",
     "RunResult",
     "find_minimum",
     "find_minimum_boosted",
@@ -49,37 +53,6 @@ __all__ = [
 INIT_CHARGE_POLICY = "charge-init-when-performed"
 
 
-@dataclass
-class CostLedger:
-    """Time-step account: lg N per initialization, 1 per search iteration.
-
-    ``spent`` can end up above ``cap`` by at most one initialization charge,
-    because the cap is only noticed once crossed; search iterations
-    themselves are truncated at the cap.
-    """
-
-    cap: float
-    spent: float = 0.0
-    init_charges: int = 0
-    iteration_charges: int = 0
-
-    def charge_init(self, n: int) -> None:
-        self.spent += math.log2(n)
-        self.init_charges += 1
-
-    def charge_iterations(self, count: int) -> None:
-        self.spent += count
-        self.iteration_charges += count
-
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self.cap - self.spent)
-
-    @property
-    def exceeded(self) -> bool:
-        return self.spent > self.cap
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one algorithm run.
@@ -87,8 +60,9 @@ class RunResult:
     ``first_hit_time`` is the time step at which the threshold first held a
     minimal value (None when unknown because history was off, or when the
     capped run never got there).  ``total_spent`` counts lg N per pass plus
-    all search iterations; ``cap`` is the step cap the run used (0 for a
-    one-entry table, which needs no step).
+    all search iterations, of which there are ``search_steps`` (an exact
+    integer count); ``cap`` is the step cap the run used (0 for a one-entry
+    table, which needs no step).
     """
 
     returned_index: int
@@ -96,25 +70,9 @@ class RunResult:
     first_hit_time: float | None
     total_spent: float
     loop_passes: int
+    search_steps: int
     cap: float
     history: list[tuple[float, int]] | None = field(default=None, compare=False)
-
-
-def _immediate_result(
-    table: Table, y: int, cap: float, record_history: bool, known_hit: bool
-) -> RunResult:
-    is_min = table.is_minimum(y)
-    history = [(0.0, y)] if record_history else None
-    first_hit = 0.0 if (record_history or known_hit) and is_min else None
-    return RunResult(
-        returned_index=y,
-        returned_is_minimum=is_min,
-        first_hit_time=first_hit,
-        total_spent=0.0,
-        loop_passes=0,
-        cap=cap,
-        history=history,
-    )
 
 
 def find_minimum(
@@ -139,51 +97,59 @@ def find_minimum(
     uncapped = timeout_override == math.inf
     record_history = record_history or uncapped
     if n == 1:
-        return _immediate_result(table, 0, 0.0, record_history, known_hit=True)
-    cap = timeout_cap(n) if timeout_override is None else float(timeout_override)
-    y = rng.randrange(n)
-    if cap <= 0.0:
-        return _immediate_result(table, y, cap, record_history, known_hit=False)
+        # The only entry is the minimum: no draw, no step.
+        y, cap = 0, 0.0
+    else:
+        cap = timeout_cap(n) if timeout_override is None else float(timeout_override)
+        y = rng.randrange(n)
 
-    history = [(0.0, y)] if record_history else None
-    ledger = CostLedger(cap=cap)
     analytic = backend is Backend.ANALYTIC_SAMPLER
     order, ranks = table.order, table.ranks
     # Entries strictly below the threshold: the marked count of its oracle.
     t = int(ranks[y]) - 1
-    first_hit = 0.0 if record_history and t == 0 else None
-    while not (uncapped and first_hit is not None):
-        ledger.charge_init(n)
+    history = [(0.0, y)] if record_history else None
+    first_hit = 0.0 if t == 0 and (record_history or n == 1) else None
+    # The account: lg N per initialization, one step per search iteration.
+    # ``spent`` can end above ``cap`` by at most one initialization, since
+    # the cap is only noticed once crossed; iterations are truncated at it.
+    lg_n = math.log2(n)
+    spent, passes, steps = 0.0, 0, 0
+    while cap > 0.0 and not (uncapped and t == 0):
+        spent += lg_n
+        passes += 1
+        remaining = max(0.0, cap - spent)
         if analytic:
             # A hit always improves the threshold; a miss still draws its
             # unmarked index, since later runs may share the stream.
-            improved, used, interrupted = _search(n, t, ledger.remaining, params, rng)
+            improved, used, interrupted = _search(n, t, remaining, params, rng)
             if improved:
                 y = int(order[rng.randrange(t)])
             else:
                 rng.randrange(t, n)
         else:
             oracle = Oracle(table.values < table.values[y])
-            outcome = exponential_search(oracle, params, ledger.remaining, backend, rng)
+            outcome = exponential_search(oracle, params, remaining, backend, rng)
             used, interrupted = outcome.iterations_used, outcome.interrupted
             improved = bool(oracle.mask[outcome.index])
             if improved:
                 y = outcome.index
-        ledger.charge_iterations(used)
+        spent += used
+        steps += used
         if improved:
             t = int(ranks[y]) - 1
             if record_history:
-                history.append((ledger.spent, y))
+                history.append((spent, y))
                 if first_hit is None and t == 0:
-                    first_hit = ledger.spent
-        if interrupted or ledger.exceeded:
+                    first_hit = spent
+        if interrupted or spent > cap:
             break
     return RunResult(
         returned_index=y,
         returned_is_minimum=t == 0,
         first_hit_time=first_hit,
-        total_spent=ledger.spent,
-        loop_passes=ledger.init_charges,
+        total_spent=spent,
+        loop_passes=passes,
+        search_steps=steps,
         cap=cap,
         history=history,
     )
@@ -215,11 +181,12 @@ def find_minimum_boosted(
         raise ValueError(f"unknown boost strategy {strategy!r}")
     best: RunResult | None = None
     total_spent = 0.0
-    total_passes = 0
+    total_passes = total_steps = 0
     for _ in range(c):
         result = find_minimum(table, backend, params, rng=rng)
         total_spent += result.total_spent
         total_passes += result.loop_passes
+        total_steps += result.search_steps
         if best is None or table.values[result.returned_index] < table.values[best.returned_index]:
             best = result
     return RunResult(
@@ -228,6 +195,7 @@ def find_minimum_boosted(
         first_hit_time=None,
         total_spent=total_spent,
         loop_passes=total_passes,
+        search_steps=total_steps,
         cap=best.cap,
         history=None,
     )

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 from collections import Counter
@@ -271,6 +272,24 @@ def test_expected_cost_report_compares_both_bounds():
     assert summary["mean_first_hit_time"] > 0
     assert summary["cost_bound"] == pytest.approx(45.0 + 0.7 * 16.0, abs=1e-9)
     assert summary["search_steps_bound"] > 0
+
+
+def test_expected_cost_search_steps_are_exact_integer_means():
+    # lg 10 is irrational, so only counted iterations, not total_spent less
+    # the init charges, give the exact mean of 2000 integers.
+    report = run_experiment(ExperimentConfig(experiment="expected-cost", n=10, runs=2000, seed=1))
+    assert report.summary["mean_search_steps"] == 1.294
+
+
+def test_pickled_config_carries_its_table_file(tmp_path):
+    # Workers get the config pickled, with the table it has already read.
+    path = tmp_path / "table.txt"
+    path.write_text("9\n4\n7\n1\n")
+    config = ExperimentConfig(experiment="success", n=4, runs=2, table_path=str(path))
+    table = config.fixed_table
+    path.unlink()
+    clone = pickle.loads(pickle.dumps(config))
+    assert np.array_equal(clone.fixed_table.values, table.values)
 
 
 def test_fixed_table_size_mismatch_is_an_error(tmp_path):

@@ -7,28 +7,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind.bounds import timeout_cap
-from qminfind.minfind import (
-    CostLedger,
-    find_minimum,
-    find_minimum_boosted,
-)
+from qminfind.minfind import find_minimum, find_minimum_boosted
 from qminfind.qsearch import Backend, SearchParams
 from qminfind.seeding import derive_stream
 from qminfind.table import Table, generate_table
 
 
-def test_ledger_accounting():
-    ledger = CostLedger(cap=20.0)
-    ledger.charge_init(64)
-    assert ledger.spent == pytest.approx(6.0)
-    ledger.charge_iterations(10)
-    assert ledger.remaining == pytest.approx(4.0)
-    assert not ledger.exceeded
-    ledger.charge_iterations(5)
-    assert ledger.exceeded
-    assert ledger.remaining == 0.0
-    assert ledger.init_charges == 1
-    assert ledger.iteration_charges == 15
+@pytest.mark.parametrize("backend", list(Backend))
+def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
+    table = generate_table(64, "distinct", random.Random(20))
+    for seed in range(20):
+        for timeout in (None, math.inf, 30.0):
+            rng = derive_stream(seed, "unit-account", backend.value)
+            result = find_minimum(table, backend, timeout_override=timeout, rng=rng)
+            assert isinstance(result.search_steps, int)
+            # lg 64 = 6 and every charge is an integer, so the sum is exact.
+            assert result.total_spent == result.loop_passes * 6 + result.search_steps
+    boosted = find_minimum_boosted(table, backend, c=3, rng=derive_stream(21, "unit-account"))
+    replay = derive_stream(21, "unit-account")
+    repetitions = [find_minimum(table, backend, rng=replay) for _ in range(3)]
+    assert boosted.search_steps == sum(r.search_steps for r in repetitions)
+    assert boosted.total_spent == boosted.loop_passes * 6 + boosted.search_steps
 
 
 def test_single_entry_table_is_immediate():
@@ -36,8 +35,11 @@ def test_single_entry_table_is_immediate():
     result = find_minimum(table, rng=random.Random(0))
     assert result.returned_index == 0
     assert result.returned_is_minimum
+    # Its only entry is the minimum, known before any step, history or not.
+    assert result.first_hit_time == 0.0
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
+    assert result.search_steps == 0
 
 
 def test_zero_cap_returns_unexamined_start():
@@ -45,6 +47,7 @@ def test_zero_cap_returns_unexamined_start():
     result = find_minimum(table, timeout_override=0.0, rng=random.Random(2))
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
+    assert result.search_steps == 0
     assert 0 <= result.returned_index < 32
 
 
