@@ -8,74 +8,39 @@ every marked amplitude, then invert every amplitude about the mean.
 
 Starting from the uniform state with t of N indices marked, j iterations
 rotate the marked-subset amplitude to sin((2j+1) * theta) with
-theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form,
-and the statevector path is checked against it in the test suite.
+theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form.
 
 ``GroverLadder`` serves searches that measure many rounds under one
 fixed predicate: every round starts from the uniform state, so the state
-after j iterations is the same in each of them.  The ladder evolves one
-amplitude vector in place, computes each iteration once, and keeps the
-measurement CDF of every state it has passed.  Both the exact backend
-and the closed-form check read a ladder.  ``StateVector``,
-``grover_iterate`` and ``marked_subset`` evolve one immutable state per
-iteration under a predicate queried afresh each time; no production path
-uses them, and they stay as the test suite's independent reference for
-the closed form and for the ladder's states, bit for bit.
+after j iterations is the same in each of them.  The ladder computes each
+iteration once and keeps the measurement CDF of every state it has
+passed.  Its j = 0 CDF is the uniform state's, which is the same for
+every predicate over N indices, so one read-only copy per N is shared by
+all ladders; the ladder builds its amplitude vector only at its first
+iteration.  Both the exact backend and the closed-form check read a
+ladder.  The test suite keeps an independent statevector reference
+(``tests/reference_grover.py``) that evolves one immutable state per
+iteration; the ladder's states match it bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "StateVector",
     "GroverLadder",
     "rotation_angle",
-    "uniform_state",
-    "grover_iterate",
     "success_probability",
     "sample",
-    "marked_subset",
 ]
 
 NORM_TOL = 1e-9
 
 # Predicate over basis indices: maps an int array to a bool array.
 MarkedPredicate = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized vector of complex amplitudes over basis indices.
-
-    Treat instances as immutable: operations return new vectors and never
-    modify their input, so states can be shared freely between concurrent
-    workers (each worker still needs its own random stream to measure).
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or len(amps) < 1:
-            raise ValueError("state needs at least one amplitude")
-        _check_norm(float(np.sum(np.abs(amps) ** 2)))
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
-
-    def probabilities(self) -> np.ndarray:
-        """Measurement distribution |a_i|^2."""
-        return np.abs(self.amplitudes) ** 2
-
-    def subset_probability(self, marked: MarkedPredicate) -> float:
-        """Total probability mass on indices satisfying ``marked``."""
-        mask = _evaluate(marked, len(self))
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
 
 
 def rotation_angle(n: int, t: int) -> float:
@@ -92,13 +57,6 @@ def rotation_angle(n: int, t: int) -> float:
     return math.asin(math.sqrt(t / n))
 
 
-def uniform_state(n: int) -> StateVector:
-    """Equal superposition 1/sqrt(n) over n basis indices."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return StateVector(np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128))
-
-
 def _check_norm(norm_sq: float) -> None:
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
@@ -111,55 +69,70 @@ def _evaluate(marked: MarkedPredicate, n: int) -> np.ndarray:
     return mask
 
 
+def _uniform_amplitudes(n: int) -> np.ndarray:
+    """Equal superposition 1/sqrt(n) over n basis indices."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+
+
 def _reflect(amps: np.ndarray, sign: np.ndarray) -> None:
     """One iteration in place: multiply by the +-1 phase ``sign``, then invert about the mean."""
     amps *= sign
-    np.subtract(2.0 * amps.mean(), amps, out=amps)
+    # The same float as ``amps.mean()``, which divides this sum by the
+    # count, without the method's dispatch.
+    np.subtract(2.0 * (amps.sum() / len(amps)), amps, out=amps)
 
 
-def grover_iterate(state: StateVector, marked: MarkedPredicate) -> StateVector:
-    """One iteration: phase-flip marked amplitudes, invert all about the mean.
+def _measured(amps: np.ndarray) -> np.ndarray:
+    """The cumulative |a_i|^2 of ``amps``, norm-checked and read-only."""
+    # The signs and the mean are real, so every imaginary part stays +-0 and
+    # the squared real part is |a|^2 bit for bit.
+    cdf = np.cumsum(np.square(amps.real))
+    _check_norm(float(cdf[-1]))
+    cdf.setflags(write=False)
+    return cdf
 
-    The predicate is queried afresh on every call (one oracle query per
-    iteration).  A search evolving many iterations under one predicate
-    uses ``GroverLadder``, which queries it once and yields bit for bit the
-    same states.
-    """
-    sign = np.where(_evaluate(marked, len(state)), -1.0, 1.0)
-    amps = state.amplitudes.copy()
-    _reflect(amps, sign)
-    return StateVector(amps)
+
+@lru_cache(maxsize=8)
+def _uniform_cdf(n: int) -> np.ndarray:
+    """The CDF of the uniform state over n indices, shared by every ladder of size n."""
+    return _measured(_uniform_amplitudes(n))
 
 
 class GroverLadder:
     """Measurement CDFs after 0, 1, 2, ... iterations from the uniform state.
 
-    The predicate is evaluated once, into ``mask``.  ``cdf(j)`` extends one
-    amplitude vector in place by the iterations not yet computed and keeps
-    the CDF of each state it passes (norm-checked once, read-only), so each
-    iteration is computed once and depth j holds j + 1 CDFs of n floats.
-    Oracles build their ladder on first use and keep it (``oracle.ladder``),
-    so a ladder lives as long as its oracle and serves all of its searches.
+    The predicate is evaluated once, into ``mask``.  ``cdf(0)`` is the
+    shared uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 builds
+    the amplitude vector; from then on ``cdf(j)`` extends it in place by the
+    iterations not yet computed and keeps the CDF of each state it passes
+    (norm-checked once, read-only), so each iteration is computed once and
+    depth j holds j + 1 CDFs of n floats.  Oracles build their ladder on
+    first use and keep it (``oracle.ladder``), so a ladder lives as long as
+    its oracle and serves all of its searches.
     """
 
     def __init__(self, marked: MarkedPredicate, n: int):
         self.mask = _evaluate(marked, n)
-        self._sign = np.where(self.mask, -1.0, 1.0)
-        self._amps = uniform_state(n).amplitudes.copy()
-        self._cdfs: list[np.ndarray] = []
+        self._cdfs = [_uniform_cdf(n)]
+        self._sign: np.ndarray | None = None
+        self._amps: np.ndarray | None = None
 
     def cdf(self, j: int) -> np.ndarray:
         """Cumulative |a_i|^2 of the state after j iterations."""
-        if j < 0:
-            raise ValueError("iteration count must be >= 0")
-        while len(self._cdfs) <= j:
-            if self._cdfs:
-                _reflect(self._amps, self._sign)
-            cdf = _cumulative(self._amps)
-            _check_norm(float(cdf[-1]))
-            cdf.setflags(write=False)
-            self._cdfs.append(cdf)
-        return self._cdfs[j]
+        cdfs = self._cdfs
+        if j < len(cdfs):
+            if j < 0:
+                raise ValueError("iteration count must be >= 0")
+            return cdfs[j]
+        if self._amps is None:
+            self._sign = np.where(self.mask, -1.0, 1.0)
+            self._amps = _uniform_amplitudes(len(self.mask))
+        while len(cdfs) <= j:
+            _reflect(self._amps, self._sign)
+            cdfs.append(_measured(self._amps))
+        return cdfs[j]
 
 
 def success_probability(n: int, t: int, j: int) -> float:
@@ -173,10 +146,6 @@ def success_probability(n: int, t: int, j: int) -> float:
     return math.sin((2 * j + 1) * rotation_angle(n, t)) ** 2
 
 
-def _cumulative(amps: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.abs(amps) ** 2)
-
-
 def sample(cdf: np.ndarray, rng) -> int:
     """Draw index i with probability proportional to cdf[i] - cdf[i-1].
 
@@ -185,15 +154,5 @@ def sample(cdf: np.ndarray, rng) -> int:
     """
     # Scaling by the total and clamping guard the top end against float
     # round-off in the cumulative sum.
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
     return min(idx, len(cdf) - 1)
-
-
-def marked_subset(indices: Sequence[int]) -> MarkedPredicate:
-    """Predicate marking exactly the given indices (test/demo helper)."""
-    index_set = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
-
-    def predicate(idx: np.ndarray) -> np.ndarray:
-        return np.isin(idx, index_set)
-
-    return predicate

@@ -97,10 +97,6 @@ class Table:
             object.__setattr__(self, "_ranks", ranks)
         return self._ranks
 
-    def is_minimum(self, i: int) -> bool:
-        """True when index i holds a minimal value (ties all count)."""
-        return int(self.ranks[i]) == 1
-
 
 def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:
     """Draw a fresh random table.

@@ -32,10 +32,10 @@ from qminfind.bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
-from qminfind.grover import grover_iterate, marked_subset, uniform_state
 from qminfind.harness import ExperimentConfig, closed_form_deviation, run_experiment
 from qminfind.qsearch import Backend, Oracle, SearchParams, exponential_search
 from qminfind.seeding import derive_stream
+from reference_grover import grover_iterate, marked_subset, uniform_state
 
 SEED = 104729
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qminfind import __version__
 from qminfind.cli import _SUBCOMMANDS, build_parser, main
@@ -375,3 +379,99 @@ def test_timing_line_carries_the_git_revision(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bounds", "--n", "8", "--sweep-max", "100")
     assert code == 0
     assert err.rstrip().endswith(f"[qminfind {__version__}]")
+
+
+# Small and invalid values for every flag.  --n is always given (n <= 64),
+# and so is --runs (runs <= 50) whenever the subcommand reads it; --workers
+# never asks for more than one process, so no case allocates much or
+# starts a pool.  "@dir" stands for
+# a directory holding the table files below.
+FUZZ_VALUES = {
+    "seed": st.integers(-3, 2**70).map(str),
+    "backend": st.sampled_from(["exact", "analytic", "quantum"]),
+    "lambda": st.sampled_from(["1", "1.05", "1.3", "1.34", "nan", "inf", "x"]),
+    "mode": st.sampled_from(["distinct", "dup:1", "dup:3", "dup:0", "dup:", "dup:99", "triple"]),
+    "boost": st.sampled_from(["-1", "0", "1", "2", "x"]),
+    "boost-strategy": st.sampled_from(["repeat", "extend", "twice"]),
+    "timeout": st.sampled_from(["-1", "0", "0.5", "7", "1e12", "inf", "nan", "x"]),
+    "format": st.sampled_from(["json", "csv", "yaml"]),
+    "out": st.just("@dir/missing/report.json"),
+    "table": st.sampled_from(
+        ["@dir/distinct.txt", "@dir/dup.txt", "@dir/empty.txt", "@dir/words.txt", "@dir/missing.txt"]
+    ),
+    "workers": st.sampled_from(["-1", "0", "1"]),
+    "max-rank": st.integers(-1, 12).map(str),
+    "j-max": st.integers(-1, 65).map(str),
+    "sweep-max": st.sampled_from(["-1", "1", "2", "100", "5000", "x"]),
+}
+FUZZ_TABLES = {
+    "distinct.txt": "5\n-2\n9\n0\n7\n4\n1\n8\n",
+    "dup.txt": "3\n3\n1\n3\n1\n1\n3\n1\n",
+    "empty.txt": "",
+    "words.txt": "1\ntwo\n",
+}
+
+
+def _rarely(draw, values: list) -> list:
+    """One of ``values`` in about one case of ten, else nothing."""
+    return [draw(st.sampled_from(values))] if draw(st.integers(0, 9)) == 7 else []
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    argv = _rarely(draw, ["bogus", "--n"]) or [command]
+    argv += ["--n", str(draw(st.integers(-2, 64)))]
+    # Without --runs a subcommand reading it would make 10 000 runs.
+    if "runs" in READS[command] or _rarely(draw, [True]):
+        argv += ["--runs", str(draw(st.integers(-1, 50)))]
+    # Mostly flags the subcommand reads, now and then one it does not.
+    reads = sorted(flag for flag in FUZZ_VALUES if flag in READS[command] | {"format", "out"})
+    flags = draw(st.lists(st.sampled_from(reads), unique=True, max_size=4))
+    flags += _rarely(draw, sorted(set(FUZZ_VALUES) - set(flags)))
+    for flag in flags:
+        argv += [f"--{flag}", draw(FUZZ_VALUES[flag])]
+    return argv + _rarely(draw, ["--bogus", "stray", "--seed"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_TABLES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
+    argv = [arg.replace("@dir", str(fuzz_dir)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error" in err.getvalue(), argv
+    else:
+        assert out.getvalue() != "", argv
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "message"),
+    [
+        (["success", "--n", "33554432", "--runs", "1"], 2, "n must lie in 1..16777216"),
+        (["success", "--n", "64", "--runs", "1", "--workers", "0"], 2, "workers must be >= 1"),
+        # One run can never lift the success verdict's lower bound to 1/2.
+        (["success", "--n", "4", "--runs", "1", "--backend", "exact", "--timeout", "1e12"], 1, "FAIL"),
+    ],
+    ids=["n-huge", "workers-zero", "exact-huge-timeout"],
+)
+def test_fixed_argv_exits_promptly_in_a_subprocess(argv, code, message):
+    result = _cli_subprocess(*argv)
+    assert result.returncode == code
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr

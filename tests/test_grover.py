@@ -7,16 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind import grover
-from qminfind.grover import (
-    GroverLadder,
-    StateVector,
-    grover_iterate,
-    marked_subset,
-    rotation_angle,
-    sample,
-    success_probability,
-    uniform_state,
-)
+from qminfind.grover import GroverLadder, rotation_angle, sample, success_probability
+from reference_grover import StateVector, grover_iterate, marked_subset, uniform_state
 
 # Success curve for 2 marked of 8, derived by hand from the rotation angle
 # asin(sqrt(2/8)) = pi/6: probabilities cycle 1/4, 1, 1/4, 1/4, 1, ...
@@ -208,3 +200,33 @@ def test_ladder_checks_the_norm_of_every_state(monkeypatch):
     ladder.cdf(0)
     with pytest.raises(ValueError, match="not normalized"):
         ladder.cdf(1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_uniform_cdf_is_shared_read_only_and_equals_the_reference(n):
+    first = GroverLadder(marked_subset([0]), n)
+    second = GroverLadder(marked_subset(range(n // 2)), n)
+    cdf = first.cdf(0)
+    assert second.cdf(0) is cdf
+    assert np.array_equal(cdf, np.cumsum(uniform_state(n).probabilities()))
+    with pytest.raises(ValueError):
+        cdf[0] = 0.0
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_ladder_reflects_only_as_deep_as_asked(monkeypatch, depth):
+    calls = 0
+    reflect = grover._reflect
+
+    def counting(amps, sign):
+        nonlocal calls
+        calls += 1
+        reflect(amps, sign)
+
+    monkeypatch.setattr(grover, "_reflect", counting)
+    ladder = GroverLadder(marked_subset([2, 5]), 16)
+    for j in range(depth, -1, -1):
+        ladder.cdf(j)
+    assert calls == depth
+    # Only an iteration needs the ladder's own amplitude vector.
+    assert (ladder._amps is None) == (depth == 0)

@@ -164,7 +164,6 @@ def test_ranks_sort_consistently(seed, n):
     # order lists indices by ascending value; ranks inverts that listing
     assert table.ranks[table.order].tolist() == list(range(1, n + 1))
     assert table.ranks[int(table.order[0])] == 1
-    assert table.is_minimum(int(table.order[0]))
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 40), k=st.integers(1, 6))
@@ -178,8 +177,8 @@ def test_equal_values_share_the_lowest_rank(seed, n, k):
 def test_minimum_with_duplicates():
     table = Table(np.array([4, 1, 1, 9]), distinct=False)
     assert table.values.min() == 1
-    assert table.is_minimum(1) and table.is_minimum(2)
-    assert not table.is_minimum(0)
+    assert table.ranks[1] == 1 and table.ranks[2] == 1
+    assert table.ranks[0] != 1
 
 
 def _threshold_oracle(table: Table, y: int) -> Oracle:
