@@ -11,22 +11,22 @@ rotate the marked-subset amplitude to sin((2j+1) * theta) with
 theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form.
 
 ``GroverLadder`` serves searches that measure many rounds under one
-fixed predicate: every round starts from the uniform state, so the state
+fixed marked set: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
 passed.  Its j = 0 CDF is the uniform state's, which is the same for
-every predicate over N indices, so one read-only copy per N is shared by
+every marked set over N indices, so one read-only copy per N is shared by
 all ladders; the ladder builds its amplitude vector only at its first
 iteration.  Both the exact backend and the closed-form check read a
 ladder.  The test suite keeps an independent statevector reference
 (``tests/reference_grover.py``) that evolves one immutable state per
-iteration; the ladder's states match it bit for bit.
+iteration under a predicate queried afresh each time; the ladder's states
+match it bit for bit.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -38,9 +38,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
-
-# Predicate over basis indices: maps an int array to a bool array.
-MarkedPredicate = Callable[[np.ndarray], np.ndarray]
 
 
 def rotation_angle(n: int, t: int) -> float:
@@ -60,13 +57,6 @@ def rotation_angle(n: int, t: int) -> float:
 def _check_norm(norm_sq: float) -> None:
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
-
-
-def _evaluate(marked: MarkedPredicate, n: int) -> np.ndarray:
-    mask = np.asarray(marked(np.arange(n)), dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError(f"predicate returned shape {mask.shape}, expected ({n},)")
-    return mask
 
 
 def _uniform_amplitudes(n: int) -> np.ndarray:
@@ -103,19 +93,22 @@ def _uniform_cdf(n: int) -> np.ndarray:
 class GroverLadder:
     """Measurement CDFs after 0, 1, 2, ... iterations from the uniform state.
 
-    The predicate is evaluated once, into ``mask``.  ``cdf(0)`` is the
-    shared uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 builds
-    the amplitude vector; from then on ``cdf(j)`` extends it in place by the
-    iterations not yet computed and keeps the CDF of each state it passes
-    (norm-checked once, read-only), so each iteration is computed once and
-    depth j holds j + 1 CDFs of n floats.  Oracles build their ladder on
-    first use and keep it (``oracle.ladder``), so a ladder lives as long as
-    its oracle and serves all of its searches.
+    ``mask`` is the marked set: a 1-D boolean array of size n, kept as
+    given, so an oracle's ladder reads the oracle's own read-only mask.
+    ``cdf(0)`` is the shared uniform CDF of size n.  The first ``cdf(j)``
+    with j >= 1 builds the amplitude vector; from then on ``cdf(j)``
+    extends it in place by the iterations not yet computed and keeps the
+    CDF of each state it passes (norm-checked once, read-only), so each
+    iteration is computed once and depth j holds j + 1 CDFs of n floats.
+    Oracles build their ladder on first use and keep it (``oracle.ladder``),
+    so a ladder lives as long as its oracle and serves all of its searches.
     """
 
-    def __init__(self, marked: MarkedPredicate, n: int):
-        self.mask = _evaluate(marked, n)
-        self._cdfs = [_uniform_cdf(n)]
+    def __init__(self, mask: np.ndarray):
+        if mask.ndim != 1:
+            raise ValueError(f"mask has shape {mask.shape}, expected (n,)")
+        self.mask = mask
+        self._cdfs = [_uniform_cdf(len(mask))]
         self._sign: np.ndarray | None = None
         self._amps: np.ndarray | None = None
 

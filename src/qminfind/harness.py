@@ -31,7 +31,9 @@ Verdict conventions: equality checks pass within max(0.01, 3 standard
 errors), one-sided bound checks require estimate + 3 SE below the bound,
 distribution comparisons use a chi-square threshold of p > 0.001, and
 equivalence's fixed-j frequencies an exact two-sided binomial test at the
-level of a 4-sigma normal test.
+level of a 4-sigma normal test.  Only ``equivalence`` runs those two tests,
+so scipy is imported inside them: importing it takes about a second, which
+every other experiment and every import of the package would otherwise pay.
 """
 from __future__ import annotations
 
@@ -47,9 +49,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import binomtest
-from scipy.stats import chi2 as chi2_dist
 
 from . import __version__
 from .bounds import (
@@ -102,11 +101,12 @@ EXPERIMENT_FIELDS = {
 # The command-line flag of each field whose flag is not its name hyphenated.
 _FLAGS = {"growth": "lambda", "dup_k": "mode", "table_path": "table"}
 
-Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
+# The two-sided 99% normal quantile, float(scipy.special.ndtri(0.995)).
+Z99 = 2.5758293035489004
 CHI2_ALPHA = 1e-3
 # The two-sided level of a 4-sigma normal test, 2(1 - Phi(4)), held exactly
-# by the fixed-j rows' binomial test.
-FIXED_J_ALPHA = float(2.0 * ndtr(-4.0))
+# by the fixed-j rows' binomial test: float(2 * scipy.special.ndtr(-4)).
+FIXED_J_ALPHA = 6.334248366623973e-05
 # A table of n values holds three int64 arrays (values, order, ranks), so
 # 2^24 entries take about 400 MB; a bound sweep to m holds a few float64
 # arrays of length m, about 400 MB at 10^7.
@@ -330,6 +330,14 @@ def proportion_stderr(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail P(X >= stat) of the chi-square law with ``dof`` degrees of freedom."""
+    from scipy.special import chdtrc
+
+    # The function ``scipy.stats.chi2.sf(stat, dof)`` evaluates.
+    return float(chdtrc(dof, stat))
+
+
 def two_sample_chisquare(
     counts_a: Counter, counts_b: Counter, min_pooled: int = 10
 ) -> tuple[float, float, int]:
@@ -363,7 +371,7 @@ def two_sample_chisquare(
     ratio_ba = math.sqrt(total_a / total_b)
     stat = sum((a * ratio_ab - b * ratio_ba) ** 2 / (a + b) for a, b in bins)
     dof = len(bins) - 1
-    return float(stat), float(chi2_dist.sf(stat, dof)), dof
+    return float(stat), _chi2_sf(stat, dof), dof
 
 
 def uniform_chisquare(counts: np.ndarray) -> tuple[float, float, int]:
@@ -380,7 +388,7 @@ def uniform_chisquare(counts: np.ndarray) -> tuple[float, float, int]:
     expected = total / k
     stat = float(np.sum((counts - expected) ** 2 / expected))
     dof = k - 1
-    return stat, float(chi2_dist.sf(stat, dof)), dof
+    return stat, _chi2_sf(stat, dof), dof
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +667,8 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     closed form; search rows check that hit and miss indices are uniform
     within their class and that both backends' (hit, iterations) laws agree.
     """
+    from scipy.stats import binomtest
+
     n = config.n
     oracle = Oracle(np.arange(n) < t)
     samples = min(config.runs, 20_000)

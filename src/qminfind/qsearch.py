@@ -99,11 +99,11 @@ class Oracle:
     """Marks the indices 0..n-1 where a boolean mask is True.
 
     The mask is copied and kept read-only.  The exact backend reads the
-    oracle through ``ladder``; the analytic one through ``marked_count``
-    and the ``sample_*`` draws, which pick uniformly among the marked or
-    unmarked indices taken in index order.  Equivalence cells mark
-    ``np.arange(n) < t``; an exact pass of ``find_minimum`` marks the
-    entries strictly below its threshold's value.
+    oracle through ``ladder``, which shares that mask; the analytic one
+    through ``marked_count`` and the ``sample_*`` draws, which pick
+    uniformly among the marked or unmarked indices taken in index order.
+    Equivalence cells mark ``np.arange(n) < t``; an exact pass of
+    ``find_minimum`` marks the entries strictly below its threshold's value.
     """
 
     def __init__(self, mask):
@@ -121,7 +121,7 @@ class Oracle:
     @cached_property
     def ladder(self) -> GroverLadder:
         """The exact backend's states, built on first use and kept by the oracle."""
-        return GroverLadder(self.is_marked, self.n)
+        return GroverLadder(self.mask)
 
     def sample_marked(self, rng) -> int:
         return self._sample(True, rng)

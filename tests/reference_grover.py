@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from qminfind.grover import MarkedPredicate, _check_norm, _evaluate
+from qminfind.grover import _check_norm
+
+# Predicate over basis indices: maps an int array to a bool array.
+MarkedPredicate = Callable[[np.ndarray], np.ndarray]
+
+
+def _evaluate(marked: MarkedPredicate, n: int) -> np.ndarray:
+    mask = np.asarray(marked(np.arange(n)), dtype=bool)
+    if mask.shape != (n,):
+        raise ValueError(f"predicate returned shape {mask.shape}, expected ({n},)")
+    return mask
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,44 @@ def _cli_subprocess(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+_SCIPY_FREE_START = """
+import contextlib, io, json, sys
+from qminfind.cli import main
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+codes = [quiet(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+equivalence = quiet(["equivalence", "--n", "4", "--runs", "50"])
+print(json.dumps({"codes": codes, "loaded": loaded, "equivalence": equivalence,
+                  "scipy_after_equivalence": "scipy" in sys.modules}))
+"""
+
+
+def test_only_equivalence_loads_scipy():
+    # Importing the package and running every other experiment loads no
+    # scipy module; equivalence, which needs its statistics, still runs.
+    argvs = [
+        ["run", "--n", "16", "--runs", "20", "--seed", "1"],
+        ["lemma1", "--n", "64", "--runs", "50", "--seed", "1"],
+        ["success", "--n", "64", "--runs", "50", "--seed", "1"],
+        ["cost", "--n", "64", "--runs", "50", "--seed", "1"],
+        ["bounds", "--n", "64", "--sweep-max", "1000"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_START, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome["codes"] == [0] * len(argvs)
+    assert outcome["loaded"] == []
+    assert outcome["equivalence"] == 0
+    assert outcome["scipy_after_equivalence"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_non_finite_timeout_is_config_error(value):
     result = _cli_subprocess("success", "--n", "4", "--runs", "1", f"--timeout={value}")

@@ -142,6 +142,13 @@ def test_measure_returns_valid_index():
         assert 0 <= sample(cdf, rng) < 7
 
 
+def _ladder(indices, n: int) -> GroverLadder:
+    """A ladder over n indices marking ``indices``, as a read-only mask."""
+    mask = marked_subset(indices)(np.arange(n))
+    mask.setflags(write=False)
+    return GroverLadder(mask)
+
+
 def test_marked_subset_predicate():
     pred = marked_subset([3, 1, 3])
     assert pred(np.arange(5)).tolist() == [False, True, False, True, False]
@@ -152,7 +159,7 @@ def test_ladder_cdfs_equal_the_iterate_chain_bit_for_bit(n):
     depth = math.ceil(math.sqrt(n))
     for t in sorted({0, 1, n // 2, n}):
         marked = marked_subset(range(t))
-        ladder = GroverLadder(marked, n)
+        ladder = _ladder(range(t), n)
         # Jump to the deepest state first: the ones below it must be kept.
         ladder.cdf(depth)
         state = uniform_state(n)
@@ -162,32 +169,34 @@ def test_ladder_cdfs_equal_the_iterate_chain_bit_for_bit(n):
             assert np.array_equal(ladder.cdf(j), np.cumsum(state.probabilities())), (t, j)
 
 
-def test_ladder_evaluates_the_predicate_once():
-    calls = 0
-
-    def counting(indices):
-        nonlocal calls
-        calls += 1
-        return np.isin(indices, [1, 4])
-
-    ladder = GroverLadder(counting, 16)
+def test_ladder_reads_the_mask_it_is_given():
+    # The ladder neither copies nor rebuilds its marked set: however deep it
+    # goes, in whatever order, it keeps the very array it was given, and its
+    # states mark exactly that set.
+    mask = np.isin(np.arange(16), [1, 4])
+    mask.setflags(write=False)
+    ladder = GroverLadder(mask)
     for j in (3, 0, 4, 2):
-        ladder.cdf(j)
-    assert calls == 1
+        cdf = ladder.cdf(j)
+        marked = np.diff(cdf, prepend=0.0)[mask].sum()
+        assert marked == pytest.approx(success_probability(16, 2, j), abs=1e-12)
+    assert ladder.mask is mask
     assert ladder.mask.tolist() == [i in (1, 4) for i in range(16)]
 
 
 def test_ladder_cdfs_are_read_only():
-    cdf = GroverLadder(marked_subset([0]), 8).cdf(1)
+    cdf = _ladder([0], 8).cdf(1)
     with pytest.raises(ValueError):
         cdf[0] = 0.0
 
 
 def test_ladder_rejects_bad_input():
     with pytest.raises(ValueError, match="iteration count"):
-        GroverLadder(marked_subset([0]), 8).cdf(-1)
+        _ladder([0], 8).cdf(-1)
     with pytest.raises(ValueError, match="shape"):
-        GroverLadder(lambda idx: np.array([True]), 4)
+        GroverLadder(np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        GroverLadder(np.array(True))
 
 
 def test_ladder_checks_the_norm_of_every_state(monkeypatch):
@@ -196,7 +205,7 @@ def test_ladder_checks_the_norm_of_every_state(monkeypatch):
         amps *= 1.001
 
     monkeypatch.setattr(grover, "_reflect", leaky)
-    ladder = GroverLadder(marked_subset([0]), 8)
+    ladder = _ladder([0], 8)
     ladder.cdf(0)
     with pytest.raises(ValueError, match="not normalized"):
         ladder.cdf(1)
@@ -204,8 +213,8 @@ def test_ladder_checks_the_norm_of_every_state(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 7, 1024])
 def test_uniform_cdf_is_shared_read_only_and_equals_the_reference(n):
-    first = GroverLadder(marked_subset([0]), n)
-    second = GroverLadder(marked_subset(range(n // 2)), n)
+    first = _ladder([0], n)
+    second = _ladder(range(n // 2), n)
     cdf = first.cdf(0)
     assert second.cdf(0) is cdf
     assert np.array_equal(cdf, np.cumsum(uniform_state(n).probabilities()))
@@ -224,7 +233,7 @@ def test_ladder_reflects_only_as_deep_as_asked(monkeypatch, depth):
         reflect(amps, sign)
 
     monkeypatch.setattr(grover, "_reflect", counting)
-    ladder = GroverLadder(marked_subset([2, 5]), 16)
+    ladder = _ladder([2, 5], 16)
     for j in range(depth, -1, -1):
         ladder.cdf(j)
     assert calls == depth

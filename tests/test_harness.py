@@ -78,6 +78,29 @@ def test_chisquare_matches_scipy_reference():
     assert dof == 2
 
 
+def test_replaced_scipy_calls_match_scipy_bit_for_bit():
+    # The package computes these without importing scipy.stats; the
+    # constants are literals and the chi-square tail calls chdtrc directly.
+    from scipy import stats
+    from scipy.special import ndtr, ndtri
+
+    assert harness.Z99 == float(ndtri(0.995))
+    assert harness.FIXED_J_ALPHA == float(2.0 * ndtr(-4.0))
+    rng = np.random.default_rng(12)
+    for dof in range(1, 201):
+        for stat in (0.0, 1e-3, 0.5 * dof, dof - 1.0, dof, dof + 3.0 * math.sqrt(2 * dof), 4.0 * dof + 50):
+            assert harness._chi2_sf(stat, dof) == float(stats.chi2.sf(stat, dof)), (stat, dof)
+        flat = np.full(dof + 1, 40)
+        for counts in (flat, rng.poisson(40, dof + 1), flat + np.arange(dof + 1) % 7 * 9):
+            stat, p, k = uniform_chisquare(counts)
+            assert k == dof and p == float(stats.chi2.sf(stat, dof)), (counts, dof)
+            a = Counter(dict(enumerate(counts.tolist())))
+            b = Counter(dict(enumerate(rng.poisson(40, dof + 1).tolist())))
+            for other in (a, b):
+                stat, p, k = two_sample_chisquare(a, other, min_pooled=1)
+                assert k == dof and p == float(stats.chi2.sf(stat, dof)), (a, other)
+
+
 def test_chisquare_identical_samples():
     a = Counter({0: 10, 1: 20})
     assert two_sample_chisquare(a, a) == (0.0, 1.0, 1)
@@ -382,38 +405,46 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
 
 
 def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
-    # Each cell's oracle evaluates its predicate once, into one ladder that
-    # serves the cell's fixed-j draws and all of its exact searches.  The
-    # cell oracles are the ones whose ladder is built inside a cell.
-    ladder_oracles = []
+    # Each cell builds one oracle and one ladder on that oracle's own mask,
+    # which serves the cell's fixed-j draws and all of its exact searches;
+    # no cell evaluates its marked set again.
+    oracles = []
+    ladders = []
     evaluated = []
-    cell_oracles = {}
+    cells = {}
+    make_oracle = Oracle.__init__
     build = GroverLadder.__init__
     is_marked = Oracle.is_marked
     cell = harness._equivalence_cell
 
-    def counting_build(self, marked, n):
-        ladder_oracles.append(marked.__self__)
-        build(self, marked, n)
+    def counting_oracle(self, mask):
+        oracles.append(self)
+        make_oracle(self, mask)
+
+    def counting_build(self, mask):
+        ladders.append((self, mask))
+        build(self, mask)
 
     def counting_is_marked(self, indices):
         evaluated.append(self)
         return is_marked(self, indices)
 
     def recording_cell(config, t):
-        built = len(ladder_oracles)
+        made, built = len(oracles), len(ladders)
         rows = cell(config, t)
-        cell_oracles[t] = ladder_oracles[built:]
+        cells[t] = oracles[made:], ladders[built:]
         return rows
 
+    monkeypatch.setattr(Oracle, "__init__", counting_oracle)
     monkeypatch.setattr(GroverLadder, "__init__", counting_build)
     monkeypatch.setattr(Oracle, "is_marked", counting_is_marked)
     monkeypatch.setattr(harness, "_equivalence_cell", recording_cell)
     run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=1))
-    assert sorted(cell_oracles) == harness._equivalence_cells(16)
-    for t, (oracle,) in cell_oracles.items():
+    assert sorted(cells) == harness._equivalence_cells(16)
+    for t, ((oracle,), ((ladder, mask),)) in cells.items():
         assert oracle.marked_count == t
-        assert sum(o is oracle for o in evaluated) == 1
+        assert ladder is oracle.ladder and mask is oracle.mask
+    assert not evaluated
 
 
 class _InlineExecutor:

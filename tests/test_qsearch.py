@@ -452,17 +452,26 @@ def test_round_schedule_matches_the_round_by_round_caps():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed):
-    # Stronger than once per search: once per oracle, however many searches
-    # it serves.  One marked index of 256: a search runs many rounds of many
-    # iterations.
+    # Stronger than once per search: the marked set is evaluated once per
+    # oracle, when the oracle is built, however many searches it serves.
+    # Its one ladder reads the oracle's own mask, so no search evaluates or
+    # copies the set again.  One marked index of 256: a search runs many
+    # rounds of many iterations.
+    built = []
     evaluated = []
+    build = qsearch.GroverLadder.__init__
     is_marked = Oracle.is_marked
 
-    def counting(self, indices):
+    def counting_build(self, mask):
+        built.append((self, mask))
+        build(self, mask)
+
+    def counting_is_marked(self, indices):
         evaluated.append(self)
         return is_marked(self, indices)
 
-    monkeypatch.setattr(Oracle, "is_marked", counting)
+    monkeypatch.setattr(qsearch.GroverLadder, "__init__", counting_build)
+    monkeypatch.setattr(Oracle, "is_marked", counting_is_marked)
     oracle = _marking(256, (7,))
     rng = random.Random(seed)
     used = [
@@ -470,7 +479,10 @@ def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed
         for _ in range(4)
     ]
     assert min(used) > 0
-    assert len(evaluated) == 1 and evaluated[0] is oracle
+    assert len(built) == 1
+    ladder, mask = built[0]
+    assert ladder is oracle.ladder and mask is oracle.mask
+    assert not evaluated
 
 
 def test_oracle_keeps_one_ladder():
@@ -478,7 +490,7 @@ def test_oracle_keeps_one_ladder():
     oracle = Oracle(table.values < table.values[int(table.order[3])])
     ladder = oracle.ladder
     assert oracle.ladder is ladder
-    assert ladder.mask.tolist() == oracle.mask.tolist()
+    assert ladder.mask is oracle.mask
     assert int(ladder.mask.sum()) == oracle.marked_count == 3
 
 
