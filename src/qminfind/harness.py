@@ -457,7 +457,9 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
     # Read the table file here, before any worker starts: the cached table
     # travels inside the pickled config, so no worker reads the file again.
     config.fixed_table
-    workers = min(config.workers, config.runs, os.cpu_count() or 1)
+    workers = min(config.workers, config.runs)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield from _run_span(config, key, record, (0, config.runs))
         return
@@ -473,8 +475,7 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
 
 def _lemma1_record(table: Table, result: RunResult):
     ranks = table.ranks
-    chosen = ranks[[y for _, y in result.history]]
-    return table.distinct, ranks, chosen
+    return table.distinct, ranks, [ranks.item(y) for _, y in result.history]
 
 
 def estimate_rank_selection(config: ExperimentConfig) -> Report:
@@ -484,11 +485,23 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
+    # Runs share one ranks array over a stretch (the shared sorted table, a
+    # table file, or one span's unpickled records), so each stretch's ranks
+    # are counted once and scaled by its length; dup-mode and exact runs
+    # draw a table per run and make stretches of one.  The fold holds O(n)
+    # state whatever the number of runs.
     represented = np.zeros(config.n + 1, dtype=np.int64)
-    chosen = np.zeros(config.n + 1, dtype=np.int64)
+    chosen = [0] * (config.n + 1)
+    stretch, stretch_runs = None, 0
     for distinct, ranks, chosen_ranks in _map_runs(config, ("lemma1",), _lemma1_record):
-        represented += np.bincount(ranks, minlength=config.n + 1)
-        chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
+        if ranks is not stretch:
+            if stretch is not None:
+                represented += stretch_runs * np.bincount(stretch, minlength=config.n + 1)
+            stretch, stretch_runs = ranks, 0
+        stretch_runs += 1
+        for r in chosen_ranks:
+            chosen[r] += 1
+    represented += stretch_runs * np.bincount(stretch, minlength=config.n + 1)
 
     # Every run sees the same kind of table (the file's, or the mode's), so
     # the last run's flag holds for all of them.
@@ -499,7 +512,7 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
         pairs = int(represented[r])
         if pairs == 0:
             continue
-        hits = int(chosen[r])
+        hits = chosen[r]
         p_hat = hits / pairs
         theory = 1.0 / r
         se = proportion_stderr(p_hat, pairs)

@@ -9,7 +9,7 @@ with equal probability, in an expected O(sqrt(N/t)) iterations; with t = 0
 it would run forever, so a time-step budget bounds it from outside.
 
 One loop, ``_search``, runs the rounds of both backends over the counts N
-and t: the caps ceil(m) (computed once per (N, params) by
+and t: the caps ceil(m) (computed once per (N, growth) by
 ``_round_schedule``), the j draw, truncation to the budget and the stop
 rule.  The backends differ only in how a round is measured:
 
@@ -142,13 +142,16 @@ class Oracle:
 
 
 @lru_cache(maxsize=64)
-def _round_schedule(n: int, params: SearchParams) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
     """The caps of a search's rounds over a domain of n, with their bit lengths.
 
     Returns the ``(ceil(m), bit length)`` pairs of the rounds whose cap m is
     still growing (m < sqrt(N)), then the pair of the saturated cap that
     every later round uses.  They come from the float recurrence
     ``m = min(growth * m, sqrt(N))`` from m = 1; no other code steps it.
+    The cache is keyed on the growth float, not on the frozen
+    ``SearchParams``, whose generated ``__hash__`` and ``__eq__`` would cost
+    every search a few tenths of a microsecond more.
     """
     m_cap = math.sqrt(n)
     m = 1.0
@@ -156,7 +159,7 @@ def _round_schedule(n: int, params: SearchParams) -> tuple[tuple[tuple[int, int]
     while m < m_cap:
         high = math.ceil(m)
         growing.append((high, high.bit_length()))
-        m = min(params.growth * m, m_cap)
+        m = min(growth * m, m_cap)
     high = math.ceil(m_cap)
     return tuple(growing), (high, high.bit_length())
 
@@ -179,7 +182,7 @@ def _search(
         # iteration counts have spent the budget down to its floor, the last
         # one truncated if need be.
         return False, int(budget), True
-    growing, saturated = _round_schedule(n, params)
+    growing, saturated = _round_schedule(n, params.growth)
     theta = rotation_angle(n, t)
     getrandbits = rng.getrandbits
     uniform = rng.random

@@ -289,6 +289,40 @@ def test_lemma1_report_includes_all_ranks():
     assert report.summary["minimum_always_chosen"]
 
 
+
+@pytest.mark.parametrize(
+    ("fields", "table_values"),
+    [
+        ({}, None),
+        ({"mode": "dup", "dup_k": 3}, None),
+        ({"backend": Backend.EXACT_STATEVECTOR}, None),
+        ({}, [4, 2, 7, 2, 9, 0, 4, 0]),
+        ({"workers": 2}, [4, 2, 7, 2, 9, 0, 4, 0]),
+    ],
+    ids=["distinct", "dup", "exact", "table-ties", "table-ties-workers-2"],
+)
+def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_values):
+    # The report counts a stretch of runs sharing one ranks array once; the
+    # reference counts every run's ranks and chosen ranks with its own
+    # bincount over the same records.
+    if table_values is not None:
+        path = tmp_path / "table.txt"
+        path.write_text("".join(f"{v}\n" for v in table_values))
+        fields = {**fields, "table_path": str(path)}
+    config = ExperimentConfig(experiment="lemma1", n=8, runs=300, seed=4, **fields)
+    represented = np.zeros(config.n + 1, dtype=np.int64)
+    chosen = np.zeros(config.n + 1, dtype=np.int64)
+    for _, ranks, chosen_ranks in harness._map_runs(config, ("lemma1",), harness._lemma1_record):
+        represented += np.bincount(ranks, minlength=config.n + 1)
+        chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
+    report = run_experiment(config)
+    rows = {row["rank"]: (row["pairs"], row["ever_chosen"]) for row in report.rows}
+    expected = {
+        r: (int(represented[r]), int(chosen[r])) for r in range(1, config.n + 1) if represented[r]
+    }
+    assert rows == expected
+
+
 def test_expected_cost_report_compares_both_bounds():
     report = run_experiment(ExperimentConfig(experiment="expected-cost", n=16, runs=300, seed=10))
     summary = report.summary

@@ -1,4 +1,4 @@
-"""Report bytes pinned for nine configs of five experiments.
+"""Report bytes pinned for thirteen configs of five experiments.
 
 Every run or draw uses its own stream (seed, experiment key, index), and
 a report is a deterministic fold of those runs, so a refactor of the run
@@ -7,9 +7,10 @@ here means some run now draws a different stream, or folds differently.
 A deliberate stream change (for example a new table or rank sampler)
 updates the pinned text below and records the change in CHANGES.md.
 
-The lemma1 config runs 40 000 runs so that its verdict, which must pass,
-tests every rank at 4 standard errors or more: at 200 runs the 3 SE
-per-rank test rejected 14 of 400 seeds of correct code.
+The distinct lemma1 config runs 40 000 runs so that its verdict, which must
+pass, tests every rank at 4 standard errors or more: at 200 runs the 3 SE
+per-rank test rejected 14 of 400 seeds of correct code.  The other lemma1
+configs either compare as an upper bound (ties) or assert ranks 1..4 only.
 """
 import pytest
 
@@ -205,6 +206,49 @@ full-algorithm-success,,,1.0,1.0,0.0,,True
 """
 
 
+# The lemma1 fold counts each run's table once per stretch of runs sharing
+# it, so these pin the three kinds of table stream: one new drawn table per
+# run (dup mode, and every exact run) and one table file shared by all.
+LEMMA1_DUP = """\
+rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
+1,5344,2000,0.37425149700598803,1.0,0.006619854712996055,0.019859564138988164,True,True
+2,1288,280,0.21739130434782608,0.5,0.011493055057340893,0.03447916517202268,True,True
+3,1847,342,0.18516513264753653,0.3333333333333333,0.009038179449617326,0.02711453834885198,True,True
+4,2005,310,0.1546134663341646,0.25,0.008074100163332787,0.024222300489998363,True,True
+5,1992,290,0.14558232931726908,0.2,0.007902141019030997,0.02370642305709299,True,True
+6,1983,232,0.11699445284921836,0.16666666666666666,0.007217769258360518,0.02165330777508155,True,True
+7,2044,239,0.11692759295499021,0.14285714285714285,0.007107489330250137,0.02132246799075041,True,True
+8,1874,180,0.096051227321238,0.125,0.006806730811411536,0.020420192434234607,True,True
+9,1210,148,0.12231404958677686,0.1111111111111111,0.009419222602217898,0.028257667806653695,True,True
+10,413,33,0.07990314769975787,0.1,0.013342084619858283,0.040026253859574853,True,True
+"""
+
+LEMMA1_TIES = """\
+rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
+1,4000,2000,0.5,1.0,0.007905694150420948,0.023717082451262844,True,True
+3,6000,1224,0.204,0.3333333333333333,0.00520230718047291,0.015606921541418729,True,True
+6,6000,752,0.12533333333333332,0.16666666666666666,0.004274437368217578,0.012823312104652734,True,True
+9,2000,226,0.113,0.1111111111111111,0.0070792301841372555,0.021237690552411766,True,True
+10,4000,371,0.09275,0.1,0.004586595619301968,0.013759786857905904,True,True
+12,2000,171,0.0855,0.08333333333333333,0.006252589463574272,0.018757768390722816,True,True
+"""
+
+LEMMA1_EXACT = """\
+rank,pairs,ever_chosen,frequency,theory,stderr,margin,asserted,ok
+1,2000,2000,1.0,1.0,0.0,0.01,True,True
+2,2000,1032,0.516,0.5,0.011174614087296258,0.03352384226188877,True,True
+3,2000,656,0.328,0.3333333333333333,0.01049799980948752,0.03149399942846256,True,True
+4,2000,466,0.233,0.25,0.009452803816857726,0.02835841145057318,True,True
+5,2000,408,0.204,0.2,0.009010660353159474,0.027031981059478422,False,True
+6,2000,344,0.172,0.16666666666666666,0.0084384832760396,0.0253154498281188,False,True
+7,2000,278,0.139,0.14285714285714285,0.0077355995242773526,0.023206798572832057,False,True
+8,2000,255,0.1275,0.125,0.007458007441669658,0.022374022325008975,False,True
+"""
+
+# Twelve values with ties, the minimum among them.
+TIES_TABLE = "4 2 7 2 9 0 4 0 6 2 7 4".split()
+
+
 SUCCESS_16384 = """\
 runs,successes,success_fraction,wilson99_low,wilson99_high,floor,mean_spent,mean_loop_passes
 20,20,1.0,0.7508945989012465,1.0,0.5,3154.0,10.05
@@ -244,4 +288,26 @@ runs,successes,success_fraction,wilson99_low,wilson99_high,floor,mean_spent,mean
 )
 def test_csv_report_bytes_are_pinned(capsys, argv, expected):
     assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["--n", "10", "--runs", "2000", "--seed", "9", "--mode", "dup:4"], LEMMA1_DUP),
+        (["--n", "12", "--runs", "2000", "--seed", "9", "--table", "{ties}"], LEMMA1_TIES),
+        (
+            ["--n", "12", "--runs", "2000", "--seed", "9", "--table", "{ties}", "--workers", "2"],
+            LEMMA1_TIES,
+        ),
+        (["--n", "8", "--runs", "2000", "--seed", "9", "--backend", "exact", "--max-rank", "4"],
+         LEMMA1_EXACT),
+    ],
+    ids=["dup", "table-ties", "table-ties-workers-2", "exact"],
+)
+def test_lemma1_fold_report_bytes_are_pinned(tmp_path, capsys, argv, expected):
+    path = tmp_path / "ties.txt"
+    path.write_text("\n".join(TIES_TABLE) + "\n")
+    argv = [str(path) if arg == "{ties}" else arg for arg in argv]
+    assert main(["lemma1", *argv, "--format", "csv"]) == 0
     assert capsys.readouterr().out == expected

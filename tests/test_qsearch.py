@@ -335,7 +335,7 @@ class _ScriptedStream:
 
 def _fixed_cap(high: int):
     """A round schedule whose every round has the cap ``high``, even above sqrt(n)."""
-    return lambda n, params: ((), (high, high.bit_length()))
+    return lambda n, growth: ((), (high, high.bit_length()))
 
 
 def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
@@ -440,14 +440,28 @@ def test_round_schedule_matches_the_round_by_round_caps():
     for n in [*range(1, 301), 16384]:
         for growth in (1.01, 8 / 7, 1.33):
             params = SearchParams(growth=growth)
-            growing, saturated = _round_schedule(n, params)
+            growing, saturated = _round_schedule(n, params.growth)
             rounds = len(growing) + 5
             caps = [high for high, _ in growing] + [saturated[0]] * 5
             assert (caps, len(growing)) == _caps_round_by_round(n, params, rounds)
             for high, bits in (*growing, saturated):
                 assert bits == high.bit_length()
     # The benchmark's size passes 37 growing rounds before it saturates.
-    assert len(_round_schedule(16384, SearchParams())[0]) == 37
+    assert len(_round_schedule(16384, SearchParams().growth)[0]) == 37
+
+
+def test_round_schedule_is_cached_per_size_and_growth():
+    # Two SearchParams built apart with equal growth share one cache entry:
+    # the key is the growth float, so no search hashes or compares params.
+    _round_schedule.cache_clear()
+    first, second = SearchParams(growth=1.2), SearchParams(growth=1.2)
+    assert first is not second
+    rng = random.Random(3)
+    _search(64, 1, math.inf, first, rng)
+    hits = _round_schedule.cache_info().hits
+    _search(64, 1, math.inf, second, rng)
+    info = _round_schedule.cache_info()
+    assert (info.hits, info.currsize) == (hits + 1, 1)
 
 
 @pytest.mark.parametrize("seed", range(5))
