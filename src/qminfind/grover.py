@@ -17,8 +17,9 @@ iteration once and keeps the measurement CDF of every state it has
 passed.  Its j = 0 CDF is the uniform state's, which is the same for
 every marked set over N indices, so one read-only copy per N is shared by
 all ladders; the ladder builds its amplitude vector only at its first
-iteration.  Both the exact backend and the closed-form check read a
-ladder.  The test suite keeps an independent statevector reference
+iteration.  The ladder is the one holder of a marked set: the exact
+backend's searches and equivalence's closed-form check both read one.
+The test suite keeps an independent statevector reference
 (``tests/reference_grover.py``) that evolves one immutable state per
 iteration under a predicate queried afresh each time; the ladder's states
 match it bit for bit.
@@ -93,20 +94,22 @@ def _uniform_cdf(n: int) -> np.ndarray:
 class GroverLadder:
     """Measurement CDFs after 0, 1, 2, ... iterations from the uniform state.
 
-    ``mask`` is the marked set: a 1-D boolean array of size n, kept as
-    given, so an oracle's ladder reads the oracle's own read-only mask.
-    ``cdf(0)`` is the shared uniform CDF of size n.  The first ``cdf(j)``
-    with j >= 1 builds the amplitude vector; from then on ``cdf(j)``
-    extends it in place by the iterations not yet computed and keeps the
-    CDF of each state it passes (norm-checked once, read-only), so each
-    iteration is computed once and depth j holds j + 1 CDFs of n floats.
-    Oracles build their ladder on first use and keep it (``oracle.ladder``),
-    so a ladder lives as long as its oracle and serves all of its searches.
+    ``mask`` is the marked set: a 1-D boolean array of size n >= 1, kept
+    as given and made read-only, since the states the ladder keeps hold
+    only for the set they were computed under.  ``cdf(0)`` is the shared
+    uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 builds the
+    amplitude vector; from then on ``cdf(j)`` extends it in place by the
+    iterations not yet computed and keeps the CDF of each state it passes
+    (norm-checked once, read-only), so each iteration is computed once and
+    depth j holds j + 1 CDFs of n floats.  A ladder serves every exact
+    search under its marked set: an exact pass of ``find_minimum`` builds
+    one per threshold, an equivalence cell one per (n, t).
     """
 
     def __init__(self, mask: np.ndarray):
-        if mask.ndim != 1:
-            raise ValueError(f"mask has shape {mask.shape}, expected (n,)")
+        if mask.ndim != 1 or len(mask) < 1:
+            raise ValueError(f"mask has shape {mask.shape}, expected (n,) with n >= 1")
+        mask.setflags(write=False)
         self.mask = mask
         self._cdfs = [_uniform_cdf(len(mask))]
         self._sign: np.ndarray | None = None

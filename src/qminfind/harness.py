@@ -24,8 +24,9 @@ wall-clock data; timing goes to stderr in the CLI layer.
 
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
 config per backend.  Its other checks take one pass per (n, t) cell under
-one oracle, whose statevector ladder serves the cell's fixed-j draws and
-all of its exact searches.
+one ``GroverLadder`` marking 0..t-1, which serves the cell's fixed-j draws
+and all of its exact searches; both backends' searches go through
+``qsearch.search``, the call every algorithm run makes.
 
 Verdict conventions: equality checks pass within max(0.01, 3 standard
 errors), one-sided bound checks require estimate + 3 SE below the bound,
@@ -59,9 +60,9 @@ from .bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
-from .grover import sample, success_probability
+from .grover import GroverLadder, sample, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
-from .qsearch import Backend, Oracle, SearchParams, exponential_search
+from .qsearch import Backend, SearchParams, search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table, sorted_table
 
@@ -109,9 +110,14 @@ CHI2_ALPHA = 1e-3
 FIXED_J_ALPHA = 6.334248366623973e-05
 # A table of n values holds three int64 arrays (values, order, ranks), so
 # 2^24 entries take about 400 MB; a bound sweep to m holds a few float64
-# arrays of length m, about 400 MB at 10^7.
+# arrays of length m, about 400 MB at 10^7.  10^9 runs take about 14 h at
+# 19k runs/s, and stay within the int64 span edges of ``_spans``.
 MAX_N = 2**24
 MAX_SWEEP = 10**7
+MAX_RUNS = 10**9
+# From c = 54 on, the boosted floor 1 - 2^-c is exactly 1.0 in float64, so a
+# larger c changes no verdict, only the work (c repetitions or c caps).
+MAX_BOOST = 53
 EXACT_BACKEND_MAX_N = 2**14
 EQUIVALENCE_MAX_N = 2**10
 # The closed-form check takes (n + 1)(j_max + 1) ladder iterations,
@@ -166,8 +172,8 @@ class ExperimentConfig:
             raise ValueError(f"j_max must lie in 0..{MAX_J}, got {self.j_max}")
         if self.max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise ValueError(f"runs must lie in 1..{MAX_RUNS}, got {self.runs}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         SearchParams(growth=self.growth)  # validates the growth factor
@@ -175,8 +181,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown table mode {self.mode!r}")
         if self.mode == "dup" and (self.dup_k is None or not 1 <= self.dup_k <= self.n):
             raise ValueError(f"duplicates mode needs 1 <= k <= {self.n}, got {self.dup_k}")
-        if self.boost is not None and self.boost < 1:
-            raise ValueError("boost count must be >= 1")
+        if self.boost is not None and not 1 <= self.boost <= MAX_BOOST:
+            raise ValueError(f"boost count must lie in 1..{MAX_BOOST}, got {self.boost}")
         if self.boost_strategy not in ("repeat", "extend"):
             raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
         if self.boost is None and self.boost_strategy != "repeat":
@@ -638,12 +644,12 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
 def closed_form_deviation(n: int, j_max: int) -> float:
     """Worst |statevector marked probability - closed form| over t and j <= j_max.
 
-    The statevector side is the exact backend's own ladder: with indices
+    The statevector side is the exact backend's ladder: with indices
     0..t-1 marked, the marked probability is the CDF at index t - 1.
     """
     worst = 0.0
     for t in range(n + 1):
-        ladder = Oracle(np.arange(n) < t).ladder
+        ladder = GroverLadder(np.arange(n) < t)
         for j in range(j_max + 1):
             marked = float(ladder.cdf(j)[t - 1]) if t else 0.0
             worst = max(worst, abs(marked - success_probability(n, t, j)))
@@ -674,20 +680,21 @@ def _check_row(
 def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], list[dict]]:
     """The fixed-j rows and the search rows of the cell with indices 0..t-1 marked.
 
-    One oracle serves the whole cell, so its ladder computes each iteration
-    once for the exact fixed-j draws and every exact search.  Fixed-j rows
+    One ladder serves the whole cell, so it computes each iteration once
+    for the exact fixed-j draws and every exact search.  Fixed-j rows
     compare measurement frequencies at pinned iteration counts with the
     closed form; search rows check that hit and miss indices are uniform
     within their class and that both backends' (hit, iterations) laws agree.
+    With 0..t-1 marked, an analytic search's class position is its index.
     """
     from scipy.stats import binomtest
 
     n = config.n
-    oracle = Oracle(np.arange(n) < t)
+    ladder = GroverLadder(np.arange(n) < t)
     samples = min(config.runs, 20_000)
     fixed_rows = []
     for j in range(min(config.j_max, 8) + 1):
-        cdf = oracle.ladder.cdf(j)
+        cdf = ladder.cdf(j)
         p_true = success_probability(n, t, j)
         rng = derive_stream(config.seed, "eqv-fixedj", t, j)
         hits = sum(sample(cdf, rng) < t for _ in range(samples))
@@ -705,11 +712,12 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     for backend in Backend:
         law = laws[backend] = Counter()
         index_counts = np.zeros(n, dtype=np.int64)
+        search_ladder = ladder if backend is Backend.EXACT_STATEVECTOR else None
         for i in range(config.runs):
             rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
-            outcome = exponential_search(oracle, params, budget, backend, rng)
-            law[(outcome.index < t, outcome.iterations_used)] += 1
-            index_counts[outcome.index] += 1
+            hit, used, _, index = search(n, t, budget, params, rng, search_ladder)
+            law[(hit, used)] += 1
+            index_counts[index] += 1
         for label, class_counts in (("hit", index_counts[:t]), ("miss", index_counts[t:])):
             _, p_uniform, _ = uniform_chisquare(class_counts)
             check = f"uniformity-{label}-{backend.value}"

@@ -22,15 +22,16 @@ module needs to know the lg N charge: ``search_steps`` is the iteration
 share of ``total_spent``, counted where it is charged.  A one-entry table
 and a cap of zero or less skip the loop.
 
-An exact pass builds the threshold's oracle, which marks the entries
-strictly smaller than T[y] (so y itself is never marked, and an
-all-duplicates table has nothing marked), and runs its statevector
-search.  An analytic pass works in rank space and builds no oracle: the
-marked count is t = rank(y) - 1, the t marked entries are the first t of
-the table's sorted order, and the search's rounds need nothing else.  A hit
-moves the threshold to a uniform one of those t entries, which always
-improves it; a miss draws its unmarked index all the same, since it is
-part of the run's stream (repeat boosting runs several runs on one stream).
+Every pass makes one ``search`` call with t = rank(y) - 1 marked: the
+entries strictly smaller than T[y] (so y itself is never marked, and an
+all-duplicates table has nothing marked).  An exact pass hands it the
+threshold's ``GroverLadder`` over that mask and moves the threshold to
+the index it measured.  An analytic pass works in rank space and builds
+no mask: the t marked entries are the first t of the table's sorted order,
+so the class position the search draws is a position in that order.  A hit
+moves the threshold to one of those t entries, which always improves it;
+a miss draws its unmarked position all the same, since it is part of the
+run's stream (repeat boosting runs several runs on one stream).
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import timeout_cap
-from .qsearch import Backend, Oracle, SearchParams, _search, exponential_search
+from .grover import GroverLadder
+from .qsearch import Backend, SearchParams, search
 from .table import Table
 
 __all__ = [
@@ -107,9 +109,10 @@ def find_minimum(
         y = rng.randrange(n)
 
     analytic = backend is Backend.ANALYTIC_SAMPLER
-    order, ranks = table.order, table.ranks
-    # Entries strictly below the threshold: the marked count of its oracle.
+    values, order, ranks = table.values, table.order, table.ranks
+    # Entries strictly below the threshold: the ones its search marks.
     t = int(ranks[y]) - 1
+    ladder = None
     history = [(0.0, y)] if record_history else None
     first_hit = 0.0 if t == 0 and (record_history or n == 1) else None
     # The account: lg N per initialization, one step per search iteration.
@@ -121,24 +124,14 @@ def find_minimum(
         spent += lg_n
         passes += 1
         remaining = max(0.0, cap - spent)
-        if analytic:
-            # A hit always improves the threshold; a miss still draws its
-            # unmarked index, since later runs may share the stream.
-            improved, used, interrupted = _search(n, t, remaining, params, rng)
-            if improved:
-                y = int(order[rng.randrange(t)])
-            else:
-                rng.randrange(t, n)
-        else:
-            oracle = Oracle(table.values < table.values[y])
-            outcome = exponential_search(oracle, params, remaining, backend, rng)
-            used, interrupted = outcome.iterations_used, outcome.interrupted
-            improved = bool(oracle.mask[outcome.index])
-            if improved:
-                y = outcome.index
+        if not analytic:
+            ladder = GroverLadder(values < values[y])
+        hit, used, interrupted, index = search(n, t, remaining, params, rng, ladder)
         spent += used
         steps += used
-        if improved:
+        if hit:
+            # A hit always improves the threshold.
+            y = int(order[index]) if analytic else index
             t = int(ranks[y]) - 1
             if record_history:
                 history.append((spent, y))

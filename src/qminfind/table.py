@@ -3,9 +3,10 @@
 A table is an array of 64-bit signed integers; the algorithms only ever
 compare entries, so the integer carrier sidesteps any floating-point
 comparison ambiguity.  Tables are immutable after construction, so they
-are safe to share across concurrent runs.  The oracles that search them
-live in ``qsearch``: an exact pass of ``find_minimum`` builds one from the
-mask of entries strictly below its threshold.
+are safe to share across concurrent runs.  An exact pass of
+``find_minimum`` marks the entries strictly below its threshold with a
+boolean mask over the table; an analytic pass reads only ``order`` and
+``ranks``.
 
 Two ways to draw a table: ``generate_table`` arranges its values at random,
 which the exact statevector backend needs; ``sorted_table`` holds them in

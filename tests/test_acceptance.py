@@ -24,8 +24,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-
 from qminfind.bounds import (
     expected_cost_bound,
     sweep_harmonic_bound,
@@ -33,7 +31,7 @@ from qminfind.bounds import (
     timeout_cap,
 )
 from qminfind.harness import ExperimentConfig, closed_form_deviation, run_experiment
-from qminfind.qsearch import Backend, Oracle, SearchParams, exponential_search
+from qminfind.qsearch import SearchParams, search
 from qminfind.seeding import derive_stream
 from reference_grover import grover_iterate, marked_subset, uniform_state
 
@@ -118,14 +116,11 @@ def test_criterion_4_search_iterations_under_sqrt_ratio_bound(capsys):
     ok = True
     for n in (64, 256, 1024):
         for t in (1, 2, n // 16, n // 4):
-            oracle = Oracle(np.arange(n) < t)
             rng = derive_stream(SEED, "accept-iter", n, t)
             total = 0
             total_sq = 0
             for _ in range(runs):
-                used = exponential_search(
-                    oracle, params, math.inf, Backend.ANALYTIC_SAMPLER, rng
-                ).iterations_used
+                used = search(n, t, math.inf, params, rng)[1]
                 total += used
                 total_sq += used * used
             mean = total / runs

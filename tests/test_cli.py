@@ -286,16 +286,29 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
         (["equivalence", "--n", "16", "--runs", "1", "--j-max", "-1"], "0..64"),
         (["lemma1", "--n", "16", "--runs", "1", "--max-rank", "0"], ">= 1"),
         (["lemma1", "--n", "16", "--runs", "1", "--max-rank", "-3"], ">= 1"),
+        (["success", "--n", "4", "--runs", str(10**20)], "1..1000000000"),
+        (["cost", "--n", "4", "--runs", str(10**9 + 1)], "1..1000000000"),
+        (["success", "--n", "4", "--runs", "1", "--boost", "54"], "1..53"),
+        (["success", "--n", "4", "--runs", "1", "--boost", str(10**400)], "1..53"),
+        (
+            ["success", "--n", "4", "--runs", "1", "--boost", str(10**400),
+             "--boost-strategy", "extend"],
+            "1..53",
+        ),
     ],
     ids=[
         "n-huge", "n-just-over", "sweep-huge", "sweep-too-small", "j-max-huge",
         "j-max-just-over", "j-max-negative", "max-rank-zero", "max-rank-negative",
+        "runs-huge", "runs-just-over", "boost-just-over", "boost-huge-repeat",
+        "boost-huge-extend",
     ],
 )
 def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
     # Rejected while the config is built, before anything is allocated or
     # iterated.  A negative --j-max or a --max-rank below 1 asserts no row,
-    # so its verdict could not fail; a huge --j-max would run for hours.
+    # so its verdict could not fail; a huge --j-max would run for hours, and
+    # so would a huge --runs or --boost (a boost above 53 cannot raise the
+    # floor 1 - 2^-c above float64's 1.0 anyway).
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -503,10 +516,14 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
     [
         (["success", "--n", "33554432", "--runs", "1"], 2, "n must lie in 1..16777216"),
         (["success", "--n", "64", "--runs", "1", "--workers", "0"], 2, "workers must be >= 1"),
+        (
+            ["success", "--n", "4", "--runs", str(10**20), "--workers", "2"],
+            2, "runs must lie in 1..1000000000",
+        ),
         # One run can never lift the success verdict's lower bound to 1/2.
         (["success", "--n", "4", "--runs", "1", "--backend", "exact", "--timeout", "1e12"], 1, "FAIL"),
     ],
-    ids=["n-huge", "workers-zero", "exact-huge-timeout"],
+    ids=["n-huge", "workers-zero", "runs-huge-two-workers", "exact-huge-timeout"],
 )
 def test_fixed_argv_exits_promptly_in_a_subprocess(argv, code, message):
     result = _cli_subprocess(*argv)

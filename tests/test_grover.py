@@ -171,11 +171,12 @@ def test_ladder_cdfs_equal_the_iterate_chain_bit_for_bit(n):
 
 def test_ladder_reads_the_mask_it_is_given():
     # The ladder neither copies nor rebuilds its marked set: however deep it
-    # goes, in whatever order, it keeps the very array it was given, and its
-    # states mark exactly that set.
+    # goes, in whatever order, it keeps the very array it was given, made
+    # read-only so that set cannot change under its states, and its states
+    # mark exactly that set.
     mask = np.isin(np.arange(16), [1, 4])
-    mask.setflags(write=False)
     ladder = GroverLadder(mask)
+    assert not mask.flags.writeable
     for j in (3, 0, 4, 2):
         cdf = ladder.cdf(j)
         marked = np.diff(cdf, prepend=0.0)[mask].sum()
@@ -197,6 +198,8 @@ def test_ladder_rejects_bad_input():
         GroverLadder(np.ones((2, 2), dtype=bool))
     with pytest.raises(ValueError, match="shape"):
         GroverLadder(np.array(True))
+    with pytest.raises(ValueError, match="n >= 1"):
+        GroverLadder(np.zeros(0, dtype=bool))
 
 
 def test_ladder_checks_the_norm_of_every_state(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import __version__, harness, qsearch
+from qminfind import __version__, harness, minfind, qsearch
 from qminfind.harness import (
     CHI2_ALPHA,
     ExperimentConfig,
@@ -26,7 +26,7 @@ from qminfind.harness import (
 )
 from qminfind.grover import GroverLadder, success_probability
 from qminfind.minfind import find_minimum
-from qminfind.qsearch import Backend, Oracle
+from qminfind.qsearch import Backend
 from qminfind.seeding import derive_stream
 from qminfind.table import generate_table, sorted_table
 
@@ -402,15 +402,15 @@ def test_equivalence_battery_fails_when_the_analytic_law_is_wrong(monkeypatch):
 
 def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(monkeypatch):
     # With nothing marked both backends must spend exactly the budget's floor.
-    search = harness.exponential_search
+    search = harness.search
 
-    def short_exact(oracle, params, budget, backend, rng):
-        outcome = search(oracle, params, budget, backend, rng)
-        if oracle.marked_count == 0 and backend is Backend.EXACT_STATEVECTOR:
-            return dataclasses.replace(outcome, iterations_used=outcome.iterations_used - 1)
-        return outcome
+    def short_exact(n, t, budget, params, rng, ladder=None):
+        hit, used, interrupted, index = search(n, t, budget, params, rng, ladder)
+        if t == 0 and ladder is not None:
+            used -= 1
+        return hit, used, interrupted, index
 
-    monkeypatch.setattr(harness, "exponential_search", short_exact)
+    monkeypatch.setattr(harness, "search", short_exact)
     report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=100, seed=1))
     failed = [(row["check"], row["t"]) for row in report.rows if not row["ok"]]
     assert ("outcome-distribution", 0) in failed
@@ -439,46 +439,77 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
 
 
 def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
-    # Each cell builds one oracle and one ladder on that oracle's own mask,
-    # which serves the cell's fixed-j draws and all of its exact searches;
-    # no cell evaluates its marked set again.
-    oracles = []
+    # Each cell's oracle is one ladder marking 0..t-1, which serves the
+    # cell's fixed-j draws and is handed to every exact search of the cell;
+    # its analytic searches get none.
     ladders = []
-    evaluated = []
+    handed = []
     cells = {}
-    make_oracle = Oracle.__init__
     build = GroverLadder.__init__
-    is_marked = Oracle.is_marked
+    search = harness.search
     cell = harness._equivalence_cell
 
-    def counting_oracle(self, mask):
-        oracles.append(self)
-        make_oracle(self, mask)
-
     def counting_build(self, mask):
-        ladders.append((self, mask))
+        ladders.append(self)
         build(self, mask)
 
-    def counting_is_marked(self, indices):
-        evaluated.append(self)
-        return is_marked(self, indices)
+    def recording_search(n, t, budget, params, rng, ladder=None):
+        handed.append(ladder)
+        return search(n, t, budget, params, rng, ladder)
 
     def recording_cell(config, t):
-        made, built = len(oracles), len(ladders)
+        built, searched = len(ladders), len(handed)
         rows = cell(config, t)
-        cells[t] = oracles[made:], ladders[built:]
+        cells[t] = ladders[built:], handed[searched:]
         return rows
 
-    monkeypatch.setattr(Oracle, "__init__", counting_oracle)
     monkeypatch.setattr(GroverLadder, "__init__", counting_build)
-    monkeypatch.setattr(Oracle, "is_marked", counting_is_marked)
+    monkeypatch.setattr(harness, "search", recording_search)
     monkeypatch.setattr(harness, "_equivalence_cell", recording_cell)
     run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=1))
     assert sorted(cells) == harness._equivalence_cells(16)
-    for t, ((oracle,), ((ladder, mask),)) in cells.items():
-        assert oracle.marked_count == t
-        assert ladder is oracle.ladder and mask is oracle.mask
-    assert not evaluated
+    for t, ((ladder,), searches) in cells.items():
+        assert ladder.mask.tolist() == [i < t for i in range(16)]
+        assert searches == [ladder] * 200 + [None] * 200
+
+
+def test_equivalence_cells_make_the_search_call_of_the_runs(monkeypatch):
+    # Every search of an equivalence cell and of every algorithm pass is the
+    # one ``qsearch.search`` call, with a ladder exactly on the exact
+    # backend, so the cells' analytic rows test the search the analytic
+    # runs make.  Each run's searches are counted against its passes.
+    calls = []
+    run_backends = Counter()
+    search = qsearch.search
+    find = harness.find_minimum
+
+    def counting(caller):
+        def counted(n, t, budget, params, rng, ladder=None):
+            calls.append((caller, ladder is None))
+            return search(n, t, budget, params, rng, ladder)
+
+        return counted
+
+    def checked_find(table, backend, *args, **kwargs):
+        made = len(calls)
+        result = find(table, backend, *args, **kwargs)
+        analytic = backend is Backend.ANALYTIC_SAMPLER
+        assert calls[made:] == [("run", analytic)] * result.loop_passes
+        run_backends[backend] += 1
+        return result
+
+    monkeypatch.setattr(minfind, "search", counting("run"))
+    monkeypatch.setattr(harness, "search", counting("cell"))
+    monkeypatch.setattr(harness, "find_minimum", checked_find)
+    n, runs = 8, 30
+    run_experiment(ExperimentConfig(experiment="equivalence", n=n, runs=runs, seed=2, j_max=2))
+    cell_calls = [analytic for caller, analytic in calls if caller == "cell"]
+    assert cell_calls == ([False] * runs + [True] * runs) * len(harness._equivalence_cells(n))
+    assert run_backends == {backend: runs for backend in Backend}
+    for backend in Backend:
+        run_experiment(ExperimentConfig(experiment="success", n=n, runs=runs, seed=3, backend=backend))
+    assert run_backends == {backend: 2 * runs for backend in Backend}
+    assert {caller for caller, _ in calls} == {"run", "cell"}
 
 
 class _InlineExecutor:

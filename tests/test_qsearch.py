@@ -9,29 +9,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind import qsearch
-from qminfind.grover import success_probability
+from qminfind.grover import GroverLadder, success_probability
 from qminfind.harness import CHI2_ALPHA, uniform_chisquare
-from qminfind.qsearch import (
-    Backend,
-    Oracle,
-    SearchParams,
-    _round_schedule,
-    _search,
-    exponential_search,
-)
+from qminfind.qsearch import Backend, SearchParams, _round_schedule, search
 from qminfind.seeding import derive_stream
-from qminfind.table import generate_table
 
 
-def _first_marked(n: int, t: int) -> Oracle:
-    """The oracle over 0..n-1 marking the first t indices, as equivalence cells build it."""
-    return Oracle(np.arange(n) < t)
+def _first_marked(n: int, t: int) -> GroverLadder:
+    """The ladder over 0..n-1 marking the first t indices, as equivalence cells build it."""
+    return GroverLadder(np.arange(n) < t)
 
 
-def _marking(n: int, marked) -> Oracle:
+def _marking(n: int, marked) -> GroverLadder:
     mask = np.zeros(n, dtype=bool)
     mask[list(marked)] = True
-    return Oracle(mask)
+    return GroverLadder(mask)
+
+
+def _backend_ladder(backend: Backend, n: int, t: int) -> GroverLadder | None:
+    """What a search on ``backend`` is handed: a ladder marking 0..t-1 on the exact one."""
+    return _first_marked(n, t) if backend is Backend.EXACT_STATEVECTOR else None
 
 
 def test_backend_parse():
@@ -49,51 +46,33 @@ def test_growth_factor_bounds():
             SearchParams(growth=bad)
 
 
-def test_oracle_validation():
-    with pytest.raises(ValueError, match="size >= 1"):
-        Oracle(np.zeros(0, dtype=bool))
-    with pytest.raises(ValueError, match="size >= 1"):
-        Oracle(np.zeros((2, 2), dtype=bool))
-    mask = np.array([True, False, True, False])
-    oracle = Oracle(mask)
-    mask[1] = True  # the oracle keeps its own read-only copy
-    assert (oracle.n, oracle.marked_count) == (4, 2)
-    assert oracle.is_marked(np.arange(4)).tolist() == [True, False, True, False]
-    assert not oracle.mask.flags.writeable
-
-
-def test_oracle_sampling_errors():
-    rng = random.Random(0)
-    with pytest.raises(ValueError, match="no marked"):
-        _first_marked(3, 0).sample_marked(rng)
-    with pytest.raises(ValueError, match="every index"):
-        _first_marked(3, 3).sample_unmarked(rng)
-
-
 def test_negative_budget_rejected():
-    with pytest.raises(ValueError, match="budget"):
-        exponential_search(
-            _first_marked(4, 1), SearchParams(), -1.0, Backend.ANALYTIC_SAMPLER, random.Random(0)
-        )
+    for backend in Backend:
+        with pytest.raises(ValueError, match="budget"):
+            search(4, 1, -1.0, SearchParams(), random.Random(0), _backend_ladder(backend, 4, 1))
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_everything_marked_ends_immediately(backend):
     # First round measures the uniform state with zero iterations and hits.
-    oracle = _first_marked(9, 9)
-    out = exponential_search(oracle, SearchParams(), 100.0, backend, random.Random(1))
-    assert out.iterations_used == 0
-    assert not out.interrupted
-    assert 0 <= out.index < 9
+    ladder = _backend_ladder(backend, 9, 9)
+    hit, used, interrupted, index = search(9, 9, 100.0, SearchParams(), random.Random(1), ladder)
+    assert hit
+    assert used == 0
+    assert not interrupted
+    assert 0 <= index < 9
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("budget", [1, 5, 23])
 def test_nothing_marked_consumes_integer_budget_exactly(backend, budget):
-    oracle = _first_marked(16, 0)
-    out = exponential_search(oracle, SearchParams(), float(budget), backend, random.Random(2))
-    assert out.interrupted
-    assert out.iterations_used == budget
+    ladder = _backend_ladder(backend, 16, 0)
+    hit, used, interrupted, _ = search(
+        16, 0, float(budget), SearchParams(), random.Random(2), ladder
+    )
+    assert not hit
+    assert interrupted
+    assert used == budget
 
 
 class _CountingStream:
@@ -115,7 +94,7 @@ class _CountingStream:
 def _play_out_nothing_marked(n: int, budget: float, params: SearchParams, rng) -> int:
     """Iterations a search with nothing marked spends when its rounds are played one by one.
 
-    The schedule of ``exponential_search`` with every round a miss: draw j
+    The schedule of ``search`` with every round a miss: draw j
     below the growing cap, truncate it to the budget left, stop once the
     budget is spent or a round was truncated.
     """
@@ -140,29 +119,28 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
     # Both backends settle a search with nothing marked at once with one
     # index draw; playing its rounds out one by one must spend the same
     # iterations, exactly the floor of the budget, for every stream.
-    oracle = _first_marked(n, 0)
     for seed in range(5):
         played = _play_out_nothing_marked(n, budget, SearchParams(), random.Random(seed))
         assert played == math.floor(budget)
         for backend in Backend:
             rng = _CountingStream(seed)
-            settled = exponential_search(oracle, SearchParams(), budget, backend, rng)
-            assert settled.iterations_used == played
-            assert type(settled.iterations_used) is int
-            assert settled.interrupted
+            ladder = _backend_ladder(backend, n, 0)
+            hit, used, interrupted, index = search(n, 0, budget, SearchParams(), rng, ladder)
+            assert used == played
+            assert type(used) is int
+            assert interrupted and not hit
             assert rng.draws == 1
-            assert 0 <= settled.index < n
+            assert 0 <= index < n
 
 
 def test_exact_search_with_nothing_marked_measures_a_uniform_index():
     # The state stays uniform, so the one measurement is uniform over all n.
     n = 16
-    oracle = _first_marked(n, 0)
+    ladder = _first_marked(n, 0)
     rng = derive_stream(8, "unit-exact-empty")
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(4000):
-        out = exponential_search(oracle, SearchParams(), 9.5, Backend.EXACT_STATEVECTOR, rng)
-        counts[out.index] += 1
+        counts[search(n, 0, 9.5, SearchParams(), rng, ladder)[3]] += 1
     _, p_value, dof = uniform_chisquare(counts)
     assert dof == n - 1
     assert p_value > CHI2_ALPHA
@@ -186,7 +164,7 @@ def deadline():
 @pytest.mark.parametrize("n", [2, 16])
 def test_nothing_marked_with_an_infinite_budget_is_rejected(deadline, backend, n):
     with pytest.raises(ValueError, match="nothing marked"):
-        exponential_search(_first_marked(n, 0), SearchParams(), math.inf, backend, random.Random(0))
+        search(n, 0, math.inf, SearchParams(), random.Random(0), _backend_ladder(backend, n, 0))
 
 
 @pytest.mark.parametrize(("marked", "budget"), [((5,), 1.0), ((1, 4, 6, 11), 0.0), ((), 9.5)])
@@ -194,45 +172,45 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
     # A tight budget makes many searches with marked indices end on a miss
     # (with one marked index, after any number of j = 0 rounds); with
     # nothing marked every search does.  Either way the index returned for
-    # a miss must be uniform over the unmarked indices.
-    n = 16
-    oracle = _marking(n, marked)
-    rng = derive_stream(7, "unit-miss", len(marked))
-    misses = Counter()
-    for _ in range(4000):
-        out = exponential_search(oracle, SearchParams(), budget, Backend.ANALYTIC_SAMPLER, rng)
-        if out.index not in marked:
-            assert out.interrupted
-            misses[out.index] += 1
-    unmarked = [i for i in range(n) if i not in marked]
-    assert set(misses) <= set(unmarked)
-    assert sum(misses.values()) >= 1000
-    _, p_value, dof = uniform_chisquare(np.array([misses[i] for i in unmarked]))
-    assert dof == len(unmarked) - 1
-    assert p_value > CHI2_ALPHA
+    # a miss must be uniform over the unmarked indices: the ladder's own on
+    # the exact backend, the class positions t..n-1 on the analytic one.
+    n, t = 16, len(marked)
+    unmarked_sets = {
+        Backend.EXACT_STATEVECTOR: [i for i in range(n) if i not in marked],
+        Backend.ANALYTIC_SAMPLER: list(range(t, n)),
+    }
+    for backend, unmarked in unmarked_sets.items():
+        ladder = _marking(n, marked) if backend is Backend.EXACT_STATEVECTOR else None
+        rng = derive_stream(7, "unit-miss", backend.value, t)
+        misses = Counter()
+        for _ in range(4000):
+            hit, _, interrupted, index = search(n, t, budget, SearchParams(), rng, ladder)
+            if not hit:
+                assert interrupted
+                misses[index] += 1
+        assert set(misses) <= set(unmarked)
+        assert sum(misses.values()) >= 1000
+        _, p_value, dof = uniform_chisquare(np.array([misses[i] for i in unmarked]))
+        assert dof == len(unmarked) - 1
+        assert p_value > CHI2_ALPHA, backend
 
 
 def test_zero_budget_still_measures_once():
-    oracle = _first_marked(8, 0)
-    out = exponential_search(oracle, SearchParams(), 0.0, Backend.ANALYTIC_SAMPLER, random.Random(3))
-    assert out.interrupted
-    assert out.iterations_used == 0
-    assert 0 <= out.index < 8
+    hit, used, interrupted, index = search(8, 0, 0.0, SearchParams(), random.Random(3))
+    assert interrupted and not hit
+    assert used == 0
+    assert 0 <= index < 8
 
 
 def test_single_index_domain_terminates():
     # sqrt(1) = 1 keeps every draw at j = 0; an unmarked domain can never
     # consume the budget, so the search must bail out rather than spin.
-    out = exponential_search(
-        _first_marked(1, 0), SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, random.Random(4)
-    )
-    assert out.interrupted
-    assert out.iterations_used == 0
-    out = exponential_search(
-        _first_marked(1, 1), SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, random.Random(4)
-    )
-    assert not out.interrupted
-    assert out.index == 0
+    for backend in Backend:
+        rng = random.Random(4)
+        ladder = _backend_ladder(backend, 1, 0)
+        assert search(1, 0, math.inf, SearchParams(), rng, ladder) == (False, 0, True, 0)
+        ladder = _backend_ladder(backend, 1, 1)
+        assert search(1, 1, math.inf, SearchParams(), rng, ladder) == (True, 0, False, 0)
 
 
 @given(
@@ -243,41 +221,38 @@ def test_single_index_domain_terminates():
 )
 def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
     t = max(1, round(t_frac * n))
-    oracle = _first_marked(n, t)
-    out = exponential_search(oracle, SearchParams(), math.inf, backend, random.Random(seed))
-    assert not out.interrupted
-    assert out.index < t
+    ladder = _backend_ladder(backend, n, t)
+    hit, _, interrupted, index = search(
+        n, t, math.inf, SearchParams(), random.Random(seed), ladder
+    )
+    assert hit and not interrupted
+    assert index < t
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 64), budget=st.floats(0.0, 50.0))
 def test_iterations_never_exceed_budget(seed, n, budget):
     rng = random.Random(seed)
     t = rng.randrange(n + 1)
-    oracle = _first_marked(n, t)
-    out = exponential_search(oracle, SearchParams(), budget, Backend.ANALYTIC_SAMPLER, rng)
-    assert out.iterations_used <= budget
+    assert search(n, t, budget, SearchParams(), rng)[1] <= budget
 
 
 @given(seed=st.integers(0, 10**6))
 def test_search_is_deterministic_per_stream(seed):
-    oracle = _marking(32, (3, 17))
-    a = exponential_search(oracle, SearchParams(), 40.0, Backend.ANALYTIC_SAMPLER, random.Random(seed))
-    b = exponential_search(oracle, SearchParams(), 40.0, Backend.ANALYTIC_SAMPLER, random.Random(seed))
-    assert a == b
+    for ladder in (None, _marking(32, (3, 17))):
+        a = search(32, 2, 40.0, SearchParams(), random.Random(seed), ladder)
+        b = search(32, 2, 40.0, SearchParams(), random.Random(seed), ladder)
+        assert a == b
 
 
 @pytest.mark.parametrize("n,t", [(64, 4), (256, 16)])
 def test_mean_iterations_below_sqrt_bound(n, t):
     # 4.5 * sqrt(n/t) bounds the expected iteration count; check with slack.
-    oracle = _first_marked(n, t)
     rng = derive_stream(12, "unit-iterbound", n, t)
     runs = 2000
     total = 0
     total_sq = 0
     for _ in range(runs):
-        used = exponential_search(
-            oracle, SearchParams(), math.inf, Backend.ANALYTIC_SAMPLER, rng
-        ).iterations_used
+        used = search(n, t, math.inf, SearchParams(), rng)[1]
         total += used
         total_sq += used * used
     mean = total / runs
@@ -290,14 +265,15 @@ def test_backends_hit_at_matching_rates():
     # Same (n, t) and a tight budget, so hits are not certain; the two
     # backends must agree on the hit frequency within sampling noise.
     n, t, budget, runs = 16, 3, 20.0, 600
-    oracle = _first_marked(n, t)
     fractions = {}
     for backend in Backend:
+        ladder = _backend_ladder(backend, n, t)
         hits = 0
         rng = derive_stream(5, "unit-agree", backend.value)
         for _ in range(runs):
-            out = exponential_search(oracle, SearchParams(), budget, backend, rng)
-            hits += out.index < t
+            hit, _, _, index = search(n, t, budget, SearchParams(), rng, ladder)
+            assert hit == (index < t)
+            hits += hit
         fractions[backend] = hits / runs
     diff = abs(fractions[Backend.EXACT_STATEVECTOR] - fractions[Backend.ANALYTIC_SAMPLER])
     sigma = math.sqrt(2 * 0.25 / runs)  # worst-case joint deviation
@@ -308,9 +284,9 @@ class _ScriptedStream:
     """Stream stub: the round's draw gives ``j``, ``random`` always gives ``u``.
 
     The round's draw is the one ``getrandbits`` call the analytic search
-    makes for j; the class samples are drawn by the oracle with
-    ``randrange`` and get the lowest value of their range, so a search
-    settled without rounds still draws a valid index.
+    makes for j; its class position is drawn with ``randrange`` and gets
+    the lowest value of its range, so a search settled without rounds
+    still draws a valid position.
     """
 
     def __init__(self, j: int, u: float):
@@ -346,14 +322,14 @@ def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     measures.
     """
     rng = _ScriptedStream(j, u)
-    oracle = _first_marked(n, t)
-    out = exponential_search(oracle, SearchParams(), float(j), Backend.ANALYTIC_SAMPLER, rng)
-    assert out.iterations_used == j
+    hit, used, _, index = search(n, t, float(j), SearchParams(), rng)
+    assert used == j
     assert rng.uniform_draws == (1 if t > 0 else 0)
     # With nothing marked the search is settled without a round (n >= 2),
     # and a one-index domain only ever runs j = 0, which it need not draw.
     assert rng.j_drawn == (t > 0 and n > 1)
-    return out.index < t
+    assert index == (0 if hit else t)
+    return hit
 
 
 def test_analytic_round_uses_the_closed_form_exactly(monkeypatch):
@@ -385,22 +361,45 @@ def test_analytic_round_uses_the_closed_form_exactly(monkeypatch):
 def test_round_draw_is_randrange_draw_for_draw(monkeypatch, seed):
     # With every index marked a round hits with probability exactly 1, so
     # the search spends exactly its first round's j.  A twin stream that
-    # calls randrange(high) and then the hit's uniform draw must give the
-    # same j and end in the same state, for every cap up to 4096 (the
-    # saturated caps at n = 16, 64, 1024 and 16384 are 4, 8, 32 and 128).
+    # calls randrange(high), then the hit's uniform draw and the class
+    # position's randrange(16), must give the same j and position and end
+    # in the same state, for every cap up to 4096 (the saturated caps at
+    # n = 16, 64, 1024 and 16384 are 4, 8, 32 and 128).
     rng, twin = random.Random(seed), random.Random(seed)
     for high in range(2, 4097):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        hit, used, interrupted = _search(16, 16, math.inf, SearchParams(), rng)
+        hit, used, interrupted, index = search(16, 16, math.inf, SearchParams(), rng)
         assert hit and not interrupted
         assert used == twin.randrange(high)
         twin.random()
+        assert index == twin.randrange(16)
         assert rng.getstate() == twin.getstate()
-    # A cap of 1 draws no j at all, only the hit's uniform draw.
+    # A cap of 1 draws no j at all, only the hit's uniform draw and the
+    # position in a one-index class.
     monkeypatch.undo()
-    assert _search(1, 1, math.inf, SearchParams(), rng) == (True, 0, False)
+    assert search(1, 1, math.inf, SearchParams(), rng) == (True, 0, False, 0)
     twin.random()
+    twin.randrange(1)
     assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_analytic_index_is_the_class_position_draw(seed):
+    # A zero budget leaves one round, of j = 0 (the first cap is 1, so no j
+    # is drawn): its uniform draw, then randrange(t) on a hit or
+    # randrange(t, n) on a miss, draw for draw with a twin stream.
+    rng, twin = random.Random(seed), random.Random(seed)
+    n = 16
+    outcomes = set()
+    for t in range(1, n):
+        for _ in range(40):
+            hit, used, interrupted, index = search(n, t, 0.0, SearchParams(), rng)
+            assert (used, interrupted) == (0, not hit)
+            assert hit == (twin.random() < success_probability(n, t, 0))
+            assert index == (twin.randrange(t) if hit else twin.randrange(t, n))
+            assert rng.getstate() == twin.getstate()
+            outcomes.add(hit)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("backend", list(Backend))
@@ -409,18 +408,18 @@ def test_both_backends_run_the_rounds_of_one_schedule(monkeypatch, backend):
     # j as randrange(cap) draws it.  With every index marked the first round
     # hits, so the search spends exactly that j; a twin stream then makes
     # the measurement's uniform draw and, on the analytic backend, the
-    # index draw, and must end in the same state.
+    # position draw, and must end in the same state.
     n = 4
-    oracle = _first_marked(n, n)
+    ladder = _backend_ladder(backend, n, n)
     rng, twin = random.Random(11), random.Random(11)
     for high in range(2, 300):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        out = exponential_search(oracle, SearchParams(), math.inf, backend, rng)
-        assert not out.interrupted
-        assert out.iterations_used == twin.randrange(high)
+        hit, used, interrupted, index = search(n, n, math.inf, SearchParams(), rng, ladder)
+        assert hit and not interrupted
+        assert used == twin.randrange(high)
         twin.random()
         if backend is Backend.ANALYTIC_SAMPLER:
-            assert out.index == twin.randrange(n)
+            assert index == twin.randrange(n)
         assert rng.getstate() == twin.getstate()
 
 
@@ -457,73 +456,32 @@ def test_round_schedule_is_cached_per_size_and_growth():
     first, second = SearchParams(growth=1.2), SearchParams(growth=1.2)
     assert first is not second
     rng = random.Random(3)
-    _search(64, 1, math.inf, first, rng)
+    search(64, 1, math.inf, first, rng)
     hits = _round_schedule.cache_info().hits
-    _search(64, 1, math.inf, second, rng)
+    search(64, 1, math.inf, second, rng)
     info = _round_schedule.cache_info()
     assert (info.hits, info.currsize) == (hits + 1, 1)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed):
-    # Stronger than once per search: the marked set is evaluated once per
-    # oracle, when the oracle is built, however many searches it serves.
-    # Its one ladder reads the oracle's own mask, so no search evaluates or
-    # copies the set again.  One marked index of 256: a search runs many
-    # rounds of many iterations.
+    # Stronger than once per search: the marked set is evaluated once, when
+    # the caller builds its ladder, however many searches that ladder
+    # serves.  No search builds a ladder or reads a mask other than the
+    # ladder's own.  One marked index of 256: a search runs many rounds of
+    # many iterations.
     built = []
-    evaluated = []
     build = qsearch.GroverLadder.__init__
-    is_marked = Oracle.is_marked
 
     def counting_build(self, mask):
-        built.append((self, mask))
+        built.append(self)
         build(self, mask)
 
-    def counting_is_marked(self, indices):
-        evaluated.append(self)
-        return is_marked(self, indices)
-
+    ladder = _marking(256, (7,))
+    mask = ladder.mask
     monkeypatch.setattr(qsearch.GroverLadder, "__init__", counting_build)
-    monkeypatch.setattr(Oracle, "is_marked", counting_is_marked)
-    oracle = _marking(256, (7,))
     rng = random.Random(seed)
-    used = [
-        exponential_search(oracle, SearchParams(), 500.0, Backend.EXACT_STATEVECTOR, rng).iterations_used
-        for _ in range(4)
-    ]
+    used = [search(256, 1, 500.0, SearchParams(), rng, ladder)[1] for _ in range(4)]
     assert min(used) > 0
-    assert len(built) == 1
-    ladder, mask = built[0]
-    assert ladder is oracle.ladder and mask is oracle.mask
-    assert not evaluated
-
-
-def test_oracle_keeps_one_ladder():
-    table = generate_table(16, "distinct", random.Random(1))
-    oracle = Oracle(table.values < table.values[int(table.order[3])])
-    ladder = oracle.ladder
-    assert oracle.ladder is ladder
-    assert ladder.mask is oracle.mask
-    assert int(ladder.mask.sum()) == oracle.marked_count == 3
-
-
-class _PickStream:
-    """Stream stub whose ``randrange`` always gives ``k``."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def randrange(self, stop):
-        assert 0 <= self.k < stop
-        return self.k
-
-
-def test_oracle_samples_each_class_in_index_order():
-    # The k-th draw value picks the k-th marked (or unmarked) index in
-    # index order, whatever order the mask came from.
-    mask = np.array([False, True, True, False, False, True, False])
-    oracle = Oracle(mask)
-    marked, unmarked = [1, 2, 5], [0, 3, 4, 6]
-    assert [oracle.sample_marked(_PickStream(k)) for k in range(3)] == marked
-    assert [oracle.sample_unmarked(_PickStream(k)) for k in range(4)] == unmarked
+    assert not built
+    assert ladder.mask is mask

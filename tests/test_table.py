@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -10,7 +11,8 @@ from scipy.stats import chisquare
 
 from qminfind import minfind
 from qminfind.harness import two_sample_chisquare
-from qminfind.qsearch import Backend, Oracle
+from qminfind.grover import GroverLadder
+from qminfind.qsearch import Backend, SearchParams, search
 from qminfind.table import (
     Table,
     generate_table,
@@ -181,72 +183,85 @@ def test_minimum_with_duplicates():
     assert table.ranks[0] != 1
 
 
-def _threshold_oracle(table: Table, y: int) -> Oracle:
-    """The oracle of threshold y, as an exact pass of ``find_minimum`` builds it."""
-    return Oracle(table.values < table.values[y])
+def _threshold_ladder(table: Table, y: int) -> GroverLadder:
+    """The ladder of threshold y, as an exact pass of ``find_minimum`` builds it."""
+    return GroverLadder(table.values < table.values[y])
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 48))
 def test_threshold_marks_strictly_smaller_entries(seed, n):
-    # Every exact pass searches under an oracle marking exactly the entries
+    # Every exact pass searches under a ladder marking exactly the entries
     # strictly below its threshold; the threshold itself is never marked.
     rng = random.Random(seed)
     table = generate_table(n, "dup", rng, k=max(1, n // 2))
-    search = minfind.exponential_search
+    search_once = minfind.search
     passes = []
 
-    def recording(oracle, params, budget, backend, stream):
-        outcome = search(oracle, params, budget, backend, stream)
-        passes.append((oracle, outcome.index))
+    def recording(n, t, budget, params, stream, ladder=None):
+        outcome = search_once(n, t, budget, params, stream, ladder)
+        passes.append((t, ladder, outcome))
         return outcome
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(minfind, "exponential_search", recording)
+        patch.setattr(minfind, "search", recording)
         result = minfind.find_minimum(
             table, Backend.EXACT_STATEVECTOR, rng=rng, record_history=True
         )
     y = result.history[0][1]
-    for oracle, index in passes:
-        assert oracle.mask.tolist() == (table.values < table.values[y]).tolist()
-        assert oracle.marked_count == int(np.sum(oracle.mask))
-        assert not oracle.mask[y]
-        if oracle.mask[index]:
+    for t, ladder, (hit, _, _, index) in passes:
+        assert ladder.mask.tolist() == (table.values < table.values[y]).tolist()
+        assert t == int(np.sum(ladder.mask))
+        assert not ladder.mask[y]
+        assert hit == ladder.mask[index]
+        if hit:
             y = index
     assert len(passes) == result.loop_passes
     assert y == result.returned_index
 
 
+def _search_threshold(table: Table, y: int, budget: float, rng, ladder=None) -> tuple[bool, int]:
+    """One search below threshold y, as a pass reads it: ``(hit, table index)``.
+
+    An exact search (``ladder`` given) measures a table index; an analytic
+    one draws a position in the table's sorted order.
+    """
+    t = int(table.ranks[y]) - 1
+    hit, _, _, index = search(len(table), t, budget, SearchParams(), rng, ladder)
+    return hit, index if ladder is not None else int(table.order[index])
+
+
 def test_sampling_stays_inside_each_class():
+    # A zero budget ends each search after one round of j = 0, which hits
+    # with probability 1/2 here; either way, on either backend, the index
+    # lies in the class the search ended in.
     rng = random.Random(3)
     table = generate_table(20, "distinct", rng)
     y = int(table.order[10])  # rank 11, so 10 marked
-    oracle = _threshold_oracle(table, y)
-    for _ in range(100):
-        assert table.values[oracle.sample_marked(rng)] < table.values[y]
-        assert table.values[oracle.sample_unmarked(rng)] >= table.values[y]
-
-
-def test_sampling_errors_on_empty_class():
-    table = generate_table(5, "distinct", random.Random(4))
-    at_min = _threshold_oracle(table, int(table.order[0]))
-    with pytest.raises(ValueError):
-        at_min.sample_marked(random.Random(0))
+    outcomes = set()
+    for ladder in (_threshold_ladder(table, y), None):
+        for _ in range(100):
+            hit, index = _search_threshold(table, y, 0.0, rng, ladder)
+            assert (table.values[index] < table.values[y]) == hit
+            outcomes.add((ladder is None, hit))
+    assert len(outcomes) == 4
 
 
 def test_marked_sampling_is_uniform():
+    # An uninterrupted search hits, at an index uniform over the marked ones.
     rng = random.Random(8)
     table = generate_table(8, "distinct", rng)
     y = int(table.order[4])
-    oracle = _threshold_oracle(table, y)
-    counts = {}
     draws = 8000
-    for _ in range(draws):
-        idx = oracle.sample_marked(rng)
-        counts[idx] = counts.get(idx, 0) + 1
-    assert len(counts) == 4
-    for c in counts.values():
-        # 4 sigma around the uniform expectation draws/4
-        assert abs(c - draws / 4) < 4 * (draws * 0.25 * 0.75) ** 0.5
+    for ladder in (_threshold_ladder(table, y), None):
+        counts = {}
+        for _ in range(draws):
+            hit, idx = _search_threshold(table, y, math.inf, rng, ladder)
+            assert hit
+            counts[idx] = counts.get(idx, 0) + 1
+        assert sorted(counts) == sorted(int(i) for i in table.order[:4])
+        for c in counts.values():
+            # 4 sigma around the uniform expectation draws/4
+            assert abs(c - draws / 4) < 4 * (draws * 0.25 * 0.75) ** 0.5
 
 
 def test_io_round_trip(tmp_path):
