@@ -51,8 +51,8 @@ def expected_cost_bound(n: int) -> float:
 
 
 def timeout_cap(n: int) -> float:
-    """Default run cap 22.5 sqrt(n) + 1.4 lg^2(n); twice ``expected_cost_bound``."""
-    _require_size(n, 2)
+    """Default run cap 22.5 sqrt(n) + 1.4 lg^2(n) (22.5 at n = 1); twice ``expected_cost_bound``."""
+    _require_size(n, 1)
     return 22.5 * math.sqrt(n) + 1.4 * math.log2(n) ** 2
 
 

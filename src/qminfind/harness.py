@@ -11,10 +11,10 @@ runs plus a statistical verdict:
 * ``single-run``    raw per-run records, no verdict.
 
 Every batch of algorithm runs goes through one map: ``_map_runs`` draws
-run i's table and run from the private stream (seed, *key, i), runs the
-configured variant through ``_run`` (uncapped, capped or boosted), and
-yields a small per-run record.  Each experiment folds its records in run
-order into a verdict.  Without a table file, analytic runs use their
+run i's table and run from the private stream (seed, *key, i), runs it
+through ``_run`` under the step cap decided once per config
+(``ExperimentConfig.cap``), and yields a small per-run record.  Each
+experiment folds its records in run order into a verdict.  Without a table file, analytic runs use their
 values in sorted order (the analytic law depends only on ranks), so an
 analytic ``single-run`` ``returned_index`` is a rank-order position; exact
 runs draw randomly arranged tables.  Worker processes only split the run
@@ -108,6 +108,9 @@ CHI2_ALPHA = 1e-3
 # The two-sided level of a 4-sigma normal test, 2(1 - Phi(4)), held exactly
 # by the fixed-j rows' binomial test: float(2 * scipy.special.ndtr(-4)).
 FIXED_J_ALPHA = 6.334248366623973e-05
+# A search's schedule holds about ln(sqrt(n)) / ln(growth) growing rounds,
+# 63 at the default 8/7 and n = 2^24; 10^5 of them take 0.5 s and 8 MB.
+MAX_GROWING_ROUNDS = 10**5
 # A table of n values holds three int64 arrays (values, order, ranks), so
 # 2^24 entries take about 400 MB; a bound sweep to m holds a few float64
 # arrays of length m, about 400 MB at 10^7.  10^9 runs take about 14 h at
@@ -177,6 +180,12 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         SearchParams(growth=self.growth)  # validates the growth factor
+        if math.log(self.n) / (2.0 * math.log(self.growth)) > MAX_GROWING_ROUNDS:
+            least = math.ceil(math.exp(math.log(self.n) / (2.0 * MAX_GROWING_ROUNDS)) * 1e9) / 1e9
+            raise ValueError(
+                f"growth factor {self.growth!r} (--lambda) needs over {MAX_GROWING_ROUNDS} growing"
+                f" search rounds at n = {self.n}; the smallest accepted at this n is {least!r}"
+            )
         if self.mode not in ("distinct", "dup"):
             raise ValueError(f"unknown table mode {self.mode!r}")
         if self.mode == "dup" and (self.dup_k is None or not 1 <= self.dup_k <= self.n):
@@ -216,13 +225,29 @@ class ExperimentConfig:
             )
         return table
 
+    @functools.cached_property
+    def cap(self) -> float:
+        """Every run's step cap (each repetition's, under repeat boosting).
+
+        Infinite for the experiments that read no timeout, else the timeout,
+        else c default caps for extend boosting (one run), else the default.
+        """
+        if "timeout" not in EXPERIMENT_FIELDS[self.experiment]:
+            return math.inf
+        if self.timeout is not None:
+            return float(self.timeout)
+        if self.boost and self.boost_strategy == "extend":
+            return self.boost * timeout_cap(self.n)
+        return timeout_cap(self.n)
+
     @property
     def mode_label(self) -> str:
-        """``distinct`` or ``dup:<k>``: the table file's kind when runs use one."""
+        """``distinct`` or ``dup:<k>``; a table file's kind comes from its values."""
         table = self.fixed_table
         if table is None:
             return "distinct" if self.mode == "distinct" else f"dup:{self.dup_k}"
-        return "distinct" if table.distinct else f"dup:{len(np.unique(table.values))}"
+        k = len(np.unique(table.values))
+        return "distinct" if k == len(table) else f"dup:{k}"
 
     def search_params(self) -> SearchParams:
         return SearchParams(growth=self.growth)
@@ -408,21 +433,10 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def _run(config: ExperimentConfig, params: SearchParams, table: Table, rng) -> RunResult:
-    """One run of the configured variant: uncapped, boosted or capped."""
-    if "timeout" not in EXPERIMENT_FIELDS[config.experiment]:
-        return find_minimum(table, config.backend, params, timeout_override=math.inf, rng=rng)
-    if config.boost:
-        return find_minimum_boosted(
-            table, config.backend, params, c=config.boost, rng=rng, strategy=config.boost_strategy
-        )
-    return find_minimum(
-        table,
-        config.backend,
-        params,
-        timeout_override=config.timeout,
-        rng=rng,
-        record_history=config.experiment == "single-run",
-    )
+    """One run under ``config.cap``, or c of them under repeat boosting."""
+    if config.boost and config.boost_strategy == "repeat":
+        return find_minimum_boosted(table, config.backend, params, config.cap, config.boost, rng)
+    return find_minimum(table, config.backend, params, config.cap, rng)
 
 
 def _table_source(backend: Backend):
@@ -481,7 +495,7 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
 
 def _lemma1_record(table: Table, result: RunResult):
     ranks = table.ranks
-    return table.distinct, ranks, [ranks.item(y) for _, y in result.history]
+    return ranks, [ranks.item(y) for _, y in result.history]
 
 
 def estimate_rank_selection(config: ExperimentConfig) -> Report:
@@ -499,7 +513,7 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = [0] * (config.n + 1)
     stretch, stretch_runs = None, 0
-    for distinct, ranks, chosen_ranks in _map_runs(config, ("lemma1",), _lemma1_record):
+    for ranks, chosen_ranks in _map_runs(config, ("lemma1",), _lemma1_record):
         if ranks is not stretch:
             if stretch is not None:
                 represented += stretch_runs * np.bincount(stretch, minlength=config.n + 1)
@@ -509,8 +523,8 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
             chosen[r] += 1
     represented += stretch_runs * np.bincount(stretch, minlength=config.n + 1)
 
-    # Every run sees the same kind of table (the file's, or the mode's), so
-    # the last run's flag holds for all of them.
+    # Every run sees the same kind of table: the file's, or the mode's.
+    distinct = config.mode_label == "distinct"
     rows = []
     all_ok = True
     worst_dev = 0.0
@@ -706,7 +720,8 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
         )
 
     params = config.search_params()
-    budget = timeout_cap(n) if n >= 2 else float(n)
+    # At n = 1 every search ends after one j = 0 round, whatever its budget.
+    budget = timeout_cap(n)
     search_rows = []
     laws = {}
     for backend in Backend:

@@ -4,23 +4,27 @@ One loop: pick a threshold index uniformly at random, then repeatedly
 initialize (lg N time steps), search for an index holding a strictly
 smaller value (one time step per iteration), observe, and move the
 threshold to the observed index when it improves, until the step cap runs
-out.  With the default cap of 22.5*sqrt(N) + 1.4*lg^2(N) steps the run
-returns an index of the minimum value with probability at least 1/2.
+out.  The caller passes the cap; at the paper's 22.5*sqrt(N) + 1.4*lg^2(N)
+steps (computed in ``bounds``) the run returns an index of the minimum
+value with probability at least 1/2.
 
-An infinite cap gives the uncapped run used for cost and rank-selection
-analysis.  It records the threshold history and stops the moment the
-threshold holds a minimal value: that check compares against the known
-table minimum, which is the analyst's clock, not something the algorithm
-itself could do.  Without it an infinite cap would never stop, since a
-search with nothing marked never ends on its own.
+Every run keeps its threshold history, one ``(time, index)`` pair per
+accepted move, and the time its threshold first held a minimal value.  An
+infinite cap gives the uncapped run used for cost and rank-selection
+analysis, which stops the moment the threshold holds a minimal value: that
+check compares against the known table minimum, which is the analyst's
+clock, not something the algorithm itself could do.  Without it an
+infinite cap would never stop, since a search with nothing marked never
+ends on its own.
 
 Classical bookkeeping (choosing the start index, comparisons, the final
 return) is free; only initializations and search iterations are charged.
 The loop keeps that whole account itself (time spent, passes, search
 iterations) and builds the one ``RunResult``, so nothing outside this
 module needs to know the lg N charge: ``search_steps`` is the iteration
-share of ``total_spent``, counted where it is charged.  A one-entry table
-and a cap of zero or less skip the loop.
+share of ``total_spent``, counted where it is charged.  A cap of zero or
+less skips the loop, and so does a one-entry table whatever its cap: its
+only entry is the minimum, so the run spends nothing and reports a cap of 0.
 
 Every pass makes one ``search`` call with t = rank(y) - 1 marked: the
 entries strictly smaller than T[y] (so y itself is never marked, and an
@@ -38,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bounds import timeout_cap
 from .grover import GroverLadder
 from .qsearch import Backend, SearchParams, search
 from .table import Table
@@ -63,11 +66,13 @@ class RunResult:
     """Outcome of one algorithm run.
 
     ``first_hit_time`` is the time step at which the threshold first held a
-    minimal value (None when unknown because history was off, or when the
-    capped run never got there).  ``total_spent`` counts lg N per pass plus
-    all search iterations, of which there are ``search_steps`` (an exact
-    integer count); ``cap`` is the step cap the run used (0 for a one-entry
-    table, which needs no step).
+    minimal value; it is None only when a capped run never got there, or
+    for a repeat-boosted result, which has no single history.
+    ``total_spent`` counts lg N per pass plus all search iterations, of
+    which there are ``search_steps`` (an exact integer count); ``cap`` is
+    the step cap the run used (0 for a one-entry table, which needs no
+    step).  ``history`` lists the ``(time, threshold index)`` of the start
+    and of every accepted move.
     """
 
     returned_index: int
@@ -77,44 +82,35 @@ class RunResult:
     loop_passes: int
     search_steps: int
     cap: float
-    history: list[tuple[float, int]] | None = field(default=None, compare=False)
+    history: list[tuple[float, int]] | None = field(compare=False)
 
 
 def find_minimum(
-    table: Table,
-    backend: Backend = Backend.ANALYTIC_SAMPLER,
-    params: SearchParams | None = None,
-    timeout_override: float | None = None,
-    rng=None,
-    record_history: bool = False,
+    table: Table, backend: Backend, params: SearchParams, cap: float, rng
 ) -> RunResult:
-    """One run; the default cap is 22.5*sqrt(N) + 1.4*lg^2(N) steps.
+    """One run under a step cap of ``cap`` time steps.
 
     A zero (or negative) cap returns the uniformly random start index
     unexamined, which makes a handy 1/N null baseline.  An infinite cap
-    (``math.inf``) is the uncapped run: history is always recorded and the
-    run stops once the threshold holds a minimal value, so
-    ``first_hit_time == total_spent``.  Termination is sure because every
-    accepted move strictly lowers the threshold value.
+    (``math.inf``) is the uncapped run: it stops once the threshold holds a
+    minimal value, so ``first_hit_time == total_spent``.  Termination is
+    sure because every accepted move strictly lowers the threshold value.
     """
-    params = params or SearchParams()
     n = len(table)
-    uncapped = timeout_override == math.inf
-    record_history = record_history or uncapped
     if n == 1:
         # The only entry is the minimum: no draw, no step.
         y, cap = 0, 0.0
     else:
-        cap = timeout_cap(n) if timeout_override is None else float(timeout_override)
         y = rng.randrange(n)
+    uncapped = cap == math.inf
 
     analytic = backend is Backend.ANALYTIC_SAMPLER
     values, order, ranks = table.values, table.order, table.ranks
     # Entries strictly below the threshold: the ones its search marks.
     t = int(ranks[y]) - 1
     ladder = None
-    history = [(0.0, y)] if record_history else None
-    first_hit = 0.0 if t == 0 and (record_history or n == 1) else None
+    history = [(0.0, y)]
+    first_hit = 0.0 if t == 0 else None
     # The account: lg N per initialization, one step per search iteration.
     # ``spent`` can end above ``cap`` by at most one initialization, since
     # the cap is only noticed once crossed; iterations are truncated at it.
@@ -133,10 +129,9 @@ def find_minimum(
             # A hit always improves the threshold.
             y = int(order[index]) if analytic else index
             t = int(ranks[y]) - 1
-            if record_history:
-                history.append((spent, y))
-                if first_hit is None and t == 0:
-                    first_hit = spent
+            history.append((spent, y))
+            if first_hit is None and t == 0:
+                first_hit = spent
         if interrupted or spent > cap:
             break
     return RunResult(
@@ -152,34 +147,22 @@ def find_minimum(
 
 
 def find_minimum_boosted(
-    table: Table,
-    backend: Backend = Backend.ANALYTIC_SAMPLER,
-    params: SearchParams | None = None,
-    c: int = 1,
-    rng=None,
-    strategy: str = "repeat",
+    table: Table, backend: Backend, params: SearchParams, cap: float, c: int, rng
 ) -> RunResult:
-    """Push the success probability to at least 1 - 1/2^c.
+    """Run the algorithm c times under ``cap`` and keep the smallest value found.
 
-    strategy="repeat" runs the capped algorithm c times and keeps the
-    outcome with the smallest value; strategy="extend" performs a single
-    run whose cap is c times the default (it reuses what earlier passes
-    already learned, so it can only do better).
+    At the paper's cap each run succeeds with probability at least 1/2, so
+    the best of c succeeds with probability at least 1 - 1/2^c.  The result
+    sums the repetitions' accounts; it has no single history, so its
+    ``history`` and ``first_hit_time`` are None.
     """
     if c < 1:
         raise ValueError("boost count must be >= 1")
-    params = params or SearchParams()
-    n = len(table)
-    if strategy == "extend":
-        cap = None if n == 1 else c * timeout_cap(n)
-        return find_minimum(table, backend, params, timeout_override=cap, rng=rng)
-    if strategy != "repeat":
-        raise ValueError(f"unknown boost strategy {strategy!r}")
     best: RunResult | None = None
     total_spent = 0.0
     total_passes = total_steps = 0
     for _ in range(c):
-        result = find_minimum(table, backend, params, rng=rng)
+        result = find_minimum(table, backend, params, cap, rng)
         total_spent += result.total_spent
         total_passes += result.loop_passes
         total_steps += result.search_steps

@@ -12,6 +12,10 @@ Two ways to draw a table: ``generate_table`` arranges its values at random,
 which the exact statevector backend needs; ``sorted_table`` holds them in
 value order, which is all the analytic law needs, since that law depends
 only on ranks and is the same for every arrangement of the values.
+
+A table carries no distinct/duplicates flag: which kind of table a batch
+of runs sees is a setting of the experiment (its mode, or the values of
+its table file), decided once there rather than on every table.
 """
 from __future__ import annotations
 
@@ -33,10 +37,9 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class Table:
-    """Array of orderable values, with metadata on guaranteed distinctness."""
+    """Array of orderable values, with their sorted order and ranks computed on first use."""
 
     values: np.ndarray
-    distinct: bool = False
     _order: np.ndarray | None = field(default=None, repr=False, compare=False)
     _ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -46,10 +49,6 @@ class Table:
             raise ValueError("table needs at least one value")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        # ``permutation`` is the only caller passing ``_order``, and it has
-        # already checked that the values are distinct.
-        if self.distinct and self._order is None and len(np.unique(vals)) != len(vals):
-            raise ValueError("table flagged distinct but holds duplicate values")
 
     @classmethod
     def permutation(cls, values) -> "Table":
@@ -70,11 +69,11 @@ class Table:
         order = np.zeros(n, dtype=np.int64)
         order[vals] = positions
         if not np.array_equal(vals[order], positions):
-            raise ValueError("table flagged distinct but holds duplicate values")
+            raise ValueError("permutation table holds a duplicate value")
         ranks = vals + 1
         order.setflags(write=False)
         ranks.setflags(write=False)
-        return cls(vals, distinct=True, _order=order, _ranks=ranks)
+        return cls(vals, _order=order, _ranks=ranks)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -111,7 +110,7 @@ def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:
     _check_request(n, mode, k)
     if mode == "distinct":
         return Table.permutation(_numpy_stream(rng).permutation(n))
-    return Table(_numpy_stream(rng).integers(0, k, n), distinct=False)
+    return Table(_numpy_stream(rng).integers(0, k, n))
 
 
 def sorted_table(n: int, mode: str, rng, k: int | None = None) -> Table:
@@ -127,7 +126,7 @@ def sorted_table(n: int, mode: str, rng, k: int | None = None) -> Table:
     if mode == "distinct":
         return _identity_table(n)
     counts = _numpy_stream(rng).multinomial(n, np.full(k, 1.0 / k))
-    return Table(np.repeat(np.arange(k, dtype=np.int64), counts), distinct=False)
+    return Table(np.repeat(np.arange(k, dtype=np.int64), counts))
 
 
 def _check_request(n: int, mode: str, k: int | None) -> None:
@@ -165,5 +164,4 @@ def read_table(path: str | Path) -> Table:
             values.append(value)
     if not values:
         raise ValueError(f"{path}: no values")
-    arr = np.asarray(values, dtype=np.int64)
-    return Table(arr, distinct=len(np.unique(arr)) == len(arr))
+    return Table(np.asarray(values, dtype=np.int64))

@@ -1,15 +1,17 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind import __version__
-from qminfind.cli import _SUBCOMMANDS, build_parser, main
+from qminfind.cli import _SUBCOMMANDS, _config_from_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +126,33 @@ def test_out_of_range_lambda_is_config_error(capsys):
     code, _, err = run_cli(capsys, "run", "--n", "8", "--lambda", "1.5")
     assert code == 2
     assert "growth" in err
+
+
+def _readme_commands() -> list[str]:
+    """The ``qminfind ...`` lines of the README's "Command line" code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.startswith("qminfind ")]
+
+
+def test_readme_commands_parse_into_valid_configs():
+    # Parsed and configured, not run: a renamed or removed flag, or a value
+    # the config rejects, fails here instead of leaving the README wrong.
+    commands = _readme_commands()
+    assert len(commands) >= len(_SUBCOMMANDS)
+    assert {shlex.split(command)[1] for command in commands} == set(_SUBCOMMANDS)
+    parser = build_parser()
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                args = parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"usage error in README command {command!r}: {err.getvalue()}")
+        try:
+            _config_from_args(args)
+        except ValueError as exc:
+            pytest.fail(f"config error in README command {command!r}: {exc}")
 
 
 def test_subcommand_is_required():
@@ -295,12 +324,16 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
              "--boost-strategy", "extend"],
             "1..53",
         ),
+        (
+            ["success", "--n", "64", "--runs", "20", "--lambda", "1.00000001"],
+            "smallest accepted at this n is 1.000020795",
+        ),
     ],
     ids=[
         "n-huge", "n-just-over", "sweep-huge", "sweep-too-small", "j-max-huge",
         "j-max-just-over", "j-max-negative", "max-rank-zero", "max-rank-negative",
         "runs-huge", "runs-just-over", "boost-just-over", "boost-huge-repeat",
-        "boost-huge-extend",
+        "boost-huge-extend", "lambda-near-one",
     ],
 )
 def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
@@ -308,7 +341,8 @@ def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
     # iterated.  A negative --j-max or a --max-rank below 1 asserts no row,
     # so its verdict could not fail; a huge --j-max would run for hours, and
     # so would a huge --runs or --boost (a boost above 53 cannot raise the
-    # floor 1 - 2^-c above float64's 1.0 anyway).
+    # floor 1 - 2^-c above float64's 1.0 anyway).  A --lambda just above 1
+    # would build a search schedule of millions of rounds.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -440,7 +474,7 @@ def test_timing_line_carries_the_git_revision(capsys, monkeypatch):
 FUZZ_VALUES = {
     "seed": st.integers(-3, 2**70).map(str),
     "backend": st.sampled_from(["exact", "analytic", "quantum"]),
-    "lambda": st.sampled_from(["1", "1.05", "1.3", "1.34", "nan", "inf", "x"]),
+    "lambda": st.sampled_from(["1", "1.00000001", "1.05", "1.3", "1.34", "nan", "inf", "x"]),
     "mode": st.sampled_from(["distinct", "dup:1", "dup:3", "dup:0", "dup:", "dup:99", "triple"]),
     "boost": st.sampled_from(["-1", "0", "1", "2", "x"]),
     "boost-strategy": st.sampled_from(["repeat", "extend", "twice"]),
@@ -522,8 +556,12 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
         ),
         # One run can never lift the success verdict's lower bound to 1/2.
         (["success", "--n", "4", "--runs", "1", "--backend", "exact", "--timeout", "1e12"], 1, "FAIL"),
+        (
+            ["success", "--n", "64", "--runs", "20", "--lambda", "1.00000001"],
+            2, "growth factor 1.00000001 (--lambda)",
+        ),
     ],
-    ids=["n-huge", "workers-zero", "runs-huge-two-workers", "exact-huge-timeout"],
+    ids=["n-huge", "workers-zero", "runs-huge-two-workers", "exact-huge-timeout", "lambda-near-one"],
 )
 def test_fixed_argv_exits_promptly_in_a_subprocess(argv, code, message):
     result = _cli_subprocess(*argv)

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind import __version__, harness, minfind, qsearch
+from qminfind.bounds import timeout_cap
 from qminfind.harness import (
     CHI2_ALPHA,
     ExperimentConfig,
@@ -26,7 +27,7 @@ from qminfind.harness import (
 )
 from qminfind.grover import GroverLadder, success_probability
 from qminfind.minfind import find_minimum
-from qminfind.qsearch import Backend
+from qminfind.qsearch import Backend, SearchParams
 from qminfind.seeding import derive_stream
 from qminfind.table import generate_table, sorted_table
 
@@ -184,6 +185,55 @@ def test_config_validation():
     ExperimentConfig(experiment="bounds", sweep_max=10**7)
 
 
+@pytest.mark.parametrize(
+    ("fields", "expected"),
+    [
+        ({"experiment": "lemma1"}, math.inf),
+        ({"experiment": "expected-cost"}, math.inf),
+        ({"experiment": "success", "timeout": 7.5}, 7.5),
+        ({"experiment": "single-run", "timeout": 0.0}, 0.0),
+        ({"experiment": "success", "boost": 3, "boost_strategy": "extend"}, 3 * timeout_cap(64)),
+        ({"experiment": "success", "boost": 3}, timeout_cap(64)),
+        ({"experiment": "success"}, timeout_cap(64)),
+        ({"experiment": "single-run"}, timeout_cap(64)),
+        ({"experiment": "single-run", "n": 1}, 22.5),
+        ({"experiment": "success", "n": 1, "boost": 2, "boost_strategy": "extend"}, 45.0),
+        ({"experiment": "lemma1", "n": 1}, math.inf),
+    ],
+    ids=[
+        "lemma1", "expected-cost", "timeout", "timeout-zero", "extend", "repeat", "success",
+        "single-run", "n1", "n1-extend", "n1-lemma1",
+    ],
+)
+def test_config_decides_each_runs_cap_once(fields, expected):
+    config = ExperimentConfig(**fields)
+    assert config.cap == expected
+    assert isinstance(config.cap, float)
+    assert config.cap is config.cap  # computed once per config
+
+
+def test_integer_timeout_becomes_a_float_cap():
+    # The cap lands in single-run records, which must not print 30 for 30.0.
+    assert repr(ExperimentConfig(experiment="single-run", timeout=30).cap) == "30.0"
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 2**14, 2**24])
+def test_growth_near_one_is_rejected_and_the_smallest_accepted_is_named(n):
+    # Only n = 1, whose searches have no growing round, takes any growth.
+    if n == 1:
+        ExperimentConfig(experiment="success", n=n, growth=1.00000001)
+        return
+    with pytest.raises(ValueError, match="growth factor 1.00000001") as caught:
+        ExperimentConfig(experiment="success", n=n, growth=1.00000001)
+    least = float(str(caught.value).rsplit(" ", 1)[1])
+    ExperimentConfig(experiment="success", n=n, growth=least)
+    with pytest.raises(ValueError, match="growing search rounds"):
+        ExperimentConfig(experiment="success", n=n, growth=least - 2e-9)
+    growing, _ = qsearch._round_schedule(n, least)
+    assert len(growing) <= harness.MAX_GROWING_ROUNDS
+    qsearch._round_schedule.cache_clear()
+
+
 def test_config_dict_omits_worker_count():
     # Worker count must never influence report bytes, so it cannot appear.
     config = ExperimentConfig(experiment="success", workers=3)
@@ -312,7 +362,7 @@ def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_val
     config = ExperimentConfig(experiment="lemma1", n=8, runs=300, seed=4, **fields)
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = np.zeros(config.n + 1, dtype=np.int64)
-    for _, ranks, chosen_ranks in harness._map_runs(config, ("lemma1",), harness._lemma1_record):
+    for ranks, chosen_ranks in harness._map_runs(config, ("lemma1",), harness._lemma1_record):
         represented += np.bincount(ranks, minlength=config.n + 1)
         chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
     report = run_experiment(config)
@@ -546,6 +596,31 @@ def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, 
     assert report.to_json() == serial.to_json()
 
 
+@pytest.mark.parametrize("backend", list(Backend))
+def test_extend_record_is_one_run_at_c_default_caps(backend):
+    # Extend boosting is one find_minimum run at c default caps on run i's
+    # stream, so its record carries that run's first-hit time.
+    n, c = 24, 3
+    config = ExperimentConfig(
+        experiment="single-run", n=n, runs=6, seed=14, backend=backend, boost=c,
+        boost_strategy="extend",
+    )
+    rows = run_experiment(config).rows
+    draw_table = harness._table_source(backend)
+    for i, row in enumerate(rows):
+        rng = derive_stream(14, "run", i)
+        table = draw_table(n, "distinct", rng)
+        direct = find_minimum(table, backend, SearchParams(), c * timeout_cap(n), rng)
+        assert direct.first_hit_time is not None
+        assert (
+            row["cap"], row["returned_index"], row["returned_is_minimum"],
+            row["first_hit_time"], row["total_spent"], row["loop_passes"],
+        ) == (
+            direct.cap, direct.returned_index, direct.returned_is_minimum,
+            direct.first_hit_time, direct.total_spent, direct.loop_passes,
+        )
+
+
 def test_runs_draw_sorted_tables_on_the_analytic_backend_only():
     assert harness._table_source(Backend.ANALYTIC_SAMPLER) is sorted_table
     assert harness._table_source(Backend.EXACT_STATEVECTOR) is generate_table
@@ -557,12 +632,13 @@ def test_runs_draw_sorted_tables_on_the_analytic_backend_only():
 
 
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("cap", [None, math.inf], ids=["capped", "uncapped"])
-def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, cap):
+@pytest.mark.parametrize("uncapped", [False, True], ids=["capped", "uncapped"])
+def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, uncapped):
     # The analytic law depends only on ranks, so runs on the table analytic
     # runs draw must be distributed as runs on random permutations: compare
     # loop passes and first-hit times by a two-sample chi-square.
     runs = 2500
+    cap = math.inf if uncapped else timeout_cap(n)
     draw_table = harness._table_source(Backend.ANALYTIC_SAMPLER)
     passes = {"sorted": Counter(), "random": Counter()}
     first_hit = {"sorted": Counter(), "random": Counter()}
@@ -570,7 +646,7 @@ def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, 
         for i in range(runs):
             rng = derive_stream(17, "unit-rank-space", label, n, i)
             table = source(n, "distinct", rng)
-            result = find_minimum(table, timeout_override=cap, rng=rng, record_history=True)
+            result = find_minimum(table, Backend.ANALYTIC_SAMPLER, SearchParams(), cap, rng)
             passes[label][result.loop_passes] += 1
             first_hit[label][-1.0 if result.first_hit_time is None else result.first_hit_time] += 1
     for counts in (passes, first_hit):

@@ -12,30 +12,34 @@ from qminfind.qsearch import Backend, SearchParams
 from qminfind.seeding import derive_stream
 from qminfind.table import Table, generate_table
 
+ANALYTIC = Backend.ANALYTIC_SAMPLER
+PARAMS = SearchParams()
+
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
     table = generate_table(64, "distinct", random.Random(20))
     for seed in range(20):
-        for timeout in (None, math.inf, 30.0):
+        for cap in (timeout_cap(64), math.inf, 30.0):
             rng = derive_stream(seed, "unit-account", backend.value)
-            result = find_minimum(table, backend, timeout_override=timeout, rng=rng)
+            result = find_minimum(table, backend, PARAMS, cap, rng)
             assert isinstance(result.search_steps, int)
             # lg 64 = 6 and every charge is an integer, so the sum is exact.
             assert result.total_spent == result.loop_passes * 6 + result.search_steps
-    boosted = find_minimum_boosted(table, backend, c=3, rng=derive_stream(21, "unit-account"))
+    cap = timeout_cap(64)
+    boosted = find_minimum_boosted(table, backend, PARAMS, cap, 3, derive_stream(21, "unit-account"))
     replay = derive_stream(21, "unit-account")
-    repetitions = [find_minimum(table, backend, rng=replay) for _ in range(3)]
+    repetitions = [find_minimum(table, backend, PARAMS, cap, replay) for _ in range(3)]
     assert boosted.search_steps == sum(r.search_steps for r in repetitions)
     assert boosted.total_spent == boosted.loop_passes * 6 + boosted.search_steps
 
 
 def test_single_entry_table_is_immediate():
-    table = Table(np.array([7]), distinct=True)
-    result = find_minimum(table, rng=random.Random(0))
+    table = Table(np.array([7]))
+    result = find_minimum(table, ANALYTIC, PARAMS, timeout_cap(1), random.Random(0))
     assert result.returned_index == 0
     assert result.returned_is_minimum
-    # Its only entry is the minimum, known before any step, history or not.
+    # Its only entry is the minimum, known before any step.
     assert result.first_hit_time == 0.0
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
@@ -44,7 +48,7 @@ def test_single_entry_table_is_immediate():
 
 def test_zero_cap_returns_unexamined_start():
     table = generate_table(32, "distinct", random.Random(1))
-    result = find_minimum(table, timeout_override=0.0, rng=random.Random(2))
+    result = find_minimum(table, ANALYTIC, PARAMS, 0.0, random.Random(2))
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
     assert result.search_steps == 0
@@ -54,8 +58,8 @@ def test_zero_cap_returns_unexamined_start():
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 128))
 def test_capped_run_respects_budget_accounting(seed, n):
     table = generate_table(n, "distinct", random.Random(seed))
-    result = find_minimum(table, rng=derive_stream(seed, "unit-cap", n))
     cap = timeout_cap(n)
+    result = find_minimum(table, ANALYTIC, PARAMS, cap, derive_stream(seed, "unit-cap", n))
     # Init charges land before the overrun check, so a run may finish at
     # most one lg(n) beyond the cap, never more.
     assert result.total_spent <= cap + math.log2(n)
@@ -66,7 +70,7 @@ def test_capped_run_respects_budget_accounting(seed, n):
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64))
 def test_uncapped_run_always_finds_the_minimum(seed, n):
     table = generate_table(n, "distinct", random.Random(seed))
-    result = find_minimum(table, timeout_override=math.inf, rng=derive_stream(seed, "unit-inf", n))
+    result = find_minimum(table, ANALYTIC, PARAMS, math.inf, derive_stream(seed, "unit-inf", n))
     assert result.returned_is_minimum
     assert table.ranks[result.returned_index] == 1
     assert result.first_hit_time == result.total_spent
@@ -75,16 +79,14 @@ def test_uncapped_run_always_finds_the_minimum(seed, n):
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64), k=st.integers(1, 8))
 def test_uncapped_run_reaches_minimal_value_with_duplicates(seed, n, k):
     table = generate_table(n, "dup", random.Random(seed), k=min(k, n))
-    result = find_minimum(
-        table, timeout_override=math.inf, rng=derive_stream(seed, "unit-dup", n, k)
-    )
+    result = find_minimum(table, ANALYTIC, PARAMS, math.inf, derive_stream(seed, "unit-dup", n, k))
     assert int(table.values[result.returned_index]) == table.values.min()
 
 
 @given(seed=st.integers(0, 2000))
 def test_history_thresholds_strictly_improve(seed):
     table = generate_table(48, "dup", random.Random(seed), k=6)
-    result = find_minimum(table, timeout_override=math.inf, rng=derive_stream(seed, "unit-hist"))
+    result = find_minimum(table, ANALYTIC, PARAMS, math.inf, derive_stream(seed, "unit-hist"))
     times = [entry[0] for entry in result.history]
     values = [int(table.values[entry[1]]) for entry in result.history]
     assert times[0] == 0.0
@@ -93,16 +95,9 @@ def test_history_thresholds_strictly_improve(seed):
     assert result.history[-1][1] == result.returned_index
 
 
-def test_history_off_by_default():
-    table = generate_table(16, "distinct", random.Random(3))
-    result = find_minimum(table, rng=random.Random(4))
-    assert result.history is None
-    assert result.first_hit_time is None
-
-
 def test_history_records_first_hit():
     table = generate_table(16, "distinct", random.Random(5))
-    result = find_minimum(table, rng=random.Random(6), record_history=True)
+    result = find_minimum(table, ANALYTIC, PARAMS, timeout_cap(16), random.Random(6))
     if result.returned_is_minimum:
         assert result.first_hit_time is not None
         assert result.first_hit_time <= result.total_spent
@@ -111,15 +106,17 @@ def test_history_records_first_hit():
 @pytest.mark.parametrize("backend", list(Backend))
 def test_runs_are_deterministic_per_stream(backend):
     table = generate_table(32, "distinct", random.Random(7))
-    a = find_minimum(table, backend, rng=derive_stream(8, "unit-det", backend.value))
-    b = find_minimum(table, backend, rng=derive_stream(8, "unit-det", backend.value))
+    cap = timeout_cap(32)
+    a = find_minimum(table, backend, PARAMS, cap, derive_stream(8, "unit-det", backend.value))
+    b = find_minimum(table, backend, PARAMS, cap, derive_stream(8, "unit-det", backend.value))
     assert a == b
 
 
 def test_boost_one_repeat_equals_single_run():
     table = generate_table(24, "distinct", random.Random(9))
-    boosted = find_minimum_boosted(table, c=1, rng=derive_stream(10, "unit-boost"))
-    single = find_minimum(table, rng=derive_stream(10, "unit-boost"))
+    cap = timeout_cap(24)
+    boosted = find_minimum_boosted(table, ANALYTIC, PARAMS, cap, 1, derive_stream(10, "unit-boost"))
+    single = find_minimum(table, ANALYTIC, PARAMS, cap, derive_stream(10, "unit-boost"))
     assert boosted.returned_index == single.returned_index
     assert boosted.total_spent == single.total_spent
     assert boosted.loop_passes == single.loop_passes
@@ -127,32 +124,18 @@ def test_boost_one_repeat_equals_single_run():
 
 def test_boost_repeat_accumulates_cost():
     table = generate_table(24, "distinct", random.Random(11))
-    stream = derive_stream(12, "unit-boost3")
-    boosted = find_minimum_boosted(table, c=3, rng=stream)
+    cap = timeout_cap(24)
+    boosted = find_minimum_boosted(table, ANALYTIC, PARAMS, cap, 3, derive_stream(12, "unit-boost3"))
     replay = derive_stream(12, "unit-boost3")
-    total = sum(find_minimum(table, rng=replay).total_spent for _ in range(3))
+    total = sum(find_minimum(table, ANALYTIC, PARAMS, cap, replay).total_spent for _ in range(3))
     assert boosted.total_spent == pytest.approx(total)
     assert boosted.loop_passes >= 3
-
-
-def test_boost_extend_matches_tripled_cap():
-    table = generate_table(24, "distinct", random.Random(13))
-    boosted = find_minimum_boosted(
-        table, c=3, rng=derive_stream(14, "unit-ext"), strategy="extend"
-    )
-    direct = find_minimum(
-        table, timeout_override=3 * timeout_cap(24), rng=derive_stream(14, "unit-ext")
-    )
-    assert boosted.returned_index == direct.returned_index
-    assert boosted.total_spent == direct.total_spent
 
 
 def test_boost_validation():
     table = generate_table(8, "distinct", random.Random(15))
     with pytest.raises(ValueError):
-        find_minimum_boosted(table, c=0, rng=random.Random(0))
-    with pytest.raises(ValueError, match="strategy"):
-        find_minimum_boosted(table, c=2, rng=random.Random(0), strategy="other")
+        find_minimum_boosted(table, ANALYTIC, PARAMS, timeout_cap(8), 0, random.Random(0))
 
 
 def test_boost_raises_success_rate():
@@ -163,8 +146,9 @@ def test_boost_raises_success_rate():
         rng = derive_stream(16, "unit-boostgain", i)
         table = generate_table(64, "distinct", rng)
         # A starved cap makes single runs fail often enough to see the gain.
-        plain_hits += find_minimum(table, timeout_override=12.0, rng=rng).returned_is_minimum
-        boosted = find_minimum_boosted(table, c=3, rng=rng, strategy="extend")
+        plain_hits += find_minimum(table, ANALYTIC, PARAMS, 12.0, rng).returned_is_minimum
+        # Extend boosting: one run at three default caps.
+        boosted = find_minimum(table, ANALYTIC, PARAMS, 3 * timeout_cap(64), rng)
         boosted_hits += boosted.returned_is_minimum
     assert boosted_hits > plain_hits
 
@@ -173,27 +157,24 @@ def test_boost_raises_success_rate():
 def test_backends_share_interfaces_end_to_end(backend):
     table = generate_table(16, "distinct", random.Random(17))
     rng = derive_stream(18, backend.value)
-    result = find_minimum(table, backend, SearchParams(), timeout_override=math.inf, rng=rng)
+    result = find_minimum(table, backend, SearchParams(), math.inf, rng)
     assert result.returned_is_minimum
 
 
 def test_run_result_records_the_cap_it_used():
     table = generate_table(24, "distinct", random.Random(19))
-    assert find_minimum(table, rng=random.Random(0)).cap == timeout_cap(24)
-    assert find_minimum(table, timeout_override=7.5, rng=random.Random(0)).cap == 7.5
-    assert find_minimum(table, timeout_override=0.0, rng=random.Random(0)).cap == 0.0
-    extend = find_minimum_boosted(table, c=3, rng=random.Random(0), strategy="extend")
-    assert extend.cap == 3 * timeout_cap(24)
-    # Repetitions each run under the default cap.
-    assert find_minimum_boosted(table, c=3, rng=random.Random(0)).cap == timeout_cap(24)
+    cap = timeout_cap(24)
+    assert find_minimum(table, ANALYTIC, PARAMS, cap, random.Random(0)).cap == cap
+    assert find_minimum(table, ANALYTIC, PARAMS, 7.5, random.Random(0)).cap == 7.5
+    assert find_minimum(table, ANALYTIC, PARAMS, 0.0, random.Random(0)).cap == 0.0
+    # Repetitions each run under the cap they are given.
+    assert find_minimum_boosted(table, ANALYTIC, PARAMS, cap, 3, random.Random(0)).cap == cap
     # A one-entry table needs no step, whatever the cap.
-    single = Table(np.array([4]), distinct=True)
-    assert find_minimum(single, timeout_override=9.0, rng=random.Random(0)).cap == 0.0
+    single = Table(np.array([4]))
+    assert find_minimum(single, ANALYTIC, PARAMS, 9.0, random.Random(0)).cap == 0.0
 
 
 def test_uncapped_single_entry_run_records_history():
-    result = find_minimum(
-        Table(np.array([4]), distinct=True), timeout_override=math.inf, rng=random.Random(0)
-    )
+    result = find_minimum(Table(np.array([4])), ANALYTIC, PARAMS, math.inf, random.Random(0))
     assert result.history == [(0.0, 0)]
     assert result.first_hit_time == result.total_spent == 0.0

@@ -26,10 +26,10 @@ n,seed,backend,lambda,cap,returned_index,returned_is_minimum,first_hit_time,tota
 
 RUN_BOOST_EXTEND = """\
 n,seed,backend,lambda,cap,returned_index,returned_is_minimum,first_hit_time,total_spent,loop_passes
-16,3,analytic,1.1428571428571428,224.8,0,True,,224.0,4
-16,3,analytic,1.1428571428571428,224.8,0,True,,224.0,3
-16,3,analytic,1.1428571428571428,224.8,0,True,,224.0,4
-16,3,analytic,1.1428571428571428,224.8,0,True,,224.0,3
+16,3,analytic,1.1428571428571428,224.8,0,True,16.0,224.0,4
+16,3,analytic,1.1428571428571428,224.8,0,True,9.0,224.0,3
+16,3,analytic,1.1428571428571428,224.8,0,True,15.0,224.0,4
+16,3,analytic,1.1428571428571428,224.8,0,True,8.0,224.0,3
 """
 
 RUN_EXACT = """\

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from qminfind import minfind
+from qminfind.bounds import timeout_cap
 from qminfind.harness import two_sample_chisquare
 from qminfind.grover import GroverLadder
 from qminfind.qsearch import Backend, SearchParams, search
@@ -24,13 +25,11 @@ from qminfind.table import (
 def test_distinct_generation_is_a_permutation():
     table = generate_table(16, "distinct", random.Random(0))
     assert sorted(table.values.tolist()) == list(range(16))
-    assert table.distinct
 
 
 def test_duplicate_generation_respects_value_range():
     table = generate_table(50, "dup", random.Random(0), k=4)
     assert set(table.values.tolist()) <= set(range(4))
-    assert not table.distinct
 
 
 def test_generate_rejects_bad_arguments():
@@ -45,17 +44,11 @@ def test_generate_rejects_bad_arguments():
         generate_table(8, "nope", rng)
 
 
-def test_distinct_flag_is_validated():
-    with pytest.raises(ValueError, match="duplicate"):
-        Table(np.array([3, 3, 1]), distinct=True)
-
-
 @given(seed=st.integers(0, 2**64), n=st.integers(1, 2000))
 def test_permutation_metadata_matches_sorting(seed, n):
     table = generate_table(n, "distinct", random.Random(seed))
     values = np.array(table.values)
     order = np.argsort(values, kind="stable")
-    assert table.distinct
     assert table.order.tolist() == order.tolist()
     assert table.ranks.tolist() == (np.searchsorted(values[order], values, side="left") + 1).tolist()
 
@@ -101,7 +94,6 @@ def test_sorted_distinct_table_is_shared_read_only_and_draws_nothing():
     rng, untouched = random.Random(5), random.Random(5)
     table = sorted_table(300, "distinct", rng)
     assert table is sorted_table(300, "distinct", random.Random(6))
-    assert table.distinct
     assert table.values.tolist() == list(range(300))
     assert table.order.tolist() == list(range(300))
     assert table.ranks.tolist() == list(range(1, 301))
@@ -116,7 +108,6 @@ def test_sorted_dup_table_is_reproducible_and_sorted():
     first = sorted_table(300, "dup", rng_a, k=5)
     assert first.values.tolist() == sorted_table(300, "dup", rng_b, k=5).values.tolist()
     assert rng_a.random() == rng_b.random()
-    assert not first.distinct
     assert np.all(np.diff(first.values) >= 0)
     assert set(first.values.tolist()) <= set(range(5))
     assert sorted_table(300, "dup", random.Random(22), k=5).values.tolist() != first.values.tolist()
@@ -155,7 +146,7 @@ def test_values_are_read_only():
 
 def test_table_does_not_capture_caller_array():
     source = np.array([5, 2, 7], dtype=np.int64)
-    table = Table(source, distinct=True)
+    table = Table(source)
     source[0] = -1
     assert table.values.tolist() == [5, 2, 7]
 
@@ -177,7 +168,7 @@ def test_equal_values_share_the_lowest_rank(seed, n, k):
 
 
 def test_minimum_with_duplicates():
-    table = Table(np.array([4, 1, 1, 9]), distinct=False)
+    table = Table(np.array([4, 1, 1, 9]))
     assert table.values.min() == 1
     assert table.ranks[1] == 1 and table.ranks[2] == 1
     assert table.ranks[0] != 1
@@ -205,7 +196,7 @@ def test_threshold_marks_strictly_smaller_entries(seed, n):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(minfind, "search", recording)
         result = minfind.find_minimum(
-            table, Backend.EXACT_STATEVECTOR, rng=rng, record_history=True
+            table, Backend.EXACT_STATEVECTOR, SearchParams(), timeout_cap(n), rng
         )
     y = result.history[0][1]
     for t, ladder, (hit, _, _, index) in passes:
@@ -270,13 +261,6 @@ def test_io_round_trip(tmp_path):
     path.write_text("".join(f"{value}\n" for value in table.values.tolist()))
     loaded = read_table(path)
     assert loaded.values.tolist() == table.values.tolist()
-    assert loaded.distinct == table.distinct
-
-
-def test_read_table_detects_distinct(tmp_path):
-    path = tmp_path / "t.txt"
-    path.write_text("5\n-2\n9\n")
-    assert read_table(path).distinct
 
 
 def test_read_table_rejects_junk(tmp_path):
