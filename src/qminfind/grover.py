@@ -14,19 +14,22 @@ theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form.
 fixed marked set: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
-passed.  Its j = 0 CDF is the uniform state's, which is the same for
-every marked set over N indices, so one read-only copy per N is shared by
-all ladders; the ladder builds its amplitude vector only at its first
-iteration.  The ladder is the one holder of a marked set: the exact
-backend's searches and equivalence's closed-form check both read one.
-The test suite keeps an independent statevector reference
-(``tests/reference_grover.py``) that evolves one immutable state per
-iteration under a predicate queried afresh each time; the ladder's states
-match it bit for bit.
+passed; ``GroverLadder.measure`` draws one index from such a state, and
+every measurement of the exact backend is one call to it.  Its j = 0 CDF
+is the uniform state's, which is the same for every marked set over N
+indices, so one read-only copy per N is shared by all ladders; the ladder
+builds its amplitude vector only at its first iteration.  The ladder is
+the one holder of a marked set: the exact backend's searches, its
+closed-form t = 0 draw and equivalence's fixed-j draws and closed-form
+check all read one.  The test suite keeps an independent statevector
+reference (``tests/reference_grover.py``) that evolves one immutable
+state per iteration under a predicate queried afresh each time; the
+ladder's states match it bit for bit.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +38,6 @@ __all__ = [
     "GroverLadder",
     "rotation_angle",
     "success_probability",
-    "sample",
 ]
 
 NORM_TOL = 1e-9
@@ -69,18 +71,20 @@ def _uniform_amplitudes(n: int) -> np.ndarray:
 
 def _reflect(amps: np.ndarray, sign: np.ndarray) -> None:
     """One iteration in place: multiply by the +-1 phase ``sign``, then invert about the mean."""
-    amps *= sign
-    # The same float as ``amps.mean()``, which divides this sum by the
-    # count, without the method's dispatch.
-    np.subtract(2.0 * (amps.sum() / len(amps)), amps, out=amps)
+    # Bare ufunc calls: the same loops as the in-place operator and the sum
+    # method, without their dispatch.  The mean is the same float as
+    # ``amps.mean()``, which divides this sum by the count.
+    np.multiply(amps, sign, out=amps)
+    np.subtract(2.0 * (np.add.reduce(amps) / len(amps)), amps, out=amps)
 
 
 def _measured(amps: np.ndarray) -> np.ndarray:
     """The cumulative |a_i|^2 of ``amps``, norm-checked and read-only."""
     # The signs and the mean are real, so every imaginary part stays +-0 and
-    # the squared real part is |a|^2 bit for bit.
-    cdf = np.cumsum(np.square(amps.real))
-    _check_norm(float(cdf[-1]))
+    # the squared real part is |a|^2 bit for bit.  ``add.accumulate`` is
+    # the cumulative-sum loop itself, summed in the same order.
+    cdf = np.add.accumulate(np.square(amps.real))
+    _check_norm(cdf.item(-1))
     cdf.setflags(write=False)
     return cdf
 
@@ -98,12 +102,15 @@ class GroverLadder:
     as given and made read-only, since the states the ladder keeps hold
     only for the set they were computed under.  ``cdf(0)`` is the shared
     uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 builds the
-    amplitude vector; from then on ``cdf(j)`` extends it in place by the
-    iterations not yet computed and keeps the CDF of each state it passes
-    (norm-checked once, read-only), so each iteration is computed once and
-    depth j holds j + 1 CDFs of n floats.  A ladder serves every exact
-    search under its marked set: an exact pass of ``find_minimum`` builds
-    one per threshold, an equivalence cell one per (n, t).
+    amplitude vector and the complex +-1 phase of the marked set; from then
+    on ``cdf(j)`` extends the vector in place by the iterations not yet
+    computed and keeps the CDF of each state it passes (norm-checked once,
+    read-only), so each iteration is computed once and depth j holds j + 1
+    CDFs of n floats.  ``measure(j, rng)`` reads the state through
+    ``cdf(j)`` and draws one index from it, so measuring a state the ladder
+    already holds computes nothing.  A ladder serves every exact search
+    under its marked set: an exact pass of ``find_minimum`` builds one per
+    threshold, an equivalence cell one per (n, t).
     """
 
     def __init__(self, mask: np.ndarray):
@@ -123,12 +130,29 @@ class GroverLadder:
                 raise ValueError("iteration count must be >= 0")
             return cdfs[j]
         if self._amps is None:
-            self._sign = np.where(self.mask, -1.0, 1.0)
+            # Complex, as the amplitudes are: ``_reflect``'s multiply would
+            # cast a real sign to exactly these values on every call.
+            self._sign = np.where(self.mask, -1.0 + 0j, 1.0 + 0j)
             self._amps = _uniform_amplitudes(len(self.mask))
         while len(cdfs) <= j:
             _reflect(self._amps, self._sign)
             cdfs.append(_measured(self._amps))
         return cdfs[j]
+
+    def measure(self, j: int, rng) -> int:
+        """Measure the state after j iterations: index i with probability |a_i|^2.
+
+        Consumes exactly one ``rng.random()`` u and returns the first index
+        whose cumulative sum exceeds u times the total, so cells of
+        probability 0 are passed over.  On this nondecreasing CDF
+        ``bisect_right`` finds the index ``searchsorted(side="right")``
+        would, as a Python int and faster at the sizes the exact backend
+        runs.  u < 1 keeps the product below the total; the clamp to n - 1
+        only guards that bound.
+        """
+        cdf = self.cdf(j)
+        index = bisect_right(cdf, rng.random() * cdf.item(-1))
+        return index if index < len(cdf) else len(cdf) - 1
 
 
 def success_probability(n: int, t: int, j: int) -> float:
@@ -141,14 +165,3 @@ def success_probability(n: int, t: int, j: int) -> float:
         raise ValueError("iteration count must be >= 0")
     return math.sin((2 * j + 1) * rotation_angle(n, t)) ** 2
 
-
-def sample(cdf: np.ndarray, rng) -> int:
-    """Draw index i with probability proportional to cdf[i] - cdf[i-1].
-
-    Consumes one uniform draw from ``rng``; every measurement of a
-    ``GroverLadder`` state draws through here.
-    """
-    # Scaling by the total and clamping guard the top end against float
-    # round-off in the cumulative sum.
-    idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
-    return min(idx, len(cdf) - 1)

@@ -60,7 +60,7 @@ from .bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
-from .grover import GroverLadder, sample, success_probability
+from .grover import GroverLadder, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
 from .qsearch import Backend, SearchParams, search
 from .seeding import derive_stream
@@ -706,12 +706,12 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     n = config.n
     ladder = GroverLadder(np.arange(n) < t)
     samples = min(config.runs, 20_000)
+    measure = ladder.measure
     fixed_rows = []
     for j in range(min(config.j_max, 8) + 1):
-        cdf = ladder.cdf(j)
         p_true = success_probability(n, t, j)
         rng = derive_stream(config.seed, "eqv-fixedj", t, j)
-        hits = sum(sample(cdf, rng) < t for _ in range(samples))
+        hits = sum(measure(j, rng) < t for _ in range(samples))
         # Exact, so a probability near 0 or 1 keeps the nominal level.
         p_value = float(binomtest(hits, samples, p_true).pvalue)
         ok = p_value > FIXED_J_ALPHA

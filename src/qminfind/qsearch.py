@@ -21,8 +21,9 @@ measured and where the index comes from:
   one of 0..t-1 on a hit, one of t..N-1 on a miss.  ``find_minimum`` reads
   it as a position in its table's sorted order; equivalence cells mark
   0..t-1, so there it is the index itself.
-* ``EXACT_STATEVECTOR`` measures the state after j iterations, read from
-  the caller's ``GroverLadder``, and returns the last index measured.
+* ``EXACT_STATEVECTOR`` measures the state after j iterations with one
+  ``GroverLadder.measure`` call on the caller's ladder, and returns the
+  last index measured; it never reads the rotation angle.
   Every round starts from the uniform state, so a ladder kept across
   searches computes each iteration once; each is still charged one time
   step, as in every round.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .grover import GroverLadder, rotation_angle, sample
+from .grover import GroverLadder, rotation_angle
 
 __all__ = [
     "Backend",
@@ -137,7 +138,7 @@ def search(
         hit, used, interrupted = False, int(budget), True
     else:
         growing, saturated = _round_schedule(n, params.growth)
-        theta = rotation_angle(n, t)
+        theta = rotation_angle(n, t) if ladder is None else None
         getrandbits = rng.getrandbits
         uniform = rng.random
         sin = math.sin
@@ -161,8 +162,8 @@ def search(
                 # whose unmarked position could not be drawn.
                 hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
             else:
-                index = sample(ladder.cdf(j), rng)
-                hit = bool(ladder.mask[index])
+                index = ladder.measure(j, rng)
+                hit = ladder.mask.item(index)
             remaining -= j
             used += j
             if hit:
@@ -180,5 +181,5 @@ def search(
         index = rng.randrange(t) if hit else rng.randrange(t, n)
     elif index is None:
         # Settled in closed form: the state is still uniform.
-        index = sample(ladder.cdf(0), rng)
+        index = ladder.measure(0, rng)
     return hit, used, interrupted, index

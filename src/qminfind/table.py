@@ -68,7 +68,7 @@ class Table:
         positions = np.arange(n, dtype=np.int64)
         order = np.zeros(n, dtype=np.int64)
         order[vals] = positions
-        if not np.array_equal(vals[order], positions):
+        if not (vals[order] == positions).all():
             raise ValueError("permutation table holds a duplicate value")
         ranks = vals + 1
         order.setflags(write=False)

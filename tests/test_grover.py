@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind import grover
-from qminfind.grover import GroverLadder, rotation_angle, sample, success_probability
+from qminfind.grover import GroverLadder, rotation_angle, success_probability
 from reference_grover import StateVector, grover_iterate, marked_subset, uniform_state
 
 # Success curve for 2 marked of 8, derived by hand from the rotation angle
@@ -119,34 +119,83 @@ def test_success_probability_rejects_bad_domain():
         rotation_angle(0, 0)
 
 
-def test_measure_follows_amplitude_weights():
-    cdf = np.cumsum(StateVector(np.array([math.sqrt(0.25), math.sqrt(0.75)])).probabilities())
-    rng = random.Random(99)
-    draws = 4000
-    ones = sum(sample(cdf, rng) for _ in range(draws))
-    # 4 standard errors around p = 0.75.
-    assert abs(ones / draws - 0.75) < 4 * math.sqrt(0.75 * 0.25 / draws)
-
-
-def test_measure_is_deterministic_per_stream():
-    cdf = np.cumsum(uniform_state(32).probabilities())
-    a = [sample(cdf, random.Random(5)) for _ in range(1)]
-    b = [sample(cdf, random.Random(5)) for _ in range(1)]
-    assert a == b
-
-
-def test_measure_returns_valid_index():
-    cdf = np.cumsum(uniform_state(7).probabilities())
-    rng = random.Random(1)
-    for _ in range(200):
-        assert 0 <= sample(cdf, rng) < 7
-
-
 def _ladder(indices, n: int) -> GroverLadder:
     """A ladder over n indices marking ``indices``, as a read-only mask."""
     mask = marked_subset(indices)(np.arange(n))
     mask.setflags(write=False)
     return GroverLadder(mask)
+
+
+def test_measure_follows_amplitude_weights():
+    # One of 16 marked, one iteration: the marked index has probability
+    # sin^2(3 asin(1/4)) = 0.47265625.
+    ladder = _ladder([5], 16)
+    rng = random.Random(99)
+    draws = 4000
+    p = success_probability(16, 1, 1)
+    hits = sum(ladder.measure(1, rng) == 5 for _ in range(draws))
+    # 4 standard errors around p.
+    assert abs(hits / draws - p) < 4 * math.sqrt(p * (1 - p) / draws)
+
+
+def test_measure_is_deterministic_per_stream():
+    ladder = _ladder([3, 17], 32)
+
+    def draws(j):
+        rng = random.Random(5)
+        return [ladder.measure(j, rng) for _ in range(20)]
+
+    for j in range(5):
+        assert draws(j) == draws(j)
+
+
+def test_measure_returns_valid_index():
+    ladder = _ladder([2], 7)
+    rng = random.Random(1)
+    for _ in range(200):
+        index = ladder.measure(rng.randrange(4), rng)
+        assert type(index) is int and 0 <= index < 7
+
+
+@given(
+    n=st.integers(1, 2048),
+    density=st.floats(0.0, 1.0),
+    mask_seed=st.integers(0, 2**32 - 1),
+    j_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10**6),
+)
+def test_measure_is_one_draw_searched_on_the_state_cdf(n, density, mask_seed, j_frac, seed):
+    mask = np.random.default_rng(mask_seed).random(n) < density
+    ladder = GroverLadder(mask)
+    j = round(j_frac * math.ceil(math.sqrt(n)))
+    rng, twin = random.Random(seed), random.Random(seed)
+    index = ladder.measure(j, rng)
+    cdf = ladder.cdf(j)
+    u = twin.random()
+    assert index == min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), n - 1)
+    # Exactly one ``random()``: the two streams are in step again.
+    assert rng.getstate() == twin.getstate()
+
+
+class _Scripted:
+    """An rng whose every ``random()`` returns ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_measure_never_lands_on_a_cell_of_probability_zero(u):
+    # One of four marked, one iteration: the state is exactly the marked
+    # index.  The least and the greatest draw must both measure it, neither
+    # the zero cells below it (a left bisection would measure index 0 at
+    # u = 0) nor the one above it.
+    ladder = _ladder([2], 4)
+    assert ladder.cdf(1).tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert ladder.measure(1, _Scripted(u)) == 2
 
 
 def test_marked_subset_predicate():
@@ -242,3 +291,27 @@ def test_ladder_reflects_only_as_deep_as_asked(monkeypatch, depth):
     assert calls == depth
     # Only an iteration needs the ladder's own amplitude vector.
     assert (ladder._amps is None) == (depth == 0)
+
+
+@pytest.mark.parametrize("depth", [0, 3, 12])
+def test_measuring_a_held_state_computes_nothing(monkeypatch, depth):
+    # Asked for depth d in any order, a ladder makes d reflections and d
+    # CDFs; measuring the states it holds, however often, makes none.
+    ladder = _ladder([2, 5], 16)
+    counts = {"_reflect": 0, "_measured": 0}
+    for name in counts:
+        original = getattr(grover, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(grover, name, counting)
+    order = list(range(depth + 1))
+    random.Random(depth).shuffle(order)
+    for j in order:
+        ladder.cdf(j)
+    rng = random.Random(7)
+    for _ in range(50):
+        ladder.measure(rng.randrange(depth + 1), rng)
+    assert counts == {"_reflect": depth, "_measured": depth}
