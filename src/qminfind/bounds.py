@@ -28,7 +28,6 @@ __all__ = [
     "expected_search_cost_bound",
     "sweep_search_cost_bound",
     "sweep_harmonic_bound",
-    "BoundReport",
     "SweepResult",
 ]
 
@@ -147,35 +146,3 @@ def sweep_harmonic_bound(n_max: int) -> SweepResult:
     worst = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst])
     return SweepResult(ok=worst_ratio <= 1.0, n_max=n_max, worst_n=worst + 2, worst_ratio=worst_ratio)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound evaluated at one size, ready for serialization."""
-
-    n: int
-    expected_cost_bound: float
-    timeout_cap: float
-    harmonic: float
-    search_bounds: dict[int, float]
-
-    @classmethod
-    def for_size(cls, n: int) -> "BoundReport":
-        _require_size(n, 2)
-        t_grid = sorted({1, 2, max(1, n // 16), max(1, n // 4), n})
-        return cls(
-            n=n,
-            expected_cost_bound=expected_cost_bound(n),
-            timeout_cap=timeout_cap(n),
-            harmonic=harmonic_number(n),
-            search_bounds={t: search_iterations_bound(n, t) for t in t_grid},
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "expected_cost_bound": self.expected_cost_bound,
-            "timeout_cap": self.timeout_cap,
-            "harmonic": self.harmonic,
-            "search_iteration_bounds": {str(t): v for t, v in sorted(self.search_bounds.items())},
-        }

@@ -9,6 +9,10 @@ One subcommand per experiment::
     qminfind equivalence  exact statevector backend vs analytic sampler
     qminfind bounds       closed-form identities and sweeps
 
+Every flag but --format and --out sets the ``ExperimentConfig`` field of
+its name (--lambda sets ``growth``, --table ``table_path``) and passes its
+text through; the config states each default, grammar and valid range.
+
 Exit status: 0 when the experiment's verdict passes, 1 on a statistical
 failure, 2 on bad usage or configuration.  The report goes to stdout (or
 --out); wall-clock timing and the git revision go to stderr only, so
@@ -21,116 +25,71 @@ import argparse
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import EXPERIMENT_FIELDS, ExperimentConfig, build_identifier, run_experiment
-from .qsearch import Backend, SearchParams
+from .qsearch import Backend
 
-# subcommand -> experiment key
+# subcommand -> (experiment key, help line)
 _SUBCOMMANDS = {
-    "run": "single-run",
-    "lemma1": "lemma1",
-    "success": "success",
-    "cost": "expected-cost",
-    "equivalence": "equivalence",
-    "bounds": "bounds",
+    "run": ("single-run", "emit one record per run"),
+    "lemma1": ("lemma1", "rank-selection frequencies vs 1/r"),
+    "success": ("success", "capped-run success fraction vs its floor"),
+    "cost": ("expected-cost", "uncapped-run mean cost vs the closed-form bound"),
+    "equivalence": ("equivalence", "exact statevector backend vs analytic sampler"),
+    "bounds": ("bounds", "closed-form identities and inequality sweeps"),
 }
-
-
-def _parse_mode(text: str) -> tuple[str, int | None]:
-    if text == "distinct":
-        return "distinct", None
-    if text.startswith("dup:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad duplicate count in {text!r}") from None
-        return "dup", k
-    raise argparse.ArgumentTypeError(f"mode must be 'distinct' or 'dup:<k>', got {text!r}")
+# The config fields the flags set: every field but the experiment itself.
+_CONFIG_FIELDS = [f for f in fields(ExperimentConfig) if f.name != "experiment"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=64, help="table size (default 64)")
-    common.add_argument("--runs", type=int, default=10_000, help="Monte Carlo runs (default 10000)")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    common.add_argument("--n", type=int, help="table size (default %(default)s)")
+    common.add_argument("--runs", type=int, help="Monte Carlo runs (default %(default)s)")
+    common.add_argument("--seed", type=int, help="master seed (default %(default)s)")
+    common.add_argument("--backend", type=Backend, help="exact | analytic (default analytic)")
     common.add_argument(
-        "--backend",
-        type=Backend,
-        default=Backend.ANALYTIC_SAMPLER,
-        help="exact | analytic (default analytic)",
-    )
-    common.add_argument(
-        "--lambda",
-        dest="growth",
-        type=float,
-        default=SearchParams().growth,
-        metavar="LAMBDA",
+        "--lambda", dest="growth", type=float, metavar="LAMBDA",
         help="search growth factor in (1, 4/3) (default 8/7)",
     )
-    common.add_argument(
-        "--mode",
-        type=_parse_mode,
-        default=("distinct", None),
-        help="table contents: distinct | dup:<k> (default distinct)",
-    )
-    common.add_argument("--boost", type=int, default=None, metavar="C", help="boost level c")
+    common.add_argument("--mode", help="table contents: distinct | dup:<k> (default %(default)s)")
+    common.add_argument("--boost", type=int, metavar="C", help="boost level c")
     common.add_argument(
         "--boost-strategy",
         choices=("repeat", "extend"),
-        default="repeat",
-        help="how to spend the boost budget (default repeat)",
+        help="how to spend the boost budget (default %(default)s)",
     )
-    common.add_argument(
-        "--timeout", type=float, default=None, help="override the per-run step cap"
-    )
+    common.add_argument("--timeout", type=float, help="override the per-run step cap")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", type=Path, default=None, help="write the report here")
-    common.add_argument("--table", type=Path, default=None, help="fixed input table file")
-    common.add_argument("--workers", type=int, default=1, help="process count (default 1)")
-    common.add_argument("--max-rank", type=int, default=10, help="deepest asserted rank (lemma1)")
-    common.add_argument("--j-max", type=int, default=12, help="deepest iteration count (equivalence)")
+    common.add_argument("--out", type=Path, help="write the report here")
+    common.add_argument("--table", dest="table_path", metavar="TABLE", help="fixed input table file")
+    common.add_argument("--workers", type=int, help="process count (default %(default)s)")
     common.add_argument(
-        "--sweep-max", type=int, default=10**6, help="largest size in bound sweeps (bounds)"
+        "--max-rank", type=int, help="deepest asserted rank, lemma1 (default %(default)s)"
     )
+    common.add_argument(
+        "--j-max", type=int, help="deepest iteration count, equivalence (default %(default)s)"
+    )
+    common.add_argument(
+        "--sweep-max", type=int, help="largest size in bound sweeps (default %(default)s)"
+    )
+    common.set_defaults(**{f.name: f.default for f in _CONFIG_FIELDS})
 
     parser = argparse.ArgumentParser(
         prog="qminfind",
         description="Simulate and statistically verify quantum threshold-descent minimum finding.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "run": "emit one record per run",
-        "lemma1": "rank-selection frequencies vs 1/r",
-        "success": "capped-run success fraction vs its floor",
-        "cost": "uncapped-run mean cost vs the closed-form bound",
-        "equivalence": "exact statevector backend vs analytic sampler",
-        "bounds": "closed-form identities and inequality sweeps",
-    }
-    for name, experiment in _SUBCOMMANDS.items():
-        sub.add_parser(name, parents=[common], help=descriptions[name])
+    for name, (_, description) in _SUBCOMMANDS.items():
+        sub.add_parser(name, parents=[common], help=description)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    mode, dup_k = args.mode
     return ExperimentConfig(
-        experiment=_SUBCOMMANDS[args.command],
-        n=args.n,
-        runs=args.runs,
-        seed=args.seed,
-        backend=args.backend,
-        growth=args.growth,
-        mode=mode,
-        dup_k=dup_k,
-        boost=args.boost,
-        boost_strategy=args.boost_strategy,
-        timeout=args.timeout,
-        max_rank=args.max_rank,
-        j_max=args.j_max,
-        sweep_max=args.sweep_max,
-        workers=args.workers,
-        table_path=None if args.table is None else str(args.table),
+        _SUBCOMMANDS[args.command][0], **{f.name: getattr(args, f.name) for f in _CONFIG_FIELDS}
     )
 
 

@@ -147,12 +147,12 @@ class GroverLadder:
         probability 0 are passed over.  On this nondecreasing CDF
         ``bisect_right`` finds the index ``searchsorted(side="right")``
         would, as a Python int and faster at the sizes the exact backend
-        runs.  u < 1 keeps the product below the total; the clamp to n - 1
-        only guards that bound.
+        runs.  It returns at most n - 1 with no clamp: u <= 1 - 2^-53, and
+        the total T is norm-checked near 1, so the round-to-nearest product
+        u * T stays strictly below T, the CDF's last entry.
         """
         cdf = self.cdf(j)
-        index = bisect_right(cdf, rng.random() * cdf.item(-1))
-        return index if index < len(cdf) else len(cdf) - 1
+        return bisect_right(cdf, rng.random() * cdf.item(-1))
 
 
 def success_probability(n: int, t: int, j: int) -> float:

@@ -53,9 +53,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundReport,
     expected_cost_bound,
     expected_search_cost_bound,
+    harmonic_number,
+    search_iterations_bound,
     sweep_harmonic_bound,
     sweep_search_cost_bound,
     timeout_cap,
@@ -88,7 +89,7 @@ __all__ = [
 # silently ignored.  The experiments reading no ``timeout`` measure the
 # uncapped run.
 _RUN_FIELDS = frozenset(
-    {"n", "runs", "seed", "backend", "growth", "mode", "dup_k", "table_path", "workers"}
+    {"n", "runs", "seed", "backend", "growth", "mode", "table_path", "workers"}
 )
 _CAPPED_RUN_FIELDS = _RUN_FIELDS | {"boost", "boost_strategy", "timeout"}
 EXPERIMENT_FIELDS = {
@@ -100,7 +101,7 @@ EXPERIMENT_FIELDS = {
     "single-run": _CAPPED_RUN_FIELDS,
 }
 # The command-line flag of each field whose flag is not its name hyphenated.
-_FLAGS = {"growth": "lambda", "dup_k": "mode", "table_path": "table"}
+_FLAGS = {"growth": "lambda", "table_path": "table"}
 
 # The two-sided 99% normal quantile, float(scipy.special.ndtri(0.995)).
 Z99 = 2.5758293035489004
@@ -136,8 +137,11 @@ MIN_ASSERT_PAIRS = 100
 class ExperimentConfig:
     """Everything one experiment invocation depends on.
 
-    An experiment reads only the fields ``EXPERIMENT_FIELDS`` names for it;
-    a config setting any other field away from its default is rejected.
+    Each field's default, grammar and range are stated here alone; the CLI
+    passes its flags through under the field names.  An experiment reads
+    only the fields ``EXPERIMENT_FIELDS`` names for it; a config setting any
+    other field away from its default is rejected.  ``mode`` holds the
+    ``--mode`` text, ``distinct`` or ``dup:<k>`` with k in 1..n.
     """
 
     experiment: str
@@ -147,7 +151,6 @@ class ExperimentConfig:
     backend: Backend = Backend.ANALYTIC_SAMPLER
     growth: float = SearchParams().growth
     mode: str = "distinct"
-    dup_k: int | None = None
     boost: int | None = None
     boost_strategy: str = "repeat"
     timeout: float | None = None
@@ -186,10 +189,15 @@ class ExperimentConfig:
                 f"growth factor {self.growth!r} (--lambda) needs over {MAX_GROWING_ROUNDS} growing"
                 f" search rounds at n = {self.n}; the smallest accepted at this n is {least!r}"
             )
-        if self.mode not in ("distinct", "dup"):
-            raise ValueError(f"unknown table mode {self.mode!r}")
-        if self.mode == "dup" and (self.dup_k is None or not 1 <= self.dup_k <= self.n):
-            raise ValueError(f"duplicates mode needs 1 <= k <= {self.n}, got {self.dup_k}")
+        try:
+            k = self.dup_k
+        except ValueError:  # k is not an integer
+            k = 0
+        if self.mode != "distinct" and not (self.mode.startswith("dup:") and 1 <= k <= self.n):
+            raise ValueError(
+                f"table mode (--mode) must be 'distinct' or 'dup:<k>' with 1 <= k <= {self.n},"
+                f" got {self.mode!r}"
+            )
         if self.boost is not None and not 1 <= self.boost <= MAX_BOOST:
             raise ValueError(f"boost count must lie in 1..{MAX_BOOST}, got {self.boost}")
         if self.boost_strategy not in ("repeat", "extend"):
@@ -239,6 +247,11 @@ class ExperimentConfig:
         if self.boost and self.boost_strategy == "extend":
             return self.boost * timeout_cap(self.n)
         return timeout_cap(self.n)
+
+    @functools.cached_property
+    def dup_k(self) -> int | None:
+        """The k of a ``dup:<k>`` mode, the number of values runs draw from; None if distinct."""
+        return None if self.mode == "distinct" else int(self.mode.removeprefix("dup:"))
 
     @property
     def mode_label(self) -> str:
@@ -453,10 +466,11 @@ def _run_span(config: ExperimentConfig, key: tuple, record, span):
     params = config.search_params()
     draw_table = _table_source(config.backend)
     fixed_table = config.fixed_table
+    k = config.dup_k
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
         if fixed_table is None:
-            table = draw_table(config.n, config.mode, rng, k=config.dup_k)
+            table = draw_table(config.n, rng, k)
         else:
             table = fixed_table
         yield record(table, _run(config, params, table, rng))
@@ -805,16 +819,23 @@ def backend_equivalence(config: ExperimentConfig) -> Report:
 
 def bounds_report(config: ExperimentConfig) -> Report:
     """Evaluate every bound at n and sweep the two proof inequalities."""
-    report = BoundReport.for_size(config.n)
-    identity_error = abs(report.timeout_cap - 2.0 * report.expected_cost_bound)
-    identity_ok = identity_error <= 1e-9
+    n = config.n
+    cost_bound, cap = expected_cost_bound(n), timeout_cap(n)
+    search_bounds = {
+        t: search_iterations_bound(n, t) for t in sorted({1, 2, n // 16 or 1, n // 4 or 1, n})
+    }
+    identity_error = abs(cap - 2.0 * cost_bound)
     cost_sweep = sweep_search_cost_bound(config.sweep_max)
     harmonic_sweep = sweep_harmonic_bound(config.sweep_max)
-    passed = identity_ok and cost_sweep.ok and harmonic_sweep.ok
+    passed = identity_error <= 1e-9 and cost_sweep.ok and harmonic_sweep.ok
     summary = {
-        **report.to_dict(),
+        "n": n,
+        "expected_cost_bound": cost_bound,
+        "timeout_cap": cap,
+        "harmonic": harmonic_number(n),
+        "search_iteration_bounds": {str(t): v for t, v in search_bounds.items()},
         "cap_identity_error": identity_error,
-        "search_cost_sum": expected_search_cost_bound(config.n),
+        "search_cost_sum": expected_search_cost_bound(n),
         "sweep_max": config.sweep_max,
         "search_cost_sweep_worst_ratio": cost_sweep.worst_ratio,
         "search_cost_sweep_worst_n": cost_sweep.worst_n,
@@ -822,13 +843,11 @@ def bounds_report(config: ExperimentConfig) -> Report:
         "harmonic_sweep_worst_n": harmonic_sweep.worst_n,
     }
     rows = [
-        {"quantity": "expected_cost_bound", "n": config.n, "value": report.expected_cost_bound},
-        {"quantity": "timeout_cap", "n": config.n, "value": report.timeout_cap},
-        {"quantity": "harmonic", "n": config.n, "value": report.harmonic},
-        {"quantity": "search_cost_sum", "n": config.n, "value": summary["search_cost_sum"]},
+        {"quantity": quantity, "n": n, "value": summary[quantity]}
+        for quantity in ("expected_cost_bound", "timeout_cap", "harmonic", "search_cost_sum")
     ] + [
-        {"quantity": f"search_iterations_bound[t={t}]", "n": config.n, "value": v}
-        for t, v in sorted(report.search_bounds.items())
+        {"quantity": f"search_iterations_bound[t={t}]", "n": n, "value": v}
+        for t, v in search_bounds.items()
     ]
     return _report(config, passed, summary, rows)
 

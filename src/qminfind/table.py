@@ -15,7 +15,8 @@ only on ranks and is the same for every arrangement of the values.
 
 A table carries no distinct/duplicates flag: which kind of table a batch
 of runs sees is a setting of the experiment (its mode, or the values of
-its table file), decided once there rather than on every table.
+its table file), decided once there rather than on every table.  Both
+draws take the duplicates count ``k`` alone: None draws a distinct table.
 """
 from __future__ import annotations
 
@@ -98,44 +99,42 @@ class Table:
         return self._ranks
 
 
-def generate_table(n: int, mode: str, rng, k: int | None = None) -> Table:
+def generate_table(n: int, rng, k: int | None = None) -> Table:
     """Draw a fresh random table.
 
     The values come from a numpy PCG64 generator seeded with 128 bits of
     the caller's stream, so results are reproducible from the seed and the
     caller's stream advances by the same amount for every n.
-    mode="distinct": uniformly random permutation of 0..n-1.
-    mode="dup": each entry drawn uniformly from the k values 0..k-1.
+    k=None: uniformly random permutation of 0..n-1.
+    k in 1..n: each entry drawn uniformly from the k values 0..k-1.
     """
-    _check_request(n, mode, k)
-    if mode == "distinct":
+    _check_request(n, k)
+    if k is None:
         return Table.permutation(_numpy_stream(rng).permutation(n))
     return Table(_numpy_stream(rng).integers(0, k, n))
 
 
-def sorted_table(n: int, mode: str, rng, k: int | None = None) -> Table:
+def sorted_table(n: int, rng, k: int | None = None) -> Table:
     """Draw a table whose values sit in value order, so index i has rank-order position i.
 
-    mode="distinct": the values 0..n-1, one read-only table shared per n;
-    nothing is drawn from the caller's stream.
-    mode="dup": how often each of the k values 0..k-1 occurs is a
+    k=None: the values 0..n-1, one read-only table shared per n; nothing
+    is drawn from the caller's stream.
+    k in 1..n: how often each of the k values 0..k-1 occurs is a
     multinomial draw (the law of n uniform draws below k), taken from a
     numpy PCG64 generator seeded with 128 bits of the caller's stream.
     """
-    _check_request(n, mode, k)
-    if mode == "distinct":
+    _check_request(n, k)
+    if k is None:
         return _identity_table(n)
     counts = _numpy_stream(rng).multinomial(n, np.full(k, 1.0 / k))
     return Table(np.repeat(np.arange(k, dtype=np.int64), counts))
 
 
-def _check_request(n: int, mode: str, k: int | None) -> None:
+def _check_request(n: int, k: int | None) -> None:
     if n < 1:
         raise ValueError("table size must be >= 1")
-    if mode not in ("distinct", "dup"):
-        raise ValueError(f"unknown table mode {mode!r}")
-    if mode == "dup" and (k is None or not 1 <= k <= n):
-        raise ValueError(f"duplicates mode needs 1 <= k <= {n}, got {k}")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"duplicates count needs 1 <= k <= {n}, got {k}")
 
 
 @lru_cache(maxsize=8)

@@ -163,7 +163,7 @@ def test_criterion_6_boosting_floor_and_duplicate_rank_cap(capsys):
 
     dup = run_experiment(
         ExperimentConfig(
-            experiment="lemma1", n=64, runs=20_000, seed=SEED, mode="dup", dup_k=8
+            experiment="lemma1", n=64, runs=20_000, seed=SEED, mode="dup:8"
         )
     )
     excesses = [

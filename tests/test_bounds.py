@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qminfind.bounds import (
-    BoundReport,
     expected_cost_bound,
     expected_search_cost_bound,
     harmonic_number,
@@ -14,6 +13,7 @@ from qminfind.bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
+from qminfind.harness import ExperimentConfig, run_experiment
 
 # Reference points worked out by hand from the closed forms:
 #   11.25*sqrt(n) + 0.7*lg^2(n) and twice that for the cap.
@@ -113,14 +113,16 @@ def test_sweep_domain():
         sweep_search_cost_bound(1)
 
 
+def _bounds_summary(n: int) -> dict:
+    return run_experiment(ExperimentConfig("bounds", n=n, sweep_max=100)).summary
+
+
 def test_bound_report_grid():
-    report = BoundReport.for_size(1024)
-    assert report.expected_cost_bound == pytest.approx(430.0, abs=1e-9)
-    assert set(report.search_bounds) == {1, 2, 64, 256, 1024}
-    payload = report.to_dict()
-    assert payload["search_iteration_bounds"]["1"] == pytest.approx(144.0, abs=1e-9)
+    summary = _bounds_summary(1024)
+    assert summary["expected_cost_bound"] == pytest.approx(430.0, abs=1e-9)
+    assert set(summary["search_iteration_bounds"]) == {"1", "2", "64", "256", "1024"}
+    assert summary["search_iteration_bounds"]["1"] == pytest.approx(144.0, abs=1e-9)
 
 
 def test_bound_report_tiny_size_grid_collapses():
-    report = BoundReport.for_size(2)
-    assert set(report.search_bounds) == {1, 2}
+    assert set(_bounds_summary(2)["search_iteration_bounds"]) == {"1", "2"}

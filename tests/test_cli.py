@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qminfind import __version__
 from qminfind.cli import _SUBCOMMANDS, _config_from_args, build_parser, main
+from qminfind.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -69,9 +70,10 @@ def test_unknown_backend_is_usage_error(capsys):
 
 
 def test_bad_mode_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["success", "--mode", "triple"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "success", "--mode", "triple")
+    assert code == 2
+    assert out == ""
+    assert "--mode" in err
 
 
 def test_bad_dup_count_is_config_error(capsys):
@@ -153,6 +155,19 @@ def test_readme_commands_parse_into_valid_configs():
             _config_from_args(args)
         except ValueError as exc:
             pytest.fail(f"config error in README command {command!r}: {exc}")
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_cli_takes_its_defaults_from_the_config(capsys, command):
+    args = build_parser().parse_args([command])
+    assert _config_from_args(args) == ExperimentConfig(_SUBCOMMANDS[command][0])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # Joined, so that a help line wrapped at any terminal width still reads whole.
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("(default 64)", "(default 10000)", "(default distinct)", "(default repeat)"):
+        assert default in text
 
 
 def test_subcommand_is_required():
@@ -403,7 +418,7 @@ def test_every_flag_a_subcommand_reads_is_accepted(tmp_path, capsys, command, fl
     code, out, err = run_cli(capsys, *_flag_argv(tmp_path, command, flag))
     assert code in (0, 1), err
     assert "error" not in err
-    assert json.loads(out)["experiment"] == _SUBCOMMANDS[command]
+    assert json.loads(out)["experiment"] == _SUBCOMMANDS[command][0]
 
 
 @pytest.mark.parametrize(

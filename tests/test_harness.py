@@ -150,8 +150,9 @@ def test_config_validation():
         ExperimentConfig(experiment="nope")
     with pytest.raises(ValueError, match="mode"):
         ExperimentConfig(experiment="success", mode="weird")
-    with pytest.raises(ValueError, match="duplicates"):
-        ExperimentConfig(experiment="success", mode="dup", dup_k=None)
+    for mode in ("dup", "dup:", "dup:x", "Distinct", "dup:0", "dup:65"):
+        with pytest.raises(ValueError, match="--mode"):
+            ExperimentConfig(experiment="success", mode=mode)
     with pytest.raises(ValueError, match="growth"):
         ExperimentConfig(experiment="success", growth=2.0)
     with pytest.raises(ValueError, match="exact backend"):
@@ -170,7 +171,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{experiment} does not read boost"):
             ExperimentConfig(experiment=experiment, boost=2)
     for experiment in ("bounds", "equivalence"):
-        for flags in ({"table_path": "t.txt"}, {"timeout": 3.0}, {"boost": 2}, {"mode": "dup", "dup_k": 2}):
+        for flags in ({"table_path": "t.txt"}, {"timeout": 3.0}, {"boost": 2}, {"mode": "dup:2"}):
             name = next(iter(flags))
             with pytest.raises(ValueError, match=f"{experiment} does not read {name}"):
                 ExperimentConfig(experiment=experiment, n=8, **flags)
@@ -183,6 +184,47 @@ def test_config_validation():
     # The limits themselves are accepted (building a config allocates nothing).
     ExperimentConfig(experiment="success", n=2**24)
     ExperimentConfig(experiment="bounds", sweep_max=10**7)
+
+
+def test_mode_label_renders_the_duplicates_count():
+    for text in ("dup:3", "dup:03", "dup:+3"):
+        config = ExperimentConfig(experiment="lemma1", mode=text)
+        assert config.dup_k == 3
+        assert config.to_dict()["mode"] == "dup:3"
+    assert ExperimentConfig(experiment="lemma1").dup_k is None
+
+
+@pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENT_FIELDS))
+def test_no_config_field_is_silently_ignored(tmp_path, experiment):
+    # Every field away from its default must either be rejected or show in
+    # the report's config.  The loop walks the fields themselves, so a new
+    # field without a value here fails with a KeyError.
+    table = tmp_path / "table.txt"
+    table.write_text("".join(f"{v}\n" for v in range(64)))
+    non_default = {
+        "n": 32,
+        "runs": 7,
+        "seed": 1,
+        "backend": Backend.EXACT_STATEVECTOR,
+        "growth": 1.25,
+        "mode": "dup:5",
+        "boost": 2,
+        "boost_strategy": "extend",
+        "timeout": 5.0,
+        "max_rank": 3,
+        "j_max": 4,
+        "sweep_max": 100,
+        "table_path": str(table),
+    }
+    default = ExperimentConfig(experiment).to_dict()
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in ("experiment", "workers"):  # workers changes no result
+            continue
+        try:
+            config = ExperimentConfig(experiment, **{field.name: non_default[field.name]})
+        except ValueError:
+            continue
+        assert config.to_dict() != default, field.name
 
 
 @pytest.mark.parametrize(
@@ -344,7 +386,7 @@ def test_lemma1_report_includes_all_ranks():
     ("fields", "table_values"),
     [
         ({}, None),
-        ({"mode": "dup", "dup_k": 3}, None),
+        ({"mode": "dup:3"}, None),
         ({"backend": Backend.EXACT_STATEVECTOR}, None),
         ({}, [4, 2, 7, 2, 9, 0, 4, 0]),
         ({"workers": 2}, [4, 2, 7, 2, 9, 0, 4, 0]),
@@ -609,7 +651,7 @@ def test_extend_record_is_one_run_at_c_default_caps(backend):
     draw_table = harness._table_source(backend)
     for i, row in enumerate(rows):
         rng = derive_stream(14, "run", i)
-        table = draw_table(n, "distinct", rng)
+        table = draw_table(n, rng)
         direct = find_minimum(table, backend, SearchParams(), c * timeout_cap(n), rng)
         assert direct.first_hit_time is not None
         assert (
@@ -645,7 +687,7 @@ def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, 
     for label, source in (("sorted", draw_table), ("random", generate_table)):
         for i in range(runs):
             rng = derive_stream(17, "unit-rank-space", label, n, i)
-            table = source(n, "distinct", rng)
+            table = source(n, rng)
             result = find_minimum(table, Backend.ANALYTIC_SAMPLER, SearchParams(), cap, rng)
             passes[label][result.loop_passes] += 1
             first_hit[label][-1.0 if result.first_hit_time is None else result.first_hit_time] += 1

@@ -18,7 +18,7 @@ PARAMS = SearchParams()
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
-    table = generate_table(64, "distinct", random.Random(20))
+    table = generate_table(64, random.Random(20))
     for seed in range(20):
         for cap in (timeout_cap(64), math.inf, 30.0):
             rng = derive_stream(seed, "unit-account", backend.value)
@@ -47,7 +47,7 @@ def test_single_entry_table_is_immediate():
 
 
 def test_zero_cap_returns_unexamined_start():
-    table = generate_table(32, "distinct", random.Random(1))
+    table = generate_table(32, random.Random(1))
     result = find_minimum(table, ANALYTIC, PARAMS, 0.0, random.Random(2))
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
@@ -57,7 +57,7 @@ def test_zero_cap_returns_unexamined_start():
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 128))
 def test_capped_run_respects_budget_accounting(seed, n):
-    table = generate_table(n, "distinct", random.Random(seed))
+    table = generate_table(n, random.Random(seed))
     cap = timeout_cap(n)
     result = find_minimum(table, ANALYTIC, PARAMS, cap, derive_stream(seed, "unit-cap", n))
     # Init charges land before the overrun check, so a run may finish at
@@ -69,7 +69,7 @@ def test_capped_run_respects_budget_accounting(seed, n):
 
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64))
 def test_uncapped_run_always_finds_the_minimum(seed, n):
-    table = generate_table(n, "distinct", random.Random(seed))
+    table = generate_table(n, random.Random(seed))
     result = find_minimum(table, ANALYTIC, PARAMS, math.inf, derive_stream(seed, "unit-inf", n))
     assert result.returned_is_minimum
     assert table.ranks[result.returned_index] == 1
@@ -78,14 +78,14 @@ def test_uncapped_run_always_finds_the_minimum(seed, n):
 
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64), k=st.integers(1, 8))
 def test_uncapped_run_reaches_minimal_value_with_duplicates(seed, n, k):
-    table = generate_table(n, "dup", random.Random(seed), k=min(k, n))
+    table = generate_table(n, random.Random(seed), k=min(k, n))
     result = find_minimum(table, ANALYTIC, PARAMS, math.inf, derive_stream(seed, "unit-dup", n, k))
     assert int(table.values[result.returned_index]) == table.values.min()
 
 
 @given(seed=st.integers(0, 2000))
 def test_history_thresholds_strictly_improve(seed):
-    table = generate_table(48, "dup", random.Random(seed), k=6)
+    table = generate_table(48, random.Random(seed), k=6)
     result = find_minimum(table, ANALYTIC, PARAMS, math.inf, derive_stream(seed, "unit-hist"))
     times = [entry[0] for entry in result.history]
     values = [int(table.values[entry[1]]) for entry in result.history]
@@ -96,7 +96,7 @@ def test_history_thresholds_strictly_improve(seed):
 
 
 def test_history_records_first_hit():
-    table = generate_table(16, "distinct", random.Random(5))
+    table = generate_table(16, random.Random(5))
     result = find_minimum(table, ANALYTIC, PARAMS, timeout_cap(16), random.Random(6))
     if result.returned_is_minimum:
         assert result.first_hit_time is not None
@@ -105,7 +105,7 @@ def test_history_records_first_hit():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_runs_are_deterministic_per_stream(backend):
-    table = generate_table(32, "distinct", random.Random(7))
+    table = generate_table(32, random.Random(7))
     cap = timeout_cap(32)
     a = find_minimum(table, backend, PARAMS, cap, derive_stream(8, "unit-det", backend.value))
     b = find_minimum(table, backend, PARAMS, cap, derive_stream(8, "unit-det", backend.value))
@@ -113,7 +113,7 @@ def test_runs_are_deterministic_per_stream(backend):
 
 
 def test_boost_one_repeat_equals_single_run():
-    table = generate_table(24, "distinct", random.Random(9))
+    table = generate_table(24, random.Random(9))
     cap = timeout_cap(24)
     boosted = find_minimum_boosted(table, ANALYTIC, PARAMS, cap, 1, derive_stream(10, "unit-boost"))
     single = find_minimum(table, ANALYTIC, PARAMS, cap, derive_stream(10, "unit-boost"))
@@ -123,7 +123,7 @@ def test_boost_one_repeat_equals_single_run():
 
 
 def test_boost_repeat_accumulates_cost():
-    table = generate_table(24, "distinct", random.Random(11))
+    table = generate_table(24, random.Random(11))
     cap = timeout_cap(24)
     boosted = find_minimum_boosted(table, ANALYTIC, PARAMS, cap, 3, derive_stream(12, "unit-boost3"))
     replay = derive_stream(12, "unit-boost3")
@@ -133,7 +133,7 @@ def test_boost_repeat_accumulates_cost():
 
 
 def test_boost_validation():
-    table = generate_table(8, "distinct", random.Random(15))
+    table = generate_table(8, random.Random(15))
     with pytest.raises(ValueError):
         find_minimum_boosted(table, ANALYTIC, PARAMS, timeout_cap(8), 0, random.Random(0))
 
@@ -144,7 +144,7 @@ def test_boost_raises_success_rate():
     boosted_hits = 0
     for i in range(runs):
         rng = derive_stream(16, "unit-boostgain", i)
-        table = generate_table(64, "distinct", rng)
+        table = generate_table(64, rng)
         # A starved cap makes single runs fail often enough to see the gain.
         plain_hits += find_minimum(table, ANALYTIC, PARAMS, 12.0, rng).returned_is_minimum
         # Extend boosting: one run at three default caps.
@@ -155,14 +155,14 @@ def test_boost_raises_success_rate():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_backends_share_interfaces_end_to_end(backend):
-    table = generate_table(16, "distinct", random.Random(17))
+    table = generate_table(16, random.Random(17))
     rng = derive_stream(18, backend.value)
     result = find_minimum(table, backend, SearchParams(), math.inf, rng)
     assert result.returned_is_minimum
 
 
 def test_run_result_records_the_cap_it_used():
-    table = generate_table(24, "distinct", random.Random(19))
+    table = generate_table(24, random.Random(19))
     cap = timeout_cap(24)
     assert find_minimum(table, ANALYTIC, PARAMS, cap, random.Random(0)).cap == cap
     assert find_minimum(table, ANALYTIC, PARAMS, 7.5, random.Random(0)).cap == 7.5

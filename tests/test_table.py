@@ -23,30 +23,28 @@ from qminfind.table import (
 
 
 def test_distinct_generation_is_a_permutation():
-    table = generate_table(16, "distinct", random.Random(0))
+    table = generate_table(16, random.Random(0))
     assert sorted(table.values.tolist()) == list(range(16))
 
 
 def test_duplicate_generation_respects_value_range():
-    table = generate_table(50, "dup", random.Random(0), k=4)
+    table = generate_table(50, random.Random(0), k=4)
     assert set(table.values.tolist()) <= set(range(4))
 
 
 def test_generate_rejects_bad_arguments():
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        generate_table(0, "distinct", rng)
+        generate_table(0, rng)
     with pytest.raises(ValueError):
-        generate_table(8, "dup", rng, k=0)
+        generate_table(8, rng, k=0)
     with pytest.raises(ValueError):
-        generate_table(8, "dup", rng, k=9)
-    with pytest.raises(ValueError):
-        generate_table(8, "nope", rng)
+        generate_table(8, rng, k=9)
 
 
 @given(seed=st.integers(0, 2**64), n=st.integers(1, 2000))
 def test_permutation_metadata_matches_sorting(seed, n):
-    table = generate_table(n, "distinct", random.Random(seed))
+    table = generate_table(n, random.Random(seed))
     values = np.array(table.values)
     order = np.argsort(values, kind="stable")
     assert table.order.tolist() == order.tolist()
@@ -69,15 +67,15 @@ def test_permutation_metadata_is_read_only():
             array[0] = 5
 
 
-@pytest.mark.parametrize("mode, k", [("distinct", None), ("dup", 5)])
-def test_generation_is_reproducible_from_the_seed(mode, k):
+@pytest.mark.parametrize("k", [None, 5])
+def test_generation_is_reproducible_from_the_seed(k):
     rng_a, rng_b = random.Random(21), random.Random(21)
-    first = generate_table(300, mode, rng_a, k=k)
-    again = generate_table(300, mode, rng_b, k=k)
+    first = generate_table(300, rng_a, k=k)
+    again = generate_table(300, rng_b, k=k)
     assert first.values.tolist() == again.values.tolist()
     # The caller's stream is left in the same state, so later draws agree too.
     assert rng_a.random() == rng_b.random()
-    assert generate_table(300, mode, random.Random(22), k=k).values.tolist() != first.values.tolist()
+    assert generate_table(300, random.Random(22), k=k).values.tolist() != first.values.tolist()
 
 
 def test_distinct_generation_is_uniform_over_permutations():
@@ -86,14 +84,14 @@ def test_distinct_generation_is_uniform_over_permutations():
     counts = np.zeros(len(index), dtype=np.int64)
     rng = random.Random(2024)
     for _ in range(draws):
-        counts[index[tuple(generate_table(n, "distinct", rng).values.tolist())]] += 1
+        counts[index[tuple(generate_table(n, rng).values.tolist())]] += 1
     assert chisquare(counts).pvalue > 1e-3
 
 
 def test_sorted_distinct_table_is_shared_read_only_and_draws_nothing():
     rng, untouched = random.Random(5), random.Random(5)
-    table = sorted_table(300, "distinct", rng)
-    assert table is sorted_table(300, "distinct", random.Random(6))
+    table = sorted_table(300, rng)
+    assert table is sorted_table(300, random.Random(6))
     assert table.values.tolist() == list(range(300))
     assert table.order.tolist() == list(range(300))
     assert table.ranks.tolist() == list(range(1, 301))
@@ -105,22 +103,20 @@ def test_sorted_distinct_table_is_shared_read_only_and_draws_nothing():
 
 def test_sorted_dup_table_is_reproducible_and_sorted():
     rng_a, rng_b = random.Random(21), random.Random(21)
-    first = sorted_table(300, "dup", rng_a, k=5)
-    assert first.values.tolist() == sorted_table(300, "dup", rng_b, k=5).values.tolist()
+    first = sorted_table(300, rng_a, k=5)
+    assert first.values.tolist() == sorted_table(300, rng_b, k=5).values.tolist()
     assert rng_a.random() == rng_b.random()
     assert np.all(np.diff(first.values) >= 0)
     assert set(first.values.tolist()) <= set(range(5))
-    assert sorted_table(300, "dup", random.Random(22), k=5).values.tolist() != first.values.tolist()
+    assert sorted_table(300, random.Random(22), k=5).values.tolist() != first.values.tolist()
 
 
 def test_sorted_table_validates_like_generate_table():
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        sorted_table(0, "distinct", rng)
+        sorted_table(0, rng)
     with pytest.raises(ValueError, match="duplicates"):
-        sorted_table(8, "dup", rng, k=9)
-    with pytest.raises(ValueError, match="mode"):
-        sorted_table(8, "nope", rng)
+        sorted_table(8, rng, k=9)
 
 
 def test_sorted_dup_values_follow_the_law_of_independent_draws():
@@ -131,15 +127,15 @@ def test_sorted_dup_values_follow_the_law_of_independent_draws():
         held = {"sorted": Counter(), "drawn": Counter()}
         rng = random.Random(31)
         for _ in range(tables):
-            held["sorted"][int(np.sum(sorted_table(n, "dup", rng, k=k).values == value))] += 1
-            held["drawn"][int(np.sum(generate_table(n, "dup", rng, k=k).values == value))] += 1
+            held["sorted"][int(np.sum(sorted_table(n, rng, k=k).values == value))] += 1
+            held["drawn"][int(np.sum(generate_table(n, rng, k=k).values == value))] += 1
         _, p_value, dof = two_sample_chisquare(held["sorted"], held["drawn"])
         assert dof >= 4
         assert p_value > 1e-3
 
 
 def test_values_are_read_only():
-    table = generate_table(4, "distinct", random.Random(1))
+    table = generate_table(4, random.Random(1))
     with pytest.raises(ValueError):
         table.values[0] = 99
 
@@ -153,7 +149,7 @@ def test_table_does_not_capture_caller_array():
 
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 64))
 def test_ranks_sort_consistently(seed, n):
-    table = generate_table(n, "distinct", random.Random(seed))
+    table = generate_table(n, random.Random(seed))
     # order lists indices by ascending value; ranks inverts that listing
     assert table.ranks[table.order].tolist() == list(range(1, n + 1))
     assert table.ranks[int(table.order[0])] == 1
@@ -161,7 +157,7 @@ def test_ranks_sort_consistently(seed, n):
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 40), k=st.integers(1, 6))
 def test_equal_values_share_the_lowest_rank(seed, n, k):
-    table = generate_table(n, "dup", random.Random(seed), k=min(k, n))
+    table = generate_table(n, random.Random(seed), k=min(k, n))
     for i in range(n):
         smaller = int(np.sum(table.values < table.values[i]))
         assert int(table.ranks[i]) == smaller + 1
@@ -184,7 +180,7 @@ def test_threshold_marks_strictly_smaller_entries(seed, n):
     # Every exact pass searches under a ladder marking exactly the entries
     # strictly below its threshold; the threshold itself is never marked.
     rng = random.Random(seed)
-    table = generate_table(n, "dup", rng, k=max(1, n // 2))
+    table = generate_table(n, rng, k=max(1, n // 2))
     search_once = minfind.search
     passes = []
 
@@ -226,7 +222,7 @@ def test_sampling_stays_inside_each_class():
     # with probability 1/2 here; either way, on either backend, the index
     # lies in the class the search ended in.
     rng = random.Random(3)
-    table = generate_table(20, "distinct", rng)
+    table = generate_table(20, rng)
     y = int(table.order[10])  # rank 11, so 10 marked
     outcomes = set()
     for ladder in (_threshold_ladder(table, y), None):
@@ -240,7 +236,7 @@ def test_sampling_stays_inside_each_class():
 def test_marked_sampling_is_uniform():
     # An uninterrupted search hits, at an index uniform over the marked ones.
     rng = random.Random(8)
-    table = generate_table(8, "distinct", rng)
+    table = generate_table(8, rng)
     y = int(table.order[4])
     draws = 8000
     for ladder in (_threshold_ladder(table, y), None):
@@ -256,7 +252,7 @@ def test_marked_sampling_is_uniform():
 
 
 def test_io_round_trip(tmp_path):
-    table = generate_table(12, "dup", random.Random(9), k=3)
+    table = generate_table(12, random.Random(9), k=3)
     path = tmp_path / "table.txt"
     path.write_text("".join(f"{value}\n" for value in table.values.tolist()))
     loaded = read_table(path)
