@@ -218,6 +218,23 @@ def test_ladder_cdfs_equal_the_iterate_chain_bit_for_bit(n):
             assert np.array_equal(ladder.cdf(j), np.cumsum(state.probabilities())), (t, j)
 
 
+@pytest.mark.parametrize("n", [12, 100, 1000])
+def test_ladder_cdfs_on_scattered_masks_equal_the_iterate_chain_bit_for_bit(n):
+    # Exact runs mark random index sets, not prefixes, and at these n the
+    # mean of the amplitudes is not an exact division by a power of two.
+    depth = math.ceil(math.sqrt(n))
+    rng = np.random.default_rng(n)
+    for t in (1, n // 3, n - 1):
+        indices = rng.choice(n, size=t, replace=False)
+        marked = marked_subset(indices)
+        ladder = _ladder(indices, n)
+        state = uniform_state(n)
+        for j in range(depth + 1):
+            if j > 0:
+                state = grover_iterate(state, marked)
+            assert np.array_equal(ladder.cdf(j), np.cumsum(state.probabilities())), (t, j)
+
+
 def test_ladder_reads_the_mask_it_is_given():
     # The ladder neither copies nor rebuilds its marked set: however deep it
     # goes, in whatever order, it keeps the very array it was given, made
