@@ -22,7 +22,6 @@ counts and commits.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 import time
 from dataclasses import fields
@@ -95,6 +94,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _build_label() -> str:
     """The package version, with ``git describe`` when running from a checkout."""
+    import subprocess
+
     label = build_identifier()
     try:
         result = subprocess.run(

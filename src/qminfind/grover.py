@@ -14,11 +14,13 @@ theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form.
 fixed marked set: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
-passed; ``GroverLadder.measure`` draws one index from such a state, and
-every measurement of the exact backend is one call to it.  Its j = 0 CDF
-is the uniform state's, which is the same for every marked set over N
-indices, so one read-only copy per N is shared by all ladders; the ladder
-builds its amplitude vector only at its first iteration.  The ladder is
+passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
+draws one index from such a state, and every measurement of the exact
+backend is one call to it.  Its j = 0 CDF is the uniform state's, which is
+the same for every marked set over N indices, so one read-only copy per N
+is shared by all ladders; the ladder copies its amplitude vector from the
+shared uniform one only at its first iteration, and an iteration negates
+the marked amplitudes in place under the mask.  The ladder is
 the one holder of a marked set: the exact backend's searches, its
 closed-form t = 0 draw and equivalence's fixed-j draws and closed-form
 check all read one.  The test suite keeps an independent statevector
@@ -62,35 +64,41 @@ def _check_norm(norm_sq: float) -> None:
         raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
 
 
+@lru_cache(maxsize=8)
 def _uniform_amplitudes(n: int) -> np.ndarray:
-    """Equal superposition 1/sqrt(n) over n basis indices."""
+    """Equal superposition 1/sqrt(n) over n basis indices, read-only and shared per n."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    amps.setflags(write=False)
+    return amps
 
 
-def _reflect(amps: np.ndarray, sign: np.ndarray) -> None:
-    """One iteration in place: multiply by the +-1 phase ``sign``, then invert about the mean."""
-    # Bare ufunc calls: the same loops as the in-place operator and the sum
+def _reflect(amps: np.ndarray, mask: np.ndarray) -> None:
+    """One iteration in place: negate the amplitudes ``mask`` marks, then invert about the mean."""
+    # Bare ufunc calls: the same loops as the in-place operators and the sum
     # method, without their dispatch.  The mean is the same float as
-    # ``amps.mean()``, which divides this sum by the count.
-    np.multiply(amps, sign, out=amps)
-    np.subtract(2.0 * (np.add.reduce(amps) / len(amps)), amps, out=amps)
+    # ``amps.mean()``, which divides this sum by the count; as a Python
+    # complex it skips the numpy scalar's conversion inside ``subtract``.
+    np.negative(amps, out=amps, where=mask)
+    np.subtract(complex(2.0 * (np.add.reduce(amps) / len(amps))), amps, out=amps)
 
 
-def _measured(amps: np.ndarray) -> np.ndarray:
-    """The cumulative |a_i|^2 of ``amps``, norm-checked and read-only."""
-    # The signs and the mean are real, so every imaginary part stays +-0 and
-    # the squared real part is |a|^2 bit for bit.  ``add.accumulate`` is
-    # the cumulative-sum loop itself, summed in the same order.
+def _measured(amps: np.ndarray) -> memoryview:
+    """The cumulative |a_i|^2 of ``amps``, norm-checked, as a read-only view of floats."""
+    # Negation and the real mean keep every imaginary part at +-0, so the
+    # squared real part is |a|^2 bit for bit.  ``add.accumulate`` is the
+    # cumulative-sum loop itself, summed in the same order.  The view reads
+    # its entries as Python floats, which ``bisect_right`` compares without
+    # building a numpy scalar at every probe.
     cdf = np.add.accumulate(np.square(amps.real))
     _check_norm(cdf.item(-1))
     cdf.setflags(write=False)
-    return cdf
+    return memoryview(cdf)
 
 
 @lru_cache(maxsize=8)
-def _uniform_cdf(n: int) -> np.ndarray:
+def _uniform_cdf(n: int) -> memoryview:
     """The CDF of the uniform state over n indices, shared by every ladder of size n."""
     return _measured(_uniform_amplitudes(n))
 
@@ -101,16 +109,17 @@ class GroverLadder:
     ``mask`` is the marked set: a 1-D boolean array of size n >= 1, kept
     as given and made read-only, since the states the ladder keeps hold
     only for the set they were computed under.  ``cdf(0)`` is the shared
-    uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 builds the
-    amplitude vector and the complex +-1 phase of the marked set; from then
-    on ``cdf(j)`` extends the vector in place by the iterations not yet
-    computed and keeps the CDF of each state it passes (norm-checked once,
-    read-only), so each iteration is computed once and depth j holds j + 1
-    CDFs of n floats.  ``measure(j, rng)`` reads the state through
-    ``cdf(j)`` and draws one index from it, so measuring a state the ladder
-    already holds computes nothing.  A ladder serves every exact search
-    under its marked set: an exact pass of ``find_minimum`` builds one per
-    threshold, an equivalence cell one per (n, t).
+    uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 copies the
+    shared uniform amplitude vector; from then on ``cdf(j)`` extends that
+    copy in place by the iterations not yet computed, each negating the
+    amplitudes the mask marks, and keeps the CDF of each state it passes
+    (norm-checked once, a read-only ``memoryview``), so each iteration is
+    computed once and depth j holds j + 1 CDFs of n floats.
+    ``measure(j, rng)`` reads the state through ``cdf(j)`` and draws one
+    index from it, so measuring a state the ladder already holds computes
+    nothing.  A ladder serves every exact search under its marked set: an
+    exact pass of ``find_minimum`` builds one per threshold, an equivalence
+    cell one per (n, t).
     """
 
     def __init__(self, mask: np.ndarray):
@@ -119,10 +128,9 @@ class GroverLadder:
         mask.setflags(write=False)
         self.mask = mask
         self._cdfs = [_uniform_cdf(len(mask))]
-        self._sign: np.ndarray | None = None
         self._amps: np.ndarray | None = None
 
-    def cdf(self, j: int) -> np.ndarray:
+    def cdf(self, j: int) -> memoryview:
         """Cumulative |a_i|^2 of the state after j iterations."""
         cdfs = self._cdfs
         if j < len(cdfs):
@@ -130,12 +138,9 @@ class GroverLadder:
                 raise ValueError("iteration count must be >= 0")
             return cdfs[j]
         if self._amps is None:
-            # Complex, as the amplitudes are: ``_reflect``'s multiply would
-            # cast a real sign to exactly these values on every call.
-            self._sign = np.where(self.mask, -1.0 + 0j, 1.0 + 0j)
-            self._amps = _uniform_amplitudes(len(self.mask))
+            self._amps = _uniform_amplitudes(len(self.mask)).copy()
         while len(cdfs) <= j:
-            _reflect(self._amps, self._sign)
+            _reflect(self._amps, self.mask)
             cdfs.append(_measured(self._amps))
         return cdfs[j]
 
@@ -152,7 +157,7 @@ class GroverLadder:
         u * T stays strictly below T, the CDF's last entry.
         """
         cdf = self.cdf(j)
-        return bisect_right(cdf, rng.random() * cdf.item(-1))
+        return bisect_right(cdf, rng.random() * cdf[-1])
 
 
 def success_probability(n: int, t: int, j: int) -> float:

@@ -38,7 +38,6 @@ every other experiment and every import of the package would otherwise pay.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
@@ -46,7 +45,6 @@ import math
 import os
 from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -317,6 +315,8 @@ class Report:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         buffer = io.StringIO()
         rows = self.rows or [self.summary]
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
@@ -497,6 +497,9 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
     if workers <= 1:
         yield from _run_span(config, key, record, (0, config.runs))
         return
+    # Imported here: a serial run then loads no multiprocessing machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     span_records = functools.partial(_collect_span, config, key, record)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for records in pool.map(span_records, _spans(config.runs, workers * 4)):

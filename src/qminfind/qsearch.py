@@ -138,7 +138,11 @@ def search(
         hit, used, interrupted = False, int(budget), True
     else:
         growing, saturated = _round_schedule(n, params.growth)
-        theta = rotation_angle(n, t) if ladder is None else None
+        if ladder is None:
+            theta = rotation_angle(n, t)
+        else:
+            measure = ladder.measure
+            marked = ladder.mask.item
         getrandbits = rng.getrandbits
         uniform = rng.random
         sin = math.sin
@@ -162,8 +166,8 @@ def search(
                 # whose unmarked position could not be drawn.
                 hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
             else:
-                index = ladder.measure(j, rng)
-                hit = ladder.mask.item(index)
+                index = measure(j, rng)
+                hit = marked(index)
             remaining -= j
             used += j
             if hit:

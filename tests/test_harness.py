@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import pickle
 import random
 import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -627,7 +629,7 @@ class _InlineExecutor:
     [(64, 10, 3, [3]), (64, 2, 8, [2]), (2, 50, 8, [2]), (5, 50, None, []), (1, 50, 8, [])],
 )
 def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, expected):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "started", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = ExperimentConfig(experiment="success", n=16, runs=runs, seed=13, workers=workers)
@@ -636,6 +638,38 @@ def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, 
     # The clamp is a throughput knob only: the report matches a serial run.
     serial = run_experiment(ExperimentConfig(experiment="success", n=16, runs=runs, seed=13))
     assert report.to_json() == serial.to_json()
+
+
+_SERIAL_START = """
+import json, sys
+import qminfind.cli, qminfind.harness
+from qminfind.harness import ExperimentConfig, run_experiment
+from qminfind.qsearch import Backend
+
+for experiment, backend in json.loads(sys.argv[1]):
+    config = ExperimentConfig(experiment=experiment, n=32, runs=20, seed=1, backend=Backend(backend))
+    for fmt in ("json", "csv"):
+        run_experiment(config).render(fmt)
+print(json.dumps(sorted(
+    name for name in ("concurrent.futures", "multiprocessing", "subprocess") if name in sys.modules
+)))
+"""
+
+
+def test_serial_runs_load_no_process_machinery():
+    # Importing the package and running experiments on one worker starts
+    # no process, so it loads neither the executor nor subprocess.
+    cells = [
+        [experiment, backend]
+        for experiment in ("single-run", "lemma1", "success", "expected-cost")
+        for backend in ("analytic", "exact")
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", _SERIAL_START, json.dumps(cells)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 @pytest.mark.parametrize("backend", list(Backend))
