@@ -682,7 +682,7 @@ def closed_form_deviation(n: int, j_max: int) -> float:
     for t in range(n + 1):
         ladder = GroverLadder(np.arange(n) < t)
         for j in range(j_max + 1):
-            marked = float(ladder.cdf(j)[t - 1]) if t else 0.0
+            marked = ladder.cdf(j)[t - 1] if t else 0.0
             worst = max(worst, abs(marked - success_probability(n, t, j)))
     return worst
 
