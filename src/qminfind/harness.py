@@ -161,6 +161,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_FIELDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        # The CLI parses --backend into a Backend; text passed here is
+        # coerced so that the checks below compare members, not strings.
+        try:
+            object.__setattr__(self, "backend", Backend(self.backend))
+        except ValueError:
+            choices = ", ".join(repr(b.value) for b in Backend)
+            raise ValueError(
+                f"backend (--backend) must be one of {choices}, got {self.backend!r}"
+            ) from None
         reads = EXPERIMENT_FIELDS[self.experiment] | {"experiment"}
         for f in fields(self):
             if f.name not in reads and getattr(self, f.name) != f.default:
@@ -464,15 +473,19 @@ def _table_source(backend: Backend):
 
 def _run_span(config: ExperimentConfig, key: tuple, record, span):
     params = config.search_params()
-    draw_table = _table_source(config.backend)
-    fixed_table = config.fixed_table
+    table = config.fixed_table
     k = config.dup_k
+    draw_table = None
+    if table is None:
+        draw_table = _table_source(config.backend)
+        if draw_table is sorted_table and k is None:
+            # The one shared distinct table reads nothing from the stream,
+            # so the span fetches it once instead of once per run.
+            table, draw_table = sorted_table(config.n, None), None
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
-        if fixed_table is None:
+        if draw_table is not None:
             table = draw_table(config.n, rng, k)
-        else:
-            table = fixed_table
         yield record(table, _run(config, params, table, rng))
 
 
@@ -483,8 +496,9 @@ def _collect_span(config: ExperimentConfig, key: tuple, record, span):
 def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
     """Yield ``record(table, result)`` for every run, in run order.
 
-    Run i draws its table (unless a table file fixes it) and then its run
-    from the stream (seed, *key, i).  Worker processes each take a span of
+    Run i draws its table (unless a table file fixes it, or the runs share
+    the analytic backend's distinct table, which draws nothing) and then
+    its run from the stream (seed, *key, i).  Worker processes each take a span of
     runs and send back its records; spans come back in order, so a fold
     over the records sees the same sequence for any worker count.
     """
@@ -862,11 +876,11 @@ def bounds_report(config: ExperimentConfig) -> Report:
 def _single_run_record(table: Table, result: RunResult) -> dict:
     return {
         "cap": result.cap,
-        "returned_index": int(result.returned_index),
-        "returned_is_minimum": bool(result.returned_is_minimum),
-        "first_hit_time": None if result.first_hit_time is None else float(result.first_hit_time),
-        "total_spent": float(result.total_spent),
-        "loop_passes": int(result.loop_passes),
+        "returned_index": result.returned_index,
+        "returned_is_minimum": result.returned_is_minimum,
+        "first_hit_time": result.first_hit_time,
+        "total_spent": result.total_spent,
+        "loop_passes": result.loop_passes,
     }
 
 

@@ -16,5 +16,5 @@ def derive_stream(seed: int, *key: object) -> random.Random:
     ``derive_stream(seed, "lemma1", 7)`` always yields the same stream, and
     streams with different keys are statistically independent.
     """
-    tag = ":".join(str(part) for part in (seed, *key))
+    tag = ":".join(map(str, (seed, *key)))
     return random.Random(tag)

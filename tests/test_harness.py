@@ -188,6 +188,20 @@ def test_config_validation():
     ExperimentConfig(experiment="bounds", sweep_max=10**7)
 
 
+def test_backend_given_as_text_is_coerced_before_it_is_checked():
+    # The CLI parses --backend into a Backend; a config built in code from
+    # text must meet the same checks, and run.
+    config = ExperimentConfig(experiment="single-run", n=8, runs=2, seed=1, backend="exact")
+    assert config.backend is Backend.EXACT_STATEVECTOR
+    assert run_experiment(config).config["backend"] == "exact"
+    with pytest.raises(ValueError, match="exact backend"):
+        ExperimentConfig(experiment="success", backend="exact", n=2**20, runs=1)
+    # Text naming the default is the default, even where backend is not read.
+    ExperimentConfig(experiment="bounds", backend="analytic")
+    with pytest.raises(ValueError, match="--backend"):
+        ExperimentConfig(experiment="success", backend="bogus")
+
+
 def test_mode_label_renders_the_duplicates_count():
     for text in ("dup:3", "dup:03", "dup:+3"):
         config = ExperimentConfig(experiment="lemma1", mode=text)
@@ -638,6 +652,33 @@ def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, 
     # The clamp is a throughput knob only: the report matches a serial run.
     serial = run_experiment(ExperimentConfig(experiment="success", n=16, runs=runs, seed=13))
     assert report.to_json() == serial.to_json()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["distinct", "dup:3"])
+def test_analytic_runs_fetch_the_shared_distinct_table_once_per_span(monkeypatch, workers, mode):
+    # The analytic backend's distinct table is one shared table whose draw
+    # reads nothing from the stream, so each span fetches it once; a dup
+    # table is drawn from run i's stream, once per run.
+    calls = []
+
+    def counting_sorted_table(n, rng, k=None):
+        calls.append(k)
+        return sorted_table(n, rng, k)
+
+    monkeypatch.setattr(harness, "sorted_table", counting_sorted_table)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = ExperimentConfig(experiment="success", n=16, runs=40, seed=3, mode=mode, workers=workers)
+    tables = list(harness._map_runs(config, ("success",), lambda table, result: table))
+    assert len(tables) == config.runs
+    if mode == "distinct":
+        spans = 1 if workers == 1 else len(_spans(config.runs, 4 * workers))
+        assert calls == [None] * spans
+        assert all(table is sorted_table(16, None) for table in tables)
+    else:
+        assert calls == [3] * config.runs
 
 
 _SERIAL_START = """

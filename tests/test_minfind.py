@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind.bounds import timeout_cap
-from qminfind.minfind import find_minimum, find_minimum_boosted
+from qminfind.minfind import RunResult, find_minimum, find_minimum_boosted
 from qminfind.qsearch import Backend, SearchParams
 from qminfind.seeding import derive_stream
-from qminfind.table import Table, generate_table
+from qminfind.table import Table, generate_table, read_table, sorted_table
 
 ANALYTIC = Backend.ANALYTIC_SAMPLER
 PARAMS = SearchParams()
@@ -178,3 +179,31 @@ def test_uncapped_single_entry_run_records_history():
     result = find_minimum(Table(np.array([4])), ANALYTIC, PARAMS, math.inf, random.Random(0))
     assert result.history == [(0.0, 0)]
     assert result.first_hit_time == result.total_spent == 0.0
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("kind", ["distinct", "dup", "table-file"])
+def test_run_results_hold_python_scalars(tmp_path, backend, kind):
+    # Reports render and fold these fields as they come, so none may be a
+    # numpy scalar (np.float64 even passes isinstance(value, float)).
+    n = 16
+    if kind == "table-file":
+        path = tmp_path / "table.txt"
+        path.write_text("".join(f"{i * 7 % 5}\n" for i in range(n)))
+        table = read_table(path)
+    else:
+        draw = sorted_table if backend is ANALYTIC else generate_table
+        table = draw(n, random.Random(23), None if kind == "distinct" else 3)
+    results = []
+    for seed in range(10):
+        rng = derive_stream(seed, "unit-scalars")
+        for cap in (timeout_cap(n), math.inf, 25.0, 0.0):
+            results.append(find_minimum(table, backend, PARAMS, cap, rng))
+        results.append(find_minimum_boosted(table, backend, PARAMS, timeout_cap(n), 3, rng))
+    for result in results:
+        for f in dataclasses.fields(RunResult):
+            value = getattr(result, f.name)
+            if f.name == "history" and value is not None:
+                assert all(type(time) is float and type(y) is int for time, y in value)
+            else:
+                assert type(value) in (int, float, bool, type(None)), (f.name, type(value))
