@@ -164,12 +164,13 @@ class ExperimentConfig:
         # The CLI parses --backend into a Backend; text passed here is
         # coerced so that the checks below compare members, not strings.
         try:
-            object.__setattr__(self, "backend", Backend(self.backend))
+            backend = Backend(self.backend)
         except ValueError:
             choices = ", ".join(repr(b.value) for b in Backend)
             raise ValueError(
                 f"backend (--backend) must be one of {choices}, got {self.backend!r}"
             ) from None
+        object.__setattr__(self, "backend", backend)
         reads = EXPERIMENT_FIELDS[self.experiment] | {"experiment"}
         for f in fields(self):
             if f.name not in reads and getattr(self, f.name) != f.default:

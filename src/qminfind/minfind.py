@@ -96,7 +96,8 @@ def find_minimum(
     minimal value, so ``first_hit_time == total_spent``.  Termination is
     sure because every accepted move strictly lowers the threshold value.
     """
-    n = len(table)
+    values, order = table.values, table.order
+    n = len(values)
     if n == 1:
         # The only entry is the minimum: no draw, no step.
         y, cap = 0, 0.0
@@ -105,7 +106,6 @@ def find_minimum(
     uncapped = cap == math.inf
 
     analytic = backend is Backend.ANALYTIC_SAMPLER
-    values, order = table.values, table.order
     # ``item`` reads a Python int, not a numpy scalar that would need
     # converting.  Entries strictly below the threshold: the ones its
     # search marks.
@@ -122,7 +122,9 @@ def find_minimum(
     while cap > 0.0 and not (uncapped and t == 0):
         spent += lg_n
         passes += 1
-        remaining = max(0.0, cap - spent)
+        # max(0.0, cap - spent) without the builtin call, which costs as
+        # much as the rest of this bookkeeping.
+        remaining = cap - spent if spent < cap else 0.0
         if not analytic:
             ladder = GroverLadder(values < values[y])
         hit, used, interrupted, index = search(n, t, remaining, params, rng, ladder)
