@@ -478,11 +478,12 @@ def _run_span(config: ExperimentConfig, key: tuple, record, span):
     k = config.dup_k
     draw_table = None
     if table is None:
-        draw_table = _table_source(config.backend)
-        if draw_table is sorted_table and k is None:
+        if config.backend is Backend.ANALYTIC_SAMPLER and k is None:
             # The one shared distinct table reads nothing from the stream,
             # so the span fetches it once instead of once per run.
-            table, draw_table = sorted_table(config.n, None), None
+            table = sorted_table(config.n, None)
+        else:
+            draw_table = _table_source(config.backend)
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
         if draw_table is not None:
@@ -499,9 +500,9 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
 
     Run i draws its table (unless a table file fixes it, or the runs share
     the analytic backend's distinct table, which draws nothing) and then
-    its run from the stream (seed, *key, i).  Worker processes each take a span of
-    runs and send back its records; spans come back in order, so a fold
-    over the records sees the same sequence for any worker count.
+    its run from the stream (seed, *key, i).  Worker processes each take
+    a span of runs and send back its records; spans come back in order, so
+    a fold over the records sees the same sequence for any worker count.
     """
     # Read the table file here, before any worker starts: the cached table
     # travels inside the pickled config, so no worker reads the file again.
