@@ -118,7 +118,6 @@ class SweepResult:
     """Worst case found while checking an inequality over n = 2..n_max."""
 
     ok: bool
-    n_max: int
     worst_n: int
     worst_ratio: float  # max of lhs/rhs; <= 1 when the inequality holds
 
@@ -132,7 +131,7 @@ def sweep_search_cost_bound(n_max: int) -> SweepResult:
     ratios = 4.5 * partial / 11.25
     worst = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst])
-    return SweepResult(ok=worst_ratio <= 1.0, n_max=n_max, worst_n=worst + 2, worst_ratio=worst_ratio)
+    return SweepResult(ok=worst_ratio <= 1.0, worst_n=worst + 2, worst_ratio=worst_ratio)
 
 
 def sweep_harmonic_bound(n_max: int) -> SweepResult:
@@ -145,4 +144,4 @@ def sweep_harmonic_bound(n_max: int) -> SweepResult:
     ratios = lhs / rhs
     worst = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst])
-    return SweepResult(ok=worst_ratio <= 1.0, n_max=n_max, worst_n=worst + 2, worst_ratio=worst_ratio)
+    return SweepResult(ok=worst_ratio <= 1.0, worst_n=worst + 2, worst_ratio=worst_ratio)

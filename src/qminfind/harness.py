@@ -61,7 +61,7 @@ from .bounds import (
 )
 from .grover import GroverLadder, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
-from .qsearch import Backend, SearchParams, search
+from .qsearch import DEFAULT_GROWTH, Backend, check_growth, search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table, sorted_table
 
@@ -122,6 +122,10 @@ MAX_RUNS = 10**9
 MAX_BOOST = 53
 EXACT_BACKEND_MAX_N = 2**14
 EQUIVALENCE_MAX_N = 2**10
+# lemma1 reports one row per rank, and building and rendering them holds
+# about 2.2 KB per rank (307 MB peak at 2^17 on a 2-core x86-64 host), so
+# 2^17 keeps the report within MAX_N's table budget.
+LEMMA1_MAX_N = 2**17
 # The closed-form check takes (n + 1)(j_max + 1) ladder iterations,
 # about 2 s at j_max = 64 and n = EQUIVALENCE_MAX_N, whose searches
 # never run more than ceil(sqrt(n)) - 1 = 31 iterations in a round.
@@ -147,7 +151,7 @@ class ExperimentConfig:
     runs: int = 10_000
     seed: int = 0
     backend: Backend = Backend.ANALYTIC_SAMPLER
-    growth: float = SearchParams().growth
+    growth: float = DEFAULT_GROWTH
     mode: str = "distinct"
     boost: int | None = None
     boost_strategy: str = "repeat"
@@ -190,7 +194,7 @@ class ExperimentConfig:
             raise ValueError(f"runs must lie in 1..{MAX_RUNS}, got {self.runs}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        SearchParams(growth=self.growth)  # validates the growth factor
+        check_growth(self.growth)
         if math.log(self.n) / (2.0 * math.log(self.growth)) > MAX_GROWING_ROUNDS:
             least = math.ceil(math.exp(math.log(self.n) / (2.0 * MAX_GROWING_ROUNDS)) * 1e9) / 1e9
             raise ValueError(
@@ -224,6 +228,8 @@ class ExperimentConfig:
             raise ValueError(f"exact backend is limited to n <= {EXACT_BACKEND_MAX_N}")
         if self.experiment == "equivalence" and self.n > EQUIVALENCE_MAX_N:
             raise ValueError(f"equivalence runs the exact backend; n <= {EQUIVALENCE_MAX_N}")
+        if self.experiment == "lemma1" and self.n > LEMMA1_MAX_N:
+            raise ValueError(f"lemma1 reports one row per rank; n <= {LEMMA1_MAX_N}")
         if self.experiment in ("expected-cost", "bounds") and self.n < 2:
             raise ValueError(f"{self.experiment} experiment needs n >= 2")
 
@@ -261,7 +267,7 @@ class ExperimentConfig:
         """The k of a ``dup:<k>`` mode, the number of values runs draw from; None if distinct."""
         return None if self.mode == "distinct" else int(self.mode.removeprefix("dup:"))
 
-    @property
+    @functools.cached_property
     def mode_label(self) -> str:
         """``distinct`` or ``dup:<k>``; a table file's kind comes from its values."""
         table = self.fixed_table
@@ -270,30 +276,19 @@ class ExperimentConfig:
         k = len(np.unique(table.values))
         return "distinct" if k == len(table) else f"dup:{k}"
 
-    def search_params(self) -> SearchParams:
-        return SearchParams(growth=self.growth)
-
     def to_dict(self) -> dict:
         # Worker count is a throughput knob with no effect on results, so
         # it stays out of the report body (reports must be byte-identical
         # across worker counts).
-        return {
-            "experiment": self.experiment,
-            "n": self.n,
-            "runs": self.runs,
-            "seed": self.seed,
-            "backend": self.backend.value,
-            "lambda": self.growth,
-            "mode": self.mode_label,
-            "boost": self.boost,
-            "boost_strategy": self.boost_strategy if self.boost else None,
-            "timeout": self.timeout,
-            "max_rank": self.max_rank,
-            "j_max": self.j_max,
-            "sweep_max": self.sweep_max,
-            "table": self.table_path,
-            "init_charge_policy": INIT_CHARGE_POLICY,
-        }
+        config = {_FLAGS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        del config["workers"]
+        config.update(
+            backend=self.backend.value,
+            mode=self.mode_label,
+            boost_strategy=self.boost_strategy if self.boost else None,
+            init_charge_policy=INIT_CHARGE_POLICY,
+        )
+        return config
 
 
 @dataclass
@@ -455,40 +450,35 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
-def _run(config: ExperimentConfig, params: SearchParams, table: Table, rng) -> RunResult:
+def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
     """One run under ``config.cap``, or c of them under repeat boosting."""
     if config.boost and config.boost_strategy == "repeat":
-        return find_minimum_boosted(table, config.backend, params, config.cap, config.boost, rng)
-    return find_minimum(table, config.backend, params, config.cap, rng)
-
-
-def _table_source(backend: Backend):
-    """How runs on ``backend`` draw a table when no table file fixes one.
-
-    The analytic law depends only on ranks, so analytic runs take their
-    values in sorted order (the distinct table is one shared, read-only
-    0..n-1); the exact backend, the reference, keeps randomly arranged tables.
-    """
-    return sorted_table if backend is Backend.ANALYTIC_SAMPLER else generate_table
+        return find_minimum_boosted(
+            table, config.backend, config.growth, config.cap, config.boost, rng
+        )
+    return find_minimum(table, config.backend, config.growth, config.cap, rng)
 
 
 def _run_span(config: ExperimentConfig, key: tuple, record, span):
-    params = config.search_params()
+    # Without a table file, the exact backend, the reference, draws randomly
+    # arranged tables.  The analytic law depends only on ranks, so analytic
+    # runs take their values in sorted order; the distinct one is a shared,
+    # read-only 0..n-1 that reads nothing from the stream, fetched once.
     table = config.fixed_table
     k = config.dup_k
     draw_table = None
     if table is None:
-        if config.backend is Backend.ANALYTIC_SAMPLER and k is None:
-            # The one shared distinct table reads nothing from the stream,
-            # so the span fetches it once instead of once per run.
+        if config.backend is Backend.EXACT_STATEVECTOR:
+            draw_table = generate_table
+        elif k is None:
             table = sorted_table(config.n, None)
         else:
-            draw_table = _table_source(config.backend)
+            draw_table = sorted_table
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
         if draw_table is not None:
             table = draw_table(config.n, rng, k)
-        yield record(table, _run(config, params, table, rng))
+        yield record(table, _run(config, table, rng))
 
 
 def _collect_span(config: ExperimentConfig, key: tuple, record, span):
@@ -752,7 +742,6 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
             _check_row("fixed-j", ok, FIXED_J_ALPHA, t, j, hits / samples, p_true, p_value)
         )
 
-    params = config.search_params()
     # At n = 1 every search ends after one j = 0 round, whatever its budget.
     budget = timeout_cap(n)
     search_rows = []
@@ -763,7 +752,7 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
         search_ladder = ladder if backend is Backend.EXACT_STATEVECTOR else None
         for i in range(config.runs):
             rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
-            hit, used, _, index = search(n, t, budget, params, rng, search_ladder)
+            hit, used, _, index = search(n, t, budget, config.growth, rng, search_ladder)
             law[(hit, used)] += 1
             index_counts[index] += 1
         for label, class_counts in (("hit", index_counts[:t]), ("miss", index_counts[t:])):

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 from .grover import GroverLadder
-from .qsearch import Backend, SearchParams, search
+from .qsearch import Backend, search
 from .table import Table
 
 __all__ = [
@@ -86,9 +86,9 @@ class RunResult:
 
 
 def find_minimum(
-    table: Table, backend: Backend, params: SearchParams, cap: float, rng
+    table: Table, backend: Backend, growth: float, cap: float, rng
 ) -> RunResult:
-    """One run under a step cap of ``cap`` time steps.
+    """One run under a step cap of ``cap`` time steps, its searches at ``growth``.
 
     A zero (or negative) cap returns the uniformly random start index
     unexamined, which makes a handy 1/N null baseline.  An infinite cap
@@ -127,7 +127,7 @@ def find_minimum(
         remaining = cap - spent if spent < cap else 0.0
         if not analytic:
             ladder = GroverLadder(values < values[y])
-        hit, used, interrupted, index = search(n, t, remaining, params, rng, ladder)
+        hit, used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
         spent += used
         steps += used
         if hit:
@@ -144,7 +144,7 @@ def find_minimum(
 
 
 def find_minimum_boosted(
-    table: Table, backend: Backend, params: SearchParams, cap: float, c: int, rng
+    table: Table, backend: Backend, growth: float, cap: float, c: int, rng
 ) -> RunResult:
     """Run the algorithm c times under ``cap`` and keep the smallest value found.
 
@@ -159,7 +159,7 @@ def find_minimum_boosted(
     total_spent = 0.0
     total_passes = total_steps = 0
     for _ in range(c):
-        result = find_minimum(table, backend, params, cap, rng)
+        result = find_minimum(table, backend, growth, cap, rng)
         total_spent += result.total_spent
         total_passes += result.loop_passes
         total_steps += result.search_steps

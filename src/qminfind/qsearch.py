@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 
@@ -49,7 +48,8 @@ from .grover import GroverLadder, rotation_angle
 
 __all__ = [
     "Backend",
-    "SearchParams",
+    "DEFAULT_GROWTH",
+    "check_growth",
     "search",
 ]
 
@@ -63,21 +63,10 @@ class Backend(enum.Enum):
     ANALYTIC_SAMPLER = "analytic"
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Knob of the iteration-count schedule.
-
-    ``growth`` multiplies the cap m after each failed round and must stay
-    strictly inside (1, 4/3) for the expected-iteration bound to hold; m
-    starts at 1 and is clamped to sqrt(N).  The iteration count of a round
-    is uniform on {0, ..., ceil(m)-1}.
-    """
-
-    growth: float = DEFAULT_GROWTH
-
-    def __post_init__(self):
-        if not 1.0 < self.growth < 4.0 / 3.0:
-            raise ValueError(f"growth factor must lie strictly in (1, 4/3), got {self.growth}")
+def check_growth(growth: float) -> None:
+    """Reject a growth factor outside (1, 4/3), where the expected-iteration bound fails."""
+    if not 1.0 < growth < 4.0 / 3.0:
+        raise ValueError(f"growth factor must lie strictly in (1, 4/3), got {growth}")
 
 
 @lru_cache(maxsize=64)
@@ -88,10 +77,10 @@ def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...],
     still growing (m < sqrt(N)), then the pair of the saturated cap that
     every later round uses.  They come from the float recurrence
     ``m = min(growth * m, sqrt(N))`` from m = 1; no other code steps it.
-    The cache is keyed on the growth float, not on the frozen
-    ``SearchParams``, whose generated ``__hash__`` and ``__eq__`` would cost
-    every search a few tenths of a microsecond more.
+    The growth factor is checked here, on a cache miss, so no search pays
+    for the check.
     """
+    check_growth(growth)
     m_cap = math.sqrt(n)
     m = 1.0
     growing = []
@@ -104,11 +93,12 @@ def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...],
 
 
 def search(
-    n: int, t: int, budget: float, params: SearchParams, rng, ladder: GroverLadder | None = None
+    n: int, t: int, budget: float, growth: float, rng, ladder: GroverLadder | None = None
 ) -> tuple[bool, int, bool, int]:
     """Hunt for one of t marked indices of n within ``budget`` time steps.
 
-    Returns ``(hit, iterations_used, interrupted, index)``.  With a
+    Returns ``(hit, iterations_used, interrupted, index)``.  ``growth``
+    must lie strictly in (1, 4/3) (see ``check_growth``).  With a
     ``ladder`` (whose mask marks t of its n indices) the search runs on the
     exact backend and ``index`` is the last index measured; without one it
     runs on the analytic backend, and ``index`` is a class position drawn
@@ -137,7 +127,7 @@ def search(
         # one truncated if need be.
         hit, used, interrupted = False, int(budget), True
     else:
-        growing, saturated = _round_schedule(n, params.growth)
+        growing, saturated = _round_schedule(n, growth)
         if ladder is None:
             theta = rotation_angle(n, t)
         else:

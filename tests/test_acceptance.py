@@ -31,7 +31,7 @@ from qminfind.bounds import (
     timeout_cap,
 )
 from qminfind.harness import ExperimentConfig, closed_form_deviation, run_experiment
-from qminfind.qsearch import SearchParams, search
+from qminfind.qsearch import DEFAULT_GROWTH, search
 from qminfind.seeding import derive_stream
 from reference_grover import grover_iterate, marked_subset, uniform_state
 
@@ -110,7 +110,6 @@ def test_criterion_3_mean_cost_under_bound_with_sqrt_scaling(capsys):
 
 def test_criterion_4_search_iterations_under_sqrt_ratio_bound(capsys):
     runs = 100_000
-    params = SearchParams()
     worst_frac = 0.0
     worst_cell = None
     ok = True
@@ -120,7 +119,7 @@ def test_criterion_4_search_iterations_under_sqrt_ratio_bound(capsys):
             total = 0
             total_sq = 0
             for _ in range(runs):
-                used = search(n, t, math.inf, params, rng)[1]
+                used = search(n, t, math.inf, DEFAULT_GROWTH, rng)[1]
                 total += used
                 total_sq += used * used
             mean = total / runs

@@ -32,6 +32,14 @@ def test_bounds_subcommand_passes(capsys):
     assert "qminfind bounds:" not in out
 
 
+def test_cost_of_one_run_reports_zero_standard_errors(capsys):
+    code, out, _ = run_cli(capsys, "cost", "--n", "16", "--runs", "1", "--seed", "3")
+    assert code in (0, 1)
+    summary = json.loads(out)["summary"]
+    assert summary["stderr_first_hit_time"] == 0.0
+    assert summary["stderr_search_steps"] == 0.0
+
+
 def test_run_subcommand_csv_to_file(tmp_path, capsys):
     target = tmp_path / "records.csv"
     code, out, err = run_cli(
@@ -343,12 +351,13 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
             ["success", "--n", "64", "--runs", "20", "--lambda", "1.00000001"],
             "smallest accepted at this n is 1.000020795",
         ),
+        (["lemma1", "--n", str(2**17 + 1), "--runs", "1"], "n <= 131072"),
     ],
     ids=[
         "n-huge", "n-just-over", "sweep-huge", "sweep-too-small", "j-max-huge",
         "j-max-just-over", "j-max-negative", "max-rank-zero", "max-rank-negative",
         "runs-huge", "runs-just-over", "boost-just-over", "boost-huge-repeat",
-        "boost-huge-extend", "lambda-near-one",
+        "boost-huge-extend", "lambda-near-one", "lemma1-n-just-over",
     ],
 )
 def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
@@ -357,7 +366,8 @@ def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
     # so its verdict could not fail; a huge --j-max would run for hours, and
     # so would a huge --runs or --boost (a boost above 53 cannot raise the
     # floor 1 - 2^-c above float64's 1.0 anyway).  A --lambda just above 1
-    # would build a search schedule of millions of rounds.
+    # would build a search schedule of millions of rounds, and lemma1's
+    # report, one row per rank, would outgrow memory long before MAX_N.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

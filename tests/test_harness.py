@@ -29,7 +29,7 @@ from qminfind.harness import (
 )
 from qminfind.grover import GroverLadder, success_probability
 from qminfind.minfind import find_minimum
-from qminfind.qsearch import Backend, SearchParams
+from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
 from qminfind.table import generate_table, sorted_table
 
@@ -185,6 +185,7 @@ def test_config_validation():
         ExperimentConfig(experiment="bounds", sweep_max=10**7 + 1)
     # The limits themselves are accepted (building a config allocates nothing).
     ExperimentConfig(experiment="success", n=2**24)
+    ExperimentConfig(experiment="lemma1", n=2**17)
     ExperimentConfig(experiment="bounds", sweep_max=10**7)
 
 
@@ -208,6 +209,30 @@ def test_mode_label_renders_the_duplicates_count():
         assert config.dup_k == 3
         assert config.to_dict()["mode"] == "dup:3"
     assert ExperimentConfig(experiment="lemma1").dup_k is None
+
+
+@pytest.mark.parametrize("experiment", ["lemma1", "success", "expected-cost", "single-run"])
+def test_mode_label_reads_a_table_file_once_per_invocation(monkeypatch, tmp_path, experiment):
+    # A table file's kind is an np.unique over its values, which sorts the
+    # whole table; lemma1 reads the label in its fold and in its report.
+    path = tmp_path / "ties.txt"
+    path.write_text("".join(f"{v}\n" for v in (5, 3, 3, 9, 1, 1, 1, 7, 2, 5, 8, 0)))
+    unique, calls = np.unique, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    config = ExperimentConfig(experiment=experiment, n=12, runs=20, seed=1, table_path=str(path))
+    assert run_experiment(config).config["mode"] == "dup:8"
+    assert len(calls) == 1
+
+
+def test_unknown_boost_strategy_is_rejected():
+    # The CLI's choices stop any other --boost-strategy before a config is built.
+    with pytest.raises(ValueError, match="unknown boost strategy 'bogus'"):
+        ExperimentConfig(experiment="success", boost=2, boost_strategy="bogus")
 
 
 @pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENT_FIELDS))
@@ -375,6 +400,12 @@ def test_repeated_runs_are_byte_identical():
     assert run_experiment(config).to_json() == run_experiment(config).to_json()
 
 
+def test_report_renders_json_or_csv_only():
+    report = run_experiment(ExperimentConfig(experiment="success", n=4, runs=2, seed=1))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        report.render("xml")
+
+
 def test_success_report_shape():
     report = run_experiment(ExperimentConfig(experiment="success", n=16, runs=300, seed=7))
     summary = report.summary
@@ -512,8 +543,8 @@ def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(m
     # With nothing marked both backends must spend exactly the budget's floor.
     search = harness.search
 
-    def short_exact(n, t, budget, params, rng, ladder=None):
-        hit, used, interrupted, index = search(n, t, budget, params, rng, ladder)
+    def short_exact(n, t, budget, growth, rng, ladder=None):
+        hit, used, interrupted, index = search(n, t, budget, growth, rng, ladder)
         if t == 0 and ladder is not None:
             used -= 1
         return hit, used, interrupted, index
@@ -561,9 +592,9 @@ def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
         ladders.append(self)
         build(self, mask)
 
-    def recording_search(n, t, budget, params, rng, ladder=None):
+    def recording_search(n, t, budget, growth, rng, ladder=None):
         handed.append(ladder)
-        return search(n, t, budget, params, rng, ladder)
+        return search(n, t, budget, growth, rng, ladder)
 
     def recording_cell(config, t):
         built, searched = len(ladders), len(handed)
@@ -592,9 +623,9 @@ def test_equivalence_cells_make_the_search_call_of_the_runs(monkeypatch):
     find = harness.find_minimum
 
     def counting(caller):
-        def counted(n, t, budget, params, rng, ladder=None):
+        def counted(n, t, budget, growth, rng, ladder=None):
             calls.append((caller, ladder is None))
-            return search(n, t, budget, params, rng, ladder)
+            return search(n, t, budget, growth, rng, ladder)
 
         return counted
 
@@ -723,11 +754,11 @@ def test_extend_record_is_one_run_at_c_default_caps(backend):
         boost_strategy="extend",
     )
     rows = run_experiment(config).rows
-    draw_table = harness._table_source(backend)
+    draw_table = sorted_table if backend is Backend.ANALYTIC_SAMPLER else generate_table
     for i, row in enumerate(rows):
         rng = derive_stream(14, "run", i)
         table = draw_table(n, rng)
-        direct = find_minimum(table, backend, SearchParams(), c * timeout_cap(n), rng)
+        direct = find_minimum(table, backend, DEFAULT_GROWTH, c * timeout_cap(n), rng)
         assert direct.first_hit_time is not None
         assert (
             row["cap"], row["returned_index"], row["returned_is_minimum"],
@@ -738,9 +769,33 @@ def test_extend_record_is_one_run_at_c_default_caps(backend):
         )
 
 
-def test_runs_draw_sorted_tables_on_the_analytic_backend_only():
-    assert harness._table_source(Backend.ANALYTIC_SAMPLER) is sorted_table
-    assert harness._table_source(Backend.EXACT_STATEVECTOR) is generate_table
+def test_runs_draw_sorted_tables_on_the_analytic_backend_only(monkeypatch):
+    # Without a table file, exact runs draw a random arrangement per run and
+    # analytic runs a sorted table: the shared distinct one once per span,
+    # a dup one per run.
+    calls = Counter()
+
+    def counting(draw):
+        def counted(n, rng, k=None):
+            calls[draw.__name__] += 1
+            return draw(n, rng, k)
+
+        return counted
+
+    monkeypatch.setattr(harness, "sorted_table", counting(sorted_table))
+    monkeypatch.setattr(harness, "generate_table", counting(generate_table))
+    expected = {
+        (Backend.EXACT_STATEVECTOR, "distinct"): {"generate_table": 5},
+        (Backend.EXACT_STATEVECTOR, "dup:3"): {"generate_table": 5},
+        (Backend.ANALYTIC_SAMPLER, "distinct"): {"sorted_table": 1},
+        (Backend.ANALYTIC_SAMPLER, "dup:3"): {"sorted_table": 5},
+    }
+    for (backend, mode), drawn in expected.items():
+        calls.clear()
+        run_experiment(
+            ExperimentConfig(experiment="success", n=16, runs=5, backend=backend, mode=mode)
+        )
+        assert calls == drawn
     # The choice reaches the runs: analytic single-run records return
     # rank-order positions, so index 0 is the minimum of a distinct table.
     report = run_experiment(ExperimentConfig(experiment="single-run", n=16, runs=40, seed=3))
@@ -756,14 +811,13 @@ def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, 
     # loop passes and first-hit times by a two-sample chi-square.
     runs = 2500
     cap = math.inf if uncapped else timeout_cap(n)
-    draw_table = harness._table_source(Backend.ANALYTIC_SAMPLER)
     passes = {"sorted": Counter(), "random": Counter()}
     first_hit = {"sorted": Counter(), "random": Counter()}
-    for label, source in (("sorted", draw_table), ("random", generate_table)):
+    for label, source in (("sorted", sorted_table), ("random", generate_table)):
         for i in range(runs):
             rng = derive_stream(17, "unit-rank-space", label, n, i)
             table = source(n, rng)
-            result = find_minimum(table, Backend.ANALYTIC_SAMPLER, SearchParams(), cap, rng)
+            result = find_minimum(table, Backend.ANALYTIC_SAMPLER, DEFAULT_GROWTH, cap, rng)
             passes[label][result.loop_passes] += 1
             first_hit[label][-1.0 if result.first_hit_time is None else result.first_hit_time] += 1
     for counts in (passes, first_hit):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qminfind import qsearch
 from qminfind.grover import GroverLadder, success_probability
 from qminfind.harness import CHI2_ALPHA, uniform_chisquare
-from qminfind.qsearch import Backend, SearchParams, _round_schedule, search
+from qminfind.qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
 from qminfind.seeding import derive_stream
 
 
@@ -39,24 +39,32 @@ def test_backend_parse():
 
 
 def test_growth_factor_bounds():
-    SearchParams(growth=1.01)
-    SearchParams(growth=1.3)
-    for bad in (1.0, 4.0 / 3.0, 1.5, 0.9):
-        with pytest.raises(ValueError, match="growth factor"):
-            SearchParams(growth=bad)
+    for good in (1.01, 1.3):
+        check_growth(good)
+        _round_schedule(64, good)
+    # A schedule of a bad growth factor is never built, so a search with
+    # one raises before any round; at 1.0 or below m would never reach sqrt(N).
+    for bad in (1.0, 4.0 / 3.0, 1.5, 0.9, math.nan):
+        message = rf"^growth factor must lie strictly in \(1, 4/3\), got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            check_growth(bad)
+        with pytest.raises(ValueError, match=message):
+            _round_schedule(64, bad)
+        with pytest.raises(ValueError, match=message):
+            search(64, 1, 10.0, bad, random.Random(0))
 
 
 def test_negative_budget_rejected():
     for backend in Backend:
         with pytest.raises(ValueError, match="budget"):
-            search(4, 1, -1.0, SearchParams(), random.Random(0), _backend_ladder(backend, 4, 1))
+            search(4, 1, -1.0, DEFAULT_GROWTH, random.Random(0), _backend_ladder(backend, 4, 1))
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_everything_marked_ends_immediately(backend):
     # First round measures the uniform state with zero iterations and hits.
     ladder = _backend_ladder(backend, 9, 9)
-    hit, used, interrupted, index = search(9, 9, 100.0, SearchParams(), random.Random(1), ladder)
+    hit, used, interrupted, index = search(9, 9, 100.0, DEFAULT_GROWTH, random.Random(1), ladder)
     assert hit
     assert used == 0
     assert not interrupted
@@ -68,7 +76,7 @@ def test_everything_marked_ends_immediately(backend):
 def test_nothing_marked_consumes_integer_budget_exactly(backend, budget):
     ladder = _backend_ladder(backend, 16, 0)
     hit, used, interrupted, _ = search(
-        16, 0, float(budget), SearchParams(), random.Random(2), ladder
+        16, 0, float(budget), DEFAULT_GROWTH, random.Random(2), ladder
     )
     assert not hit
     assert interrupted
@@ -91,7 +99,7 @@ class _CountingStream:
         return self.inner.random()
 
 
-def _play_out_nothing_marked(n: int, budget: float, params: SearchParams, rng) -> int:
+def _play_out_nothing_marked(n: int, budget: float, growth: float, rng) -> int:
     """Iterations a search with nothing marked spends when its rounds are played one by one.
 
     The schedule of ``search`` with every round a miss: draw j
@@ -110,7 +118,7 @@ def _play_out_nothing_marked(n: int, budget: float, params: SearchParams, rng) -
         used += j
         if remaining <= 0:
             return used
-        m = min(params.growth * m, m_cap)
+        m = min(growth * m, m_cap)
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 64])
@@ -120,12 +128,12 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
     # index draw; playing its rounds out one by one must spend the same
     # iterations, exactly the floor of the budget, for every stream.
     for seed in range(5):
-        played = _play_out_nothing_marked(n, budget, SearchParams(), random.Random(seed))
+        played = _play_out_nothing_marked(n, budget, DEFAULT_GROWTH, random.Random(seed))
         assert played == math.floor(budget)
         for backend in Backend:
             rng = _CountingStream(seed)
             ladder = _backend_ladder(backend, n, 0)
-            hit, used, interrupted, index = search(n, 0, budget, SearchParams(), rng, ladder)
+            hit, used, interrupted, index = search(n, 0, budget, DEFAULT_GROWTH, rng, ladder)
             assert used == played
             assert type(used) is int
             assert interrupted and not hit
@@ -140,7 +148,7 @@ def test_exact_search_with_nothing_marked_measures_a_uniform_index():
     rng = derive_stream(8, "unit-exact-empty")
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(4000):
-        counts[search(n, 0, 9.5, SearchParams(), rng, ladder)[3]] += 1
+        counts[search(n, 0, 9.5, DEFAULT_GROWTH, rng, ladder)[3]] += 1
     _, p_value, dof = uniform_chisquare(counts)
     assert dof == n - 1
     assert p_value > CHI2_ALPHA
@@ -164,7 +172,7 @@ def deadline():
 @pytest.mark.parametrize("n", [2, 16])
 def test_nothing_marked_with_an_infinite_budget_is_rejected(deadline, backend, n):
     with pytest.raises(ValueError, match="nothing marked"):
-        search(n, 0, math.inf, SearchParams(), random.Random(0), _backend_ladder(backend, n, 0))
+        search(n, 0, math.inf, DEFAULT_GROWTH, random.Random(0), _backend_ladder(backend, n, 0))
 
 
 @pytest.mark.parametrize(("marked", "budget"), [((5,), 1.0), ((1, 4, 6, 11), 0.0), ((), 9.5)])
@@ -184,7 +192,7 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
         rng = derive_stream(7, "unit-miss", backend.value, t)
         misses = Counter()
         for _ in range(4000):
-            hit, _, interrupted, index = search(n, t, budget, SearchParams(), rng, ladder)
+            hit, _, interrupted, index = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
             if not hit:
                 assert interrupted
                 misses[index] += 1
@@ -196,7 +204,7 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
 
 
 def test_zero_budget_still_measures_once():
-    hit, used, interrupted, index = search(8, 0, 0.0, SearchParams(), random.Random(3))
+    hit, used, interrupted, index = search(8, 0, 0.0, DEFAULT_GROWTH, random.Random(3))
     assert interrupted and not hit
     assert used == 0
     assert 0 <= index < 8
@@ -208,9 +216,9 @@ def test_single_index_domain_terminates():
     for backend in Backend:
         rng = random.Random(4)
         ladder = _backend_ladder(backend, 1, 0)
-        assert search(1, 0, math.inf, SearchParams(), rng, ladder) == (False, 0, True, 0)
+        assert search(1, 0, math.inf, DEFAULT_GROWTH, rng, ladder) == (False, 0, True, 0)
         ladder = _backend_ladder(backend, 1, 1)
-        assert search(1, 1, math.inf, SearchParams(), rng, ladder) == (True, 0, False, 0)
+        assert search(1, 1, math.inf, DEFAULT_GROWTH, rng, ladder) == (True, 0, False, 0)
 
 
 @given(
@@ -223,7 +231,7 @@ def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
     t = max(1, round(t_frac * n))
     ladder = _backend_ladder(backend, n, t)
     hit, _, interrupted, index = search(
-        n, t, math.inf, SearchParams(), random.Random(seed), ladder
+        n, t, math.inf, DEFAULT_GROWTH, random.Random(seed), ladder
     )
     assert hit and not interrupted
     assert index < t
@@ -233,14 +241,14 @@ def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
 def test_iterations_never_exceed_budget(seed, n, budget):
     rng = random.Random(seed)
     t = rng.randrange(n + 1)
-    assert search(n, t, budget, SearchParams(), rng)[1] <= budget
+    assert search(n, t, budget, DEFAULT_GROWTH, rng)[1] <= budget
 
 
 @given(seed=st.integers(0, 10**6))
 def test_search_is_deterministic_per_stream(seed):
     for ladder in (None, _marking(32, (3, 17))):
-        a = search(32, 2, 40.0, SearchParams(), random.Random(seed), ladder)
-        b = search(32, 2, 40.0, SearchParams(), random.Random(seed), ladder)
+        a = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), ladder)
+        b = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), ladder)
         assert a == b
 
 
@@ -252,7 +260,7 @@ def test_mean_iterations_below_sqrt_bound(n, t):
     total = 0
     total_sq = 0
     for _ in range(runs):
-        used = search(n, t, math.inf, SearchParams(), rng)[1]
+        used = search(n, t, math.inf, DEFAULT_GROWTH, rng)[1]
         total += used
         total_sq += used * used
     mean = total / runs
@@ -271,7 +279,7 @@ def test_backends_hit_at_matching_rates():
         hits = 0
         rng = derive_stream(5, "unit-agree", backend.value)
         for _ in range(runs):
-            hit, _, _, index = search(n, t, budget, SearchParams(), rng, ladder)
+            hit, _, _, index = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
             assert hit == (index < t)
             hits += hit
         fractions[backend] = hits / runs
@@ -322,7 +330,7 @@ def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     measures.
     """
     rng = _ScriptedStream(j, u)
-    hit, used, _, index = search(n, t, float(j), SearchParams(), rng)
+    hit, used, _, index = search(n, t, float(j), DEFAULT_GROWTH, rng)
     assert used == j
     assert rng.uniform_draws == (1 if t > 0 else 0)
     # With nothing marked the search is settled without a round (n >= 2),
@@ -368,7 +376,7 @@ def test_round_draw_is_randrange_draw_for_draw(monkeypatch, seed):
     rng, twin = random.Random(seed), random.Random(seed)
     for high in range(2, 4097):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        hit, used, interrupted, index = search(16, 16, math.inf, SearchParams(), rng)
+        hit, used, interrupted, index = search(16, 16, math.inf, DEFAULT_GROWTH, rng)
         assert hit and not interrupted
         assert used == twin.randrange(high)
         twin.random()
@@ -377,7 +385,7 @@ def test_round_draw_is_randrange_draw_for_draw(monkeypatch, seed):
     # A cap of 1 draws no j at all, only the hit's uniform draw and the
     # position in a one-index class.
     monkeypatch.undo()
-    assert search(1, 1, math.inf, SearchParams(), rng) == (True, 0, False, 0)
+    assert search(1, 1, math.inf, DEFAULT_GROWTH, rng) == (True, 0, False, 0)
     twin.random()
     twin.randrange(1)
     assert rng.getstate() == twin.getstate()
@@ -393,7 +401,7 @@ def test_analytic_index_is_the_class_position_draw(seed):
     outcomes = set()
     for t in range(1, n):
         for _ in range(40):
-            hit, used, interrupted, index = search(n, t, 0.0, SearchParams(), rng)
+            hit, used, interrupted, index = search(n, t, 0.0, DEFAULT_GROWTH, rng)
             assert (used, interrupted) == (0, not hit)
             assert hit == (twin.random() < success_probability(n, t, 0))
             assert index == (twin.randrange(t) if hit else twin.randrange(t, n))
@@ -414,7 +422,7 @@ def test_both_backends_run_the_rounds_of_one_schedule(monkeypatch, backend):
     rng, twin = random.Random(11), random.Random(11)
     for high in range(2, 300):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        hit, used, interrupted, index = search(n, n, math.inf, SearchParams(), rng, ladder)
+        hit, used, interrupted, index = search(n, n, math.inf, DEFAULT_GROWTH, rng, ladder)
         assert hit and not interrupted
         assert used == twin.randrange(high)
         twin.random()
@@ -423,7 +431,7 @@ def test_both_backends_run_the_rounds_of_one_schedule(monkeypatch, backend):
         assert rng.getstate() == twin.getstate()
 
 
-def _caps_round_by_round(n: int, params: SearchParams, rounds: int) -> tuple[list[int], int]:
+def _caps_round_by_round(n: int, growth: float, rounds: int) -> tuple[list[int], int]:
     """The caps ceil(m) of the first ``rounds`` rounds, and how many had m < sqrt(n)."""
     m_cap = math.sqrt(n)
     m = 1.0
@@ -431,30 +439,28 @@ def _caps_round_by_round(n: int, params: SearchParams, rounds: int) -> tuple[lis
     for _ in range(rounds):
         caps.append(math.ceil(m))
         growing += m < m_cap
-        m = min(params.growth * m, m_cap)
+        m = min(growth * m, m_cap)
     return caps, growing
 
 
 def test_round_schedule_matches_the_round_by_round_caps():
     for n in [*range(1, 301), 16384]:
         for growth in (1.01, 8 / 7, 1.33):
-            params = SearchParams(growth=growth)
-            growing, saturated = _round_schedule(n, params.growth)
+            growing, saturated = _round_schedule(n, growth)
             rounds = len(growing) + 5
             caps = [high for high, _ in growing] + [saturated[0]] * 5
-            assert (caps, len(growing)) == _caps_round_by_round(n, params, rounds)
+            assert (caps, len(growing)) == _caps_round_by_round(n, growth, rounds)
             for high, bits in (*growing, saturated):
                 assert bits == high.bit_length()
     # The benchmark's size passes 37 growing rounds before it saturates.
-    assert len(_round_schedule(16384, SearchParams().growth)[0]) == 37
+    assert len(_round_schedule(16384, DEFAULT_GROWTH)[0]) == 37
 
 
 def test_round_schedule_is_cached_per_size_and_growth():
-    # Two SearchParams built apart with equal growth share one cache entry:
-    # the key is the growth float, so no search hashes or compares params.
+    # Two equal growth floats built apart share one cache entry.
     _round_schedule.cache_clear()
-    first, second = SearchParams(growth=1.2), SearchParams(growth=1.2)
-    assert first is not second
+    first, second = float("1.2"), 6.0 / 5.0
+    assert first is not second and first == second
     rng = random.Random(3)
     search(64, 1, math.inf, first, rng)
     hits = _round_schedule.cache_info().hits
@@ -481,7 +487,7 @@ def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed
     mask = ladder.mask
     monkeypatch.setattr(qsearch.GroverLadder, "__init__", counting_build)
     rng = random.Random(seed)
-    used = [search(256, 1, 500.0, SearchParams(), rng, ladder)[1] for _ in range(4)]
+    used = [search(256, 1, 500.0, DEFAULT_GROWTH, rng, ladder)[1] for _ in range(4)]
     assert min(used) > 0
     assert not built
     assert ladder.mask is mask

@@ -13,7 +13,7 @@ from qminfind import minfind
 from qminfind.bounds import timeout_cap
 from qminfind.harness import two_sample_chisquare
 from qminfind.grover import GroverLadder
-from qminfind.qsearch import Backend, SearchParams, search
+from qminfind.qsearch import DEFAULT_GROWTH, Backend, search
 from qminfind.table import (
     Table,
     generate_table,
@@ -58,6 +58,12 @@ def test_permutation_metadata_matches_sorting(seed, n):
 def test_permutation_rejects_non_permutations(values, match):
     with pytest.raises(ValueError, match=match):
         Table.permutation(np.array(values, dtype=np.int64))
+
+
+@pytest.mark.parametrize("values", [[], [[0, 1], [2, 3]]], ids=["empty", "two-dimensional"])
+def test_table_needs_a_one_dimensional_array_of_values(values):
+    with pytest.raises(ValueError, match="at least one value"):
+        Table(values)
 
 
 def test_permutation_metadata_is_read_only():
@@ -184,15 +190,15 @@ def test_threshold_marks_strictly_smaller_entries(seed, n):
     search_once = minfind.search
     passes = []
 
-    def recording(n, t, budget, params, stream, ladder=None):
-        outcome = search_once(n, t, budget, params, stream, ladder)
+    def recording(n, t, budget, growth, stream, ladder=None):
+        outcome = search_once(n, t, budget, growth, stream, ladder)
         passes.append((t, ladder, outcome))
         return outcome
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(minfind, "search", recording)
         result = minfind.find_minimum(
-            table, Backend.EXACT_STATEVECTOR, SearchParams(), timeout_cap(n), rng
+            table, Backend.EXACT_STATEVECTOR, DEFAULT_GROWTH, timeout_cap(n), rng
         )
     y = result.history[0][1]
     for t, ladder, (hit, _, _, index) in passes:
@@ -213,7 +219,7 @@ def _search_threshold(table: Table, y: int, budget: float, rng, ladder=None) -> 
     one draws a position in the table's sorted order.
     """
     t = int(table.ranks[y]) - 1
-    hit, _, _, index = search(len(table), t, budget, SearchParams(), rng, ladder)
+    hit, _, _, index = search(len(table), t, budget, DEFAULT_GROWTH, rng, ladder)
     return hit, index if ladder is not None else int(table.order[index])
 
 
