@@ -55,11 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--mode", help="table contents: distinct | dup:<k> (default %(default)s)")
     common.add_argument("--boost", type=int, metavar="C", help="boost level c")
-    common.add_argument(
-        "--boost-strategy",
-        choices=("repeat", "extend"),
-        help="how to spend the boost budget (default %(default)s)",
-    )
     common.add_argument("--timeout", type=float, help="override the per-run step cap")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", type=Path, help="write the report here")

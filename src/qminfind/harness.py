@@ -89,7 +89,7 @@ __all__ = [
 _RUN_FIELDS = frozenset(
     {"n", "runs", "seed", "backend", "growth", "mode", "table_path", "workers"}
 )
-_CAPPED_RUN_FIELDS = _RUN_FIELDS | {"boost", "boost_strategy", "timeout"}
+_CAPPED_RUN_FIELDS = _RUN_FIELDS | {"boost", "timeout"}
 EXPERIMENT_FIELDS = {
     "lemma1": _RUN_FIELDS | {"max_rank"},
     "success": _CAPPED_RUN_FIELDS,
@@ -118,7 +118,7 @@ MAX_N = 2**24
 MAX_SWEEP = 10**7
 MAX_RUNS = 10**9
 # From c = 54 on, the boosted floor 1 - 2^-c is exactly 1.0 in float64, so a
-# larger c changes no verdict, only the work (c repetitions or c caps).
+# larger c changes no verdict, only the work (c repetitions).
 MAX_BOOST = 53
 EXACT_BACKEND_MAX_N = 2**14
 EQUIVALENCE_MAX_N = 2**10
@@ -154,7 +154,6 @@ class ExperimentConfig:
     growth: float = DEFAULT_GROWTH
     mode: str = "distinct"
     boost: int | None = None
-    boost_strategy: str = "repeat"
     timeout: float | None = None
     max_rank: int = 10
     j_max: int = 12
@@ -212,18 +211,17 @@ class ExperimentConfig:
             )
         if self.boost is not None and not 1 <= self.boost <= MAX_BOOST:
             raise ValueError(f"boost count must lie in 1..{MAX_BOOST}, got {self.boost}")
-        if self.boost_strategy not in ("repeat", "extend"):
-            raise ValueError(f"unknown boost strategy {self.boost_strategy!r}")
-        if self.boost is None and self.boost_strategy != "repeat":
-            raise ValueError("boost_strategy (--boost-strategy) needs a boost (--boost)")
-        # Boosting sets its own cap (the default one per repetition, or c
-        # times it when extending), so a timeout would be silently ignored.
+        # Boosting runs each repetition at the default cap, where its floor
+        # 1 - 2^-c holds, so a timeout would be silently ignored.
         if self.boost is not None and self.timeout is not None:
             raise ValueError("boost sets its own cap and cannot be combined with a timeout")
         # An infinite cap never stops a search with nothing marked, and NaN
-        # cannot be written as JSON, so only finite caps are accepted.
-        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout >= 0):
-            raise ValueError(f"timeout must be a finite number >= 0, got {self.timeout}")
+        # cannot be written as JSON, so only finite caps are accepted; -0.0
+        # is taken as 0.0, so that both run and render alike.
+        if self.timeout is not None:
+            if not (math.isfinite(self.timeout) and self.timeout >= 0):
+                raise ValueError(f"timeout must be a finite number >= 0, got {self.timeout}")
+            object.__setattr__(self, "timeout", abs(self.timeout))
         if self.backend is Backend.EXACT_STATEVECTOR and self.n > EXACT_BACKEND_MAX_N:
             raise ValueError(f"exact backend is limited to n <= {EXACT_BACKEND_MAX_N}")
         if self.experiment == "equivalence" and self.n > EQUIVALENCE_MAX_N:
@@ -249,17 +247,15 @@ class ExperimentConfig:
 
     @functools.cached_property
     def cap(self) -> float:
-        """Every run's step cap (each repetition's, under repeat boosting).
+        """Every run's step cap (each repetition's, under boosting).
 
         Infinite for the experiments that read no timeout, else the timeout,
-        else c default caps for extend boosting (one run), else the default.
+        else the default.
         """
         if "timeout" not in EXPERIMENT_FIELDS[self.experiment]:
             return math.inf
         if self.timeout is not None:
             return float(self.timeout)
-        if self.boost and self.boost_strategy == "extend":
-            return self.boost * timeout_cap(self.n)
         return timeout_cap(self.n)
 
     @functools.cached_property
@@ -285,7 +281,6 @@ class ExperimentConfig:
         config.update(
             backend=self.backend.value,
             mode=self.mode_label,
-            boost_strategy=self.boost_strategy if self.boost else None,
             init_charge_policy=INIT_CHARGE_POLICY,
         )
         return config
@@ -451,8 +446,8 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
-    """One run under ``config.cap``, or c of them under repeat boosting."""
-    if config.boost and config.boost_strategy == "repeat":
+    """One run under ``config.cap``, or c of them under boosting."""
+    if config.boost:
         return find_minimum_boosted(
             table, config.backend, config.growth, config.cap, config.boost, rng
         )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from qminfind import __version__
 from qminfind.cli import _SUBCOMMANDS, _config_from_args, build_parser, main
-from qminfind.harness import ExperimentConfig
+from qminfind.harness import _FLAGS, EXPERIMENT_FIELDS, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,27 @@ def test_readme_commands_parse_into_valid_configs():
             pytest.fail(f"config error in README command {command!r}: {exc}")
 
 
+def test_readme_flag_bullets_match_the_config():
+    # Each "Command line" bullet names its subcommands and then, in
+    # backticks, the flags they read; --n, --format and --out are in the
+    # preamble above the bullets.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    # The bullets run from the first "- " line to the next blank line.
+    bullets = section[section.index("\n- ") + 3 :].split("\n\n", 1)[0].split("\n- ")
+    documented = {}
+    for bullet in bullets:
+        label, text = bullet.split(":", 1)
+        flags = set(re.findall(r"`--([a-z][a-z-]*)", text)) - {"n", "format", "out"}
+        for command in re.findall(r"`([a-z0-9]+)`", label):
+            documented[command] = flags
+    expected = {
+        command: {_FLAGS.get(f, f.replace("_", "-")) for f in EXPERIMENT_FIELDS[experiment] - {"n"}}
+        for command, (experiment, _) in _SUBCOMMANDS.items()
+    }
+    assert documented == expected
+
+
 @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
 def test_cli_takes_its_defaults_from_the_config(capsys, command):
     args = build_parser().parse_args([command])
@@ -174,7 +196,7 @@ def test_cli_takes_its_defaults_from_the_config(capsys, command):
     assert exc.value.code == 0
     # Joined, so that a help line wrapped at any terminal width still reads whole.
     text = " ".join(capsys.readouterr().out.split())
-    for default in ("(default 64)", "(default 10000)", "(default distinct)", "(default repeat)"):
+    for default in ("(default 64)", "(default 10000)", "(default distinct)"):
         assert default in text
 
 
@@ -266,15 +288,25 @@ def test_lemma1_takes_its_comparison_from_a_duplicate_table_file(tmp_path, capsy
     assert json.loads(out)["summary"]["comparison"] == "upper-bound"
 
 
-@pytest.mark.parametrize("strategy", ["repeat", "extend"])
-def test_boost_with_timeout_is_config_error(capsys, strategy):
+def test_boost_with_timeout_is_config_error(capsys):
     code, out, err = run_cli(
         capsys, "run", "--n", "16", "--runs", "2", "--seed", "1", "--boost", "2",
-        "--boost-strategy", strategy, "--timeout", "3", "--format", "csv",
+        "--timeout", "3", "--format", "csv",
     )
     assert code == 2
     assert out == ""
     assert "cannot be combined with a timeout" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(("command", "runs"), [("run", "2"), ("success", "20")])
+def test_negative_zero_timeout_renders_as_zero(capsys, command, runs, fmt):
+    reports = [
+        run_cli(capsys, command, "--n", "8", "--runs", runs, "--timeout", timeout, "--format", fmt)[:2]
+        for timeout in ("0", "-0")
+    ]
+    assert reports[1] == reports[0]
+    assert "-0.0" not in reports[1][1]
 
 
 @pytest.mark.parametrize("command", ["lemma1", "cost"])
@@ -343,11 +375,6 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
         (["success", "--n", "4", "--runs", "1", "--boost", "54"], "1..53"),
         (["success", "--n", "4", "--runs", "1", "--boost", str(10**400)], "1..53"),
         (
-            ["success", "--n", "4", "--runs", "1", "--boost", str(10**400),
-             "--boost-strategy", "extend"],
-            "1..53",
-        ),
-        (
             ["success", "--n", "64", "--runs", "20", "--lambda", "1.00000001"],
             "smallest accepted at this n is 1.000020795",
         ),
@@ -357,7 +384,7 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
         "n-huge", "n-just-over", "sweep-huge", "sweep-too-small", "j-max-huge",
         "j-max-just-over", "j-max-negative", "max-rank-zero", "max-rank-negative",
         "runs-huge", "runs-just-over", "boost-just-over", "boost-huge-repeat",
-        "boost-huge-extend", "lambda-near-one", "lemma1-n-just-over",
+        "lambda-near-one", "lemma1-n-just-over",
     ],
 )
 def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
@@ -379,8 +406,8 @@ def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
 RUN_FLAGS = {"runs", "seed", "backend", "lambda", "mode", "table", "workers"}
 READS = {
     "lemma1": RUN_FLAGS | {"max-rank"},
-    "success": RUN_FLAGS | {"boost", "boost-strategy", "timeout"},
-    "run": RUN_FLAGS | {"boost", "boost-strategy", "timeout"},
+    "success": RUN_FLAGS | {"boost", "timeout"},
+    "run": RUN_FLAGS | {"boost", "timeout"},
     "cost": RUN_FLAGS,
     "equivalence": {"runs", "seed", "lambda", "j-max"},
     "bounds": {"sweep-max"},
@@ -393,7 +420,6 @@ FLAG_VALUES = {
     "lambda": "1.3",
     "mode": "dup:2",
     "boost": "2",
-    "boost-strategy": "extend",
     "timeout": "30",
     "table": None,
     "workers": "2",
@@ -415,8 +441,6 @@ def _flag_argv(tmp_path, command: str, flag: str) -> list[str]:
         path = tmp_path / "table.txt"
         path.write_text("".join(f"{v}\n" for v in (5, -2, 9, 0, 7, 4, 1, 8)))
         value = str(path)
-    if flag == "boost-strategy" and flag in READS[command]:
-        argv += ["--boost", "2"]  # a strategy needs a boost to apply to
     return argv + [f"--{flag}", value]
 
 
@@ -442,11 +466,14 @@ def test_every_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, command
     assert f"(--{flag})" in err
 
 
-def test_boost_strategy_without_boost_is_config_error(capsys):
-    code, out, err = run_cli(capsys, "success", "--n", "64", "--boost-strategy", "extend")
-    assert code == 2
-    assert out == ""
-    assert "--boost-strategy" in err and "--boost)" in err
+@pytest.mark.parametrize("strategy", ["repeat", "extend"])
+def test_boost_strategy_flag_is_a_usage_error(strategy):
+    # Boosting is c repetitions alone, so there is no strategy to choose.
+    result = _cli_subprocess("success", "--n", "64", "--runs", "20", "--boost-strategy", strategy)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "unrecognized arguments: --boost-strategy" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_exact_search_with_nothing_marked_and_a_huge_timeout_returns():
@@ -502,7 +529,6 @@ FUZZ_VALUES = {
     "lambda": st.sampled_from(["1", "1.00000001", "1.05", "1.3", "1.34", "nan", "inf", "x"]),
     "mode": st.sampled_from(["distinct", "dup:1", "dup:3", "dup:0", "dup:", "dup:99", "triple"]),
     "boost": st.sampled_from(["-1", "0", "1", "2", "x"]),
-    "boost-strategy": st.sampled_from(["repeat", "extend", "twice"]),
     "timeout": st.sampled_from(["-1", "0", "0.5", "7", "1e12", "inf", "nan", "x"]),
     "format": st.sampled_from(["json", "csv", "yaml"]),
     "out": st.just("@dir/missing/report.json"),

@@ -177,8 +177,6 @@ def test_config_validation():
             name = next(iter(flags))
             with pytest.raises(ValueError, match=f"{experiment} does not read {name}"):
                 ExperimentConfig(experiment=experiment, n=8, **flags)
-    with pytest.raises(ValueError, match="needs a boost"):
-        ExperimentConfig(experiment="success", boost_strategy="extend")
     with pytest.raises(ValueError, match="n must lie in"):
         ExperimentConfig(experiment="success", n=2**24 + 1)
     with pytest.raises(ValueError, match="sweep_max must lie in"):
@@ -230,9 +228,11 @@ def test_mode_label_reads_a_table_file_once_per_invocation(monkeypatch, tmp_path
 
 
 def test_unknown_boost_strategy_is_rejected():
-    # The CLI's choices stop any other --boost-strategy before a config is built.
-    with pytest.raises(ValueError, match="unknown boost strategy 'bogus'"):
-        ExperimentConfig(experiment="success", boost=2, boost_strategy="bogus")
+    # Boosting is c repetitions and nothing else; the config has no field
+    # that picks another way to spend the boost.
+    for strategy in ("repeat", "extend"):
+        with pytest.raises(TypeError, match="boost_strategy"):
+            ExperimentConfig(experiment="success", boost=2, boost_strategy=strategy)
 
 
 @pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENT_FIELDS))
@@ -250,7 +250,6 @@ def test_no_config_field_is_silently_ignored(tmp_path, experiment):
         "growth": 1.25,
         "mode": "dup:5",
         "boost": 2,
-        "boost_strategy": "extend",
         "timeout": 5.0,
         "max_rank": 3,
         "j_max": 4,
@@ -275,17 +274,15 @@ def test_no_config_field_is_silently_ignored(tmp_path, experiment):
         ({"experiment": "expected-cost"}, math.inf),
         ({"experiment": "success", "timeout": 7.5}, 7.5),
         ({"experiment": "single-run", "timeout": 0.0}, 0.0),
-        ({"experiment": "success", "boost": 3, "boost_strategy": "extend"}, 3 * timeout_cap(64)),
         ({"experiment": "success", "boost": 3}, timeout_cap(64)),
         ({"experiment": "success"}, timeout_cap(64)),
         ({"experiment": "single-run"}, timeout_cap(64)),
         ({"experiment": "single-run", "n": 1}, 22.5),
-        ({"experiment": "success", "n": 1, "boost": 2, "boost_strategy": "extend"}, 45.0),
         ({"experiment": "lemma1", "n": 1}, math.inf),
     ],
     ids=[
-        "lemma1", "expected-cost", "timeout", "timeout-zero", "extend", "repeat", "success",
-        "single-run", "n1", "n1-extend", "n1-lemma1",
+        "lemma1", "expected-cost", "timeout", "timeout-zero", "repeat", "success", "single-run",
+        "n1", "n1-lemma1",
     ],
 )
 def test_config_decides_each_runs_cap_once(fields, expected):
@@ -742,31 +739,6 @@ def test_serial_runs_load_no_process_machinery():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
-
-
-@pytest.mark.parametrize("backend", list(Backend))
-def test_extend_record_is_one_run_at_c_default_caps(backend):
-    # Extend boosting is one find_minimum run at c default caps on run i's
-    # stream, so its record carries that run's first-hit time.
-    n, c = 24, 3
-    config = ExperimentConfig(
-        experiment="single-run", n=n, runs=6, seed=14, backend=backend, boost=c,
-        boost_strategy="extend",
-    )
-    rows = run_experiment(config).rows
-    draw_table = sorted_table if backend is Backend.ANALYTIC_SAMPLER else generate_table
-    for i, row in enumerate(rows):
-        rng = derive_stream(14, "run", i)
-        table = draw_table(n, rng)
-        direct = find_minimum(table, backend, DEFAULT_GROWTH, c * timeout_cap(n), rng)
-        assert direct.first_hit_time is not None
-        assert (
-            row["cap"], row["returned_index"], row["returned_is_minimum"],
-            row["first_hit_time"], row["total_spent"], row["loop_passes"],
-        ) == (
-            direct.cap, direct.returned_index, direct.returned_is_minimum,
-            direct.first_hit_time, direct.total_spent, direct.loop_passes,
-        )
 
 
 def test_runs_draw_sorted_tables_on_the_analytic_backend_only(monkeypatch):

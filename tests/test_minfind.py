@@ -140,18 +140,29 @@ def test_boost_validation():
 
 
 def test_boost_raises_success_rate():
-    runs = 300
-    plain_hits = 0
-    boosted_hits = 0
+    # A starved cap makes single runs fail often enough to see the gain.
+    # The analytic law depends only on ranks, so every run has the same
+    # single-run success probability p, and the best of three independent
+    # repetitions succeeds with probability 1 - (1 - p)^3.
+    runs, cap = 6000, 12.0
+    table = generate_table(64, random.Random(16))
+    plain_hits = boosted_hits = 0
     for i in range(runs):
-        rng = derive_stream(16, "unit-boostgain", i)
-        table = generate_table(64, rng)
-        # A starved cap makes single runs fail often enough to see the gain.
-        plain_hits += find_minimum(table, ANALYTIC, GROWTH, 12.0, rng).returned_is_minimum
-        # Extend boosting: one run at three default caps.
-        boosted = find_minimum(table, ANALYTIC, GROWTH, 3 * timeout_cap(64), rng)
+        plain = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(16, "unit-plain", i))
+        boosted = find_minimum_boosted(
+            table, ANALYTIC, GROWTH, cap, 3, derive_stream(16, "unit-boosted", i)
+        )
+        plain_hits += plain.returned_is_minimum
         boosted_hits += boosted.returned_is_minimum
     assert boosted_hits > plain_hits
+    p = plain_hits / runs
+    predicted = 1 - (1 - p) ** 3
+    # The boosted fraction's binomial variance plus the prediction's, by the
+    # delta method through p-hat.
+    se = math.sqrt(
+        predicted * (1 - predicted) / runs + (3 * (1 - p) ** 2) ** 2 * p * (1 - p) / runs
+    )
+    assert abs(boosted_hits / runs - predicted) <= 4 * se
 
 
 @pytest.mark.parametrize("backend", list(Backend))
