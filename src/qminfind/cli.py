@@ -13,11 +13,11 @@ Every flag but --format and --out sets the ``ExperimentConfig`` field of
 its name (--lambda sets ``growth``, --table ``table_path``) and passes its
 text through; the config states each default, grammar and valid range.
 
-Exit status: 0 when the experiment's verdict passes, 1 on a statistical
-failure, 2 on bad usage or configuration.  The report goes to stdout (or
---out); wall-clock timing and the git revision go to stderr only, so
-reports with the same seed are byte-identical across invocations, worker
-counts and commits.
+Exit status: 0 when every check passes, 1 when one fails (the stderr line
+names each failing check), 2 on bad usage or configuration.  The report
+goes to stdout (or --out); wall-clock timing and the git revision go to
+stderr only, so reports with the same seed are byte-identical across
+invocations, worker counts and commits.
 """
 from __future__ import annotations
 
@@ -131,7 +131,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    verdict = "pass" if report.passed else "FAIL"
+    failed = ", ".join(
+        " ".join([c["check"], *(f"{k}={c[k]}" for k in ("t", "j") if c[k] is not None)])
+        for c in report.checks if not c["ok"]
+    )
+    verdict = f"FAIL ({failed})" if failed else "pass"
     runs = f" runs={config.runs}" if "runs" in EXPERIMENT_FIELDS[config.experiment] else ""
     print(
         f"qminfind {args.command}: n={config.n}{runs} "

@@ -8,7 +8,7 @@ runs plus a statistical verdict:
 * ``expected-cost`` uncapped-run cost vs its closed-form bound;
 * ``equivalence``   exact statevector backend vs the analytic sampler;
 * ``bounds``        closed-form identities and inequality sweeps;
-* ``single-run``    raw per-run records, no verdict.
+* ``single-run``    raw per-run records, no checks.
 
 Every batch of algorithm runs goes through one map: ``_map_runs`` draws
 run i's table and run from the private stream (seed, *key, i), runs it
@@ -28,13 +28,14 @@ one ``GroverLadder`` marking 0..t-1, which serves the cell's fixed-j draws
 and all of its exact searches; both backends' searches go through
 ``qsearch.search``, the call every algorithm run makes.
 
-Verdict conventions: equality checks pass within max(0.01, 3 standard
-errors), one-sided bound checks require estimate + 3 SE below the bound,
-distribution comparisons use a chi-square threshold of p > 0.001, and
-equivalence's fixed-j frequencies an exact two-sided binomial test at the
-level of a 4-sigma normal test.  Only ``equivalence`` runs those two tests,
-so scipy is imported inside them: importing it takes about a second, which
-every other experiment and every import of the package would otherwise pay.
+Verdict conventions: every verdict is a list of ``_check_row`` checks, and a
+report passes when each is ok.  Equality checks pass within max(0.01, 3 SE),
+one-sided bound checks require estimate + 3 SE below the bound, chi-square
+tests p > 0.001, and equivalence's fixed-j frequencies an exact
+two-sided binomial test at the level of a 4-sigma normal test.  Only
+``equivalence`` runs those two tests, so scipy is imported inside them:
+importing it takes about a second, which every other experiment and every
+import of the package would otherwise pay.
 """
 from __future__ import annotations
 
@@ -288,18 +289,22 @@ class ExperimentConfig:
 
 @dataclass
 class Report:
-    """Uniform result container: scalar summary plus tabular rows.
+    """Summary, tabular rows and checks; a report passes when every check does.
 
-    JSON carries the whole object; CSV carries the rows (header included),
-    which for ``single-run`` are exactly the per-run records.
+    JSON carries the whole object; CSV carries the rows (header included), or
+    the checks where there are none.  ``single-run``'s rows are its records.
     """
 
     experiment: str
     config: dict
     build: str
-    passed: bool
     summary: dict
     rows: list[dict]
+    checks: list[dict]
+
+    @property
+    def passed(self) -> bool:
+        return all(check["ok"] for check in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -309,6 +314,7 @@ class Report:
             "passed": self.passed,
             "summary": self.summary,
             "rows": self.rows,
+            "checks": self.checks,
         }
 
     def to_json(self) -> str:
@@ -318,7 +324,7 @@ class Report:
         import csv
 
         buffer = io.StringIO()
-        rows = self.rows or [self.summary]
+        rows = self.rows or self.checks
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()
         for row in rows:
@@ -338,8 +344,25 @@ def build_identifier() -> str:
     return f"qminfind {__version__}"
 
 
-def _report(config: ExperimentConfig, passed: bool, summary: dict, rows: list[dict]) -> Report:
-    return Report(config.experiment, config.to_dict(), build_identifier(), passed, summary, rows)
+def _report(config: ExperimentConfig, summary: dict, rows: list, checks: list) -> Report:
+    return Report(config.experiment, config.to_dict(), build_identifier(), summary, rows, checks)
+
+
+def _check_row(
+    check: str, ok: bool, tolerance: float | None, t=None, j=None, estimate=None, expected=None,
+    p_value=None,
+) -> dict:
+    """One check of a verdict; every check carries the same eight columns."""
+    return {
+        "check": check,
+        "t": t,
+        "j": j,
+        "estimate": estimate,
+        "expected": expected,
+        "tolerance": tolerance,
+        "p_value": p_value,
+        "ok": ok,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +567,6 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     # Every run sees the same kind of table: the file's, or the mode's.
     distinct = config.mode_label == "distinct"
     rows = []
-    all_ok = True
     worst_dev = 0.0
     for r in range(1, config.n + 1):
         pairs = int(represented[r])
@@ -563,7 +585,6 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
             asserted = pairs >= MIN_ASSERT_PAIRS
             ok = deviation <= margin
         if asserted:
-            all_ok = all_ok and ok
             worst_dev = max(worst_dev, abs(deviation) if distinct else deviation)
         rows.append(
             {
@@ -579,16 +600,21 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
             }
         )
 
-    minimum_always_chosen = bool(chosen[1] == represented[1]) if represented[1] else False
-    passed = all_ok and (minimum_always_chosen or not distinct)
+    # Each asserted rank has its own margin, so the check states none.
+    asserted_ok = all(row["ok"] for row in rows if row["asserted"])
+    checks = [_check_row("rank-frequency", asserted_ok, None, estimate=worst_dev, expected=0.0)]
+    if distinct:  # rank 1 is in every table, so the first row is its own
+        p_min = rows[0]["frequency"]
+        checks.append(
+            _check_row("minimum-always-chosen", p_min == 1.0, 0.0, estimate=p_min, expected=1.0)
+        )
     summary = {
         "runs": config.runs,
         "asserted_ranks": sum(1 for row in rows if row["asserted"]),
         "worst_asserted_deviation": worst_dev,
-        "minimum_always_chosen": minimum_always_chosen,
         "comparison": "equality" if distinct else "upper-bound",
     }
-    return _report(config, passed, summary, rows)
+    return _report(config, summary, rows, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +637,13 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
 
     fraction = successes / config.runs
     lo, hi = wilson_interval(successes, config.runs)
+    floor, estimate, allowance = 0.5, lo, 0.0
     if config.boost:
         floor = 1.0 - 0.5**config.boost
-        se = proportion_stderr(fraction, config.runs)
-        passed = fraction >= floor - 3.0 * se
-    else:
-        floor = 0.5
-        passed = lo >= floor
+        estimate, allowance = fraction, 3.0 * proportion_stderr(fraction, config.runs)
+    check = _check_row(
+        "success-floor", estimate >= floor - allowance, allowance, estimate=estimate, expected=floor
+    )
     summary = {
         "runs": config.runs,
         "successes": successes,
@@ -628,7 +654,7 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
         "mean_spent": float(np.mean(spent)),
         "mean_loop_passes": float(np.mean(passes)),
     }
-    return _report(config, passed, summary, [summary])
+    return _report(config, summary, [summary], [check])
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +678,24 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
     mean_search, se_search = mean_and_stderr(search_steps)
     cost_bound = expected_cost_bound(config.n)
     search_bound = expected_search_cost_bound(config.n)
-    cost_ok = mean_cost + 3.0 * se_cost <= cost_bound
-    search_ok = mean_search + 3.0 * se_search <= search_bound
+    checks = [
+        _check_row(name, mean + 3.0 * se <= bound, 3.0 * se, estimate=mean, expected=bound)
+        for name, mean, se, bound in (
+            ("first-hit-time-bound", mean_cost, se_cost, cost_bound),
+            ("search-steps-bound", mean_search, se_search, search_bound),
+        )
+    ]
     summary = {
         "runs": config.runs,
         "mean_first_hit_time": mean_cost,
         "stderr_first_hit_time": se_cost,
         "cost_bound": cost_bound,
-        "cost_ok": cost_ok,
         "mean_search_steps": mean_search,
         "stderr_search_steps": se_search,
         "search_steps_bound": search_bound,
-        "search_steps_ok": search_ok,
         "mean_loop_passes": float(np.mean(passes)),
     }
-    return _report(config, cost_ok and search_ok, summary, [summary])
+    return _report(config, summary, [summary], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -690,23 +719,6 @@ def closed_form_deviation(n: int, j_max: int) -> float:
 
 def _equivalence_cells(n: int) -> list[int]:
     return sorted({0, 1, 2, n // 4, n // 2, n} & set(range(0, n + 1)))
-
-
-def _check_row(
-    check: str, ok: bool, tolerance: float, t=None, j=None, estimate=None, expected=None,
-    p_value=None,
-) -> dict:
-    """One equivalence check; every row carries the same eight columns."""
-    return {
-        "check": check,
-        "t": t,
-        "j": j,
-        "estimate": estimate,
-        "expected": expected,
-        "tolerance": tolerance,
-        "p_value": p_value,
-        "ok": ok,
-    }
 
 
 def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], list[dict]]:
@@ -800,20 +812,14 @@ def backend_equivalence(config: ExperimentConfig) -> Report:
         "closed-form", deviation <= 1e-9, 1e-9, j=config.j_max, estimate=deviation, expected=0.0
     )
     cells = [_equivalence_cell(config, t) for t in _equivalence_cells(config.n)]
-    rows = [
+    checks = [
         closed_form,
         *(row for fixed_rows, _ in cells for row in fixed_rows),
         *(row for _, search_rows in cells for row in search_rows),
         _full_algorithm_rates(config),
     ]
-    failed = sum(1 for row in rows if not row["ok"])
-    summary = {
-        "runs": config.runs,
-        "closed_form_deviation": deviation,
-        "checks": len(rows),
-        "failed_checks": failed,
-    }
-    return _report(config, failed == 0, summary, rows)
+    summary = {"runs": config.runs, "closed_form_deviation": deviation}
+    return _report(config, summary, [], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +836,12 @@ def bounds_report(config: ExperimentConfig) -> Report:
     identity_error = abs(cap - 2.0 * cost_bound)
     cost_sweep = sweep_search_cost_bound(config.sweep_max)
     harmonic_sweep = sweep_harmonic_bound(config.sweep_max)
-    passed = identity_error <= 1e-9 and cost_sweep.ok and harmonic_sweep.ok
+    identity_ok = identity_error <= 1e-9
+    checks = [_check_row("cap-identity", identity_ok, 1e-9, estimate=identity_error, expected=0.0)]
+    checks += [
+        _check_row(name, sweep.ok, 0.0, estimate=sweep.worst_ratio, expected=1.0)
+        for name, sweep in (("search-cost-sweep", cost_sweep), ("harmonic-sweep", harmonic_sweep))
+    ]
     summary = {
         "n": n,
         "expected_cost_bound": cost_bound,
@@ -852,7 +863,7 @@ def bounds_report(config: ExperimentConfig) -> Report:
         {"quantity": f"search_iterations_bound[t={t}]", "n": n, "value": v}
         for t, v in search_bounds.items()
     ]
-    return _report(config, passed, summary, rows)
+    return _report(config, summary, rows, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +892,7 @@ def single_run_records(config: ExperimentConfig) -> Report:
     records = [{**shared, **rec} for rec in _map_runs(config, ("run",), _single_run_record)]
     hits = sum(1 for rec in records if rec["returned_is_minimum"])
     summary = {"runs": config.runs, "successes": hits}
-    return _report(config, True, summary, records)
+    return _report(config, summary, records, [])
 
 
 # ---------------------------------------------------------------------------

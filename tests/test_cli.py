@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qminfind import __version__
 from qminfind.cli import _SUBCOMMANDS, _config_from_args, build_parser, main
-from qminfind.harness import _FLAGS, EXPERIMENT_FIELDS, ExperimentConfig
+from qminfind.harness import _FLAGS, EXPERIMENT_FIELDS, ExperimentConfig, run_experiment
 
 
 def run_cli(capsys, *argv):
@@ -55,9 +55,11 @@ def test_run_subcommand_csv_to_file(tmp_path, capsys):
 
 
 def test_success_subcommand_small(capsys):
-    code, out, _ = run_cli(capsys, "success", "--n", "16", "--runs", "200", "--seed", "1")
+    code, out, err = run_cli(capsys, "success", "--n", "16", "--runs", "200", "--seed", "1")
     assert code == 0
     assert json.loads(out)["summary"]["runs"] == 200
+    # A passing line names no check.
+    assert re.fullmatch(r"qminfind success: n=16 runs=200 pass in \d+\.\d{3}s \[.+\]\n", err)
 
 
 def test_statistical_failure_exits_one(capsys):
@@ -70,6 +72,24 @@ def test_statistical_failure_exits_one(capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["summary"]["success_fraction"] < 0.2
+
+
+@pytest.mark.parametrize(
+    ("argv", "failed"),
+    [
+        # A 20-step cap holds the Wilson low near 0.27, under the floor of 1/2.
+        (["success", "--n", "64", "--runs", "2000", "--seed", "10", "--timeout", "20"],
+         "success-floor"),
+        # A known false alarm of correct code (README, "Known false alarms").
+        (["equivalence", "--n", "16", "--runs", "200", "--seed", "1"], "outcome-distribution t=8"),
+    ],
+    ids=["success-floor", "equivalence-false-alarm"],
+)
+def test_failing_verdict_names_each_failed_check(capsys, argv, failed):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert f" FAIL ({failed}) in " in err
 
 
 def test_unknown_backend_is_usage_error(capsys):
@@ -185,6 +205,24 @@ def test_readme_flag_bullets_match_the_config():
         for command, (experiment, _) in _SUBCOMMANDS.items()
     }
     assert documented == expected
+
+
+def test_readme_check_bullets_match_the_emitted_checks():
+    # Each "Verdicts" bullet names its subcommand and then, in backticks,
+    # the names of the checks its reports carry.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verdicts", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- ") + 3 :].split("\n\n", 1)[0].split("\n- ")
+    documented = {}
+    for bullet in bullets:
+        label, text = bullet.split(":", 1)
+        documented[label.strip("`")] = set(re.findall(r"`([a-z0-9]+(?:-[a-z0-9]+)+)`", text))
+    emitted = {}
+    for command, (experiment, _) in _SUBCOMMANDS.items():
+        sizes = {"sweep_max": 100} if experiment == "bounds" else {"runs": 20}
+        report = run_experiment(ExperimentConfig(experiment, n=4, **sizes))
+        emitted[command] = {check["check"] for check in report.checks}
+    assert documented == emitted
 
 
 @pytest.mark.parametrize("command", list(_SUBCOMMANDS))

@@ -422,7 +422,7 @@ def test_lemma1_report_includes_all_ranks():
     report = run_experiment(ExperimentConfig(experiment="lemma1", n=8, runs=400, seed=9))
     assert [row["rank"] for row in report.rows] == list(range(1, 9))
     assert report.rows[0]["frequency"] == 1.0  # the minimum is always reached
-    assert report.summary["minimum_always_chosen"]
+    assert {c["check"]: c["ok"] for c in report.checks}["minimum-always-chosen"]
 
 
 
@@ -457,6 +457,68 @@ def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_val
         r: (int(represented[r]), int(chosen[r])) for r in range(1, config.n + 1) if represented[r]
     }
     assert rows == expected
+
+
+CHECK_COLUMNS = ["check", "t", "j", "estimate", "expected", "tolerance", "p_value", "ok"]
+UNIFORMITY = {f"uniformity-{c}-{b.value}" for b in Backend for c in ("hit", "miss")}
+EQUIVALENCE_CHECKS = {"closed-form", "fixed-j", "outcome-distribution", "full-algorithm-success"}
+
+
+@pytest.mark.parametrize(
+    ("fields", "names", "passed"),
+    [
+        ({"experiment": "success", "n": 16, "runs": 50}, {"success-floor"}, True),
+        ({"experiment": "success", "n": 16, "runs": 50, "boost": 2}, {"success-floor"}, True),
+        # A one-step cap examines nothing, so the floor check fails.
+        (
+            {"experiment": "success", "n": 64, "runs": 300, "seed": 2, "timeout": 1.0},
+            {"success-floor"},
+            False,
+        ),
+        (
+            {"experiment": "expected-cost", "n": 16, "runs": 50},
+            {"first-hit-time-bound", "search-steps-bound"},
+            True,
+        ),
+        # At 50 runs the per-rank 3 SE margins fail some seeds of correct
+        # code, so the lemma1 verdicts are not pinned (None).
+        (
+            {"experiment": "lemma1", "n": 8, "runs": 50},
+            {"rank-frequency", "minimum-always-chosen"},
+            None,
+        ),
+        (
+            {"experiment": "lemma1", "n": 8, "runs": 50, "backend": Backend.EXACT_STATEVECTOR},
+            {"rank-frequency", "minimum-always-chosen"},
+            None,
+        ),
+        ({"experiment": "lemma1", "n": 8, "runs": 50, "mode": "dup:3"}, {"rank-frequency"}, None),
+        (
+            {"experiment": "bounds", "n": 16, "sweep_max": 100},
+            {"cap-identity", "search-cost-sweep", "harmonic-sweep"},
+            True,
+        ),
+        (
+            {"experiment": "equivalence", "n": 4, "runs": 20, "j_max": 2},
+            EQUIVALENCE_CHECKS | UNIFORMITY,
+            True,
+        ),
+        # No checks, so it always passes.
+        ({"experiment": "single-run", "n": 8, "runs": 3}, set(), True),
+    ],
+    ids=[
+        "success", "success-boost", "success-failing", "expected-cost", "lemma1",
+        "lemma1-exact", "lemma1-dup", "bounds", "equivalence", "single-run",
+    ],
+)
+def test_every_verdict_is_all_of_its_checks(fields, names, passed):
+    report = run_experiment(ExperimentConfig(**fields))
+    assert {check["check"] for check in report.checks} == names
+    assert all(list(check) == CHECK_COLUMNS for check in report.checks)
+    assert report.passed == all(check["ok"] for check in report.checks)
+    assert json.loads(report.to_json())["passed"] is report.passed
+    if passed is not None:
+        assert report.passed is passed
 
 
 def test_expected_cost_report_compares_both_bounds():
@@ -512,9 +574,9 @@ def test_equivalence_battery_passes_at_small_size():
         ExperimentConfig(experiment="equivalence", n=8, runs=800, seed=12)
     )
     assert report.passed
-    assert report.summary["failed_checks"] == 0
+    assert all(row["ok"] for row in report.checks)
     assert report.summary["closed_form_deviation"] <= 1e-9
-    checks = {row["check"] for row in report.rows}
+    checks = {row["check"] for row in report.checks}
     assert "closed-form" in checks
     assert "outcome-distribution" in checks
     assert "full-algorithm-success" in checks
@@ -532,7 +594,7 @@ def test_equivalence_battery_fails_when_the_analytic_law_is_wrong(monkeypatch):
     monkeypatch.setattr(qsearch, "rotation_angle", skewed)
     report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=1000, seed=1))
     assert not report.passed
-    failed = {row["check"] for row in report.rows if not row["ok"]}
+    failed = {row["check"] for row in report.checks if not row["ok"]}
     assert "outcome-distribution" in failed
 
 
@@ -548,7 +610,7 @@ def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(m
 
     monkeypatch.setattr(harness, "search", short_exact)
     report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=100, seed=1))
-    failed = [(row["check"], row["t"]) for row in report.rows if not row["ok"]]
+    failed = [(row["check"], row["t"]) for row in report.checks if not row["ok"]]
     assert ("outcome-distribution", 0) in failed
 
 @pytest.mark.parametrize("seed", [29, 31])
@@ -558,14 +620,14 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
     # exact binomial test passes it.  Sampling the state one iteration late
     # must still fail every row whose probability that moves by 0.25 or more.
     config = ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=seed)
-    rows = [row for row in run_experiment(config).rows if row["check"] == "fixed-j"]
+    rows = [row for row in run_experiment(config).checks if row["check"] == "fixed-j"]
     near_certain = next(row for row in rows if (row["t"], row["j"]) == (2, 6))
     assert near_certain["estimate"] == 0.995 and near_certain["ok"]
     assert all(row["ok"] for row in rows)
 
     cdf = GroverLadder.cdf
     monkeypatch.setattr(GroverLadder, "cdf", lambda self, j: cdf(self, j + 1))
-    late = [row for row in run_experiment(config).rows if row["check"] == "fixed-j"]
+    late = [row for row in run_experiment(config).checks if row["check"] == "fixed-j"]
     moved = [
         row for row in late
         if abs(success_probability(16, row["t"], row["j"] + 1) - row["expected"]) >= 0.25
