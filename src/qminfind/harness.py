@@ -250,11 +250,14 @@ class ExperimentConfig:
     def cap(self) -> float:
         """Every run's step cap (each repetition's, under boosting).
 
-        Infinite for the experiments that read no timeout, else the timeout,
-        else the default.
+        Infinite for the experiments that read no timeout; else 0 at n = 1,
+        whose only entry is the minimum, so its run needs no step; else the
+        timeout, else the default.
         """
         if "timeout" not in EXPERIMENT_FIELDS[self.experiment]:
             return math.inf
+        if self.n == 1:
+            return 0.0
         if self.timeout is not None:
             return float(self.timeout)
         return timeout_cap(self.n)
@@ -546,28 +549,26 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
-    # Runs share one ranks array over a stretch (the shared sorted table, a
-    # table file, or one span's unpickled records), so each stretch's ranks
-    # are counted once and scaled by its length; dup-mode and exact runs
-    # draw a table per run and make stretches of one.  The fold holds O(n)
-    # state whatever the number of runs.
+    # Which ranks a run sees follows from the config's table kind: a drawn
+    # dup table has its own, so each run's are counted; a distinct table
+    # holds each rank once and a table file is every run's table, so one
+    # run's ranks, times the run count, count them all.  The fold holds
+    # O(n) state whatever the number of runs.
+    drawn = config.fixed_table is None and config.dup_k is not None
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = [0] * (config.n + 1)
-    stretch, stretch_runs = None, 0
     for ranks, chosen_ranks in _map_runs(config, ("lemma1",), _lemma1_record):
-        if ranks is not stretch:
-            if stretch is not None:
-                represented += stretch_runs * np.bincount(stretch, minlength=config.n + 1)
-            stretch, stretch_runs = ranks, 0
-        stretch_runs += 1
+        if drawn:
+            represented += np.bincount(ranks, minlength=config.n + 1)
         for r in chosen_ranks:
             chosen[r] += 1
-    represented += stretch_runs * np.bincount(stretch, minlength=config.n + 1)
+    if not drawn:
+        represented = config.runs * np.bincount(ranks, minlength=config.n + 1)
 
     # Every run sees the same kind of table: the file's, or the mode's.
     distinct = config.mode_label == "distinct"
     rows = []
-    worst_dev = 0.0
+    worst_dev = None
     for r in range(1, config.n + 1):
         pairs = int(represented[r])
         if pairs == 0:
@@ -585,7 +586,8 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
             asserted = pairs >= MIN_ASSERT_PAIRS
             ok = deviation <= margin
         if asserted:
-            worst_dev = max(worst_dev, abs(deviation) if distinct else deviation)
+            dev = abs(deviation) if distinct else deviation
+            worst_dev = dev if worst_dev is None else max(worst_dev, dev)
         rows.append(
             {
                 "rank": r,
@@ -600,8 +602,9 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
             }
         )
 
-    # Each asserted rank has its own margin, so the check states none.
-    asserted_ok = all(row["ok"] for row in rows if row["asserted"])
+    # Each asserted rank has its own margin, so the check states none.  A
+    # check that asserts no rank tests nothing, so it is not ok.
+    asserted_ok = worst_dev is not None and all(row["ok"] for row in rows if row["asserted"])
     checks = [_check_row("rank-frequency", asserted_ok, None, estimate=worst_dev, expected=0.0)]
     if distinct:  # rank 1 is in every table, so the first row is its own
         p_min = rows[0]["frequency"]
@@ -872,7 +875,6 @@ def bounds_report(config: ExperimentConfig) -> Report:
 
 def _single_run_record(table: Table, result: RunResult) -> dict:
     return {
-        "cap": result.cap,
         "returned_index": result.returned_index,
         "returned_is_minimum": result.returned_is_minimum,
         "first_hit_time": result.first_hit_time,
@@ -888,6 +890,7 @@ def single_run_records(config: ExperimentConfig) -> Report:
         "seed": config.seed,
         "backend": config.backend.value,
         "lambda": config.growth,
+        "cap": config.cap,
     }
     records = [{**shared, **rec} for rec in _map_runs(config, ("run",), _single_run_record)]
     hits = sum(1 for rec in records if rec["returned_is_minimum"])

@@ -8,8 +8,10 @@ out.  The caller passes the cap; at the paper's 22.5*sqrt(N) + 1.4*lg^2(N)
 steps (computed in ``bounds``) the run returns an index of the minimum
 value with probability at least 1/2.
 
-Every run keeps its threshold history, one ``(time, index)`` pair per
-accepted move, and the time its threshold first held a minimal value.  An
+Every run keeps its threshold history, one ``(time, index)`` pair for the
+start and for each accepted move, and the time its threshold first held a
+minimal value: the last entry's time when that entry holds one, since
+nothing is marked below a minimal value, so no move follows it.  An
 infinite cap gives the uncapped run used for cost and rank-selection
 analysis, which stops the moment the threshold holds a minimal value: that
 check compares against the known table minimum, which is the analyst's
@@ -23,8 +25,10 @@ The loop keeps that whole account itself (time spent, passes, search
 iterations) and builds the one ``RunResult``, so nothing outside this
 module needs to know the lg N charge: ``search_steps`` is the iteration
 share of ``total_spent``, counted where it is charged.  A cap of zero or
-less skips the loop, and so does a one-entry table whatever its cap: its
-only entry is the minimum, so the run spends nothing and reports a cap of 0.
+less skips the loop.  A one-entry table is no special case: lg 1 = 0, so
+its passes cost nothing, and with a finite positive cap it makes one pass,
+whose one round draws j = 0 and ends the search; the harness gives it a cap
+of 0 (``ExperimentConfig.cap``), so there it makes none.
 
 Every pass makes one ``search`` call with t = rank(y) - 1 marked: the
 entries strictly smaller than T[y] (so y itself is never marked, and an
@@ -69,10 +73,9 @@ class RunResult:
     minimal value; it is None only when a capped run never got there, or
     for a repeat-boosted result, which has no single history.
     ``total_spent`` counts lg N per pass plus all search iterations, of
-    which there are ``search_steps`` (an exact integer count); ``cap`` is
-    the step cap the run used (0 for a one-entry table, which needs no
-    step).  ``history`` lists the ``(time, threshold index)`` of the start
-    and of every accepted move.
+    which there are ``search_steps`` (an exact integer count).
+    ``history`` lists the ``(time, threshold index)`` of the start and of
+    every accepted move.
     """
 
     returned_index: int
@@ -81,7 +84,6 @@ class RunResult:
     total_spent: float
     loop_passes: int
     search_steps: int
-    cap: float
     history: list[tuple[float, int]] | None = field(compare=False)
 
 
@@ -95,14 +97,12 @@ def find_minimum(
     (``math.inf``) is the uncapped run: it stops once the threshold holds a
     minimal value, so ``first_hit_time == total_spent``.  Termination is
     sure because every accepted move strictly lowers the threshold value.
+    On a one-entry table a finite positive cap buys one pass that costs 0
+    steps: lg 1 = 0, and its one round draws j = 0.
     """
     values, order = table.values, table.order
     n = len(values)
-    if n == 1:
-        # The only entry is the minimum: no draw, no step.
-        y, cap = 0, 0.0
-    else:
-        y = rng.randrange(n)
+    y = rng.randrange(n)
     uncapped = cap == math.inf
 
     analytic = backend is Backend.ANALYTIC_SAMPLER
@@ -113,7 +113,6 @@ def find_minimum(
     t = rank_of(y) - 1
     ladder = None
     history = [(0.0, y)]
-    first_hit = 0.0 if t == 0 else None
     # The account: lg N per initialization, one step per search iteration.
     # ``spent`` can end above ``cap`` by at most one initialization, since
     # the cap is only noticed once crossed; iterations are truncated at it.
@@ -135,12 +134,13 @@ def find_minimum(
             y = order.item(index) if analytic else index
             t = rank_of(y) - 1
             history.append((spent, y))
-            if first_hit is None and t == 0:
-                first_hit = spent
         if interrupted or spent > cap:
             break
+    # Nothing is marked below a minimal value, so no move follows the one
+    # that reached it: the last move's time is the first hit's.
+    first_hit = history[-1][0] if t == 0 else None
     # Positional: keywords cost every run a few tenths of a microsecond.
-    return RunResult(y, t == 0, first_hit, spent, passes, steps, cap, history)
+    return RunResult(y, t == 0, first_hit, spent, passes, steps, history)
 
 
 def find_minimum_boosted(
@@ -172,6 +172,5 @@ def find_minimum_boosted(
         total_spent=total_spent,
         loop_passes=total_passes,
         search_steps=total_steps,
-        cap=best.cap,
         history=None,
     )

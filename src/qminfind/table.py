@@ -38,11 +38,13 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class Table:
-    """Array of orderable values, with their sorted order and ranks computed on first use."""
+    """Array of orderable values, with their sorted order and ranks computed at construction."""
 
     values: np.ndarray
-    _order: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Indices sorted by value (stable), and the 1-based rank of every index
+    # (ties share the rank of their value); read-only, like ``values``.
+    order: np.ndarray = field(default=None, repr=False, compare=False)
+    ranks: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.int64, copy=True)
@@ -50,6 +52,13 @@ class Table:
             raise ValueError("table needs at least one value")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.order is None:
+            order = np.argsort(vals, kind="stable")
+            ranks = np.searchsorted(vals[order], vals, side="left") + 1
+            order.setflags(write=False)
+            ranks.setflags(write=False)
+            object.__setattr__(self, "order", order)
+            object.__setattr__(self, "ranks", ranks)
 
     @classmethod
     def permutation(cls, values) -> "Table":
@@ -74,29 +83,10 @@ class Table:
         ranks = vals + 1
         order.setflags(write=False)
         ranks.setflags(write=False)
-        return cls(vals, _order=order, _ranks=ranks)
+        return cls(vals, order, ranks)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def order(self) -> np.ndarray:
-        """Indices sorted by value (stable), computed once on first use."""
-        if self._order is None:
-            order = np.argsort(self.values, kind="stable")
-            order.setflags(write=False)
-            object.__setattr__(self, "_order", order)
-        return self._order
-
-    @property
-    def ranks(self) -> np.ndarray:
-        """1-based rank of every index; ties share the rank of their value."""
-        if self._ranks is None:
-            sorted_vals = self.values[self.order]
-            ranks = np.searchsorted(sorted_vals, self.values, side="left") + 1
-            ranks.setflags(write=False)
-            object.__setattr__(self, "_ranks", ranks)
-        return self._ranks
 
 
 def generate_table(n: int, rng, k: int | None = None) -> Table:

@@ -82,8 +82,11 @@ def test_statistical_failure_exits_one(capsys):
          "success-floor"),
         # A known false alarm of correct code (README, "Known false alarms").
         (["equivalence", "--n", "16", "--runs", "200", "--seed", "1"], "outcome-distribution t=8"),
+        # A dup run too small to assert any rank tests nothing.
+        (["lemma1", "--n", "8", "--runs", "50", "--seed", "1", "--mode", "dup:8"],
+         "rank-frequency"),
     ],
-    ids=["success-floor", "equivalence-false-alarm"],
+    ids=["success-floor", "equivalence-false-alarm", "lemma1-dup-asserts-no-rank"],
 )
 def test_failing_verdict_names_each_failed_check(capsys, argv, failed):
     code, out, err = run_cli(capsys, *argv)

@@ -277,7 +277,7 @@ def test_no_config_field_is_silently_ignored(tmp_path, experiment):
         ({"experiment": "success", "boost": 3}, timeout_cap(64)),
         ({"experiment": "success"}, timeout_cap(64)),
         ({"experiment": "single-run"}, timeout_cap(64)),
-        ({"experiment": "single-run", "n": 1}, 22.5),
+        ({"experiment": "single-run", "n": 1}, 0.0),
         ({"experiment": "lemma1", "n": 1}, math.inf),
     ],
     ids=[
@@ -295,6 +295,24 @@ def test_config_decides_each_runs_cap_once(fields, expected):
 def test_integer_timeout_becomes_a_float_cap():
     # The cap lands in single-run records, which must not print 30 for 30.0.
     assert repr(ExperimentConfig(experiment="single-run", timeout=30).cap) == "30.0"
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize(
+    "extra", [{}, {"timeout": 3}, {"boost": 2}], ids=["default-cap", "timeout-3", "boost-2"]
+)
+def test_one_entry_runs_report_a_zero_cap_and_spend_nothing(backend, extra):
+    # The only entry is the minimum, so every run needs no step, whatever
+    # cap the flags ask for.
+    fields = {"n": 1, "runs": 20, "seed": 1, "backend": backend, **extra}
+    for record in run_experiment(ExperimentConfig(experiment="single-run", **fields)).rows:
+        assert repr(record["cap"]) == "0.0"
+        assert (record["returned_index"], record["loop_passes"], record["total_spent"]) == (0, 0, 0.0)
+        # A boosted result keeps no single history, so it has no first-hit time.
+        assert record["first_hit_time"] == (None if "boost" in extra else 0.0)
+    summary = run_experiment(ExperimentConfig(experiment="success", **fields)).summary
+    assert summary["successes"] == 20
+    assert summary["mean_spent"] == summary["mean_loop_passes"] == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, 2**14, 2**24])
@@ -425,6 +443,28 @@ def test_lemma1_report_includes_all_ranks():
     assert {c["check"]: c["ok"] for c in report.checks}["minimum-always-chosen"]
 
 
+def test_lemma1_dup_verdict_fails_when_it_asserts_no_rank():
+    # 50 runs over 8 values leave every rank below MIN_ASSERT_PAIRS pairs.
+    config = ExperimentConfig(experiment="lemma1", n=8, runs=50, seed=1, mode="dup:8")
+    report = run_experiment(config)
+    assert report.summary["asserted_ranks"] == 0
+    assert report.summary["worst_asserted_deviation"] is None
+    [check] = report.checks
+    assert (check["check"], check["estimate"], check["ok"]) == ("rank-frequency", None, False)
+    assert not report.passed
+
+
+def test_lemma1_dup_estimate_is_the_signed_worst_deviation():
+    # With one value every entry has rank 1 and a run's only threshold is
+    # its start, one of 8 entries: frequency 1/8, a negative deviation that
+    # no floor at 0 may hide.
+    config = ExperimentConfig(experiment="lemma1", n=8, runs=300, seed=5, mode="dup:1")
+    report = run_experiment(config)
+    assert report.summary["asserted_ranks"] == 1
+    assert report.summary["worst_asserted_deviation"] == -0.875
+    assert report.checks[0]["estimate"] == -0.875
+    assert report.passed
+
 
 @pytest.mark.parametrize(
     ("fields", "table_values"),
@@ -434,13 +474,18 @@ def test_lemma1_report_includes_all_ranks():
         ({"backend": Backend.EXACT_STATEVECTOR}, None),
         ({}, [4, 2, 7, 2, 9, 0, 4, 0]),
         ({"workers": 2}, [4, 2, 7, 2, 9, 0, 4, 0]),
+        ({"mode": "dup:3", "workers": 2}, None),
+        ({"backend": Backend.EXACT_STATEVECTOR, "workers": 2}, None),
     ],
-    ids=["distinct", "dup", "exact", "table-ties", "table-ties-workers-2"],
+    ids=[
+        "distinct", "dup", "exact", "table-ties", "table-ties-workers-2", "dup-workers-2",
+        "exact-workers-2",
+    ],
 )
 def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_values):
-    # The report counts a stretch of runs sharing one ranks array once; the
-    # reference counts every run's ranks and chosen ranks with its own
-    # bincount over the same records.
+    # The report counts ranks by the config's table kind; the reference
+    # counts every run's ranks and chosen ranks with its own bincount over
+    # the same records.
     if table_values is not None:
         path = tmp_path / "table.txt"
         path.write_text("".join(f"{v}\n" for v in table_values))

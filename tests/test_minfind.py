@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qminfind.bounds import timeout_cap
+from qminfind.harness import ExperimentConfig
 from qminfind.minfind import RunResult, find_minimum, find_minimum_boosted
 from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
@@ -37,7 +38,8 @@ def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
 
 def test_single_entry_table_is_immediate():
     table = Table(np.array([7]))
-    result = find_minimum(table, ANALYTIC, GROWTH, timeout_cap(1), random.Random(0))
+    cap = ExperimentConfig(experiment="single-run", n=1).cap
+    result = find_minimum(table, ANALYTIC, GROWTH, cap, random.Random(0))
     assert result.returned_index == 0
     assert result.returned_is_minimum
     # Its only entry is the minimum, known before any step.
@@ -173,17 +175,13 @@ def test_backends_share_interfaces_end_to_end(backend):
     assert result.returned_is_minimum
 
 
-def test_run_result_records_the_cap_it_used():
-    table = generate_table(24, random.Random(19))
-    cap = timeout_cap(24)
-    assert find_minimum(table, ANALYTIC, GROWTH, cap, random.Random(0)).cap == cap
-    assert find_minimum(table, ANALYTIC, GROWTH, 7.5, random.Random(0)).cap == 7.5
-    assert find_minimum(table, ANALYTIC, GROWTH, 0.0, random.Random(0)).cap == 0.0
-    # Repetitions each run under the cap they are given.
-    assert find_minimum_boosted(table, ANALYTIC, GROWTH, cap, 3, random.Random(0)).cap == cap
-    # A one-entry table needs no step, whatever the cap.
-    single = Table(np.array([4]))
-    assert find_minimum(single, ANALYTIC, GROWTH, 9.0, random.Random(0)).cap == 0.0
+@pytest.mark.parametrize("backend", list(Backend))
+def test_single_entry_table_under_a_positive_cap_makes_one_free_pass(backend):
+    # lg 1 = 0, and the pass's one round draws j = 0 and ends the search.
+    result = find_minimum(Table(np.array([4])), backend, GROWTH, 9.0, random.Random(0))
+    assert (result.returned_index, result.returned_is_minimum) == (0, True)
+    assert result.first_hit_time == result.total_spent == 0.0
+    assert (result.loop_passes, result.search_steps) == (1, 0)
 
 
 def test_uncapped_single_entry_run_records_history():
