@@ -12,14 +12,15 @@ runs plus a statistical verdict:
 
 Every batch of algorithm runs goes through one map: ``_map_runs`` draws
 run i's table and run from the private stream (seed, *key, i), runs it
-through ``_run`` under the step cap decided once per config
-(``ExperimentConfig.cap``), and yields a small per-run record.  Each
-experiment folds its records in run order into a verdict.  Without a table file, analytic runs use their
-values in sorted order (the analytic law depends only on ranks), so an
-analytic ``single-run`` ``returned_index`` is a rank-order position; exact
-runs draw randomly arranged tables.  Worker processes only split the run
-range into spans and send their records back in span order, so a report
-is byte-identical for any worker count.  Reports deliberately contain no
+through ``_run`` (one ``find_minimum`` call, c of them under ``--boost c``)
+under the step cap decided once per config (``ExperimentConfig.cap``), and
+yields a small per-run record.  Each experiment folds its records in run
+order into a verdict.  Without a table file, analytic runs use their values
+in sorted order (the analytic law depends only on ranks), so an analytic
+``single-run`` ``returned_index`` is a rank-order position; exact runs draw
+randomly arranged tables.  Worker processes only split the run range into
+spans and send their records back in span order, so a report is
+byte-identical for any worker count.  Reports deliberately contain no
 wall-clock data; timing goes to stderr in the CLI layer.
 
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
@@ -61,7 +62,7 @@ from .bounds import (
     timeout_cap,
 )
 from .grover import GroverLadder, success_probability
-from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, find_minimum_boosted
+from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum
 from .qsearch import DEFAULT_GROWTH, Backend, check_growth, search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table, sorted_table
@@ -472,12 +473,28 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
-    """One run under ``config.cap``, or c of them under boosting."""
-    if config.boost:
-        return find_minimum_boosted(
-            table, config.backend, config.growth, config.cap, config.boost, rng
-        )
-    return find_minimum(table, config.backend, config.growth, config.cap, rng)
+    """One run under ``config.cap``; under ``--boost c``, the best of c on one stream.
+
+    At the paper's cap a run returns the minimum with probability at least
+    1/2, so the first of c independent repetitions holding the least rank
+    does with probability at least 1 - 1/2^c.  Its account sums theirs; it
+    has no single history, so its ``history`` and ``first_hit_time`` are None.
+    """
+    if not config.boost:
+        return find_minimum(table, config.backend, config.growth, config.cap, rng)
+    args = table, config.backend, config.growth, config.cap, rng
+    repetitions = [find_minimum(*args) for _ in range(config.boost)]
+    rank_of = table.ranks.item
+    best = min(repetitions, key=lambda result: rank_of(result.returned_index))
+    return RunResult(
+        best.returned_index,
+        best.returned_is_minimum,
+        None,
+        sum(result.total_spent for result in repetitions),
+        sum(result.loop_passes for result in repetitions),
+        sum(result.search_steps for result in repetitions),
+        None,
+    )
 
 
 def _run_span(config: ExperimentConfig, key: tuple, record, span):
@@ -538,8 +555,14 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
 
 
 def _lemma1_record(table: Table, result: RunResult):
-    ranks = table.ranks
-    return ranks, [ranks.item(y) for _, y in result.history]
+    rank_of = table.ranks.item
+    return None, [rank_of(y) for _, y in result.history]
+
+
+def _lemma1_drawn_record(table: Table, result: RunResult):
+    counts = np.bincount(table.ranks)
+    ranks = counts.nonzero()[0]
+    return (ranks, counts[ranks]), _lemma1_record(table, result)[1]
 
 
 def estimate_rank_selection(config: ExperimentConfig) -> Report:
@@ -549,21 +572,25 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
-    # Which ranks a run sees follows from the config's table kind: a drawn
-    # dup table has its own, so each run's are counted; a distinct table
-    # holds each rank once and a table file is every run's table, so one
-    # run's ranks, times the run count, count them all.  The fold holds
-    # O(n) state whatever the number of runs.
-    drawn = config.fixed_table is None and config.dup_k is not None
+    # Which ranks a run's table holds follows from the config's table kind.
+    # A drawn dup table has its own, so its record carries its rank classes
+    # (each rank and its entry count, at most k of them).  Every other run's
+    # table holds the same ranks, the table file's or each of 1..n once, so
+    # they are counted once for all runs.  The fold holds O(n) state.
+    table = config.fixed_table
+    drawn = table is None and config.dup_k is not None
     represented = np.zeros(config.n + 1, dtype=np.int64)
+    if not drawn:
+        ranks = np.arange(1, config.n + 1) if table is None else table.ranks
+        represented += config.runs * np.bincount(ranks, minlength=config.n + 1)
     chosen = [0] * (config.n + 1)
-    for ranks, chosen_ranks in _map_runs(config, ("lemma1",), _lemma1_record):
+    record = _lemma1_drawn_record if drawn else _lemma1_record
+    for classes, chosen_ranks in _map_runs(config, ("lemma1",), record):
         if drawn:
-            represented += np.bincount(ranks, minlength=config.n + 1)
+            ranks, counts = classes
+            represented[ranks] += counts
         for r in chosen_ranks:
             chosen[r] += 1
-    if not drawn:
-        represented = config.runs * np.bincount(ranks, minlength=config.n + 1)
 
     # Every run sees the same kind of table: the file's, or the mode's.
     distinct = config.mode_label == "distinct"

@@ -39,7 +39,7 @@ no mask: the t marked entries are the first t of the table's sorted order,
 so the class position the search draws is a position in that order.  A hit
 moves the threshold to one of those t entries, which always improves it;
 a miss draws its unmarked position all the same, since it is part of the
-run's stream (repeat boosting runs several runs on one stream).
+run's stream (a boosted experiment runs several runs on one stream).
 """
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ from .table import Table
 __all__ = [
     "RunResult",
     "find_minimum",
-    "find_minimum_boosted",
     "INIT_CHARGE_POLICY",
 ]
 
@@ -71,7 +70,7 @@ class RunResult:
 
     ``first_hit_time`` is the time step at which the threshold first held a
     minimal value; it is None only when a capped run never got there, or
-    for a repeat-boosted result, which has no single history.
+    for a boosted result (``harness._run``), which has no single history.
     ``total_spent`` counts lg N per pass plus all search iterations, of
     which there are ``search_steps`` (an exact integer count).
     ``history`` lists the ``(time, threshold index)`` of the start and of
@@ -142,35 +141,3 @@ def find_minimum(
     # Positional: keywords cost every run a few tenths of a microsecond.
     return RunResult(y, t == 0, first_hit, spent, passes, steps, history)
 
-
-def find_minimum_boosted(
-    table: Table, backend: Backend, growth: float, cap: float, c: int, rng
-) -> RunResult:
-    """Run the algorithm c times under ``cap`` and keep the smallest value found.
-
-    At the paper's cap each run succeeds with probability at least 1/2, so
-    the best of c succeeds with probability at least 1 - 1/2^c.  The result
-    sums the repetitions' accounts; it has no single history, so its
-    ``history`` and ``first_hit_time`` are None.
-    """
-    if c < 1:
-        raise ValueError("boost count must be >= 1")
-    best: RunResult | None = None
-    total_spent = 0.0
-    total_passes = total_steps = 0
-    for _ in range(c):
-        result = find_minimum(table, backend, growth, cap, rng)
-        total_spent += result.total_spent
-        total_passes += result.loop_passes
-        total_steps += result.search_steps
-        if best is None or table.values[result.returned_index] < table.values[best.returned_index]:
-            best = result
-    return RunResult(
-        returned_index=best.returned_index,
-        returned_is_minimum=best.returned_is_minimum,
-        first_hit_time=None,
-        total_spent=total_spent,
-        loop_passes=total_passes,
-        search_steps=total_steps,
-        history=None,
-    )

@@ -466,6 +466,11 @@ def test_lemma1_dup_estimate_is_the_signed_worst_deviation():
     assert report.passed
 
 
+def _full_ranks_record(table, result):
+    """Every rank of the run's table, and the ranks its threshold held."""
+    return table.ranks, [table.ranks.item(y) for _, y in result.history]
+
+
 @pytest.mark.parametrize(
     ("fields", "table_values"),
     [
@@ -482,10 +487,12 @@ def test_lemma1_dup_estimate_is_the_signed_worst_deviation():
         "exact-workers-2",
     ],
 )
-def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_values):
+def test_lemma1_fold_matches_a_per_run_bincount_fold(
+    monkeypatch, tmp_path, fields, table_values
+):
     # The report counts ranks by the config's table kind; the reference
     # counts every run's ranks and chosen ranks with its own bincount over
-    # the same records.
+    # the same runs.
     if table_values is not None:
         path = tmp_path / "table.txt"
         path.write_text("".join(f"{v}\n" for v in table_values))
@@ -493,10 +500,28 @@ def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_val
     config = ExperimentConfig(experiment="lemma1", n=8, runs=300, seed=4, **fields)
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = np.zeros(config.n + 1, dtype=np.int64)
-    for ranks, chosen_ranks in harness._map_runs(config, ("lemma1",), harness._lemma1_record):
+    for ranks, chosen_ranks in harness._map_runs(config, ("lemma1",), _full_ranks_record):
         represented += np.bincount(ranks, minlength=config.n + 1)
         chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
+    # Only a drawn dup table's record ships its rank classes, at most k.
+    records = []
+    map_runs = harness._map_runs
+
+    def recording_map_runs(*args):
+        for record in map_runs(*args):
+            records.append(record)
+            yield record
+
+    monkeypatch.setattr(harness, "_map_runs", recording_map_runs)
     report = run_experiment(config)
+    assert len(records) == config.runs
+    for classes, _ in records:
+        if table_values is None and config.dup_k is not None:
+            ranks, counts = classes
+            assert len(ranks) == len(counts) <= config.dup_k
+            assert counts.sum() == config.n
+        else:
+            assert classes is None
     rows = {row["rank"]: (row["pairs"], row["ever_chosen"]) for row in report.rows}
     expected = {
         r: (int(represented[r]), int(chosen[r])) for r in range(1, config.n + 1) if represented[r]
@@ -681,10 +706,10 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
     assert not any(row["ok"] for row in moved)
 
 
-def test_equivalence_builds_one_ladder_per_cell_oracle(monkeypatch):
-    # Each cell's oracle is one ladder marking 0..t-1, which serves the
-    # cell's fixed-j draws and is handed to every exact search of the cell;
-    # its analytic searches get none.
+def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
+    # Each cell builds one ladder marking 0..t-1, which serves the cell's
+    # fixed-j draws and is handed to every exact search of the cell; its
+    # analytic searches get none.
     ladders = []
     handed = []
     cells = {}
@@ -753,6 +778,24 @@ def test_equivalence_cells_make_the_search_call_of_the_runs(monkeypatch):
         run_experiment(ExperimentConfig(experiment="success", n=n, runs=runs, seed=3, backend=backend))
     assert run_backends == {backend: 2 * runs for backend in Backend}
     assert {caller for caller, _ in calls} == {"run", "cell"}
+
+
+@pytest.mark.parametrize("experiment", ["success", "single-run"])
+@pytest.mark.parametrize("boost", [None, 1, 3])
+def test_every_run_and_repetition_is_one_harness_find_minimum_call(monkeypatch, experiment, boost):
+    # Boosting repeats the harness's own lookup, so a wrapper on it (as the
+    # benchmark's tracer installs) sees each of the c repetitions of a run.
+    calls = []
+    find = harness.find_minimum
+
+    def counting_find(*args):
+        calls.append(args[0])
+        return find(*args)
+
+    monkeypatch.setattr(harness, "find_minimum", counting_find)
+    config = ExperimentConfig(experiment=experiment, n=64, runs=50, seed=1, boost=boost)
+    run_experiment(config)
+    assert len(calls) == config.runs * (boost or 1)
 
 
 class _InlineExecutor:

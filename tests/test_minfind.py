@@ -1,15 +1,17 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qminfind import harness
 from qminfind.bounds import timeout_cap
 from qminfind.harness import ExperimentConfig
-from qminfind.minfind import RunResult, find_minimum, find_minimum_boosted
+from qminfind.minfind import RunResult, find_minimum
 from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
 from qminfind.table import Table, generate_table, read_table, sorted_table
@@ -29,7 +31,8 @@ def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
             # lg 64 = 6 and every charge is an integer, so the sum is exact.
             assert result.total_spent == result.loop_passes * 6 + result.search_steps
     cap = timeout_cap(64)
-    boosted = find_minimum_boosted(table, backend, GROWTH, cap, 3, derive_stream(21, "unit-account"))
+    config = ExperimentConfig(experiment="success", n=64, backend=backend, boost=3)
+    boosted = harness._run(config, table, derive_stream(21, "unit-account"))
     replay = derive_stream(21, "unit-account")
     repetitions = [find_minimum(table, backend, GROWTH, cap, replay) for _ in range(3)]
     assert boosted.search_steps == sum(r.search_steps for r in repetitions)
@@ -117,9 +120,9 @@ def test_runs_are_deterministic_per_stream(backend):
 
 def test_boost_one_repeat_equals_single_run():
     table = generate_table(24, random.Random(9))
-    cap = timeout_cap(24)
-    boosted = find_minimum_boosted(table, ANALYTIC, GROWTH, cap, 1, derive_stream(10, "unit-boost"))
-    single = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(10, "unit-boost"))
+    config = ExperimentConfig(experiment="success", n=24, boost=1)
+    boosted = harness._run(config, table, derive_stream(10, "unit-boost"))
+    single = find_minimum(table, ANALYTIC, GROWTH, timeout_cap(24), derive_stream(10, "unit-boost"))
     assert boosted.returned_index == single.returned_index
     assert boosted.total_spent == single.total_spent
     assert boosted.loop_passes == single.loop_passes
@@ -127,33 +130,49 @@ def test_boost_one_repeat_equals_single_run():
 
 def test_boost_repeat_accumulates_cost():
     table = generate_table(24, random.Random(11))
-    cap = timeout_cap(24)
-    boosted = find_minimum_boosted(table, ANALYTIC, GROWTH, cap, 3, derive_stream(12, "unit-boost3"))
+    config = ExperimentConfig(experiment="success", n=24, boost=3)
+    boosted = harness._run(config, table, derive_stream(12, "unit-boost3"))
     replay = derive_stream(12, "unit-boost3")
-    total = sum(find_minimum(table, ANALYTIC, GROWTH, cap, replay).total_spent for _ in range(3))
+    repetitions = [find_minimum(table, ANALYTIC, GROWTH, config.cap, replay) for _ in range(3)]
+    total = sum(result.total_spent for result in repetitions)
     assert boosted.total_spent == pytest.approx(total)
     assert boosted.loop_passes >= 3
 
 
-def test_boost_validation():
-    table = generate_table(8, random.Random(15))
-    with pytest.raises(ValueError):
-        find_minimum_boosted(table, ANALYTIC, GROWTH, timeout_cap(8), 0, random.Random(0))
+@pytest.mark.parametrize("backend", list(Backend))
+def test_boost_keeps_the_first_repetition_holding_the_least_value(backend):
+    # Ties make several indices hold the least value, and a starved cap
+    # makes repetitions return different values; the reference keeps a
+    # later repetition only when its value is strictly smaller.
+    stand_in = SimpleNamespace(boost=4, backend=backend, growth=GROWTH, cap=14.0)
+    for seed in range(40):
+        table = generate_table(24, random.Random(seed), k=4)
+        boosted = harness._run(stand_in, table, derive_stream(seed, "unit-boost-best"))
+        replay = derive_stream(seed, "unit-boost-best")
+        best = None
+        for _ in range(4):
+            result = find_minimum(table, backend, GROWTH, 14.0, replay)
+            value = table.values[result.returned_index]
+            if best is None or value < table.values[best.returned_index]:
+                best = result
+        assert boosted.returned_index == best.returned_index
+        assert boosted.returned_is_minimum == best.returned_is_minimum
 
 
 def test_boost_raises_success_rate():
     # A starved cap makes single runs fail often enough to see the gain.
     # The analytic law depends only on ranks, so every run has the same
     # single-run success probability p, and the best of three independent
-    # repetitions succeeds with probability 1 - (1 - p)^3.
+    # repetitions succeeds with probability 1 - (1 - p)^3.  The config
+    # rejects a timeout with boosting, so a stand-in carries the fields
+    # ``_run`` reads.
     runs, cap = 6000, 12.0
+    stand_in = SimpleNamespace(boost=3, backend=ANALYTIC, growth=GROWTH, cap=cap)
     table = generate_table(64, random.Random(16))
     plain_hits = boosted_hits = 0
     for i in range(runs):
         plain = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(16, "unit-plain", i))
-        boosted = find_minimum_boosted(
-            table, ANALYTIC, GROWTH, cap, 3, derive_stream(16, "unit-boosted", i)
-        )
+        boosted = harness._run(stand_in, table, derive_stream(16, "unit-boosted", i))
         plain_hits += plain.returned_is_minimum
         boosted_hits += boosted.returned_is_minimum
     assert boosted_hits > plain_hits
@@ -208,7 +227,8 @@ def test_run_results_hold_python_scalars(tmp_path, backend, kind):
         rng = derive_stream(seed, "unit-scalars")
         for cap in (timeout_cap(n), math.inf, 25.0, 0.0):
             results.append(find_minimum(table, backend, GROWTH, cap, rng))
-        results.append(find_minimum_boosted(table, backend, GROWTH, timeout_cap(n), 3, rng))
+        boosted = ExperimentConfig(experiment="success", n=n, backend=backend, boost=3)
+        results.append(harness._run(boosted, table, rng))
     for result in results:
         for f in dataclasses.fields(RunResult):
             value = getattr(result, f.name)

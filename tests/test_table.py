@@ -117,6 +117,22 @@ def test_sorted_dup_table_is_reproducible_and_sorted():
     assert sorted_table(300, random.Random(22), k=5).values.tolist() != first.values.tolist()
 
 
+def test_sorted_dup_table_order_and_ranks_match_a_sorting_table():
+    # The draw builds order and ranks from its counts; a Table built from
+    # the values alone sorts and searches them.  Both must agree exactly.
+    rng = random.Random(23)
+    for n in (1, 2, 3, 10, 64, 1000, 16384):
+        for k in sorted({k for k in (1, 2, 3, 5, n // 3, n) if 1 <= k <= n}):
+            for _ in range(3):
+                table = sorted_table(n, rng, k)
+                reference = Table(table.values)
+                for name in ("order", "ranks"):
+                    drawn, expected = getattr(table, name), getattr(reference, name)
+                    assert drawn.dtype == expected.dtype
+                    assert np.array_equal(drawn, expected)
+                    assert not drawn.flags.writeable
+
+
 def test_sorted_table_validates_like_generate_table():
     rng = random.Random(0)
     with pytest.raises(ValueError):
