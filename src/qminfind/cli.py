@@ -63,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-rank", type=int, help="deepest asserted rank, lemma1 (default %(default)s)"
     )
-    common.add_argument(
-        "--j-max", type=int, help="deepest iteration count, equivalence (default %(default)s)"
-    )
-    common.add_argument(
-        "--sweep-max", type=int, help="largest size in bound sweeps (default %(default)s)"
-    )
     common.set_defaults(**{f.name: f.default for f in _CONFIG_FIELDS})
 
     parser = argparse.ArgumentParser(

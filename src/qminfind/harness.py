@@ -27,7 +27,8 @@ wall-clock data; timing goes to stderr in the CLI layer.
 config per backend.  Its other checks take one pass per (n, t) cell under
 one ``GroverLadder`` marking 0..t-1, which serves the cell's fixed-j draws
 and all of its exact searches; both backends' searches go through
-``qsearch.search``, the call every algorithm run makes.
+``qsearch.search``, the call every algorithm run makes.  Neither it nor
+``bounds`` takes a depth or size: both reach as far as n needs.
 
 Verdict conventions: every verdict is a list of ``_check_row`` checks, and a
 report passes when each is ok.  Equality checks pass within max(0.01, 3 SE),
@@ -63,7 +64,7 @@ from .bounds import (
 )
 from .grover import GroverLadder, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum
-from .qsearch import DEFAULT_GROWTH, Backend, check_growth, search
+from .qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table, sorted_table
 
@@ -96,8 +97,8 @@ EXPERIMENT_FIELDS = {
     "lemma1": _RUN_FIELDS | {"max_rank"},
     "success": _CAPPED_RUN_FIELDS,
     "expected-cost": _RUN_FIELDS,
-    "equivalence": frozenset({"n", "runs", "seed", "growth", "j_max"}),
-    "bounds": frozenset({"n", "sweep_max"}),
+    "equivalence": frozenset({"n", "runs", "seed", "growth"}),
+    "bounds": frozenset({"n"}),
     "single-run": _CAPPED_RUN_FIELDS,
 }
 # The command-line flag of each field whose flag is not its name hyphenated.
@@ -113,11 +114,9 @@ FIXED_J_ALPHA = 6.334248366623973e-05
 # 63 at the default 8/7 and n = 2^24; 10^5 of them take 0.5 s and 8 MB.
 MAX_GROWING_ROUNDS = 10**5
 # A table of n values holds three int64 arrays (values, order, ranks), so
-# 2^24 entries take about 400 MB; a bound sweep to m holds a few float64
-# arrays of length m, about 400 MB at 10^7.  10^9 runs take about 14 h at
-# 19k runs/s, and stay within the int64 span edges of ``_spans``.
+# 2^24 entries take about 400 MB.  10^9 runs take about 14 h at 19k runs/s,
+# and stay within the int64 span edges of ``_spans``.
 MAX_N = 2**24
-MAX_SWEEP = 10**7
 MAX_RUNS = 10**9
 # From c = 54 on, the boosted floor 1 - 2^-c is exactly 1.0 in float64, so a
 # larger c changes no verdict, only the work (c repetitions).
@@ -128,10 +127,12 @@ EQUIVALENCE_MAX_N = 2**10
 # about 2.2 KB per rank (307 MB peak at 2^17 on a 2-core x86-64 host), so
 # 2^17 keeps the report within MAX_N's table budget.
 LEMMA1_MAX_N = 2**17
-# The closed-form check takes (n + 1)(j_max + 1) ladder iterations,
-# about 2 s at j_max = 64 and n = EQUIVALENCE_MAX_N, whose searches
-# never run more than ceil(sqrt(n)) - 1 = 31 iterations in a round.
-MAX_J = 64
+# The closed-form check runs to j = max(12, s - 1) for a search's saturated
+# cap s (31 at n = EQUIVALENCE_MAX_N); the fixed-j rows to j = FIXED_J_MAX.
+MIN_CLOSED_FORM_DEPTH = 12
+FIXED_J_MAX = 8
+# bounds sweeps over 2..max(MIN_SWEEP, n), about 670 MB at n = MAX_N.
+MIN_SWEEP = 10**6
 # Rank rows below this many (run, index) pairs carry no 0.01-scale
 # information and are reported but not asserted.
 MIN_ASSERT_PAIRS = 100
@@ -158,8 +159,6 @@ class ExperimentConfig:
     boost: int | None = None
     timeout: float | None = None
     max_rank: int = 10
-    j_max: int = 12
-    sweep_max: int = 10**6
     workers: int = 1
     table_path: str | None = None
 
@@ -183,12 +182,7 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} does not read {f.name} (--{flag})")
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
-        if not 2 <= self.sweep_max <= MAX_SWEEP:
-            raise ValueError(f"sweep_max must lie in 2..{MAX_SWEEP}, got {self.sweep_max}")
-        # A negative j_max or a max_rank below 1 asserts no row, so the
-        # verdict could not fail; MAX_J bounds the closed-form check's time.
-        if not 0 <= self.j_max <= MAX_J:
-            raise ValueError(f"j_max must lie in 0..{MAX_J}, got {self.j_max}")
+        # A max_rank below 1 asserts no row, so the verdict could not fail.
         if self.max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
         if not 1 <= self.runs <= MAX_RUNS:
@@ -211,6 +205,9 @@ class ExperimentConfig:
                 f"table mode (--mode) must be 'distinct' or 'dup:<k>' with 1 <= k <= {self.n},"
                 f" got {self.mode!r}"
             )
+        # A table file's values decide its kind, so a mode would be ignored.
+        if self.table_path is not None and self.mode != "distinct":
+            raise ValueError("table mode (--mode) cannot be combined with a table file (--table)")
         if self.boost is not None and not 1 <= self.boost <= MAX_BOOST:
             raise ValueError(f"boost count must lie in 1..{MAX_BOOST}, got {self.boost}")
         # Boosting runs each repetition at the default cap, where its floor
@@ -732,8 +729,8 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
 # equivalence: exact statevector vs analytic sampler
 
 
-def closed_form_deviation(n: int, j_max: int) -> float:
-    """Worst |statevector marked probability - closed form| over t and j <= j_max.
+def closed_form_deviation(n: int, depth: int) -> float:
+    """Worst |statevector marked probability - closed form| over t and j <= depth.
 
     The statevector side is the exact backend's ladder: with indices
     0..t-1 marked, the marked probability is the CDF at index t - 1.
@@ -741,7 +738,7 @@ def closed_form_deviation(n: int, j_max: int) -> float:
     worst = 0.0
     for t in range(n + 1):
         ladder = GroverLadder(np.arange(n) < t)
-        for j in range(j_max + 1):
+        for j in range(depth + 1):
             marked = ladder.cdf(j)[t - 1] if t else 0.0
             worst = max(worst, abs(marked - success_probability(n, t, j)))
     return worst
@@ -768,7 +765,7 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     samples = min(config.runs, 20_000)
     measure = ladder.measure
     fixed_rows = []
-    for j in range(min(config.j_max, 8) + 1):
+    for j in range(FIXED_J_MAX + 1):
         p_true = success_probability(n, t, j)
         rng = derive_stream(config.seed, "eqv-fixedj", t, j)
         hits = sum(measure(j, rng) < t for _ in range(samples))
@@ -832,14 +829,17 @@ def backend_equivalence(config: ExperimentConfig) -> Report:
     """Full battery pitting the exact backend against the analytic sampler.
 
     Deterministic part: statevector marked-probabilities against the closed
-    form, to 1e-9.  Stochastic parts: fixed-j measurement frequencies,
-    chi-square comparison of (hit, iterations) search outcomes per t cell,
+    form, to 1e-9, up to the deepest state a search at n measures.
+    Stochastic parts: fixed-j measurement frequencies, chi-square
+    comparison of (hit, iterations) search outcomes per t cell,
     class-conditional index uniformity, and whole-algorithm success rates.
     The battery passes when every check does.
     """
-    deviation = closed_form_deviation(config.n, config.j_max)
+    _, (saturated, _) = _round_schedule(config.n, config.growth)
+    depth = max(MIN_CLOSED_FORM_DEPTH, saturated - 1)
+    deviation = closed_form_deviation(config.n, depth)
     closed_form = _check_row(
-        "closed-form", deviation <= 1e-9, 1e-9, j=config.j_max, estimate=deviation, expected=0.0
+        "closed-form", deviation <= 1e-9, 1e-9, j=depth, estimate=deviation, expected=0.0
     )
     cells = [_equivalence_cell(config, t) for t in _equivalence_cells(config.n)]
     checks = [
@@ -857,15 +857,16 @@ def backend_equivalence(config: ExperimentConfig) -> Report:
 
 
 def bounds_report(config: ExperimentConfig) -> Report:
-    """Evaluate every bound at n and sweep the two proof inequalities."""
+    """Evaluate every bound at n and sweep the two proof inequalities up to n or more."""
     n = config.n
+    sweep_max = max(MIN_SWEEP, n)
     cost_bound, cap = expected_cost_bound(n), timeout_cap(n)
     search_bounds = {
         t: search_iterations_bound(n, t) for t in sorted({1, 2, n // 16 or 1, n // 4 or 1, n})
     }
     identity_error = abs(cap - 2.0 * cost_bound)
-    cost_sweep = sweep_search_cost_bound(config.sweep_max)
-    harmonic_sweep = sweep_harmonic_bound(config.sweep_max)
+    cost_sweep = sweep_search_cost_bound(sweep_max)
+    harmonic_sweep = sweep_harmonic_bound(sweep_max)
     identity_ok = identity_error <= 1e-9
     checks = [_check_row("cap-identity", identity_ok, 1e-9, estimate=identity_error, expected=0.0)]
     checks += [
@@ -880,7 +881,7 @@ def bounds_report(config: ExperimentConfig) -> Report:
         "search_iteration_bounds": {str(t): v for t, v in search_bounds.items()},
         "cap_identity_error": identity_error,
         "search_cost_sum": expected_search_cost_bound(n),
-        "sweep_max": config.sweep_max,
+        "sweep_max": sweep_max,
         "search_cost_sweep_worst_ratio": cost_sweep.worst_ratio,
         "search_cost_sweep_worst_n": cost_sweep.worst_n,
         "harmonic_sweep_worst_ratio": harmonic_sweep.worst_ratio,

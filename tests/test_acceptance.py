@@ -214,7 +214,7 @@ def test_criterion_8_reports_reproducible_across_workers(capsys):
     csv_a = _cli_stdout(*run_args)
     csv_b = _cli_stdout(*run_args, "--workers", "3")
 
-    bounds_args = ("bounds", "--n", "128", "--sweep-max", "100000")
+    bounds_args = ("bounds", "--n", "128")
     bounds_a = _cli_stdout(*bounds_args)
     bounds_b = _cli_stdout(*bounds_args)
 

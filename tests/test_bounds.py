@@ -114,7 +114,7 @@ def test_sweep_domain():
 
 
 def _bounds_summary(n: int) -> dict:
-    return run_experiment(ExperimentConfig("bounds", n=n, sweep_max=100)).summary
+    return run_experiment(ExperimentConfig("bounds", n=n)).summary
 
 
 def test_bound_report_grid():
@@ -122,6 +122,17 @@ def test_bound_report_grid():
     assert summary["expected_cost_bound"] == pytest.approx(430.0, abs=1e-9)
     assert set(summary["search_iteration_bounds"]) == {"1", "2", "64", "256", "1024"}
     assert summary["search_iteration_bounds"]["1"] == pytest.approx(144.0, abs=1e-9)
+
+
+def test_bound_report_sweeps_every_size_up_to_n():
+    # Both proof inequalities are swept over 2..n once n passes 10^6, and
+    # each is tightest at the largest size swept.
+    report = run_experiment(ExperimentConfig("bounds", n=2_000_000))
+    summary = report.summary
+    assert summary["sweep_max"] == 2_000_000
+    assert summary["search_cost_sweep_worst_n"] == 2_000_000
+    assert summary["harmonic_sweep_worst_n"] == 2_000_000
+    assert all(check["ok"] for check in report.checks)
 
 
 def test_bound_report_tiny_size_grid_collapses():

@@ -17,13 +17,16 @@ from qminfind.harness import _FLAGS, EXPERIMENT_FIELDS, ExperimentConfig, run_ex
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def test_bounds_subcommand_passes(capsys):
-    code, out, err = run_cli(capsys, "bounds", "--n", "64", "--sweep-max", "10000")
+    code, out, err = run_cli(capsys, "bounds", "--n", "64")
     assert code == 0
     payload = json.loads(out)
     assert payload["experiment"] == "bounds"
@@ -222,7 +225,7 @@ def test_readme_check_bullets_match_the_emitted_checks():
         documented[label.strip("`")] = set(re.findall(r"`([a-z0-9]+(?:-[a-z0-9]+)+)`", text))
     emitted = {}
     for command, (experiment, _) in _SUBCOMMANDS.items():
-        sizes = {"sweep_max": 100} if experiment == "bounds" else {"runs": 20}
+        sizes = {} if experiment == "bounds" else {"runs": 20}
         report = run_experiment(ExperimentConfig(experiment, n=4, **sizes))
         emitted[command] = {check["check"] for check in report.checks}
     assert documented == emitted
@@ -287,7 +290,7 @@ def test_only_equivalence_loads_scipy():
         ["lemma1", "--n", "64", "--runs", "50", "--seed", "1"],
         ["success", "--n", "64", "--runs", "50", "--seed", "1"],
         ["cost", "--n", "64", "--runs", "50", "--seed", "1"],
-        ["bounds", "--n", "64", "--sweep-max", "1000"],
+        ["bounds", "--n", "64"],
     ]
     result = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_START, json.dumps(argvs)],
@@ -361,28 +364,43 @@ def test_uncapped_experiments_reject_timeout_and_boost(capsys, command, flag):
 
 # A distinct file gets the equality verdict, which asserts every rank of
 # n=8; 40 000 runs make its 0.01 floor at least 4 SE at each of them (at 300
-# runs the 3 SE test rejected 12 of 400 seeds of correct code).
+# runs the 3 SE test rejected 12 of 400 seeds of correct code).  No case
+# passes --mode, which a table file excludes.
 @pytest.mark.parametrize(
-    ("values", "mode", "label", "runs"),
+    ("values", "label", "runs"),
     [
-        ([(i * 31 + 5) % 9 - 4 for i in range(48)], "distinct", "dup:9", 300),
-        ([3, 3, 1, 3, 1, 1, 3, 1], "distinct", "dup:2", 300),
-        ([5, -2, 9, 0, 7, 4, 1, 8], "dup:2", "distinct", 40_000),
+        ([(i * 31 + 5) % 9 - 4 for i in range(48)], "dup:9", 300),
+        ([3, 3, 1, 3, 1, 1, 3, 1], "dup:2", 300),
+        ([5, -2, 9, 0, 7, 4, 1, 8], "distinct", 40_000),
     ],
     ids=["dup-48", "dup-8", "distinct-under-dup-mode"],
 )
-def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, mode, label, runs):
+def test_report_mode_comes_from_the_table_file(tmp_path, capsys, values, label, runs):
     path = tmp_path / "table.txt"
     path.write_text("".join(f"{v}\n" for v in values))
     code, out, _ = run_cli(
         capsys, "lemma1", "--n", str(len(values)), "--runs", str(runs), "--seed", "9",
-        "--mode", mode, "--table", str(path),
+        "--table", str(path),
     )
     assert code == 0
     report = json.loads(out)
     assert report["config"]["mode"] == label
     expected = "equality" if label == "distinct" else "upper-bound"
     assert report["summary"]["comparison"] == expected
+
+
+@pytest.mark.parametrize("command", ["lemma1", "success", "cost", "run"])
+def test_mode_with_a_table_file_is_a_config_error(tmp_path, capsys, command):
+    # A table file's values decide its kind, so a --mode beside it would be
+    # silently ignored.
+    path = tmp_path / "table.txt"
+    path.write_text("".join(f"{v}\n" for v in (5, -2, 9, 0, 7, 4, 1, 8)))
+    code, out, err = run_cli(
+        capsys, command, "--n", "8", "--runs", "20", "--mode", "dup:2", "--table", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "(--mode)" in err and "(--table)" in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "equivalence"])
@@ -404,11 +422,6 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
     [
         (["success", "--n", "100000000000", "--runs", "1"], "1..16777216"),
         (["run", "--n", str(2**24 + 1), "--runs", "1"], "1..16777216"),
-        (["bounds", "--n", "64", "--sweep-max", "1000000000000"], "2..10000000"),
-        (["bounds", "--n", "64", "--sweep-max", "1"], "2..10000000"),
-        (["equivalence", "--n", "1024", "--runs", "1", "--j-max", "100000000"], "0..64"),
-        (["equivalence", "--n", "16", "--runs", "1", "--j-max", "65"], "0..64"),
-        (["equivalence", "--n", "16", "--runs", "1", "--j-max", "-1"], "0..64"),
         (["lemma1", "--n", "16", "--runs", "1", "--max-rank", "0"], ">= 1"),
         (["lemma1", "--n", "16", "--runs", "1", "--max-rank", "-3"], ">= 1"),
         (["success", "--n", "4", "--runs", str(10**20)], "1..1000000000"),
@@ -422,20 +435,19 @@ def test_experiments_drawing_their_own_inputs_reject_run_flags(capsys, command, 
         (["lemma1", "--n", str(2**17 + 1), "--runs", "1"], "n <= 131072"),
     ],
     ids=[
-        "n-huge", "n-just-over", "sweep-huge", "sweep-too-small", "j-max-huge",
-        "j-max-just-over", "j-max-negative", "max-rank-zero", "max-rank-negative",
+        "n-huge", "n-just-over", "max-rank-zero", "max-rank-negative",
         "runs-huge", "runs-just-over", "boost-just-over", "boost-huge-repeat",
         "lambda-near-one", "lemma1-n-just-over",
     ],
 )
 def test_sizes_beyond_their_limits_are_config_errors(capsys, argv, limit):
     # Rejected while the config is built, before anything is allocated or
-    # iterated.  A negative --j-max or a --max-rank below 1 asserts no row,
-    # so its verdict could not fail; a huge --j-max would run for hours, and
-    # so would a huge --runs or --boost (a boost above 53 cannot raise the
-    # floor 1 - 2^-c above float64's 1.0 anyway).  A --lambda just above 1
-    # would build a search schedule of millions of rounds, and lemma1's
-    # report, one row per rank, would outgrow memory long before MAX_N.
+    # iterated.  A --max-rank below 1 asserts no row, so its verdict could
+    # not fail; a huge --runs or --boost would run for hours (a boost above
+    # 53 cannot raise the floor 1 - 2^-c above float64's 1.0 anyway).  A
+    # --lambda just above 1 would build a search schedule of millions of
+    # rounds, and lemma1's report, one row per rank, would outgrow memory
+    # long before MAX_N.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -450,10 +462,12 @@ READS = {
     "success": RUN_FLAGS | {"boost", "timeout"},
     "run": RUN_FLAGS | {"boost", "timeout"},
     "cost": RUN_FLAGS,
-    "equivalence": {"runs", "seed", "lambda", "j-max"},
-    "bounds": {"sweep-max"},
+    "equivalence": {"runs", "seed", "lambda"},
+    "bounds": set(),
 }
 # A value away from the default for every flag; "table" names an 8-value file.
+# No subcommand reads --j-max or --sweep-max: equivalence and bounds derive
+# their depth and sweep range from --n, so argparse rejects both flags.
 FLAG_VALUES = {
     "runs": "7",
     "seed": "5",
@@ -475,8 +489,6 @@ def _flag_argv(tmp_path, command: str, flag: str) -> list[str]:
     argv = [command, "--n", "8"]
     if "runs" in READS[command]:
         argv += ["--runs", "20"]
-    if "sweep-max" in READS[command]:
-        argv += ["--sweep-max", "100"]
     value = FLAG_VALUES[flag]
     if flag == "table":
         path = tmp_path / "table.txt"
@@ -504,7 +516,7 @@ def test_every_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, command
     code, out, err = run_cli(capsys, *_flag_argv(tmp_path, command, flag))
     assert code == 2
     assert out == ""
-    assert f"(--{flag})" in err
+    assert re.search(rf"\(--{flag}\)|unrecognized arguments: --{flag} ", err), err
 
 
 @pytest.mark.parametrize("strategy", ["repeat", "extend"])
@@ -528,7 +540,7 @@ def test_exact_search_with_nothing_marked_and_a_huge_timeout_returns():
 @pytest.mark.parametrize(
     ("argv", "counts"),
     [
-        (["bounds", "--n", "64", "--sweep-max", "1000"], "n=64 pass"),
+        (["bounds", "--n", "64"], "n=64 pass"),
         (["success", "--n", "16", "--runs", "20"], "n=16 runs=20 pass"),
     ],
     ids=["bounds", "success"],
@@ -545,7 +557,7 @@ def test_timing_line_carries_the_git_revision(capsys, monkeypatch):
         return subprocess.CompletedProcess(argv, 0, stdout="abc1234-dirty\n", stderr="")
 
     monkeypatch.setattr(subprocess, "run", describe)
-    code, out, err = run_cli(capsys, "bounds", "--n", "8", "--sweep-max", "100")
+    code, out, err = run_cli(capsys, "bounds", "--n", "8")
     assert code == 0
     assert err.rstrip().endswith(f"[qminfind {__version__} (abc1234-dirty)]")
     assert json.loads(out)["build"] == f"qminfind {__version__}"
@@ -554,7 +566,7 @@ def test_timing_line_carries_the_git_revision(capsys, monkeypatch):
         raise FileNotFoundError("git")
 
     monkeypatch.setattr(subprocess, "run", no_git)
-    code, _, err = run_cli(capsys, "bounds", "--n", "8", "--sweep-max", "100")
+    code, _, err = run_cli(capsys, "bounds", "--n", "8")
     assert code == 0
     assert err.rstrip().endswith(f"[qminfind {__version__}]")
 
@@ -578,8 +590,6 @@ FUZZ_VALUES = {
     ),
     "workers": st.sampled_from(["-1", "0", "1"]),
     "max-rank": st.integers(-1, 12).map(str),
-    "j-max": st.integers(-1, 65).map(str),
-    "sweep-max": st.sampled_from(["-1", "1", "2", "100", "5000", "x"]),
 }
 FUZZ_TABLES = {
     "distinct.txt": "5\n-2\n9\n0\n7\n4\n1\n8\n",

@@ -179,12 +179,9 @@ def test_config_validation():
                 ExperimentConfig(experiment=experiment, n=8, **flags)
     with pytest.raises(ValueError, match="n must lie in"):
         ExperimentConfig(experiment="success", n=2**24 + 1)
-    with pytest.raises(ValueError, match="sweep_max must lie in"):
-        ExperimentConfig(experiment="bounds", sweep_max=10**7 + 1)
     # The limits themselves are accepted (building a config allocates nothing).
     ExperimentConfig(experiment="success", n=2**24)
     ExperimentConfig(experiment="lemma1", n=2**17)
-    ExperimentConfig(experiment="bounds", sweep_max=10**7)
 
 
 def test_backend_given_as_text_is_coerced_before_it_is_checked():
@@ -252,8 +249,6 @@ def test_no_config_field_is_silently_ignored(tmp_path, experiment):
         "boost": 2,
         "timeout": 5.0,
         "max_rank": 3,
-        "j_max": 4,
-        "sweep_max": 100,
         "table_path": str(table),
     }
     default = ExperimentConfig(experiment).to_dict()
@@ -367,7 +362,7 @@ def test_benchmark_configs_are_accepted(experiment, extra):
 
 
 def test_bounds_experiment_passes():
-    report = run_experiment(ExperimentConfig(experiment="bounds", n=64, sweep_max=10**4))
+    report = run_experiment(ExperimentConfig(experiment="bounds", n=64))
     assert report.passed
     assert report.summary["cap_identity_error"] <= 1e-9
     json.loads(report.to_json())  # serializable
@@ -564,12 +559,12 @@ EQUIVALENCE_CHECKS = {"closed-form", "fixed-j", "outcome-distribution", "full-al
         ),
         ({"experiment": "lemma1", "n": 8, "runs": 50, "mode": "dup:3"}, {"rank-frequency"}, None),
         (
-            {"experiment": "bounds", "n": 16, "sweep_max": 100},
+            {"experiment": "bounds", "n": 16},
             {"cap-identity", "search-cost-sweep", "harmonic-sweep"},
             True,
         ),
         (
-            {"experiment": "equivalence", "n": 4, "runs": 20, "j_max": 2},
+            {"experiment": "equivalence", "n": 4, "runs": 20},
             EQUIVALENCE_CHECKS | UNIFORMITY,
             True,
         ),
@@ -637,6 +632,16 @@ def test_fixed_table_is_used_verbatim(tmp_path):
 
 def test_closed_form_deviation_is_tiny_for_small_sizes():
     assert closed_form_deviation(8, 6) <= 1e-12
+
+
+@pytest.mark.parametrize(("n", "depth"), [(169, 12), (170, 13), (256, 15)])
+def test_closed_form_is_checked_as_deep_as_a_search_measures(n, depth):
+    # A search's saturated cap is ceil(sqrt(n)), so its rounds measure up to
+    # ceil(sqrt(n)) - 1 iterations; the check never stops short of 12.
+    report = run_experiment(ExperimentConfig(experiment="equivalence", n=n, runs=2, seed=1))
+    closed_form = next(row for row in report.checks if row["check"] == "closed-form")
+    assert closed_form["j"] == depth
+    assert closed_form["ok"]
 
 
 def test_equivalence_battery_passes_at_small_size():
@@ -770,7 +775,7 @@ def test_equivalence_cells_make_the_search_call_of_the_runs(monkeypatch):
     monkeypatch.setattr(harness, "search", counting("cell"))
     monkeypatch.setattr(harness, "find_minimum", checked_find)
     n, runs = 8, 30
-    run_experiment(ExperimentConfig(experiment="equivalence", n=n, runs=runs, seed=2, j_max=2))
+    run_experiment(ExperimentConfig(experiment="equivalence", n=n, runs=runs, seed=2))
     cell_calls = [analytic for caller, analytic in calls if caller == "cell"]
     assert cell_calls == ([False] * runs + [True] * runs) * len(harness._equivalence_cells(n))
     assert run_backends == {backend: runs for backend in Backend}

@@ -5,44 +5,153 @@ A check is only useful if it can fail.  Each mutant plants one defect with
 size.  The table of failing check names is a ratchet: a later change may
 add names to an entry, never drop one.  Correct code fails no check.
 """
+import math
+import types
+
+import numpy as np
 import pytest
 
-from qminfind import minfind
+from qminfind import harness, minfind
+from qminfind.grover import GroverLadder
 from qminfind.harness import ExperimentConfig, run_experiment
 
 
-def _rank_mutant(search):
+def _patch_search(monkeypatch, mutated):
+    """Run every pass's search as ``mutated(search, n, t, budget, growth, rng, ladder)``."""
+    search = minfind.search
+
+    def patched(n, t, budget, growth, rng, ladder=None):
+        return mutated(search, n, t, budget, growth, rng, ladder)
+
+    monkeypatch.setattr(minfind, "search", patched)
+
+
+def _rank(monkeypatch):
     """On a hit, the analytic search returns a class position at or below the
     threshold's own rank, where the correct law draws one strictly below it."""
 
-    def mutated(n, t, budget, growth, rng, ladder=None):
+    def mutated(search, n, t, budget, growth, rng, ladder):
         hit, used, interrupted, index = search(n, t, budget, growth, rng, ladder)
         if hit and ladder is None:
             index = rng.randrange(t + 1)
         return hit, used, interrupted, index
 
-    return mutated
+    _patch_search(monkeypatch, mutated)
 
 
-MUTANTS = {"correct": None, "rank": _rank_mutant}
+def _overcharge(monkeypatch):
+    """Every search is charged 1.1 times the iterations it used."""
+
+    def mutated(search, n, t, budget, growth, rng, ladder):
+        hit, used, interrupted, index = search(n, t, budget, growth, rng, ladder)
+        return hit, used * 1.1, interrupted, index
+
+    _patch_search(monkeypatch, mutated)
+
+
+def _fast_growth(monkeypatch):
+    """Analytic passes search at growth 1.25 whatever the config says."""
+
+    def mutated(search, n, t, budget, growth, rng, ladder):
+        return search(n, t, budget, 1.25 if ladder is None else growth, rng, ladder)
+
+    _patch_search(monkeypatch, mutated)
+
+
+def _ceil_budget(monkeypatch):
+    """A finite remaining budget is rounded up, so a search may overrun the cap."""
+
+    def mutated(search, n, t, budget, growth, rng, ladder):
+        budget = math.ceil(budget) if math.isfinite(budget) else budget
+        return search(n, t, budget, growth, rng, ladder)
+
+    _patch_search(monkeypatch, mutated)
+
+
+def _init_plus_one(monkeypatch):
+    """Each initialization is charged lg N + 1 steps."""
+    monkeypatch.setattr(
+        minfind, "math", types.SimpleNamespace(log2=lambda x: math.log2(x) + 1, inf=math.inf)
+    )
+
+
+def _tie(monkeypatch):
+    """On a hit, a value is drawn uniformly among the distinct values below
+    the threshold, then an entry holding it.  The correct law draws an entry
+    uniformly, so a value held by c entries is c times as likely."""
+    find = harness.find_minimum
+    run_table = []
+
+    def seeing(table, *args):
+        run_table[:] = [table]
+        return find(table, *args)
+
+    def mutated(search, n, t, budget, growth, rng, ladder):
+        hit, used, interrupted, index = search(n, t, budget, growth, rng, ladder)
+        if hit and ladder is None:
+            table = run_table[0]
+            below = table.values[table.order[:t]]
+            values = np.unique(below)
+            positions = np.flatnonzero(below == values[rng.randrange(len(values))])
+            index = int(positions[rng.randrange(len(positions))])
+        return hit, used, interrupted, index
+
+    monkeypatch.setattr(harness, "find_minimum", seeing)
+    _patch_search(monkeypatch, mutated)
+
+
+def _late_ladder(monkeypatch):
+    """Every statevector past 12 iterations is measured one iteration late."""
+    cdf = GroverLadder.cdf
+    monkeypatch.setattr(GroverLadder, "cdf", lambda self, j: cdf(self, j + 1 if j >= 13 else j))
+
+
+MUTANTS = {
+    "correct": None,
+    "rank": _rank,
+    "overcharge-1.1": _overcharge,
+    "growth-1.25": _fast_growth,
+    "ceil-budget": _ceil_budget,
+    "init-plus-1": _init_plus_one,
+    "tie": _tie,
+    "late-ladder": _late_ladder,
+}
 CONFIGS = {
     "lemma1": {"experiment": "lemma1", "n": 64, "runs": 2000, "seed": 1},
     "lemma1-dup:8": {"experiment": "lemma1", "n": 64, "runs": 2000, "seed": 1, "mode": "dup:8"},
+    "success": {"experiment": "success", "n": 64, "runs": 2000, "seed": 1},
+    "expected-cost": {"experiment": "expected-cost", "n": 64, "runs": 2000, "seed": 1},
+    # Searches at n = 256 measure states up to 15 iterations, past the
+    # closed-form check's floor of 12.
+    "equivalence-256": {"experiment": "equivalence", "n": 256, "runs": 20, "seed": 1},
 }
 # Under the rank mutant, distinct tables read a worst asserted deviation of
 # about 0.5 from 1/r; the dup check only bounds each frequency from above,
-# which the mutant stays under.
+# which the mutant stays under.  The other run mutants move the means they
+# target (x1.1 moves success's mean_spent from 230.0 to 249.4), but within
+# the one-sided bounds' slack.
 FAILING = {
     ("correct", "lemma1"): set(),
     ("correct", "lemma1-dup:8"): set(),
+    ("correct", "success"): set(),
+    ("correct", "expected-cost"): set(),
+    ("correct", "equivalence-256"): set(),
     ("rank", "lemma1"): {"rank-frequency"},
     ("rank", "lemma1-dup:8"): set(),
+    ("rank", "success"): set(),
+    ("rank", "expected-cost"): set(),
+    **{
+        (mutant, config): set()
+        for mutant in ("overcharge-1.1", "growth-1.25", "ceil-budget", "init-plus-1", "tie")
+        for config in ("lemma1", "lemma1-dup:8", "success", "expected-cost")
+    },
+    ("late-ladder", "equivalence-256"): {"closed-form"},
 }
 
 
 @pytest.mark.parametrize(("mutant", "config"), list(FAILING))
 def test_failing_checks_under_each_mutant(monkeypatch, mutant, config):
     if MUTANTS[mutant] is not None:
-        monkeypatch.setattr(minfind, "search", MUTANTS[mutant](minfind.search))
+        MUTANTS[mutant](monkeypatch)
     report = run_experiment(ExperimentConfig(**CONFIGS[config]))
     assert {check["check"] for check in report.checks if not check["ok"]} == FAILING[mutant, config]
