@@ -109,8 +109,20 @@ def expected_search_cost_bound(n: int) -> float:
     integral comparison keeps it below (45/4) sqrt(n) for every n.
     """
     _require_size(n, 2)
+    return 4.5 * math.sqrt(n) * float(np.sum(_search_cost_terms(n)))
+
+
+# The sums and sweeps compute in place, with ``out=`` ufuncs, so each holds
+# at most two float arrays of its length (about 270 MB at 2^24).
+
+
+def _search_cost_terms(n: int) -> np.ndarray:
+    """1 / ((r + 1) sqrt(r)) for r = 1..n-1."""
     r = np.arange(1, n, dtype=np.float64)
-    return 4.5 * math.sqrt(n) * float(np.sum(1.0 / ((r + 1.0) * np.sqrt(r))))
+    terms = np.sqrt(r)
+    r += 1.0
+    np.multiply(r, terms, out=terms)
+    return np.divide(1.0, terms, out=terms)
 
 
 @dataclass(frozen=True)
@@ -122,26 +134,36 @@ class SweepResult:
     worst_ratio: float  # max of lhs/rhs; <= 1 when the inequality holds
 
 
-def sweep_search_cost_bound(n_max: int) -> SweepResult:
-    """Check expected_search_cost_bound(n) <= (45/4) sqrt(n) for n = 2..n_max."""
-    _require_size(n_max, 2)
-    r = np.arange(1, n_max, dtype=np.float64)
-    partial = np.cumsum(1.0 / ((r + 1.0) * np.sqrt(r)))
-    # Entry k of ``partial`` is the sum for n = k + 2; sqrt(n) cancels in the ratio.
-    ratios = 4.5 * partial / 11.25
+def _worst(ratios: np.ndarray) -> SweepResult:
+    # Entry k of a sweep's ratios is the one for n = k + 2.
     worst = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst])
     return SweepResult(ok=worst_ratio <= 1.0, worst_n=worst + 2, worst_ratio=worst_ratio)
+
+
+def sweep_search_cost_bound(n_max: int) -> SweepResult:
+    """Check expected_search_cost_bound(n) <= (45/4) sqrt(n) for n = 2..n_max."""
+    _require_size(n_max, 2)
+    # Partial sums of the terms; sqrt(n) cancels in the ratio.
+    ratios = _search_cost_terms(n_max)
+    np.cumsum(ratios, out=ratios)
+    ratios *= 4.5
+    ratios /= 11.25
+    return _worst(ratios)
 
 
 def sweep_harmonic_bound(n_max: int) -> SweepResult:
     """Check (H_n - 1) lg n <= 0.7 lg^2 n for n = 2..n_max."""
     _require_size(n_max, 2)
-    harmonic = np.cumsum(1.0 / np.arange(1, n_max + 1, dtype=np.float64))
-    n = np.arange(2, n_max + 1, dtype=np.float64)
-    lhs = (harmonic[1:] - 1.0) * np.log2(n)
-    rhs = 0.7 * np.log2(n) ** 2
-    ratios = lhs / rhs
-    worst = int(np.argmax(ratios))
-    worst_ratio = float(ratios[worst])
-    return SweepResult(ok=worst_ratio <= 1.0, worst_n=worst + 2, worst_ratio=worst_ratio)
+    harmonic = np.arange(1, n_max + 1, dtype=np.float64)
+    np.divide(1.0, harmonic, out=harmonic)
+    np.cumsum(harmonic, out=harmonic)
+    ratios = harmonic[1:]
+    ratios -= 1.0
+    lg = np.arange(2, n_max + 1, dtype=np.float64)
+    np.log2(lg, out=lg)
+    ratios *= lg
+    np.square(lg, out=lg)
+    lg *= 0.7
+    ratios /= lg
+    return _worst(ratios)

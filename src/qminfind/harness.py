@@ -10,17 +10,21 @@ runs plus a statistical verdict:
 * ``bounds``        closed-form identities and inequality sweeps;
 * ``single-run``    raw per-run records, no checks.
 
-Every batch of algorithm runs goes through one map: ``_map_runs`` draws
-run i's table and run from the private stream (seed, *key, i), runs it
-through ``_run`` (one ``find_minimum`` call, c of them under ``--boost c``)
-under the step cap decided once per config (``ExperimentConfig.cap``), and
-yields a small per-run record.  Each experiment folds its records in run
-order into a verdict.  Without a table file, analytic runs use their values
-in sorted order (the analytic law depends only on ranks), so an analytic
-``single-run`` ``returned_index`` is a rank-order position; exact runs draw
-randomly arranged tables.  Worker processes only split the run range into
-spans and send their records back in span order, so a report is
-byte-identical for any worker count.  Reports deliberately contain no
+Every batch of algorithm runs goes through one map-then-fold:
+``_fold_runs`` draws run i's table and run from the private stream
+(seed, *key, i), runs it through ``_run`` (one ``find_minimum`` call, c of
+them under ``--boost c``) under the step cap decided once per config
+(``ExperimentConfig.cap``), and folds each span of runs into one small
+accumulator: exact Python-int sums (counts, and the sums, squares and cross
+products of the (passes, steps) accounts), lemma1's O(n) rank counts, or
+``single-run``'s records in run order.  The parent adds the span
+accumulators, and each mean and standard error is one correctly rounded
+division of the exact sums, so a report cannot depend on how the run range
+is split: it is byte-identical for any worker count, and the fold's state
+does not grow with the number of runs.  Without a table file, analytic runs
+use their values in sorted order (the analytic law depends only on ranks),
+so an analytic ``single-run`` ``returned_index`` is a rank-order position;
+exact runs draw randomly arranged tables.  Reports deliberately contain no
 wall-clock data; timing goes to stderr in the CLI layer.
 
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
@@ -63,7 +67,7 @@ from .bounds import (
     timeout_cap,
 )
 from .grover import GroverLadder, success_probability
-from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum
+from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, init_charge
 from .qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
 from .seeding import derive_stream
 from .table import Table, generate_table, read_table, sorted_table
@@ -131,8 +135,12 @@ LEMMA1_MAX_N = 2**17
 # cap s (31 at n = EQUIVALENCE_MAX_N); the fixed-j rows to j = FIXED_J_MAX.
 MIN_CLOSED_FORM_DEPTH = 12
 FIXED_J_MAX = 8
-# bounds sweeps over 2..max(MIN_SWEEP, n), about 670 MB at n = MAX_N.
+# bounds sweeps over 2..max(MIN_SWEEP, n), about 290 MB at n = MAX_N.
 MIN_SWEEP = 10**6
+# The relative slack of the ledger check's comparison of each run's spent
+# with its budget: both carry a few roundings, under 2^-46 relative even at
+# 53 boosted repetitions, while an overcharge is far above it.
+LEDGER_RTOL = 1e-12
 # Rank rows below this many (run, index) pairs carry no 0.01-scale
 # information and are reported but not asserted.
 MIN_ASSERT_PAIRS = 100
@@ -386,12 +394,15 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
     return lo, hi
 
 
-def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=np.float64)
-    mean = float(np.mean(values))
-    if len(values) < 2:
+def _mean_and_stderr(runs: int, total: int, squares: int, scale: int = 1) -> tuple[float, float]:
+    """Mean and standard error of ``runs`` values x from the exact integer
+    sums of ``scale * x`` and of its square, each one correctly rounded
+    division (the standard error then takes a square root)."""
+    mean = total / (scale * runs)
+    if runs < 2:
         return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    variance = (runs * squares - total * total) / (scale * scale * runs * runs * (runs - 1))
+    return mean, math.sqrt(variance)
 
 
 def proportion_stderr(p: float, trials: int) -> float:
@@ -494,7 +505,8 @@ def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
     )
 
 
-def _run_span(config: ExperimentConfig, key: tuple, record, span):
+def _run_span(config: ExperimentConfig, key: tuple, span) -> Iterator[tuple[Table, RunResult]]:
+    """Yield the ``(table, result)`` of each run in ``span``, in run order."""
     # Without a table file, the exact backend, the reference, draws randomly
     # arranged tables.  The analytic law depends only on ranks, so analytic
     # runs take their values in sorted order; the distinct one is a shared,
@@ -513,21 +525,28 @@ def _run_span(config: ExperimentConfig, key: tuple, record, span):
         rng = derive_stream(config.seed, *key, i)
         if draw_table is not None:
             table = draw_table(config.n, rng, k)
-        yield record(table, _run(config, table, rng))
+        yield table, _run(config, table, rng)
 
 
-def _collect_span(config: ExperimentConfig, key: tuple, record, span):
-    return list(_run_span(config, key, record, span))
+def _fold_span(config: ExperimentConfig, key: tuple, fold, span) -> tuple:
+    return fold(config, _run_span(config, key, span))
 
 
-def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
-    """Yield ``record(table, result)`` for every run, in run order.
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _fold_runs(config: ExperimentConfig, key: tuple, fold) -> tuple:
+    """Fold every run with ``fold(config, runs)``, span by span, and add up the span folds.
 
     Run i draws its table (unless a table file fixes it, or the runs share
     the analytic backend's distinct table, which draws nothing) and then
-    its run from the stream (seed, *key, i).  Worker processes each take
-    a span of runs and send back its records; spans come back in order, so
-    a fold over the records sees the same sequence for any worker count.
+    its run from the stream (seed, *key, i).  ``fold`` takes an iterator
+    over a span's ``(table, result)`` pairs and returns a tuple whose
+    entries add: Python ints (exact sums), numpy count arrays, or a list,
+    which span order concatenates in run order.  So the total is the same
+    for any split of the run range, and a worker sends back one small
+    tuple per span.
     """
     # Read the table file here, before any worker starts: the cached table
     # travels inside the pickled config, so no worker reads the file again.
@@ -536,30 +555,41 @@ def _map_runs(config: ExperimentConfig, key: tuple, record) -> Iterator:
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        yield from _run_span(config, key, record, (0, config.runs))
-        return
+        return _fold_span(config, key, fold, (0, config.runs))
     # Imported here: a serial run then loads no multiprocessing machinery.
     from concurrent.futures import ProcessPoolExecutor
 
-    span_records = functools.partial(_collect_span, config, key, record)
+    fold_span = functools.partial(_fold_span, config, key, fold)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(span_records, _spans(config.runs, workers * 4)):
-            yield from records
+        return functools.reduce(_add, pool.map(fold_span, _spans(config.runs, workers * 4)))
 
 
 # ---------------------------------------------------------------------------
 # lemma1: rank-selection frequencies
 
 
-def _lemma1_record(table: Table, result: RunResult):
-    rank_of = table.ranks.item
-    return None, [rank_of(y) for _, y in result.history]
+def _lemma1_fold(config: ExperimentConfig, runs) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank: the (run, entry) pairs holding it, and the runs whose
+    threshold ever held it.
 
-
-def _lemma1_drawn_record(table: Table, result: RunResult):
-    counts = np.bincount(table.ranks)
-    ranks = counts.nonzero()[0]
-    return (ranks, counts[ranks]), _lemma1_record(table, result)[1]
+    A drawn dup table has ranks of its own, so each run counts its table's.
+    Every other run's table holds the same ranks (the table file's, or
+    each of 1..n once), so they are counted once per span.
+    """
+    represented = np.zeros(config.n + 1, dtype=np.int64)
+    chosen = [0] * (config.n + 1)
+    drawn = config.fixed_table is None and config.dup_k is not None
+    count = 0
+    for table, result in runs:
+        count += 1
+        if drawn:
+            represented += np.bincount(table.ranks, minlength=config.n + 1)
+        rank_of = table.ranks.item
+        for _, y in result.history:
+            chosen[rank_of(y)] += 1
+    if not drawn:  # a span holds at least one run
+        represented += count * np.bincount(table.ranks, minlength=config.n + 1)
+    return represented, np.array(chosen, dtype=np.int64)
 
 
 def estimate_rank_selection(config: ExperimentConfig) -> Report:
@@ -569,25 +599,7 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
-    # Which ranks a run's table holds follows from the config's table kind.
-    # A drawn dup table has its own, so its record carries its rank classes
-    # (each rank and its entry count, at most k of them).  Every other run's
-    # table holds the same ranks, the table file's or each of 1..n once, so
-    # they are counted once for all runs.  The fold holds O(n) state.
-    table = config.fixed_table
-    drawn = table is None and config.dup_k is not None
-    represented = np.zeros(config.n + 1, dtype=np.int64)
-    if not drawn:
-        ranks = np.arange(1, config.n + 1) if table is None else table.ranks
-        represented += config.runs * np.bincount(ranks, minlength=config.n + 1)
-    chosen = [0] * (config.n + 1)
-    record = _lemma1_drawn_record if drawn else _lemma1_record
-    for classes, chosen_ranks in _map_runs(config, ("lemma1",), record):
-        if drawn:
-            ranks, counts = classes
-            represented[ranks] += counts
-        for r in chosen_ranks:
-            chosen[r] += 1
+    represented, chosen = _fold_runs(config, ("lemma1",), _lemma1_fold)
 
     # Every run sees the same kind of table: the file's, or the mode's.
     distinct = config.mode_label == "distinct"
@@ -597,7 +609,7 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
         pairs = int(represented[r])
         if pairs == 0:
             continue
-        hits = chosen[r]
+        hits = int(chosen[r])
         p_hat = hits / pairs
         theory = 1.0 / r
         se = proportion_stderr(p_hat, pairs)
@@ -648,8 +660,27 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
 # success: capped-run success fraction
 
 
-def _success_record(table: Table, result: RunResult):
-    return result.returned_is_minimum, result.total_spent, result.loop_passes
+def _account_fold(config: ExperimentConfig, runs) -> tuple[int, ...]:
+    """Exact sums over the runs' accounts: successes, runs over the ledger
+    budget, and the sums of passes a, search steps b, a^2, ab and b^2.
+
+    A run may spend its cap plus the one initialization that can start just
+    below it, c times over under ``--boost c``, at the lg N the runs paid.
+    An uncapped run stops at its first hit, so its first-hit time is its
+    whole account, a * lg N + b.
+    """
+    limit = (config.boost or 1) * (config.cap + init_charge(config.n)) * (1.0 + LEDGER_RTOL)
+    successes = overspent = a_sum = b_sum = aa_sum = ab_sum = bb_sum = 0
+    for _, result in runs:
+        a, b = result.loop_passes, result.search_steps
+        successes += result.returned_is_minimum
+        overspent += result.total_spent > limit
+        a_sum += a
+        b_sum += b
+        aa_sum += a * a
+        ab_sum += a * b
+        bb_sum += b * b
+    return successes, overspent, a_sum, b_sum, aa_sum, ab_sum, bb_sum
 
 
 def estimate_success_rate(config: ExperimentConfig) -> Report:
@@ -657,10 +688,10 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
 
     Unboosted capped runs must keep the lower confidence bound at or above
     1/2; with c-fold boosting the floor rises to 1 - 1/2^c (checked within
-    three standard errors).
+    three standard errors).  The ledger check counts the runs that spent
+    more than ``_account_fold`` allows; correct code has none.
     """
-    hits, spent, passes = zip(*_map_runs(config, ("success",), _success_record))
-    successes = sum(hits)
+    successes, overspent, passes, steps, *_ = _fold_runs(config, ("success",), _account_fold)
 
     fraction = successes / config.runs
     lo, hi = wilson_interval(successes, config.runs)
@@ -668,9 +699,13 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
     if config.boost:
         floor = 1.0 - 0.5**config.boost
         estimate, allowance = fraction, 3.0 * proportion_stderr(fraction, config.runs)
-    check = _check_row(
-        "success-floor", estimate >= floor - allowance, allowance, estimate=estimate, expected=floor
-    )
+    floor_ok = estimate >= floor - allowance
+    checks = [
+        _check_row("success-floor", floor_ok, allowance, estimate=estimate, expected=floor),
+        _check_row("ledger-budget", overspent == 0, 0, estimate=overspent, expected=0),
+    ]
+    # Spent is passes * lg N + steps, exact over the denominator q of lg N's float.
+    p, q = init_charge(config.n).as_integer_ratio()
     summary = {
         "runs": config.runs,
         "successes": successes,
@@ -678,18 +713,14 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
         "wilson99_low": lo,
         "wilson99_high": hi,
         "floor": floor,
-        "mean_spent": float(np.mean(spent)),
-        "mean_loop_passes": float(np.mean(passes)),
+        "mean_spent": (p * passes + q * steps) / (q * config.runs),
+        "mean_loop_passes": passes / config.runs,
     }
-    return _report(config, summary, [summary], [check])
+    return _report(config, summary, [summary], checks)
 
 
 # ---------------------------------------------------------------------------
 # expected-cost: uncapped-run cost against the closed-form bound
-
-
-def _cost_record(table: Table, result: RunResult):
-    return result.first_hit_time, result.loop_passes, result.search_steps
 
 
 def estimate_expected_cost(config: ExperimentConfig) -> Report:
@@ -699,10 +730,13 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
     search-iteration share alone below its exact-sum bound, both with a
     three-standard-error allowance.
     """
-    first_hits, passes, search_steps = zip(*_map_runs(config, ("cost",), _cost_record))
-
-    mean_cost, se_cost = mean_and_stderr(first_hits)
-    mean_search, se_search = mean_and_stderr(search_steps)
+    _, _, a_sum, b_sum, aa_sum, ab_sum, bb_sum = _fold_runs(config, ("cost",), _account_fold)
+    runs = config.runs
+    p, q = init_charge(config.n).as_integer_ratio()
+    mean_cost, se_cost = _mean_and_stderr(
+        runs, p * a_sum + q * b_sum, p * p * aa_sum + 2 * p * q * ab_sum + q * q * bb_sum, q
+    )
+    mean_search, se_search = _mean_and_stderr(runs, b_sum, bb_sum)
     cost_bound = expected_cost_bound(config.n)
     search_bound = expected_search_cost_bound(config.n)
     checks = [
@@ -720,7 +754,7 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
         "mean_search_steps": mean_search,
         "stderr_search_steps": se_search,
         "search_steps_bound": search_bound,
-        "mean_loop_passes": float(np.mean(passes)),
+        "mean_loop_passes": a_sum / runs,
     }
     return _report(config, summary, [summary], checks)
 
@@ -812,8 +846,8 @@ def _full_algorithm_rates(config: ExperimentConfig) -> dict:
     rates = {}
     for backend in Backend:
         success = ExperimentConfig("success", config.n, runs, config.seed, backend, config.growth)
-        hits, _, _ = zip(*_map_runs(success, ("eqv-full", backend.value), _success_record))
-        rates[backend] = sum(hits) / runs
+        successes = _fold_runs(success, ("eqv-full", backend.value), _account_fold)[0]
+        rates[backend] = successes / runs
     p_exact = rates[Backend.EXACT_STATEVECTOR]
     p_analytic = rates[Backend.ANALYTIC_SAMPLER]
     sigma = math.sqrt(
@@ -901,18 +935,8 @@ def bounds_report(config: ExperimentConfig) -> Report:
 # single-run: raw records
 
 
-def _single_run_record(table: Table, result: RunResult) -> dict:
-    return {
-        "returned_index": result.returned_index,
-        "returned_is_minimum": result.returned_is_minimum,
-        "first_hit_time": result.first_hit_time,
-        "total_spent": result.total_spent,
-        "loop_passes": result.loop_passes,
-    }
-
-
-def single_run_records(config: ExperimentConfig) -> Report:
-    """Per-run records with no statistical verdict attached."""
+def _single_run_fold(config: ExperimentConfig, runs) -> tuple[list[dict]]:
+    """The span's records, in run order."""
     shared = {
         "n": config.n,
         "seed": config.seed,
@@ -920,7 +944,23 @@ def single_run_records(config: ExperimentConfig) -> Report:
         "lambda": config.growth,
         "cap": config.cap,
     }
-    records = [{**shared, **rec} for rec in _map_runs(config, ("run",), _single_run_record)]
+    records = [
+        {
+            **shared,
+            "returned_index": result.returned_index,
+            "returned_is_minimum": result.returned_is_minimum,
+            "first_hit_time": result.first_hit_time,
+            "total_spent": result.total_spent,
+            "loop_passes": result.loop_passes,
+        }
+        for _, result in runs
+    ]
+    return (records,)
+
+
+def single_run_records(config: ExperimentConfig) -> Report:
+    """Per-run records with no statistical verdict attached."""
+    (records,) = _fold_runs(config, ("run",), _single_run_fold)
     hits = sum(1 for rec in records if rec["returned_is_minimum"])
     summary = {"runs": config.runs, "successes": hits}
     return _report(config, summary, records, [])

@@ -21,10 +21,11 @@ ends on its own.
 
 Classical bookkeeping (choosing the start index, comparisons, the final
 return) is free; only initializations and search iterations are charged.
-The loop keeps that whole account itself (time spent, passes, search
-iterations) and builds the one ``RunResult``, so nothing outside this
-module needs to know the lg N charge: ``search_steps`` is the iteration
-share of ``total_spent``, counted where it is charged.  A cap of zero or
+The loop keeps that whole account itself as two integers, its passes and
+its search iterations, and builds the one ``RunResult``: ``total_spent``
+is passes * lg N + ``search_steps``.  ``init_charge`` is the one place the
+lg N charge is computed, so a fold that turns summed passes back into time
+uses the charge the runs paid.  A cap of zero or
 less skips the loop.  A one-entry table is no special case: lg 1 = 0, so
 its passes cost nothing, and with a finite positive cap it makes one pass,
 whose one round draws j = 0 and ends the search; the harness gives it a cap
@@ -53,6 +54,7 @@ from .table import Table
 __all__ = [
     "RunResult",
     "find_minimum",
+    "init_charge",
     "INIT_CHARGE_POLICY",
 ]
 
@@ -86,6 +88,11 @@ class RunResult:
     history: list[tuple[float, int]] | None = field(compare=False)
 
 
+def init_charge(n: int) -> float:
+    """The lg N time steps one initialization over a table of n entries costs."""
+    return math.log2(n)
+
+
 def find_minimum(
     table: Table, backend: Backend, growth: float, cap: float, rng
 ) -> RunResult:
@@ -112,22 +119,24 @@ def find_minimum(
     t = rank_of(y) - 1
     ladder = None
     history = [(0.0, y)]
-    # The account: lg N per initialization, one step per search iteration.
-    # ``spent`` can end above ``cap`` by at most one initialization, since
-    # the cap is only noticed once crossed; iterations are truncated at it.
-    lg_n = math.log2(n)
+    # The account is two integers, (passes, steps); the time spent,
+    # passes * lg N + steps, is computed from them where it is compared with
+    # the cap and where a move is recorded.  It can end above ``cap`` by at
+    # most one initialization, since the cap is only noticed once crossed;
+    # iterations are truncated at it.
+    lg_n = init_charge(n)
     spent, passes, steps = 0.0, 0, 0
     while cap > 0.0 and not (uncapped and t == 0):
-        spent += lg_n
         passes += 1
+        spent = passes * lg_n + steps
         # max(0.0, cap - spent) without the builtin call, which costs as
         # much as the rest of this bookkeeping.
         remaining = cap - spent if spent < cap else 0.0
         if not analytic:
             ladder = GroverLadder(values < values[y])
         hit, used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
-        spent += used
         steps += used
+        spent = passes * lg_n + steps
         if hit:
             # A hit always improves the threshold.
             y = order.item(index) if analytic else index

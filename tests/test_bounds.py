@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qminfind.bounds import (
+    SweepResult,
     expected_cost_bound,
     expected_search_cost_bound,
     harmonic_number,
@@ -106,6 +108,25 @@ def test_sweeps_hold_over_a_prefix():
     harmonic = sweep_harmonic_bound(10**5)
     assert harmonic.ok
     assert 2 <= harmonic.worst_n <= 10**5
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 17, 1024, 10**5])
+def test_in_place_sums_and_sweeps_keep_the_bits_of_the_plain_formulas(n_max):
+    # They compute in place to hold two arrays of the sweep length, not six;
+    # the reports keep their bytes only if every value keeps its bits.
+    r = np.arange(1, n_max, dtype=np.float64)
+    terms = 1.0 / ((r + 1.0) * np.sqrt(r))
+    n = np.arange(2, n_max + 1, dtype=np.float64)
+    harmonic = np.cumsum(1.0 / np.arange(1, n_max + 1, dtype=np.float64))
+    plain = {
+        sweep_search_cost_bound: 4.5 * np.cumsum(terms) / 11.25,
+        sweep_harmonic_bound: (harmonic[1:] - 1.0) * np.log2(n) / (0.7 * np.log2(n) ** 2),
+    }
+    for sweep, ratios in plain.items():
+        worst = int(np.argmax(ratios))
+        ratio = float(ratios[worst])
+        assert sweep(n_max) == SweepResult(ratio <= 1.0, worst + 2, ratio)
+    assert expected_search_cost_bound(n_max) == 4.5 * math.sqrt(n_max) * float(np.sum(terms))
 
 
 def test_sweep_domain():

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -461,11 +462,6 @@ def test_lemma1_dup_estimate_is_the_signed_worst_deviation():
     assert report.passed
 
 
-def _full_ranks_record(table, result):
-    """Every rank of the run's table, and the ranks its threshold held."""
-    return table.ranks, [table.ranks.item(y) for _, y in result.history]
-
-
 @pytest.mark.parametrize(
     ("fields", "table_values"),
     [
@@ -482,12 +478,10 @@ def _full_ranks_record(table, result):
         "exact-workers-2",
     ],
 )
-def test_lemma1_fold_matches_a_per_run_bincount_fold(
-    monkeypatch, tmp_path, fields, table_values
-):
-    # The report counts ranks by the config's table kind; the reference
-    # counts every run's ranks and chosen ranks with its own bincount over
-    # the same runs.
+def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_values):
+    # The report counts ranks by the config's table kind, once per span
+    # unless each run draws a dup table; the reference counts every run's
+    # ranks and chosen ranks with its own bincount over the same runs.
     if table_values is not None:
         path = tmp_path / "table.txt"
         path.write_text("".join(f"{v}\n" for v in table_values))
@@ -495,28 +489,11 @@ def test_lemma1_fold_matches_a_per_run_bincount_fold(
     config = ExperimentConfig(experiment="lemma1", n=8, runs=300, seed=4, **fields)
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = np.zeros(config.n + 1, dtype=np.int64)
-    for ranks, chosen_ranks in harness._map_runs(config, ("lemma1",), _full_ranks_record):
-        represented += np.bincount(ranks, minlength=config.n + 1)
+    for table, result in harness._run_span(config, ("lemma1",), (0, config.runs)):
+        chosen_ranks = [table.ranks.item(y) for _, y in result.history]
+        represented += np.bincount(table.ranks, minlength=config.n + 1)
         chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
-    # Only a drawn dup table's record ships its rank classes, at most k.
-    records = []
-    map_runs = harness._map_runs
-
-    def recording_map_runs(*args):
-        for record in map_runs(*args):
-            records.append(record)
-            yield record
-
-    monkeypatch.setattr(harness, "_map_runs", recording_map_runs)
     report = run_experiment(config)
-    assert len(records) == config.runs
-    for classes, _ in records:
-        if table_values is None and config.dup_k is not None:
-            ranks, counts = classes
-            assert len(ranks) == len(counts) <= config.dup_k
-            assert counts.sum() == config.n
-        else:
-            assert classes is None
     rows = {row["rank"]: (row["pairs"], row["ever_chosen"]) for row in report.rows}
     expected = {
         r: (int(represented[r]), int(chosen[r])) for r in range(1, config.n + 1) if represented[r]
@@ -526,18 +503,19 @@ def test_lemma1_fold_matches_a_per_run_bincount_fold(
 
 CHECK_COLUMNS = ["check", "t", "j", "estimate", "expected", "tolerance", "p_value", "ok"]
 UNIFORMITY = {f"uniformity-{c}-{b.value}" for b in Backend for c in ("hit", "miss")}
+SUCCESS_CHECKS = {"success-floor", "ledger-budget"}
 EQUIVALENCE_CHECKS = {"closed-form", "fixed-j", "outcome-distribution", "full-algorithm-success"}
 
 
 @pytest.mark.parametrize(
     ("fields", "names", "passed"),
     [
-        ({"experiment": "success", "n": 16, "runs": 50}, {"success-floor"}, True),
-        ({"experiment": "success", "n": 16, "runs": 50, "boost": 2}, {"success-floor"}, True),
+        ({"experiment": "success", "n": 16, "runs": 50}, SUCCESS_CHECKS, True),
+        ({"experiment": "success", "n": 16, "runs": 50, "boost": 2}, SUCCESS_CHECKS, True),
         # A one-step cap examines nothing, so the floor check fails.
         (
             {"experiment": "success", "n": 64, "runs": 300, "seed": 2, "timeout": 1.0},
-            {"success-floor"},
+            SUCCESS_CHECKS,
             False,
         ),
         (
@@ -584,6 +562,22 @@ def test_every_verdict_is_all_of_its_checks(fields, names, passed):
     assert json.loads(report.to_json())["passed"] is report.passed
     if passed is not None:
         assert report.passed is passed
+
+
+@pytest.mark.parametrize(("n", "passes", "steps"), [(100, 4, 10), (1000, 5, 3)])
+def test_ledger_check_allows_for_rounding_at_a_non_power_of_two_n(n, passes, steps):
+    # A timeout of exactly passes * lg N + steps lets a run start its last
+    # pass with spent equal to the cap, so it ends on cap + lg N up to
+    # rounding: some runs' floats read one ulp above it.  Correct code must
+    # pass the ledger check all the same.
+    lg_n = math.log2(n)
+    cap = passes * lg_n + steps
+    config = ExperimentConfig(experiment="success", n=n, runs=200, seed=1, timeout=cap)
+    runs = harness._run_span(config, ("success",), (0, config.runs))
+    spent = max(result.total_spent for _, result in runs)
+    assert cap + lg_n < spent <= (cap + lg_n) * (1 + 2**-50)
+    checks = {check["check"]: check for check in run_experiment(config).checks}
+    assert (checks["ledger-budget"]["estimate"], checks["ledger-budget"]["ok"]) == (0, True)
 
 
 def test_expected_cost_report_compares_both_bounds():
@@ -837,6 +831,53 @@ def test_workers_are_clamped_to_runs_and_cpus(monkeypatch, workers, runs, cpus, 
     assert report.to_json() == serial.to_json()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"experiment": "success", "n": 100, "runs": 300},
+        {"experiment": "expected-cost", "n": 16, "runs": 300},
+        {"experiment": "expected-cost", "n": 100, "runs": 300},
+        {"experiment": "lemma1", "n": 16, "runs": 300},
+        {"experiment": "lemma1", "n": 16, "runs": 300, "mode": "dup:8"},
+        {"experiment": "lemma1", "n": 8, "runs": 300, "table_path": "ties"},
+        {"experiment": "single-run", "n": 100, "runs": 300},
+    ],
+    ids=["success", "cost-16", "cost-100", "lemma1", "lemma1-dup", "lemma1-table", "single-run"],
+)
+def test_reports_do_not_depend_on_how_the_runs_are_split(monkeypatch, tmp_path, fields):
+    # The parent adds up exact per-span sums (or concatenates records in
+    # span order), so every split of the run range, however uneven, renders
+    # the bytes of one serial span.
+    if "table_path" in fields:
+        path = tmp_path / "table.txt"
+        path.write_text("4\n2\n7\n2\n9\n0\n4\n0\n")
+        fields = {**fields, "table_path": str(path)}
+    serial = run_experiment(ExperimentConfig(**fields, seed=6))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for edges in ([0, 1, 300], [0, 299, 300], [0, 3, 4, 181, 300], [0, 97, 98, 99, 250, 300]):
+        monkeypatch.setattr(harness, "_spans", lambda runs, pieces: list(zip(edges, edges[1:])))
+        split = run_experiment(ExperimentConfig(**fields, seed=6, workers=2))
+        for fmt in ("json", "csv"):
+            assert split.render(fmt) == serial.render(fmt), edges
+    assert len(_InlineExecutor.started) == 4
+
+
+@pytest.mark.parametrize("experiment", ["success", "expected-cost"])
+def test_fold_state_does_not_grow_with_the_runs(experiment):
+    # Each span folds its runs into a few integer sums, so 2 * 10^4 runs
+    # keep no per-run record; holding one per run took about 3.5 MB here.
+    run_experiment(ExperimentConfig(experiment=experiment, n=4, runs=10, seed=1))
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentConfig(experiment=experiment, n=4, runs=20_000, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("mode", ["distinct", "dup:3"])
 def test_analytic_runs_fetch_the_shared_distinct_table_once_per_span(monkeypatch, workers, mode):
@@ -854,7 +895,9 @@ def test_analytic_runs_fetch_the_shared_distinct_table_once_per_span(monkeypatch
     monkeypatch.setattr(_InlineExecutor, "started", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = ExperimentConfig(experiment="success", n=16, runs=40, seed=3, mode=mode, workers=workers)
-    tables = list(harness._map_runs(config, ("success",), lambda table, result: table))
+    (tables,) = harness._fold_runs(
+        config, ("success",), lambda config, runs: ([table for table, _ in runs],)
+    )
     assert len(tables) == config.runs
     if mode == "distinct":
         spans = 1 if workers == 1 else len(_spans(config.runs, 4 * workers))
