@@ -10,23 +10,28 @@ Starting from the uniform state with t of N indices marked, j iterations
 rotate the marked-subset amplitude to sin((2j+1) * theta) with
 theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form.
 
-``GroverLadder`` serves searches that measure many rounds under one
-fixed marked set: every round starts from the uniform state, so the state
+The law of a search depends only on N and t, not on which t indices are
+marked (Boyer, Brassard, Hoyer and Tapp), so the exact backend works in
+rank space: it marks indices 0..t-1, the first t positions of a table's
+sorted order, and a caller maps a measured position back to its table.
+
+``GroverLadder(n, t)`` serves searches that measure many rounds under one
+marked count: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
 passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
 draws one index from such a state, and every measurement of the exact
 backend is one call to it.  Its j = 0 CDF is the uniform state's, which is
-the same for every marked set over N indices, so one read-only copy per N
-is shared by all ladders; the ladder copies its amplitude vector from the
-shared uniform one only at its first iteration, and an iteration negates
-the marked amplitudes in place under the mask.  The ladder is
-the one holder of a marked set: the exact backend's searches, its
+the same for every t, so one read-only copy per N is shared by all
+ladders; the ladder copies its amplitude vector from the shared uniform
+one only at its first iteration, and an iteration negates the slice of
+its first t amplitudes in place.  The exact backend's searches, its
 closed-form t = 0 draw and equivalence's fixed-j draws and closed-form
 check all read one.  The test suite keeps an independent statevector
 reference (``tests/reference_grover.py``) that evolves one immutable
 state per iteration under a predicate queried afresh each time; the
-ladder's states match it bit for bit.
+ladder's states match it bit for bit with the first t indices marked, and
+within 1e-12 once a scattered marked set's probabilities are put first.
 """
 from __future__ import annotations
 
@@ -52,11 +57,15 @@ def rotation_angle(n: int, t: int) -> float:
     sin^2((2j+1) * theta); callers that evaluate many j for one (n, t)
     compute theta once here.
     """
+    _check_counts(n, t)
+    return math.asin(math.sqrt(t / n))
+
+
+def _check_counts(n: int, t: int) -> None:
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError(f"n must be positive, got {n}")
     if not 0 <= t <= n:
         raise ValueError(f"marked count t={t} outside [0, {n}]")
-    return math.asin(math.sqrt(t / n))
 
 
 def _check_norm(norm_sq: float) -> None:
@@ -74,13 +83,14 @@ def _uniform_amplitudes(n: int) -> np.ndarray:
     return amps
 
 
-def _reflect(amps: np.ndarray, mask: np.ndarray) -> None:
-    """One iteration in place: negate the amplitudes ``mask`` marks, then invert about the mean."""
+def _reflect(amps: np.ndarray, t: int) -> None:
+    """One iteration in place: negate the first t amplitudes, then invert about the mean."""
     # Bare ufunc calls: the same loops as the in-place operators and the sum
     # method, without their dispatch.  The mean is the same float as
     # ``amps.mean()``, which divides this sum by the count; as a Python
     # complex it skips the numpy scalar's conversion inside ``subtract``.
-    np.negative(amps, out=amps, where=mask)
+    marked = amps[:t]
+    np.negative(marked, out=marked)
     np.subtract(complex(2.0 * (np.add.reduce(amps) / len(amps))), amps, out=amps)
 
 
@@ -106,28 +116,24 @@ def _uniform_cdf(n: int) -> memoryview:
 class GroverLadder:
     """Measurement CDFs after 0, 1, 2, ... iterations from the uniform state.
 
-    ``mask`` is the marked set: a 1-D boolean array of size n >= 1, kept
-    as given and made read-only, since the states the ladder keeps hold
-    only for the set they were computed under.  ``cdf(0)`` is the shared
-    uniform CDF of size n.  The first ``cdf(j)`` with j >= 1 copies the
-    shared uniform amplitude vector; from then on ``cdf(j)`` extends that
-    copy in place by the iterations not yet computed, each negating the
-    amplitudes the mask marks, and keeps the CDF of each state it passes
-    (norm-checked once, a read-only ``memoryview``), so each iteration is
-    computed once and depth j holds j + 1 CDFs of n floats.
-    ``measure(j, rng)`` reads the state through ``cdf(j)`` and draws one
-    index from it, so measuring a state the ladder already holds computes
-    nothing.  A ladder serves every exact search under its marked set: an
-    exact pass of ``find_minimum`` builds one per threshold, an equivalence
-    cell one per (n, t).
+    The ladder's n >= 1 indices have their first t marked, 0 <= t <= n.
+    ``cdf(0)`` is the shared uniform CDF of size n.  The first ``cdf(j)``
+    with j >= 1 copies the shared uniform amplitude vector; from then on
+    ``cdf(j)`` extends that copy in place by the iterations not yet
+    computed, each negating amplitudes 0..t-1, and keeps the CDF of each
+    state it passes (norm-checked once, a read-only ``memoryview``), so
+    each iteration is computed once and depth j holds j + 1 CDFs of n
+    floats.  ``measure(j, rng)`` reads the state through ``cdf(j)`` and
+    draws one index from it, so measuring a state the ladder already holds
+    computes nothing.  A ladder serves every exact search over its (n, t):
+    an exact pass of ``find_minimum`` builds one per threshold, an
+    equivalence cell one per (n, t).
     """
 
-    def __init__(self, mask: np.ndarray):
-        if mask.ndim != 1 or len(mask) < 1:
-            raise ValueError(f"mask has shape {mask.shape}, expected (n,) with n >= 1")
-        mask.setflags(write=False)
-        self.mask = mask
-        self._cdfs = [_uniform_cdf(len(mask))]
+    def __init__(self, n: int, t: int):
+        _check_counts(n, t)
+        self.n, self.t = n, t
+        self._cdfs = [_uniform_cdf(n)]
         self._amps: np.ndarray | None = None
 
     def cdf(self, j: int) -> memoryview:
@@ -138,9 +144,9 @@ class GroverLadder:
                 raise ValueError("iteration count must be >= 0")
             return cdfs[j]
         if self._amps is None:
-            self._amps = _uniform_amplitudes(len(self.mask)).copy()
+            self._amps = _uniform_amplitudes(self.n).copy()
         while len(cdfs) <= j:
-            _reflect(self._amps, self.mask)
+            _reflect(self._amps, self.t)
             cdfs.append(_measured(self._amps))
         return cdfs[j]
 

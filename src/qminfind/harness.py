@@ -21,17 +21,18 @@ products of the (passes, steps) accounts), lemma1's O(n) rank counts, or
 accumulators, and each mean and standard error is one correctly rounded
 division of the exact sums, so a report cannot depend on how the run range
 is split: it is byte-identical for any worker count, and the fold's state
-does not grow with the number of runs.  Without a table file, analytic runs
-use their values in sorted order (the analytic law depends only on ranks),
-so an analytic ``single-run`` ``returned_index`` is a rank-order position;
-exact runs draw randomly arranged tables.  Reports deliberately contain no
-wall-clock data; timing goes to stderr in the CLI layer.
+does not grow with the number of runs.  Without a table file, runs on both
+backends take their values in sorted order (``sorted_table``; the law of a
+run depends only on ranks), so a ``single-run`` ``returned_index`` is a
+rank-order position; on a table file it is an index into the file.
+Reports deliberately contain no wall-clock data; timing goes to stderr in
+the CLI layer.
 
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
 config per backend.  Its other checks take one pass per (n, t) cell under
-one ``GroverLadder`` marking 0..t-1, which serves the cell's fixed-j draws
-and all of its exact searches; both backends' searches go through
-``qsearch.search``, the call every algorithm run makes.  Neither it nor
+one ``GroverLadder(n, t)``, the ladder an exact pass builds, which serves
+the cell's fixed-j draws and all of its exact searches; both backends'
+searches go through ``qsearch.search``, the call every algorithm run makes.  Neither it nor
 ``bounds`` takes a depth or size: both reach as far as n needs.
 
 Verdict conventions: every verdict is a list of ``_check_row`` checks, and a
@@ -70,7 +71,7 @@ from .grover import GroverLadder, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, init_charge
 from .qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
 from .seeding import derive_stream
-from .table import Table, generate_table, read_table, sorted_table
+from .table import Table, read_table, sorted_table
 
 __all__ = [
     "ExperimentConfig",
@@ -507,24 +508,16 @@ def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
 
 def _run_span(config: ExperimentConfig, key: tuple, span) -> Iterator[tuple[Table, RunResult]]:
     """Yield the ``(table, result)`` of each run in ``span``, in run order."""
-    # Without a table file, the exact backend, the reference, draws randomly
-    # arranged tables.  The analytic law depends only on ranks, so analytic
-    # runs take their values in sorted order; the distinct one is a shared,
-    # read-only 0..n-1 that reads nothing from the stream, fetched once.
-    table = config.fixed_table
-    k = config.dup_k
-    draw_table = None
-    if table is None:
-        if config.backend is Backend.EXACT_STATEVECTOR:
-            draw_table = generate_table
-        elif k is None:
-            table = sorted_table(config.n, None)
-        else:
-            draw_table = sorted_table
+    # Without a table file, runs take their values in sorted order: the
+    # law of a run depends only on ranks.  The distinct table is a shared,
+    # read-only 0..n-1 that reads nothing from the stream, fetched once; a
+    # dup table is drawn per run.
+    fixed = config.fixed_table
+    if fixed is None and config.dup_k is None:
+        fixed = sorted_table(config.n, None)
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
-        if draw_table is not None:
-            table = draw_table(config.n, rng, k)
+        table = fixed if fixed is not None else sorted_table(config.n, rng, config.dup_k)
         yield table, _run(config, table, rng)
 
 
@@ -540,8 +533,8 @@ def _fold_runs(config: ExperimentConfig, key: tuple, fold) -> tuple:
     """Fold every run with ``fold(config, runs)``, span by span, and add up the span folds.
 
     Run i draws its table (unless a table file fixes it, or the runs share
-    the analytic backend's distinct table, which draws nothing) and then
-    its run from the stream (seed, *key, i).  ``fold`` takes an iterator
+    the distinct sorted table, which draws nothing) and then its run from
+    the stream (seed, *key, i).  ``fold`` takes an iterator
     over a span's ``(table, result)`` pairs and returns a tuple whose
     entries add: Python ints (exact sums), numpy count arrays, or a list,
     which span order concatenates in run order.  So the total is the same
@@ -771,7 +764,7 @@ def closed_form_deviation(n: int, depth: int) -> float:
     """
     worst = 0.0
     for t in range(n + 1):
-        ladder = GroverLadder(np.arange(n) < t)
+        ladder = GroverLadder(n, t)
         for j in range(depth + 1):
             marked = ladder.cdf(j)[t - 1] if t else 0.0
             worst = max(worst, abs(marked - success_probability(n, t, j)))
@@ -790,12 +783,12 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     compare measurement frequencies at pinned iteration counts with the
     closed form; search rows check that hit and miss indices are uniform
     within their class and that both backends' (hit, iterations) laws agree.
-    With 0..t-1 marked, an analytic search's class position is its index.
+    With 0..t-1 marked, a search's position is its index.
     """
     from scipy.stats import binomtest
 
     n = config.n
-    ladder = GroverLadder(np.arange(n) < t)
+    ladder = GroverLadder(n, t)
     samples = min(config.runs, 20_000)
     measure = ladder.measure
     fixed_rows = []

@@ -33,14 +33,14 @@ of 0 (``ExperimentConfig.cap``), so there it makes none.
 
 Every pass makes one ``search`` call with t = rank(y) - 1 marked: the
 entries strictly smaller than T[y] (so y itself is never marked, and an
-all-duplicates table has nothing marked).  An exact pass hands it the
-threshold's ``GroverLadder`` over that mask and moves the threshold to
-the index it measured.  An analytic pass works in rank space and builds
-no mask: the t marked entries are the first t of the table's sorted order,
-so the class position the search draws is a position in that order.  A hit
-moves the threshold to one of those t entries, which always improves it;
-a miss draws its unmarked position all the same, since it is part of the
-run's stream (a boosted experiment runs several runs on one stream).
+all-duplicates table has nothing marked).  Both backends work in rank
+space: the t marked entries are the first t of the table's sorted order,
+so the position the search returns is a position in that order, which
+``order`` maps to a table index.  An exact pass hands
+the search a ``GroverLadder(N, t)``; an analytic pass hands it none.  A
+hit moves the threshold to one of those t entries, which always improves
+it; a miss draws its unmarked position all the same, since it is part of
+the run's stream (a boosted experiment runs several runs on one stream).
 """
 from __future__ import annotations
 
@@ -106,12 +106,12 @@ def find_minimum(
     On a one-entry table a finite positive cap buys one pass that costs 0
     steps: lg 1 = 0, and its one round draws j = 0.
     """
-    values, order = table.values, table.order
-    n = len(values)
+    order = table.order
+    n = len(order)
     y = rng.randrange(n)
     uncapped = cap == math.inf
 
-    analytic = backend is Backend.ANALYTIC_SAMPLER
+    exact = backend is Backend.EXACT_STATEVECTOR
     # ``item`` reads a Python int, not a numpy scalar that would need
     # converting.  Entries strictly below the threshold: the ones its
     # search marks.
@@ -132,14 +132,15 @@ def find_minimum(
         # max(0.0, cap - spent) without the builtin call, which costs as
         # much as the rest of this bookkeeping.
         remaining = cap - spent if spent < cap else 0.0
-        if not analytic:
-            ladder = GroverLadder(values < values[y])
+        if exact:
+            ladder = GroverLadder(n, t)
         hit, used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
         steps += used
         spent = passes * lg_n + steps
         if hit:
-            # A hit always improves the threshold.
-            y = order.item(index) if analytic else index
+            # A hit always improves the threshold: ``index`` is one of the
+            # first t positions of the sorted order.
+            y = order.item(index)
             t = rank_of(y) - 1
             history.append((spent, y))
         if interrupted or spent > cap:

@@ -11,26 +11,28 @@ it would run forever, so a time-step budget bounds it from outside.
 One function, ``search``, runs the rounds of both backends over the
 counts N and t and draws the index of both: the caps ceil(m) (computed
 once per (N, growth) by ``_round_schedule``), the j draw, truncation to
-the budget and the stop rule.  The backends differ only in how a round is
-measured and where the index comes from:
+the budget and the stop rule.  Both backends work in rank space: the t
+marked indices are 0..t-1, so a search returns a position in its caller's
+sorted order (``find_minimum`` maps it to a table index through the
+table's ``order``; equivalence cells take it as the index itself), and a
+hit is a position below t.  The backends differ only in how a round is
+measured and where the position comes from:
 
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
   sin^2((2j+1) arcsin(sqrt(t/N))) in O(1) per round, independent of N.
-  The index is uniform within the success or failure class whatever the
-  rounds did, so the search draws a class position once the rounds end:
-  one of 0..t-1 on a hit, one of t..N-1 on a miss.  ``find_minimum`` reads
-  it as a position in its table's sorted order; equivalence cells mark
-  0..t-1, so there it is the index itself.
+  The position is uniform within the success or failure class whatever
+  the rounds did, so the search draws it once the rounds end: one of
+  0..t-1 on a hit, one of t..N-1 on a miss.
 * ``EXACT_STATEVECTOR`` measures the state after j iterations with one
-  ``GroverLadder.measure`` call on the caller's ladder, and returns the
-  last index measured; it never reads the rotation angle.
-  Every round starts from the uniform state, so a ladder kept across
-  searches computes each iteration once; each is still charged one time
-  step, as in every round.
+  ``GroverLadder.measure`` call on the caller's ``GroverLadder(N, t)``,
+  and returns the last position measured; it never reads the rotation
+  angle.  Every round starts from the uniform state, so a ladder kept
+  across searches computes each iteration once; each is still charged one
+  time step, as in every round.
 
 With nothing marked (t = 0, N >= 2) every round misses with certainty and
 the rounds spend a finite budget down to its floor, so the search is
-settled in closed form without rounds, and then draws one index (the
+settled in closed form without rounds, and then draws one position (the
 exact backend measures the uniform state, which no iteration moves; the
 analytic one draws an unmarked position).
 
@@ -97,10 +99,11 @@ def search(
 ) -> tuple[bool, int, bool, int]:
     """Hunt for one of t marked indices of n within ``budget`` time steps.
 
-    Returns ``(hit, iterations_used, interrupted, index)``.  ``growth``
+    Returns ``(hit, iterations_used, interrupted, index)``, where the
+    marked indices are 0..t-1, so ``hit`` is ``index < t``.  ``growth``
     must lie strictly in (1, 4/3) (see ``check_growth``).  With a
-    ``ladder`` (whose mask marks t of its n indices) the search runs on the
-    exact backend and ``index`` is the last index measured; without one it
+    ``ladder`` (a ``GroverLadder(n, t)``) the search runs on the exact
+    backend and ``index`` is the last position measured; without one it
     runs on the analytic backend, and ``index`` is a class position drawn
     after the rounds: ``randrange(t)`` on a hit, ``randrange(t, n)`` on a
     miss.  A caller maps that position to an index of its own.
@@ -132,7 +135,6 @@ def search(
             theta = rotation_angle(n, t)
         else:
             measure = ladder.measure
-            marked = ladder.mask.item
         getrandbits = rng.getrandbits
         uniform = rng.random
         sin = math.sin
@@ -157,7 +159,7 @@ def search(
                 hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
             else:
                 index = measure(j, rng)
-                hit = marked(index)
+                hit = index < t
             remaining -= j
             used += j
             if hit:

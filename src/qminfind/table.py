@@ -3,20 +3,20 @@
 A table is an array of 64-bit signed integers; the algorithms only ever
 compare entries, so the integer carrier sidesteps any floating-point
 comparison ambiguity.  Tables are immutable after construction, so they
-are safe to share across concurrent runs.  An exact pass of
-``find_minimum`` marks the entries strictly below its threshold with a
-boolean mask over the table; an analytic pass reads only ``order`` and
-``ranks``.
+are safe to share across concurrent runs.  A pass of ``find_minimum``
+reads only ``order`` and ``ranks``: the entries strictly below its
+threshold are the first t of the sorted order, on both backends.
 
-Two ways to draw a table: ``generate_table`` arranges its values at random,
-which the exact statevector backend needs; ``sorted_table`` holds them in
-value order, which is all the analytic law needs, since that law depends
-only on ranks and is the same for every arrangement of the values.
+``sorted_table`` is the one table draw: it holds the values in value
+order, which is all a run needs, since the law of a search depends only
+on how many entries it marks, not on where they sit.  So a drawn table's
+index is its rank-order position.  A table file (``read_table``) keeps
+the arrangement it was written in.
 
 A table carries no distinct/duplicates flag: which kind of table a batch
 of runs sees is a setting of the experiment (its mode, or the values of
-its table file), decided once there rather than on every table.  Both
-draws take the duplicates count ``k`` alone: None draws a distinct table.
+its table file), decided once there rather than on every table.  The draw
+takes the duplicates count ``k`` alone: None draws a distinct table.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "Table",
-    "generate_table",
     "sorted_table",
     "read_table",
 ]
@@ -60,48 +59,8 @@ class Table:
             object.__setattr__(self, "order", order)
             object.__setattr__(self, "ranks", ranks)
 
-    @classmethod
-    def permutation(cls, values) -> "Table":
-        """Distinct table holding a permutation of 0..n-1, with order and ranks in O(n).
-
-        Value v has rank v + 1, so a single scatter inverts the permutation
-        into ``order``.  Reading it back (``values[order] == 0..n-1``) is a
-        bijection test: it fails on a repeated value, which leaves some
-        value missing, and is why no sort or ``np.unique`` is needed.
-        """
-        vals = np.asarray(values, dtype=np.int64)
-        if vals.ndim != 1 or len(vals) < 1:
-            raise ValueError("table needs at least one value")
-        n = len(vals)
-        if vals.min() < 0 or vals.max() >= n:
-            raise ValueError(f"permutation table holds a value outside 0..{n - 1}")
-        positions = np.arange(n, dtype=np.int64)
-        order = np.zeros(n, dtype=np.int64)
-        order[vals] = positions
-        if not (vals[order] == positions).all():
-            raise ValueError("permutation table holds a duplicate value")
-        ranks = vals + 1
-        order.setflags(write=False)
-        ranks.setflags(write=False)
-        return cls(vals, order, ranks)
-
     def __len__(self) -> int:
         return len(self.values)
-
-
-def generate_table(n: int, rng, k: int | None = None) -> Table:
-    """Draw a fresh random table.
-
-    The values come from a numpy PCG64 generator seeded with 128 bits of
-    the caller's stream, so results are reproducible from the seed and the
-    caller's stream advances by the same amount for every n.
-    k=None: uniformly random permutation of 0..n-1.
-    k in 1..n: each entry drawn uniformly from the k values 0..k-1.
-    """
-    _check_request(n, k)
-    if k is None:
-        return Table.permutation(_numpy_stream(rng).permutation(n))
-    return Table(_numpy_stream(rng).integers(0, k, n))
 
 
 def sorted_table(n: int, rng, k: int | None = None) -> Table:
@@ -113,10 +72,14 @@ def sorted_table(n: int, rng, k: int | None = None) -> Table:
     multinomial draw (the law of n uniform draws below k), taken from a
     numpy PCG64 generator seeded with 128 bits of the caller's stream.
     """
-    _check_request(n, k)
+    if n < 1:
+        raise ValueError("table size must be >= 1")
     if k is None:
         return _identity_table(n)
-    counts = _numpy_stream(rng).multinomial(n, np.full(k, 1.0 / k))
+    if not 1 <= k <= n:
+        raise ValueError(f"duplicates count needs 1 <= k <= {n}, got {k}")
+    numpy_stream = np.random.Generator(np.random.PCG64(rng.getrandbits(128)))
+    counts = numpy_stream.multinomial(n, np.full(k, 1.0 / k))
     # The values are sorted: their order is the identity, and each value's
     # entries rank 1 + the entries below them, so no ``Table`` sort is needed.
     ranks = np.repeat(np.cumsum(counts) - counts + 1, counts)
@@ -125,20 +88,14 @@ def sorted_table(n: int, rng, k: int | None = None) -> Table:
     return Table(values, _identity_table(n).order, ranks)
 
 
-def _check_request(n: int, k: int | None) -> None:
-    if n < 1:
-        raise ValueError("table size must be >= 1")
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"duplicates count needs 1 <= k <= {n}, got {k}")
-
-
 @lru_cache(maxsize=8)
 def _identity_table(n: int) -> Table:
-    return Table.permutation(np.arange(n, dtype=np.int64))
-
-
-def _numpy_stream(rng) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(rng.getrandbits(128)))
+    """The values 0..n-1 in order: value v sits at index v and has rank v + 1."""
+    positions = np.arange(n, dtype=np.int64)
+    ranks = positions + 1
+    positions.setflags(write=False)
+    ranks.setflags(write=False)
+    return Table(positions, positions, ranks)
 
 
 def read_table(path: str | Path) -> Table:

@@ -32,7 +32,8 @@ from qminfind.grover import GroverLadder, success_probability
 from qminfind.minfind import find_minimum
 from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
-from qminfind.table import generate_table, sorted_table
+from qminfind.table import sorted_table
+from shuffled_table import shuffled_table
 
 RECORD_FIELDS = [
     "n",
@@ -706,9 +707,9 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
 
 
 def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
-    # Each cell builds one ladder marking 0..t-1, which serves the cell's
-    # fixed-j draws and is handed to every exact search of the cell; its
-    # analytic searches get none.
+    # Each cell builds one ladder of (n, t), which serves the cell's fixed-j
+    # draws and is handed to every exact search of the cell; its analytic
+    # searches get none.
     ladders = []
     handed = []
     cells = {}
@@ -716,9 +717,9 @@ def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
     search = harness.search
     cell = harness._equivalence_cell
 
-    def counting_build(self, mask):
+    def counting_build(self, n, t):
         ladders.append(self)
-        build(self, mask)
+        build(self, n, t)
 
     def recording_search(n, t, budget, growth, rng, ladder=None):
         handed.append(ladder)
@@ -736,7 +737,7 @@ def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
     run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=200, seed=1))
     assert sorted(cells) == harness._equivalence_cells(16)
     for t, ((ladder,), searches) in cells.items():
-        assert ladder.mask.tolist() == [i < t for i in range(16)]
+        assert (ladder.n, ladder.t) == (16, t)
         assert searches == [ladder] * 200 + [None] * 200
 
 
@@ -939,51 +940,41 @@ def test_serial_runs_load_no_process_machinery():
     assert json.loads(result.stdout) == []
 
 
-def test_runs_draw_sorted_tables_on_the_analytic_backend_only(monkeypatch):
-    # Without a table file, exact runs draw a random arrangement per run and
-    # analytic runs a sorted table: the shared distinct one once per span,
-    # a dup one per run.
+def test_runs_draw_sorted_tables_on_both_backends(monkeypatch):
+    # Without a table file, runs on either backend take a sorted table: the
+    # shared distinct one once per span, a dup one per run.
     calls = Counter()
 
-    def counting(draw):
-        def counted(n, rng, k=None):
-            calls[draw.__name__] += 1
-            return draw(n, rng, k)
+    def counted(n, rng, k=None):
+        calls[k] += 1
+        return sorted_table(n, rng, k)
 
-        return counted
-
-    monkeypatch.setattr(harness, "sorted_table", counting(sorted_table))
-    monkeypatch.setattr(harness, "generate_table", counting(generate_table))
-    expected = {
-        (Backend.EXACT_STATEVECTOR, "distinct"): {"generate_table": 5},
-        (Backend.EXACT_STATEVECTOR, "dup:3"): {"generate_table": 5},
-        (Backend.ANALYTIC_SAMPLER, "distinct"): {"sorted_table": 1},
-        (Backend.ANALYTIC_SAMPLER, "dup:3"): {"sorted_table": 5},
-    }
-    for (backend, mode), drawn in expected.items():
-        calls.clear()
-        run_experiment(
-            ExperimentConfig(experiment="success", n=16, runs=5, backend=backend, mode=mode)
-        )
-        assert calls == drawn
-    # The choice reaches the runs: analytic single-run records return
-    # rank-order positions, so index 0 is the minimum of a distinct table.
-    report = run_experiment(ExperimentConfig(experiment="single-run", n=16, runs=40, seed=3))
-    for row in report.rows:
-        assert row["returned_is_minimum"] == (row["returned_index"] == 0)
+    monkeypatch.setattr(harness, "sorted_table", counted)
+    for backend in Backend:
+        for mode, drawn in (("distinct", {None: 1}), ("dup:3", {3: 5})):
+            calls.clear()
+            run_experiment(
+                ExperimentConfig(experiment="success", n=16, runs=5, backend=backend, mode=mode)
+            )
+            assert calls == drawn
+        # The choice reaches the runs: single-run records return rank-order
+        # positions, so index 0 is the minimum of a distinct table.
+        config = ExperimentConfig(experiment="single-run", n=16, runs=40, seed=3, backend=backend)
+        for row in run_experiment(config).rows:
+            assert row["returned_is_minimum"] == (row["returned_index"] == 0)
 
 
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("uncapped", [False, True], ids=["capped", "uncapped"])
 def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, uncapped):
-    # The analytic law depends only on ranks, so runs on the table analytic
-    # runs draw must be distributed as runs on random permutations: compare
-    # loop passes and first-hit times by a two-sample chi-square.
+    # The analytic law depends only on ranks, so runs on the sorted table
+    # the runs draw must be distributed as runs on random permutations:
+    # compare loop passes and first-hit times by a two-sample chi-square.
     runs = 2500
     cap = math.inf if uncapped else timeout_cap(n)
     passes = {"sorted": Counter(), "random": Counter()}
     first_hit = {"sorted": Counter(), "random": Counter()}
-    for label, source in (("sorted", sorted_table), ("random", generate_table)):
+    for label, source in (("sorted", sorted_table), ("random", shuffled_table)):
         for i in range(runs):
             rng = derive_stream(17, "unit-rank-space", label, n, i)
             table = source(n, rng)

@@ -14,7 +14,8 @@ from qminfind.harness import ExperimentConfig
 from qminfind.minfind import RunResult, find_minimum
 from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
-from qminfind.table import Table, generate_table, read_table, sorted_table
+from qminfind.table import Table, read_table, sorted_table
+from shuffled_table import shuffled_table
 
 ANALYTIC = Backend.ANALYTIC_SAMPLER
 GROWTH = DEFAULT_GROWTH
@@ -22,7 +23,7 @@ GROWTH = DEFAULT_GROWTH
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
-    table = generate_table(64, random.Random(20))
+    table = shuffled_table(64, random.Random(20))
     for seed in range(20):
         for cap in (timeout_cap(64), math.inf, 30.0):
             rng = derive_stream(seed, "unit-account", backend.value)
@@ -53,7 +54,7 @@ def test_single_entry_table_is_immediate():
 
 
 def test_zero_cap_returns_unexamined_start():
-    table = generate_table(32, random.Random(1))
+    table = shuffled_table(32, random.Random(1))
     result = find_minimum(table, ANALYTIC, GROWTH, 0.0, random.Random(2))
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
@@ -63,7 +64,7 @@ def test_zero_cap_returns_unexamined_start():
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 128))
 def test_capped_run_respects_budget_accounting(seed, n):
-    table = generate_table(n, random.Random(seed))
+    table = shuffled_table(n, random.Random(seed))
     cap = timeout_cap(n)
     result = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(seed, "unit-cap", n))
     # Init charges land before the overrun check, so a run may finish at
@@ -75,7 +76,7 @@ def test_capped_run_respects_budget_accounting(seed, n):
 
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64))
 def test_uncapped_run_always_finds_the_minimum(seed, n):
-    table = generate_table(n, random.Random(seed))
+    table = shuffled_table(n, random.Random(seed))
     result = find_minimum(table, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-inf", n))
     assert result.returned_is_minimum
     assert table.ranks[result.returned_index] == 1
@@ -84,14 +85,14 @@ def test_uncapped_run_always_finds_the_minimum(seed, n):
 
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64), k=st.integers(1, 8))
 def test_uncapped_run_reaches_minimal_value_with_duplicates(seed, n, k):
-    table = generate_table(n, random.Random(seed), k=min(k, n))
+    table = shuffled_table(n, random.Random(seed), k=min(k, n))
     result = find_minimum(table, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-dup", n, k))
     assert int(table.values[result.returned_index]) == table.values.min()
 
 
 @given(seed=st.integers(0, 2000))
 def test_history_thresholds_strictly_improve(seed):
-    table = generate_table(48, random.Random(seed), k=6)
+    table = shuffled_table(48, random.Random(seed), k=6)
     result = find_minimum(table, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-hist"))
     times = [entry[0] for entry in result.history]
     values = [int(table.values[entry[1]]) for entry in result.history]
@@ -102,7 +103,7 @@ def test_history_thresholds_strictly_improve(seed):
 
 
 def test_history_records_first_hit():
-    table = generate_table(16, random.Random(5))
+    table = shuffled_table(16, random.Random(5))
     result = find_minimum(table, ANALYTIC, GROWTH, timeout_cap(16), random.Random(6))
     if result.returned_is_minimum:
         assert result.first_hit_time is not None
@@ -111,7 +112,7 @@ def test_history_records_first_hit():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_runs_are_deterministic_per_stream(backend):
-    table = generate_table(32, random.Random(7))
+    table = shuffled_table(32, random.Random(7))
     cap = timeout_cap(32)
     a = find_minimum(table, backend, GROWTH, cap, derive_stream(8, "unit-det", backend.value))
     b = find_minimum(table, backend, GROWTH, cap, derive_stream(8, "unit-det", backend.value))
@@ -119,7 +120,7 @@ def test_runs_are_deterministic_per_stream(backend):
 
 
 def test_boost_one_repeat_equals_single_run():
-    table = generate_table(24, random.Random(9))
+    table = shuffled_table(24, random.Random(9))
     config = ExperimentConfig(experiment="success", n=24, boost=1)
     boosted = harness._run(config, table, derive_stream(10, "unit-boost"))
     single = find_minimum(table, ANALYTIC, GROWTH, timeout_cap(24), derive_stream(10, "unit-boost"))
@@ -129,7 +130,7 @@ def test_boost_one_repeat_equals_single_run():
 
 
 def test_boost_repeat_accumulates_cost():
-    table = generate_table(24, random.Random(11))
+    table = shuffled_table(24, random.Random(11))
     config = ExperimentConfig(experiment="success", n=24, boost=3)
     boosted = harness._run(config, table, derive_stream(12, "unit-boost3"))
     replay = derive_stream(12, "unit-boost3")
@@ -146,7 +147,7 @@ def test_boost_keeps_the_first_repetition_holding_the_least_value(backend):
     # later repetition only when its value is strictly smaller.
     stand_in = SimpleNamespace(boost=4, backend=backend, growth=GROWTH, cap=14.0)
     for seed in range(40):
-        table = generate_table(24, random.Random(seed), k=4)
+        table = shuffled_table(24, random.Random(seed), k=4)
         boosted = harness._run(stand_in, table, derive_stream(seed, "unit-boost-best"))
         replay = derive_stream(seed, "unit-boost-best")
         best = None
@@ -168,7 +169,7 @@ def test_boost_raises_success_rate():
     # ``_run`` reads.
     runs, cap = 6000, 12.0
     stand_in = SimpleNamespace(boost=3, backend=ANALYTIC, growth=GROWTH, cap=cap)
-    table = generate_table(64, random.Random(16))
+    table = shuffled_table(64, random.Random(16))
     plain_hits = boosted_hits = 0
     for i in range(runs):
         plain = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(16, "unit-plain", i))
@@ -188,7 +189,7 @@ def test_boost_raises_success_rate():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_backends_share_interfaces_end_to_end(backend):
-    table = generate_table(16, random.Random(17))
+    table = shuffled_table(16, random.Random(17))
     rng = derive_stream(18, backend.value)
     result = find_minimum(table, backend, GROWTH, math.inf, rng)
     assert result.returned_is_minimum
@@ -220,8 +221,7 @@ def test_run_results_hold_python_scalars(tmp_path, backend, kind):
         path.write_text("".join(f"{i * 7 % 5}\n" for i in range(n)))
         table = read_table(path)
     else:
-        draw = sorted_table if backend is ANALYTIC else generate_table
-        table = draw(n, random.Random(23), None if kind == "distinct" else 3)
+        table = sorted_table(n, random.Random(23), None if kind == "distinct" else 3)
     results = []
     for seed in range(10):
         rng = derive_stream(seed, "unit-scalars")

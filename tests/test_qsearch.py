@@ -15,20 +15,9 @@ from qminfind.qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_gro
 from qminfind.seeding import derive_stream
 
 
-def _first_marked(n: int, t: int) -> GroverLadder:
-    """The ladder over 0..n-1 marking the first t indices, as equivalence cells build it."""
-    return GroverLadder(np.arange(n) < t)
-
-
-def _marking(n: int, marked) -> GroverLadder:
-    mask = np.zeros(n, dtype=bool)
-    mask[list(marked)] = True
-    return GroverLadder(mask)
-
-
 def _backend_ladder(backend: Backend, n: int, t: int) -> GroverLadder | None:
-    """What a search on ``backend`` is handed: a ladder marking 0..t-1 on the exact one."""
-    return _first_marked(n, t) if backend is Backend.EXACT_STATEVECTOR else None
+    """What a search on ``backend`` is handed: a ``GroverLadder(n, t)`` on the exact one."""
+    return GroverLadder(n, t) if backend is Backend.EXACT_STATEVECTOR else None
 
 
 def test_backend_parse():
@@ -144,7 +133,7 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
 def test_exact_search_with_nothing_marked_measures_a_uniform_index():
     # The state stays uniform, so the one measurement is uniform over all n.
     n = 16
-    ladder = _first_marked(n, 0)
+    ladder = GroverLadder(n, 0)
     rng = derive_stream(8, "unit-exact-empty")
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(4000):
@@ -175,20 +164,17 @@ def test_nothing_marked_with_an_infinite_budget_is_rejected(deadline, backend, n
         search(n, 0, math.inf, DEFAULT_GROWTH, random.Random(0), _backend_ladder(backend, n, 0))
 
 
-@pytest.mark.parametrize(("marked", "budget"), [((5,), 1.0), ((1, 4, 6, 11), 0.0), ((), 9.5)])
+@pytest.mark.parametrize(("marked", "budget"), [(range(1), 1.0), (range(4), 0.0), (range(0), 9.5)])
 def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
     # A tight budget makes many searches with marked indices end on a miss
     # (with one marked index, after any number of j = 0 rounds); with
-    # nothing marked every search does.  Either way the index returned for
-    # a miss must be uniform over the unmarked indices: the ladder's own on
-    # the exact backend, the class positions t..n-1 on the analytic one.
+    # nothing marked every search does.  Either way the position returned
+    # for a miss must be uniform over the unmarked positions t..n-1, on
+    # both backends.
     n, t = 16, len(marked)
-    unmarked_sets = {
-        Backend.EXACT_STATEVECTOR: [i for i in range(n) if i not in marked],
-        Backend.ANALYTIC_SAMPLER: list(range(t, n)),
-    }
-    for backend, unmarked in unmarked_sets.items():
-        ladder = _marking(n, marked) if backend is Backend.EXACT_STATEVECTOR else None
+    unmarked = list(range(t, n))
+    for backend in Backend:
+        ladder = _backend_ladder(backend, n, t)
         rng = derive_stream(7, "unit-miss", backend.value, t)
         misses = Counter()
         for _ in range(4000):
@@ -246,7 +232,7 @@ def test_iterations_never_exceed_budget(seed, n, budget):
 
 @given(seed=st.integers(0, 10**6))
 def test_search_is_deterministic_per_stream(seed):
-    for ladder in (None, _marking(32, (3, 17))):
+    for ladder in (None, GroverLadder(32, 2)):
         a = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), ladder)
         b = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), ladder)
         assert a == b
@@ -467,27 +453,3 @@ def test_round_schedule_is_cached_per_size_and_growth():
     search(64, 1, math.inf, second, rng)
     info = _round_schedule.cache_info()
     assert (info.hits, info.currsize) == (hits + 1, 1)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_exact_backend_evaluates_the_predicate_once_per_search(monkeypatch, seed):
-    # Stronger than once per search: the marked set is evaluated once, when
-    # the caller builds its ladder, however many searches that ladder
-    # serves.  No search builds a ladder or reads a mask other than the
-    # ladder's own.  One marked index of 256: a search runs many rounds of
-    # many iterations.
-    built = []
-    build = qsearch.GroverLadder.__init__
-
-    def counting_build(self, mask):
-        built.append(self)
-        build(self, mask)
-
-    ladder = _marking(256, (7,))
-    mask = ladder.mask
-    monkeypatch.setattr(qsearch.GroverLadder, "__init__", counting_build)
-    rng = random.Random(seed)
-    used = [search(256, 1, 500.0, DEFAULT_GROWTH, rng, ladder)[1] for _ in range(4)]
-    assert min(used) > 0
-    assert not built
-    assert ladder.mask is mask
