@@ -13,7 +13,7 @@ theta = arcsin(sqrt(t/N)); ``success_probability`` is that closed form.
 The law of a search depends only on N and t, not on which t indices are
 marked (Boyer, Brassard, Hoyer and Tapp), so the exact backend works in
 rank space: it marks indices 0..t-1, the first t positions of a table's
-sorted order, and a caller maps a measured position back to its table.
+sorted order, so a measured index is a position in that order.
 
 ``GroverLadder(n, t)`` serves searches that measure many rounds under one
 marked count: every round starts from the uniform state, so the state

@@ -21,10 +21,10 @@ products of the (passes, steps) accounts), lemma1's O(n) rank counts, or
 accumulators, and each mean and standard error is one correctly rounded
 division of the exact sums, so a report cannot depend on how the run range
 is split: it is byte-identical for any worker count, and the fold's state
-does not grow with the number of runs.  Without a table file, runs on both
-backends take their values in sorted order (``sorted_table``; the law of a
-run depends only on ranks), so a ``single-run`` ``returned_index`` is a
-rank-order position; on a table file it is an index into the file.
+does not grow with the number of runs.  A run reads only its table's ranks
+in value order (the law of a run depends only on ranks) and returns a
+position in that order; on a table file, ``single-run`` maps its
+``returned_index`` through the file's ``order`` to an index into the file.
 Reports deliberately contain no wall-clock data; timing goes to stderr in
 the CLI layer.
 
@@ -118,9 +118,9 @@ FIXED_J_ALPHA = 6.334248366623973e-05
 # A search's schedule holds about ln(sqrt(n)) / ln(growth) growing rounds,
 # 63 at the default 8/7 and n = 2^24; 10^5 of them take 0.5 s and 8 MB.
 MAX_GROWING_ROUNDS = 10**5
-# A table of n values holds three int64 arrays (values, order, ranks), so
-# 2^24 entries take about 400 MB.  10^9 runs take about 14 h at 19k runs/s,
-# and stay within the int64 span edges of ``_spans``.
+# Reading a table file of 2^24 values peaks at 422 MB (VmHWM, x86-64), and
+# the table keeps two int64 arrays, 268 MB.  10^9 runs take about 14 h at
+# 19k runs/s, and stay within the int64 span edges of ``_spans``.
 MAX_N = 2**24
 MAX_RUNS = 10**9
 # From c = 54 on, the boosted floor 1 - 2^-c is exactly 1.0 in float64, so a
@@ -276,11 +276,11 @@ class ExperimentConfig:
 
     @functools.cached_property
     def mode_label(self) -> str:
-        """``distinct`` or ``dup:<k>``; a table file's kind comes from its values."""
+        """``distinct`` or ``dup:<k>``; a table file's k counts its distinct ranks."""
         table = self.fixed_table
         if table is None:
             return "distinct" if self.mode == "distinct" else f"dup:{self.dup_k}"
-        k = len(np.unique(table.values))
+        k = len(np.unique(table.ranks))
         return "distinct" if k == len(table) else f"dup:{k}"
 
     def to_dict(self) -> dict:
@@ -481,7 +481,7 @@ def _spans(runs: int, pieces: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
-def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
+def _run(config: ExperimentConfig, ranks: np.ndarray, rng) -> RunResult:
     """One run under ``config.cap``; under ``--boost c``, the best of c on one stream.
 
     At the paper's cap a run returns the minimum with probability at least
@@ -490,11 +490,10 @@ def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
     has no single history, so its ``history`` and ``first_hit_time`` are None.
     """
     if not config.boost:
-        return find_minimum(table, config.backend, config.growth, config.cap, rng)
-    args = table, config.backend, config.growth, config.cap, rng
+        return find_minimum(ranks, config.backend, config.growth, config.cap, rng)
+    args = ranks, config.backend, config.growth, config.cap, rng
     repetitions = [find_minimum(*args) for _ in range(config.boost)]
-    rank_of = table.ranks.item
-    best = min(repetitions, key=lambda result: rank_of(result.returned_index))
+    best = min(repetitions, key=lambda result: ranks.item(result.returned_index))
     return RunResult(
         best.returned_index,
         best.returned_is_minimum,
@@ -506,19 +505,18 @@ def _run(config: ExperimentConfig, table: Table, rng) -> RunResult:
     )
 
 
-def _run_span(config: ExperimentConfig, key: tuple, span) -> Iterator[tuple[Table, RunResult]]:
-    """Yield the ``(table, result)`` of each run in ``span``, in run order."""
-    # Without a table file, runs take their values in sorted order: the
-    # law of a run depends only on ranks.  The distinct table is a shared,
-    # read-only 0..n-1 that reads nothing from the stream, fetched once; a
-    # dup table is drawn per run.
-    fixed = config.fixed_table
+def _run_span(config: ExperimentConfig, key: tuple, span) -> Iterator[tuple[np.ndarray, RunResult]]:
+    """Yield the ``(ranks, result)`` of each run in ``span``, in run order."""
+    # The table file's ranks, the shared 1..n of a distinct table, which
+    # reads nothing from the stream (fetched once), or a dup table's per run.
+    table = config.fixed_table
+    fixed = None if table is None else table.ranks
     if fixed is None and config.dup_k is None:
         fixed = sorted_table(config.n, None)
     for i in range(*span):
         rng = derive_stream(config.seed, *key, i)
-        table = fixed if fixed is not None else sorted_table(config.n, rng, config.dup_k)
-        yield table, _run(config, table, rng)
+        ranks = fixed if fixed is not None else sorted_table(config.n, rng, config.dup_k)
+        yield ranks, _run(config, ranks, rng)
 
 
 def _fold_span(config: ExperimentConfig, key: tuple, fold, span) -> tuple:
@@ -535,7 +533,7 @@ def _fold_runs(config: ExperimentConfig, key: tuple, fold) -> tuple:
     Run i draws its table (unless a table file fixes it, or the runs share
     the distinct sorted table, which draws nothing) and then its run from
     the stream (seed, *key, i).  ``fold`` takes an iterator
-    over a span's ``(table, result)`` pairs and returns a tuple whose
+    over a span's ``(ranks, result)`` pairs and returns a tuple whose
     entries add: Python ints (exact sums), numpy count arrays, or a list,
     which span order concatenates in run order.  So the total is the same
     for any split of the run range, and a worker sends back one small
@@ -571,17 +569,17 @@ def _lemma1_fold(config: ExperimentConfig, runs) -> tuple[np.ndarray, np.ndarray
     """
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = [0] * (config.n + 1)
-    drawn = config.fixed_table is None and config.dup_k is not None
+    drawn = config.dup_k is not None
     count = 0
-    for table, result in runs:
+    for ranks, result in runs:
         count += 1
         if drawn:
-            represented += np.bincount(table.ranks, minlength=config.n + 1)
-        rank_of = table.ranks.item
+            represented += np.bincount(ranks, minlength=config.n + 1)
+        rank_of = ranks.item
         for _, y in result.history:
             chosen[rank_of(y)] += 1
     if not drawn:  # a span holds at least one run
-        represented += count * np.bincount(table.ranks, minlength=config.n + 1)
+        represented += count * np.bincount(ranks, minlength=config.n + 1)
     return represented, np.array(chosen, dtype=np.int64)
 
 
@@ -676,6 +674,14 @@ def _account_fold(config: ExperimentConfig, runs) -> tuple[int, ...]:
     return successes, overspent, a_sum, b_sum, aa_sum, ab_sum, bb_sum
 
 
+def _spent_mean_and_stderr(config: ExperimentConfig, sums: tuple[int, ...]) -> tuple[float, float]:
+    """Mean and standard error of the runs' time spent, a * lg N + b, from
+    ``_account_fold``'s sums, exact over the denominator q of lg N's float."""
+    _, _, a, b, aa, ab, bb = sums
+    p, q = init_charge(config.n).as_integer_ratio()
+    return _mean_and_stderr(config.runs, p * a + q * b, p * p * aa + 2 * p * q * ab + q * q * bb, q)
+
+
 def estimate_success_rate(config: ExperimentConfig) -> Report:
     """Success fraction with a Wilson 99% interval, against its floor.
 
@@ -684,7 +690,8 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
     three standard errors).  The ledger check counts the runs that spent
     more than ``_account_fold`` allows; correct code has none.
     """
-    successes, overspent, passes, steps, *_ = _fold_runs(config, ("success",), _account_fold)
+    sums = _fold_runs(config, ("success",), _account_fold)
+    successes, overspent, passes, *_ = sums
 
     fraction = successes / config.runs
     lo, hi = wilson_interval(successes, config.runs)
@@ -697,8 +704,6 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
         _check_row("success-floor", floor_ok, allowance, estimate=estimate, expected=floor),
         _check_row("ledger-budget", overspent == 0, 0, estimate=overspent, expected=0),
     ]
-    # Spent is passes * lg N + steps, exact over the denominator q of lg N's float.
-    p, q = init_charge(config.n).as_integer_ratio()
     summary = {
         "runs": config.runs,
         "successes": successes,
@@ -706,7 +711,7 @@ def estimate_success_rate(config: ExperimentConfig) -> Report:
         "wilson99_low": lo,
         "wilson99_high": hi,
         "floor": floor,
-        "mean_spent": (p * passes + q * steps) / (q * config.runs),
+        "mean_spent": _spent_mean_and_stderr(config, sums)[0],
         "mean_loop_passes": passes / config.runs,
     }
     return _report(config, summary, [summary], checks)
@@ -723,13 +728,10 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
     search-iteration share alone below its exact-sum bound, both with a
     three-standard-error allowance.
     """
-    _, _, a_sum, b_sum, aa_sum, ab_sum, bb_sum = _fold_runs(config, ("cost",), _account_fold)
-    runs = config.runs
-    p, q = init_charge(config.n).as_integer_ratio()
-    mean_cost, se_cost = _mean_and_stderr(
-        runs, p * a_sum + q * b_sum, p * p * aa_sum + 2 * p * q * ab_sum + q * q * bb_sum, q
-    )
-    mean_search, se_search = _mean_and_stderr(runs, b_sum, bb_sum)
+    sums = _fold_runs(config, ("cost",), _account_fold)
+    _, _, a_sum, b_sum, _, _, bb_sum = sums
+    mean_cost, se_cost = _spent_mean_and_stderr(config, sums)
+    mean_search, se_search = _mean_and_stderr(config.runs, b_sum, bb_sum)
     cost_bound = expected_cost_bound(config.n)
     search_bound = expected_search_cost_bound(config.n)
     checks = [
@@ -747,7 +749,7 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
         "mean_search_steps": mean_search,
         "stderr_search_steps": se_search,
         "search_steps_bound": search_bound,
-        "mean_loop_passes": a_sum / runs,
+        "mean_loop_passes": a_sum / config.runs,
     }
     return _report(config, summary, [summary], checks)
 
@@ -929,7 +931,8 @@ def bounds_report(config: ExperimentConfig) -> Report:
 
 
 def _single_run_fold(config: ExperimentConfig, runs) -> tuple[list[dict]]:
-    """The span's records, in run order."""
+    """The span's records, in run order; on a table file, ``returned_index`` indexes the file."""
+    index = int if config.table_path is None else config.fixed_table.order.item
     shared = {
         "n": config.n,
         "seed": config.seed,
@@ -940,7 +943,7 @@ def _single_run_fold(config: ExperimentConfig, runs) -> tuple[list[dict]]:
     records = [
         {
             **shared,
-            "returned_index": result.returned_index,
+            "returned_index": index(result.returned_index),
             "returned_is_minimum": result.returned_is_minimum,
             "first_hit_time": result.first_hit_time,
             "total_spent": result.total_spent,

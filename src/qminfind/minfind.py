@@ -33,12 +33,12 @@ of 0 (``ExperimentConfig.cap``), so there it makes none.
 
 Every pass makes one ``search`` call with t = rank(y) - 1 marked: the
 entries strictly smaller than T[y] (so y itself is never marked, and an
-all-duplicates table has nothing marked).  Both backends work in rank
-space: the t marked entries are the first t of the table's sorted order,
-so the position the search returns is a position in that order, which
-``order`` maps to a table index.  An exact pass hands
-the search a ``GroverLadder(N, t)``; an analytic pass hands it none.  A
-hit moves the threshold to one of those t entries, which always improves
+all-duplicates table has nothing marked).  A run reads only the ranks of
+its table in value order (``table.sorted_table``), so on both backends the
+t marked entries are positions 0..t-1, and the start, every threshold and
+the returned index are positions in value order.  An exact pass hands the
+search a ``GroverLadder(N, t)``; an analytic pass hands it none.  A hit
+moves the threshold to one of those t positions, which always improves
 it; a miss draws its unmarked position all the same, since it is part of
 the run's stream (a boosted experiment runs several runs on one stream).
 """
@@ -47,9 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .grover import GroverLadder
 from .qsearch import Backend, search
-from .table import Table
 
 __all__ = [
     "RunResult",
@@ -75,8 +76,8 @@ class RunResult:
     for a boosted result (``harness._run``), which has no single history.
     ``total_spent`` counts lg N per pass plus all search iterations, of
     which there are ``search_steps`` (an exact integer count).
-    ``history`` lists the ``(time, threshold index)`` of the start and of
-    every accepted move.
+    ``history`` lists the ``(time, threshold position)`` of the start and
+    of every accepted move, positions in value order like ``returned_index``.
     """
 
     returned_index: int
@@ -94,9 +95,10 @@ def init_charge(n: int) -> float:
 
 
 def find_minimum(
-    table: Table, backend: Backend, growth: float, cap: float, rng
+    ranks: np.ndarray, backend: Backend, growth: float, cap: float, rng
 ) -> RunResult:
-    """One run under a step cap of ``cap`` time steps, its searches at ``growth``.
+    """One run over a table's ``ranks`` in value order, under a step cap of
+    ``cap`` time steps, its searches at ``growth``.
 
     A zero (or negative) cap returns the uniformly random start index
     unexamined, which makes a handy 1/N null baseline.  An infinite cap
@@ -106,8 +108,7 @@ def find_minimum(
     On a one-entry table a finite positive cap buys one pass that costs 0
     steps: lg 1 = 0, and its one round draws j = 0.
     """
-    order = table.order
-    n = len(order)
+    n = len(ranks)
     y = rng.randrange(n)
     uncapped = cap == math.inf
 
@@ -115,7 +116,7 @@ def find_minimum(
     # ``item`` reads a Python int, not a numpy scalar that would need
     # converting.  Entries strictly below the threshold: the ones its
     # search marks.
-    rank_of = table.ranks.item
+    rank_of = ranks.item
     t = rank_of(y) - 1
     ladder = None
     history = [(0.0, y)]
@@ -139,8 +140,8 @@ def find_minimum(
         spent = passes * lg_n + steps
         if hit:
             # A hit always improves the threshold: ``index`` is one of the
-            # first t positions of the sorted order.
-            y = order.item(index)
+            # first t positions.
+            y = index
             t = rank_of(y) - 1
             history.append((spent, y))
         if interrupted or spent > cap:

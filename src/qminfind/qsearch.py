@@ -13,8 +13,8 @@ counts N and t and draws the index of both: the caps ceil(m) (computed
 once per (N, growth) by ``_round_schedule``), the j draw, truncation to
 the budget and the stop rule.  Both backends work in rank space: the t
 marked indices are 0..t-1, so a search returns a position in its caller's
-sorted order (``find_minimum`` maps it to a table index through the
-table's ``order``; equivalence cells take it as the index itself), and a
+sorted order (``find_minimum`` moves its threshold to it; equivalence
+cells take it as the index itself), and a
 hit is a position below t.  The backends differ only in how a round is
 measured and where the position comes from:
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from qminfind import __version__, harness, minfind, qsearch
 from qminfind.bounds import timeout_cap
 from qminfind.harness import (
-    CHI2_ALPHA,
     ExperimentConfig,
     _spans,
     build_identifier,
@@ -29,11 +28,9 @@ from qminfind.harness import (
     wilson_interval,
 )
 from qminfind.grover import GroverLadder, success_probability
-from qminfind.minfind import find_minimum
-from qminfind.qsearch import DEFAULT_GROWTH, Backend
-from qminfind.seeding import derive_stream
+from qminfind.qsearch import Backend
 from qminfind.table import sorted_table
-from shuffled_table import shuffled_table
+from test_pinned_reports import TIES_TABLE
 
 RECORD_FIELDS = [
     "n",
@@ -210,8 +207,8 @@ def test_mode_label_renders_the_duplicates_count():
 
 @pytest.mark.parametrize("experiment", ["lemma1", "success", "expected-cost", "single-run"])
 def test_mode_label_reads_a_table_file_once_per_invocation(monkeypatch, tmp_path, experiment):
-    # A table file's kind is an np.unique over its values, which sorts the
-    # whole table; lemma1 reads the label in its fold and in its report.
+    # A table file's kind is an np.unique over its ranks; lemma1 reads the
+    # label in its fold and in its report.
     path = tmp_path / "ties.txt"
     path.write_text("".join(f"{v}\n" for v in (5, 3, 3, 9, 1, 1, 1, 7, 2, 5, 8, 0)))
     unique, calls = np.unique, []
@@ -490,9 +487,9 @@ def test_lemma1_fold_matches_a_per_run_bincount_fold(tmp_path, fields, table_val
     config = ExperimentConfig(experiment="lemma1", n=8, runs=300, seed=4, **fields)
     represented = np.zeros(config.n + 1, dtype=np.int64)
     chosen = np.zeros(config.n + 1, dtype=np.int64)
-    for table, result in harness._run_span(config, ("lemma1",), (0, config.runs)):
-        chosen_ranks = [table.ranks.item(y) for _, y in result.history]
-        represented += np.bincount(table.ranks, minlength=config.n + 1)
+    for ranks, result in harness._run_span(config, ("lemma1",), (0, config.runs)):
+        chosen_ranks = [ranks.item(y) for _, y in result.history]
+        represented += np.bincount(ranks, minlength=config.n + 1)
         chosen += np.bincount(chosen_ranks, minlength=config.n + 1)
     report = run_experiment(config)
     rows = {row["rank"]: (row["pairs"], row["ever_chosen"]) for row in report.rows}
@@ -604,7 +601,8 @@ def test_pickled_config_carries_its_table_file(tmp_path):
     table = config.fixed_table
     path.unlink()
     clone = pickle.loads(pickle.dumps(config))
-    assert np.array_equal(clone.fixed_table.values, table.values)
+    assert np.array_equal(clone.fixed_table.ranks, table.ranks)
+    assert np.array_equal(clone.fixed_table.order, table.order)
 
 
 def test_fixed_table_size_mismatch_is_an_error(tmp_path):
@@ -897,13 +895,13 @@ def test_analytic_runs_fetch_the_shared_distinct_table_once_per_span(monkeypatch
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = ExperimentConfig(experiment="success", n=16, runs=40, seed=3, mode=mode, workers=workers)
     (tables,) = harness._fold_runs(
-        config, ("success",), lambda config, runs: ([table for table, _ in runs],)
+        config, ("success",), lambda config, runs: ([ranks for ranks, _ in runs],)
     )
     assert len(tables) == config.runs
     if mode == "distinct":
         spans = 1 if workers == 1 else len(_spans(config.runs, 4 * workers))
         assert calls == [None] * spans
-        assert all(table is sorted_table(16, None) for table in tables)
+        assert all(ranks is sorted_table(16, None) for ranks in tables)
     else:
         assert calls == [3] * config.runs
 
@@ -966,22 +964,49 @@ def test_runs_draw_sorted_tables_on_both_backends(monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("uncapped", [False, True], ids=["capped", "uncapped"])
-def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(n, uncapped):
-    # The analytic law depends only on ranks, so runs on the sorted table
-    # the runs draw must be distributed as runs on random permutations:
-    # compare loop passes and first-hit times by a two-sample chi-square.
-    runs = 2500
-    cap = math.inf if uncapped else timeout_cap(n)
-    passes = {"sorted": Counter(), "random": Counter()}
-    first_hit = {"sorted": Counter(), "random": Counter()}
-    for label, source in (("sorted", sorted_table), ("random", shuffled_table)):
-        for i in range(runs):
-            rng = derive_stream(17, "unit-rank-space", label, n, i)
-            table = source(n, rng)
-            result = find_minimum(table, Backend.ANALYTIC_SAMPLER, DEFAULT_GROWTH, cap, rng)
-            passes[label][result.loop_passes] += 1
-            first_hit[label][-1.0 if result.first_hit_time is None else result.first_hit_time] += 1
-    for counts in (passes, first_hit):
-        _, p_value, dof = two_sample_chisquare(counts["sorted"], counts["random"])
-        assert dof >= 3
-        assert p_value > CHI2_ALPHA
+def test_analytic_runs_on_the_sorted_table_match_runs_on_random_permutations(tmp_path, n, uncapped):
+    # The law of a run depends only on ranks, so a run reads its table's
+    # ranks in value order alone: a file holding a random permutation of
+    # 0..n-1 gives every run the drawn distinct table's 1..n, so the same
+    # runs on the same streams.  Only a record's returned_index differs: it
+    # is the index of the file entry holding the drawn run's position.
+    experiments = ("expected-cost", "lemma1") if uncapped else ("success", "single-run")
+    path = tmp_path / "permutation.txt"
+    for experiment in experiments:
+        config = ExperimentConfig(experiment=experiment, n=n, runs=300, seed=17)
+        drawn = run_experiment(config)
+        for i in range(3):
+            values = np.random.default_rng([17, n, i]).permutation(n)
+            path.write_text("".join(f"{v}\n" for v in values.tolist()))
+            report = run_experiment(dataclasses.replace(config, table_path=str(path)))
+            rows = report.rows
+            if experiment == "single-run":
+                rows = [{**row, "returned_index": values.item(row["returned_index"])} for row in rows]
+            assert rows == drawn.rows
+            assert (report.summary, report.checks) == (drawn.summary, drawn.checks)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("backend", list(Backend))
+def test_table_file_reports_do_not_depend_on_its_arrangement(tmp_path, backend, workers):
+    # Runs read a table file's ranks in value order, so the ties file, its
+    # sorted copy and a shuffle give the same reports, byte for byte; only a
+    # record's returned_index indexes the file, so it names an entry
+    # holding the same value in each.
+    shuffled = random.Random(3).sample(TIES_TABLE, len(TIES_TABLE))
+    arrangements = [TIES_TABLE, sorted(TIES_TABLE, key=int), shuffled]
+    assert shuffled not in arrangements[:2]
+    reports, records = set(), []
+    for i, values in enumerate(arrangements):
+        path = tmp_path / f"table-{i}.txt"
+        path.write_text("\n".join(values) + "\n")
+        fields = dict(n=12, runs=400, seed=4, backend=backend, workers=workers)
+        fields["table_path"] = str(path)
+        reports.add(tuple(
+            run_experiment(ExperimentConfig(experiment=experiment, **fields)).render("csv")
+            for experiment in ("lemma1", "success", "expected-cost")
+        ))
+        rows = run_experiment(ExperimentConfig(experiment="single-run", **fields)).rows
+        records.append([{**row, "returned_index": values[row["returned_index"]]} for row in rows])
+    assert len(reports) == 1
+    assert records[0] == records[1] == records[2]

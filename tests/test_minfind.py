@@ -3,7 +3,6 @@ import math
 import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,8 +13,7 @@ from qminfind.harness import ExperimentConfig
 from qminfind.minfind import RunResult, find_minimum
 from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
-from qminfind.table import Table, read_table, sorted_table
-from shuffled_table import shuffled_table
+from qminfind.table import read_table, sorted_table
 
 ANALYTIC = Backend.ANALYTIC_SAMPLER
 GROWTH = DEFAULT_GROWTH
@@ -23,27 +21,27 @@ GROWTH = DEFAULT_GROWTH
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_run_account_charges_lg_n_per_pass_and_one_step_per_iteration(backend):
-    table = shuffled_table(64, random.Random(20))
+    ranks = sorted_table(64, None)
     for seed in range(20):
         for cap in (timeout_cap(64), math.inf, 30.0):
             rng = derive_stream(seed, "unit-account", backend.value)
-            result = find_minimum(table, backend, GROWTH, cap, rng)
+            result = find_minimum(ranks, backend, GROWTH, cap, rng)
             assert isinstance(result.search_steps, int)
             # lg 64 = 6 and every charge is an integer, so the sum is exact.
             assert result.total_spent == result.loop_passes * 6 + result.search_steps
     cap = timeout_cap(64)
     config = ExperimentConfig(experiment="success", n=64, backend=backend, boost=3)
-    boosted = harness._run(config, table, derive_stream(21, "unit-account"))
+    boosted = harness._run(config, ranks, derive_stream(21, "unit-account"))
     replay = derive_stream(21, "unit-account")
-    repetitions = [find_minimum(table, backend, GROWTH, cap, replay) for _ in range(3)]
+    repetitions = [find_minimum(ranks, backend, GROWTH, cap, replay) for _ in range(3)]
     assert boosted.search_steps == sum(r.search_steps for r in repetitions)
     assert boosted.total_spent == boosted.loop_passes * 6 + boosted.search_steps
 
 
 def test_single_entry_table_is_immediate():
-    table = Table(np.array([7]))
+    ranks = sorted_table(1, None)
     cap = ExperimentConfig(experiment="single-run", n=1).cap
-    result = find_minimum(table, ANALYTIC, GROWTH, cap, random.Random(0))
+    result = find_minimum(ranks, ANALYTIC, GROWTH, cap, random.Random(0))
     assert result.returned_index == 0
     assert result.returned_is_minimum
     # Its only entry is the minimum, known before any step.
@@ -54,8 +52,8 @@ def test_single_entry_table_is_immediate():
 
 
 def test_zero_cap_returns_unexamined_start():
-    table = shuffled_table(32, random.Random(1))
-    result = find_minimum(table, ANALYTIC, GROWTH, 0.0, random.Random(2))
+    ranks = sorted_table(32, None)
+    result = find_minimum(ranks, ANALYTIC, GROWTH, 0.0, random.Random(2))
     assert result.total_spent == 0.0
     assert result.loop_passes == 0
     assert result.search_steps == 0
@@ -64,9 +62,9 @@ def test_zero_cap_returns_unexamined_start():
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 128))
 def test_capped_run_respects_budget_accounting(seed, n):
-    table = shuffled_table(n, random.Random(seed))
+    ranks = sorted_table(n, None)
     cap = timeout_cap(n)
-    result = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(seed, "unit-cap", n))
+    result = find_minimum(ranks, ANALYTIC, GROWTH, cap, derive_stream(seed, "unit-cap", n))
     # Init charges land before the overrun check, so a run may finish at
     # most one lg(n) beyond the cap, never more.
     assert result.total_spent <= cap + math.log2(n)
@@ -76,35 +74,35 @@ def test_capped_run_respects_budget_accounting(seed, n):
 
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64))
 def test_uncapped_run_always_finds_the_minimum(seed, n):
-    table = shuffled_table(n, random.Random(seed))
-    result = find_minimum(table, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-inf", n))
+    ranks = sorted_table(n, None)
+    result = find_minimum(ranks, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-inf", n))
     assert result.returned_is_minimum
-    assert table.ranks[result.returned_index] == 1
+    assert ranks[result.returned_index] == 1
     assert result.first_hit_time == result.total_spent
 
 
 @given(seed=st.integers(0, 2000), n=st.integers(2, 64), k=st.integers(1, 8))
 def test_uncapped_run_reaches_minimal_value_with_duplicates(seed, n, k):
-    table = shuffled_table(n, random.Random(seed), k=min(k, n))
-    result = find_minimum(table, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-dup", n, k))
-    assert int(table.values[result.returned_index]) == table.values.min()
+    ranks = sorted_table(n, random.Random(seed), min(k, n))
+    result = find_minimum(ranks, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-dup", n, k))
+    assert ranks[result.returned_index] == 1
 
 
 @given(seed=st.integers(0, 2000))
 def test_history_thresholds_strictly_improve(seed):
-    table = shuffled_table(48, random.Random(seed), k=6)
-    result = find_minimum(table, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-hist"))
+    ranks = sorted_table(48, random.Random(seed), 6)
+    result = find_minimum(ranks, ANALYTIC, GROWTH, math.inf, derive_stream(seed, "unit-hist"))
     times = [entry[0] for entry in result.history]
-    values = [int(table.values[entry[1]]) for entry in result.history]
+    held = [int(ranks[entry[1]]) for entry in result.history]
     assert times[0] == 0.0
     assert times == sorted(times)
-    assert all(b < a for a, b in zip(values, values[1:]))
+    assert all(b < a for a, b in zip(held, held[1:]))
     assert result.history[-1][1] == result.returned_index
 
 
 def test_history_records_first_hit():
-    table = shuffled_table(16, random.Random(5))
-    result = find_minimum(table, ANALYTIC, GROWTH, timeout_cap(16), random.Random(6))
+    ranks = sorted_table(16, None)
+    result = find_minimum(ranks, ANALYTIC, GROWTH, timeout_cap(16), random.Random(6))
     if result.returned_is_minimum:
         assert result.first_hit_time is not None
         assert result.first_hit_time <= result.total_spent
@@ -112,29 +110,29 @@ def test_history_records_first_hit():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_runs_are_deterministic_per_stream(backend):
-    table = shuffled_table(32, random.Random(7))
+    ranks = sorted_table(32, None)
     cap = timeout_cap(32)
-    a = find_minimum(table, backend, GROWTH, cap, derive_stream(8, "unit-det", backend.value))
-    b = find_minimum(table, backend, GROWTH, cap, derive_stream(8, "unit-det", backend.value))
+    a = find_minimum(ranks, backend, GROWTH, cap, derive_stream(8, "unit-det", backend.value))
+    b = find_minimum(ranks, backend, GROWTH, cap, derive_stream(8, "unit-det", backend.value))
     assert a == b
 
 
 def test_boost_one_repeat_equals_single_run():
-    table = shuffled_table(24, random.Random(9))
+    ranks = sorted_table(24, None)
     config = ExperimentConfig(experiment="success", n=24, boost=1)
-    boosted = harness._run(config, table, derive_stream(10, "unit-boost"))
-    single = find_minimum(table, ANALYTIC, GROWTH, timeout_cap(24), derive_stream(10, "unit-boost"))
+    boosted = harness._run(config, ranks, derive_stream(10, "unit-boost"))
+    single = find_minimum(ranks, ANALYTIC, GROWTH, timeout_cap(24), derive_stream(10, "unit-boost"))
     assert boosted.returned_index == single.returned_index
     assert boosted.total_spent == single.total_spent
     assert boosted.loop_passes == single.loop_passes
 
 
 def test_boost_repeat_accumulates_cost():
-    table = shuffled_table(24, random.Random(11))
+    ranks = sorted_table(24, None)
     config = ExperimentConfig(experiment="success", n=24, boost=3)
-    boosted = harness._run(config, table, derive_stream(12, "unit-boost3"))
+    boosted = harness._run(config, ranks, derive_stream(12, "unit-boost3"))
     replay = derive_stream(12, "unit-boost3")
-    repetitions = [find_minimum(table, ANALYTIC, GROWTH, config.cap, replay) for _ in range(3)]
+    repetitions = [find_minimum(ranks, ANALYTIC, GROWTH, config.cap, replay) for _ in range(3)]
     total = sum(result.total_spent for result in repetitions)
     assert boosted.total_spent == pytest.approx(total)
     assert boosted.loop_passes >= 3
@@ -142,19 +140,19 @@ def test_boost_repeat_accumulates_cost():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_boost_keeps_the_first_repetition_holding_the_least_value(backend):
-    # Ties make several indices hold the least value, and a starved cap
-    # makes repetitions return different values; the reference keeps a
-    # later repetition only when its value is strictly smaller.
+    # Ties make several positions hold the least rank, and a starved cap
+    # makes repetitions return different ranks; the reference keeps a
+    # later repetition only when its rank is strictly smaller.
     stand_in = SimpleNamespace(boost=4, backend=backend, growth=GROWTH, cap=14.0)
     for seed in range(40):
-        table = shuffled_table(24, random.Random(seed), k=4)
-        boosted = harness._run(stand_in, table, derive_stream(seed, "unit-boost-best"))
+        ranks = sorted_table(24, random.Random(seed), 4)
+        boosted = harness._run(stand_in, ranks, derive_stream(seed, "unit-boost-best"))
         replay = derive_stream(seed, "unit-boost-best")
         best = None
         for _ in range(4):
-            result = find_minimum(table, backend, GROWTH, 14.0, replay)
-            value = table.values[result.returned_index]
-            if best is None or value < table.values[best.returned_index]:
+            result = find_minimum(ranks, backend, GROWTH, 14.0, replay)
+            rank = ranks[result.returned_index]
+            if best is None or rank < ranks[best.returned_index]:
                 best = result
         assert boosted.returned_index == best.returned_index
         assert boosted.returned_is_minimum == best.returned_is_minimum
@@ -169,11 +167,11 @@ def test_boost_raises_success_rate():
     # ``_run`` reads.
     runs, cap = 6000, 12.0
     stand_in = SimpleNamespace(boost=3, backend=ANALYTIC, growth=GROWTH, cap=cap)
-    table = shuffled_table(64, random.Random(16))
+    ranks = sorted_table(64, None)
     plain_hits = boosted_hits = 0
     for i in range(runs):
-        plain = find_minimum(table, ANALYTIC, GROWTH, cap, derive_stream(16, "unit-plain", i))
-        boosted = harness._run(stand_in, table, derive_stream(16, "unit-boosted", i))
+        plain = find_minimum(ranks, ANALYTIC, GROWTH, cap, derive_stream(16, "unit-plain", i))
+        boosted = harness._run(stand_in, ranks, derive_stream(16, "unit-boosted", i))
         plain_hits += plain.returned_is_minimum
         boosted_hits += boosted.returned_is_minimum
     assert boosted_hits > plain_hits
@@ -189,23 +187,23 @@ def test_boost_raises_success_rate():
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_backends_share_interfaces_end_to_end(backend):
-    table = shuffled_table(16, random.Random(17))
+    ranks = sorted_table(16, None)
     rng = derive_stream(18, backend.value)
-    result = find_minimum(table, backend, GROWTH, math.inf, rng)
+    result = find_minimum(ranks, backend, GROWTH, math.inf, rng)
     assert result.returned_is_minimum
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_single_entry_table_under_a_positive_cap_makes_one_free_pass(backend):
     # lg 1 = 0, and the pass's one round draws j = 0 and ends the search.
-    result = find_minimum(Table(np.array([4])), backend, GROWTH, 9.0, random.Random(0))
+    result = find_minimum(sorted_table(1, None), backend, GROWTH, 9.0, random.Random(0))
     assert (result.returned_index, result.returned_is_minimum) == (0, True)
     assert result.first_hit_time == result.total_spent == 0.0
     assert (result.loop_passes, result.search_steps) == (1, 0)
 
 
 def test_uncapped_single_entry_run_records_history():
-    result = find_minimum(Table(np.array([4])), ANALYTIC, GROWTH, math.inf, random.Random(0))
+    result = find_minimum(sorted_table(1, None), ANALYTIC, GROWTH, math.inf, random.Random(0))
     assert result.history == [(0.0, 0)]
     assert result.first_hit_time == result.total_spent == 0.0
 
@@ -219,16 +217,16 @@ def test_run_results_hold_python_scalars(tmp_path, backend, kind):
     if kind == "table-file":
         path = tmp_path / "table.txt"
         path.write_text("".join(f"{i * 7 % 5}\n" for i in range(n)))
-        table = read_table(path)
+        ranks = read_table(path).ranks
     else:
-        table = sorted_table(n, random.Random(23), None if kind == "distinct" else 3)
+        ranks = sorted_table(n, random.Random(23), None if kind == "distinct" else 3)
     results = []
     for seed in range(10):
         rng = derive_stream(seed, "unit-scalars")
         for cap in (timeout_cap(n), math.inf, 25.0, 0.0):
-            results.append(find_minimum(table, backend, GROWTH, cap, rng))
+            results.append(find_minimum(ranks, backend, GROWTH, cap, rng))
         boosted = ExperimentConfig(experiment="success", n=n, backend=backend, boost=3)
-        results.append(harness._run(boosted, table, rng))
+        results.append(harness._run(boosted, ranks, rng))
     for result in results:
         for f in dataclasses.fields(RunResult):
             value = getattr(result, f.name)

@@ -76,23 +76,22 @@ def _init_plus_one(monkeypatch):
 
 
 def _tie(monkeypatch):
-    """On a hit, a value is drawn uniformly among the distinct values below
-    the threshold, then an entry holding it.  The correct law draws an entry
-    uniformly, so a value held by c entries is c times as likely."""
+    """On a hit, a rank is drawn uniformly among the distinct ranks below
+    the threshold, then a position holding it.  The correct law draws a
+    position uniformly, so a rank held by c entries is c times as likely."""
     find = harness.find_minimum
-    run_table = []
+    run_ranks = []
 
-    def seeing(table, *args):
-        run_table[:] = [table]
-        return find(table, *args)
+    def seeing(ranks, *args):
+        run_ranks[:] = [ranks]
+        return find(ranks, *args)
 
     def mutated(search, n, t, budget, growth, rng, ladder):
         hit, used, interrupted, index = search(n, t, budget, growth, rng, ladder)
         if hit and ladder is None:
-            table = run_table[0]
-            below = table.values[table.order[:t]]
-            values = np.unique(below)
-            positions = np.flatnonzero(below == values[rng.randrange(len(values))])
+            below = run_ranks[0][:t]
+            held = np.unique(below)
+            positions = np.flatnonzero(below == held[rng.randrange(len(held))])
             index = int(positions[rng.randrange(len(positions))])
         return hit, used, interrupted, index
 
