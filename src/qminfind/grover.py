@@ -21,17 +21,18 @@ after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
 passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
 draws one index from such a state, and every measurement of the exact
-backend is one call to it.  Its j = 0 CDF is the uniform state's, which is
-the same for every t, so one read-only copy per N is shared by all
-ladders; the ladder copies its amplitude vector from the shared uniform
-one only at its first iteration, and an iteration negates the slice of
-its first t amplitudes in place.  The exact backend's searches, its
-closed-form t = 0 draw and equivalence's fixed-j draws and closed-form
-check all read one.  The test suite keeps an independent statevector
-reference (``tests/reference_grover.py``) that evolves one immutable
-state per iteration under a predicate queried afresh each time; the
-ladder's states match it bit for bit with the first t indices marked, and
-within 1e-12 once a scattered marked set's probabilities are put first.
+backend is one call to it.  The uniform state is the same for every t,
+so it is cached once per N, its read-only amplitudes with their CDF, and
+shared by all ladders: a ladder's j = 0 CDF is the cached one, and it
+copies the cached amplitudes only at its first iteration; an iteration
+negates the slice of its first t amplitudes in place.  The exact
+backend's searches, its closed-form t = 0 draw and equivalence's fixed-j
+draws and closed-form check all read one.  The test suite keeps an
+independent statevector reference (``tests/reference_grover.py``) that
+evolves one immutable state per iteration under a predicate queried
+afresh each time; the ladder's states match it bit for bit with the first
+t indices marked, and within 1e-12 once a scattered marked set's
+probabilities are put first.
 """
 from __future__ import annotations
 
@@ -73,16 +74,6 @@ def _check_norm(norm_sq: float) -> None:
         raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
 
 
-@lru_cache(maxsize=8)
-def _uniform_amplitudes(n: int) -> np.ndarray:
-    """Equal superposition 1/sqrt(n) over n basis indices, read-only and shared per n."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    amps.setflags(write=False)
-    return amps
-
-
 def _reflect(amps: np.ndarray, t: int) -> None:
     """One iteration in place: negate the first t amplitudes, then invert about the mean."""
     # Bare ufunc calls: the same loops as the in-place operators and the sum
@@ -108,9 +99,11 @@ def _measured(amps: np.ndarray) -> memoryview:
 
 
 @lru_cache(maxsize=8)
-def _uniform_cdf(n: int) -> memoryview:
-    """The CDF of the uniform state over n indices, shared by every ladder of size n."""
-    return _measured(_uniform_amplitudes(n))
+def _uniform(n: int) -> tuple[np.ndarray, memoryview]:
+    """The uniform state over n indices, shared per n: read-only amplitudes and their CDF."""
+    amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    amps.setflags(write=False)
+    return amps, _measured(amps)
 
 
 class GroverLadder:
@@ -133,7 +126,7 @@ class GroverLadder:
     def __init__(self, n: int, t: int):
         _check_counts(n, t)
         self.n, self.t = n, t
-        self._cdfs = [_uniform_cdf(n)]
+        self._cdfs = [_uniform(n)[1]]
         self._amps: np.ndarray | None = None
 
     def cdf(self, j: int) -> memoryview:
@@ -144,7 +137,7 @@ class GroverLadder:
                 raise ValueError("iteration count must be >= 0")
             return cdfs[j]
         if self._amps is None:
-            self._amps = _uniform_amplitudes(self.n).copy()
+            self._amps = _uniform(self.n)[0].copy()
         while len(cdfs) <= j:
             _reflect(self._amps, self.t)
             cdfs.append(_measured(self._amps))

@@ -590,10 +590,15 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
+    # Every run sees the same kind of table: the file's, or the mode's.  Only
+    # a distinct table's verdict reads max_rank, so no other may set it.
+    distinct = config.mode_label == "distinct"
+    if not distinct and config.max_rank != ExperimentConfig.max_rank:
+        raise ValueError(
+            f"lemma1 reads max_rank (--max-rank) only on distinct tables, not {config.mode_label}"
+        )
     represented, chosen = _fold_runs(config, ("lemma1",), _lemma1_fold)
 
-    # Every run sees the same kind of table: the file's, or the mode's.
-    distinct = config.mode_label == "distinct"
     rows = []
     worst_dev = None
     for r in range(1, config.n + 1):
@@ -815,8 +820,8 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
         search_ladder = ladder if backend is Backend.EXACT_STATEVECTOR else None
         for i in range(config.runs):
             rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
-            hit, used, _, index = search(n, t, budget, config.growth, rng, search_ladder)
-            law[(hit, used)] += 1
+            used, _, index = search(n, t, budget, config.growth, rng, search_ladder)
+            law[(index < t, used)] += 1
             index_counts[index] += 1
         for label, class_counts in (("hit", index_counts[:t]), ("miss", index_counts[t:])):
             _, p_uniform, _ = uniform_chisquare(class_counts)
@@ -896,6 +901,8 @@ def bounds_report(config: ExperimentConfig) -> Report:
     identity_error = abs(cap - 2.0 * cost_bound)
     cost_sweep = sweep_search_cost_bound(sweep_max)
     harmonic_sweep = sweep_harmonic_bound(sweep_max)
+    # Before H_n, whose chunks would otherwise stay in the heap under its arrays.
+    search_cost_sum = expected_search_cost_bound(n)
     identity_ok = identity_error <= 1e-9
     checks = [_check_row("cap-identity", identity_ok, 1e-9, estimate=identity_error, expected=0.0)]
     checks += [
@@ -909,7 +916,7 @@ def bounds_report(config: ExperimentConfig) -> Report:
         "harmonic": harmonic_number(n),
         "search_iteration_bounds": {str(t): v for t, v in search_bounds.items()},
         "cap_identity_error": identity_error,
-        "search_cost_sum": expected_search_cost_bound(n),
+        "search_cost_sum": search_cost_sum,
         "sweep_max": sweep_max,
         "search_cost_sweep_worst_ratio": cost_sweep.worst_ratio,
         "search_cost_sweep_worst_n": cost_sweep.worst_n,

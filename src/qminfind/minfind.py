@@ -37,8 +37,8 @@ all-duplicates table has nothing marked).  A run reads only the ranks of
 its table in value order (``table.sorted_table``), so on both backends the
 t marked entries are positions 0..t-1, and the start, every threshold and
 the returned index are positions in value order.  An exact pass hands the
-search a ``GroverLadder(N, t)``; an analytic pass hands it none.  A hit
-moves the threshold to one of those t positions, which always improves
+search a ``GroverLadder(N, t)``; an analytic pass hands it none.  A
+returned position below t is a smaller entry, so the threshold moves to
 it; a miss draws its unmarked position all the same, since it is part of
 the run's stream (a boosted experiment runs several runs on one stream).
 """
@@ -135,12 +135,12 @@ def find_minimum(
         remaining = cap - spent if spent < cap else 0.0
         if exact:
             ladder = GroverLadder(n, t)
-        hit, used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
+        used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
         steps += used
         spent = passes * lg_n + steps
-        if hit:
-            # A hit always improves the threshold: ``index`` is one of the
-            # first t positions.
+        if index < t:
+            # The paper's check that the observed entry is smaller: positions
+            # 0..t-1 hold the entries below the threshold.
             y = index
             t = rank_of(y) - 1
             history.append((spent, y))

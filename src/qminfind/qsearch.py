@@ -13,10 +13,9 @@ counts N and t and draws the index of both: the caps ceil(m) (computed
 once per (N, growth) by ``_round_schedule``), the j draw, truncation to
 the budget and the stop rule.  Both backends work in rank space: the t
 marked indices are 0..t-1, so a search returns a position in its caller's
-sorted order (``find_minimum`` moves its threshold to it; equivalence
-cells take it as the index itself), and a
-hit is a position below t.  The backends differ only in how a round is
-measured and where the position comes from:
+sorted order, and a hit is a position below t, with no flag of its own.
+The backends differ only in how a round is measured and where the
+position comes from:
 
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
   sin^2((2j+1) arcsin(sqrt(t/N))) in O(1) per round, independent of N.
@@ -96,11 +95,11 @@ def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...],
 
 def search(
     n: int, t: int, budget: float, growth: float, rng, ladder: GroverLadder | None = None
-) -> tuple[bool, int, bool, int]:
+) -> tuple[int, bool, int]:
     """Hunt for one of t marked indices of n within ``budget`` time steps.
 
-    Returns ``(hit, iterations_used, interrupted, index)``, where the
-    marked indices are 0..t-1, so ``hit`` is ``index < t``.  ``growth``
+    Returns ``(iterations_used, interrupted, index)``.  The marked indices
+    are 0..t-1, so the search hit exactly when ``index < t``.  ``growth``
     must lie strictly in (1, 4/3) (see ``check_growth``).  With a
     ``ladder`` (a ``GroverLadder(n, t)``) the search runs on the exact
     backend and ``index`` is the last position measured; without one it
@@ -108,16 +107,16 @@ def search(
     after the rounds: ``randrange(t)`` on a hit, ``randrange(t, n)`` on a
     miss.  A caller maps that position to an index of its own.
 
-    Rounds draw j uniformly below the growing cap, as ``randrange(high)``
-    draws it (``getrandbits`` of the cap's bit length until the value is
-    below the cap), so the stream advances exactly as it would under
-    ``randrange``.  A draw the budget cannot cover is truncated to the
-    affordable count, the (partially rotated) state is still measured, and
-    the search comes back ``interrupted``.  Running out of budget is a
-    normal outcome, not an error; with nothing marked the search always
-    ends that way, consuming the whole budget (its floor), so an infinite
-    budget with nothing marked is rejected unless the domain has a single
-    index.
+    A round capped above 1 draws j as ``randrange(high)`` does
+    (``getrandbits`` of the cap's bit length until the value is below the
+    cap); a round capped at 1, the first of every search, takes j = 0 and
+    draws nothing, where ``randrange(1)`` would still consume bits.  A draw
+    the budget cannot cover is truncated to the affordable count, the
+    (partially rotated) state is still measured, and the search comes back
+    ``interrupted``.  Running out of budget is a normal outcome, not an
+    error; with nothing marked the search always ends that way, consuming
+    the whole budget (its floor), so an infinite budget with nothing marked
+    is rejected unless the domain has a single index.
     """
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -178,4 +177,4 @@ def search(
     elif index is None:
         # Settled in closed form: the state is still uniform.
         index = ladder.measure(0, rng)
-    return hit, used, interrupted, index
+    return used, interrupted, index

@@ -119,7 +119,7 @@ def test_criterion_4_search_iterations_under_sqrt_ratio_bound(capsys):
             total = 0
             total_sq = 0
             for _ in range(runs):
-                used = search(n, t, math.inf, DEFAULT_GROWTH, rng)[1]
+                used = search(n, t, math.inf, DEFAULT_GROWTH, rng)[0]
                 total += used
                 total_sq += used * used
             mean = total / runs

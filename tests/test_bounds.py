@@ -71,9 +71,13 @@ def test_harmonic_small_values():
 
 
 def test_harmonic_large_values_match_direct_sum():
-    # 2e7 sits beyond the direct-summation limit; the asymptotic expansion
-    # must agree with a chunked direct sum computed independently.
+    # 2e7 is summed like every n, in chunks; it must agree with a chunked
+    # direct sum computed independently.
     assert harmonic_number(20_000_000) == pytest.approx(17.3884585214198, abs=1e-9)
+    # At MAX_N = 2^24 the direct sum stays within 1e-12 of the Euler-Maclaurin
+    # expansion ln n + gamma + 1/2n - 1/12n^2 + 1/120n^4, which reads
+    # 17.212748028142542 there.
+    assert harmonic_number(2**24) == pytest.approx(17.212748028142542, abs=1e-12)
 
 
 @given(n=st.integers(1, 5000))

@@ -332,6 +332,22 @@ def test_lemma1_takes_its_comparison_from_a_duplicate_table_file(tmp_path, capsy
     assert json.loads(out)["summary"]["comparison"] == "upper-bound"
 
 
+@pytest.mark.parametrize("source", ["mode", "table"])
+def test_max_rank_on_a_table_with_ties_is_a_config_error(tmp_path, capsys, source):
+    # Only a distinct table's verdict reads --max-rank, so with ties, from
+    # --mode dup:<k> or from a table file, setting it is rejected.
+    path = tmp_path / "dup.txt"
+    path.write_text("".join(f"{(i * 31 + 5) % 9 - 4}\n" for i in range(48)))
+    tables = ["--mode", "dup:8"] if source == "mode" else ["--table", str(path)]
+    argv = ["lemma1", "--n", "48", "--runs", "50", "--seed", "1", *tables]
+    code, out, err = run_cli(capsys, *argv, "--max-rank", "3")
+    assert code == 2
+    assert out == ""
+    assert "(--max-rank) only on distinct tables" in err
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 def test_boost_with_timeout_is_config_error(capsys):
     code, out, err = run_cli(
         capsys, "run", "--n", "16", "--runs", "2", "--seed", "1", "--boost", "2",

@@ -671,10 +671,10 @@ def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(m
     search = harness.search
 
     def short_exact(n, t, budget, growth, rng, ladder=None):
-        hit, used, interrupted, index = search(n, t, budget, growth, rng, ladder)
+        used, interrupted, index = search(n, t, budget, growth, rng, ladder)
         if t == 0 and ladder is not None:
             used -= 1
-        return hit, used, interrupted, index
+        return used, interrupted, index
 
     monkeypatch.setattr(harness, "search", short_exact)
     report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=100, seed=1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import harness
+from qminfind import harness, minfind
 from qminfind.bounds import timeout_cap
 from qminfind.harness import ExperimentConfig
 from qminfind.minfind import RunResult, find_minimum
@@ -98,6 +98,30 @@ def test_history_thresholds_strictly_improve(seed):
     assert times == sorted(times)
     assert all(b < a for a, b in zip(held, held[1:]))
     assert result.history[-1][1] == result.returned_index
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_an_unmarked_position_never_moves_the_threshold(monkeypatch, backend):
+    # A search that returns a position at or above t missed, whatever else
+    # it reports: the threshold stays at the start and the history keeps
+    # only the start's entry.  Ties put entries of the threshold's own rank
+    # among the returned positions.
+    search = minfind.search
+    returned = []
+
+    def unmarked(n, t, budget, growth, rng, ladder=None):
+        used, interrupted, _ = search(n, t, budget, growth, rng, ladder)
+        returned.append(rng.randrange(t, n))
+        return used, interrupted, returned[-1]
+
+    monkeypatch.setattr(minfind, "search", unmarked)
+    ranks = sorted_table(64, random.Random(3), 8)
+    for seed in range(20):
+        rng = derive_stream(seed, "unit-unmarked", backend.value)
+        result = find_minimum(ranks, backend, GROWTH, timeout_cap(64), rng)
+        assert result.loop_passes >= 1
+        assert result.history == [(0.0, result.returned_index)]
+    assert len(returned) > 20 and len(set(returned)) > 1
 
 
 def test_history_records_first_hit():

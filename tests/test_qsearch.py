@@ -53,8 +53,7 @@ def test_negative_budget_rejected():
 def test_everything_marked_ends_immediately(backend):
     # First round measures the uniform state with zero iterations and hits.
     ladder = _backend_ladder(backend, 9, 9)
-    hit, used, interrupted, index = search(9, 9, 100.0, DEFAULT_GROWTH, random.Random(1), ladder)
-    assert hit
+    used, interrupted, index = search(9, 9, 100.0, DEFAULT_GROWTH, random.Random(1), ladder)
     assert used == 0
     assert not interrupted
     assert 0 <= index < 9
@@ -64,10 +63,7 @@ def test_everything_marked_ends_immediately(backend):
 @pytest.mark.parametrize("budget", [1, 5, 23])
 def test_nothing_marked_consumes_integer_budget_exactly(backend, budget):
     ladder = _backend_ladder(backend, 16, 0)
-    hit, used, interrupted, _ = search(
-        16, 0, float(budget), DEFAULT_GROWTH, random.Random(2), ladder
-    )
-    assert not hit
+    used, interrupted, _ = search(16, 0, float(budget), DEFAULT_GROWTH, random.Random(2), ladder)
     assert interrupted
     assert used == budget
 
@@ -122,10 +118,10 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
         for backend in Backend:
             rng = _CountingStream(seed)
             ladder = _backend_ladder(backend, n, 0)
-            hit, used, interrupted, index = search(n, 0, budget, DEFAULT_GROWTH, rng, ladder)
+            used, interrupted, index = search(n, 0, budget, DEFAULT_GROWTH, rng, ladder)
             assert used == played
             assert type(used) is int
-            assert interrupted and not hit
+            assert interrupted
             assert rng.draws == 1
             assert 0 <= index < n
 
@@ -137,7 +133,7 @@ def test_exact_search_with_nothing_marked_measures_a_uniform_index():
     rng = derive_stream(8, "unit-exact-empty")
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(4000):
-        counts[search(n, 0, 9.5, DEFAULT_GROWTH, rng, ladder)[3]] += 1
+        counts[search(n, 0, 9.5, DEFAULT_GROWTH, rng, ladder)[2]] += 1
     _, p_value, dof = uniform_chisquare(counts)
     assert dof == n - 1
     assert p_value > CHI2_ALPHA
@@ -178,8 +174,8 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
         rng = derive_stream(7, "unit-miss", backend.value, t)
         misses = Counter()
         for _ in range(4000):
-            hit, _, interrupted, index = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
-            if not hit:
+            _, interrupted, index = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
+            if index >= t:
                 assert interrupted
                 misses[index] += 1
         assert set(misses) <= set(unmarked)
@@ -190,8 +186,8 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
 
 
 def test_zero_budget_still_measures_once():
-    hit, used, interrupted, index = search(8, 0, 0.0, DEFAULT_GROWTH, random.Random(3))
-    assert interrupted and not hit
+    used, interrupted, index = search(8, 0, 0.0, DEFAULT_GROWTH, random.Random(3))
+    assert interrupted
     assert used == 0
     assert 0 <= index < 8
 
@@ -202,9 +198,9 @@ def test_single_index_domain_terminates():
     for backend in Backend:
         rng = random.Random(4)
         ladder = _backend_ladder(backend, 1, 0)
-        assert search(1, 0, math.inf, DEFAULT_GROWTH, rng, ladder) == (False, 0, True, 0)
+        assert search(1, 0, math.inf, DEFAULT_GROWTH, rng, ladder) == (0, True, 0)
         ladder = _backend_ladder(backend, 1, 1)
-        assert search(1, 1, math.inf, DEFAULT_GROWTH, rng, ladder) == (True, 0, False, 0)
+        assert search(1, 1, math.inf, DEFAULT_GROWTH, rng, ladder) == (0, False, 0)
 
 
 @given(
@@ -216,10 +212,8 @@ def test_single_index_domain_terminates():
 def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
     t = max(1, round(t_frac * n))
     ladder = _backend_ladder(backend, n, t)
-    hit, _, interrupted, index = search(
-        n, t, math.inf, DEFAULT_GROWTH, random.Random(seed), ladder
-    )
-    assert hit and not interrupted
+    _, interrupted, index = search(n, t, math.inf, DEFAULT_GROWTH, random.Random(seed), ladder)
+    assert not interrupted
     assert index < t
 
 
@@ -227,7 +221,7 @@ def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
 def test_iterations_never_exceed_budget(seed, n, budget):
     rng = random.Random(seed)
     t = rng.randrange(n + 1)
-    assert search(n, t, budget, DEFAULT_GROWTH, rng)[1] <= budget
+    assert search(n, t, budget, DEFAULT_GROWTH, rng)[0] <= budget
 
 
 @given(seed=st.integers(0, 10**6))
@@ -246,7 +240,7 @@ def test_mean_iterations_below_sqrt_bound(n, t):
     total = 0
     total_sq = 0
     for _ in range(runs):
-        used = search(n, t, math.inf, DEFAULT_GROWTH, rng)[1]
+        used = search(n, t, math.inf, DEFAULT_GROWTH, rng)[0]
         total += used
         total_sq += used * used
     mean = total / runs
@@ -265,9 +259,7 @@ def test_backends_hit_at_matching_rates():
         hits = 0
         rng = derive_stream(5, "unit-agree", backend.value)
         for _ in range(runs):
-            hit, _, _, index = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
-            assert hit == (index < t)
-            hits += hit
+            hits += search(n, t, budget, DEFAULT_GROWTH, rng, ladder)[2] < t
         fractions[backend] = hits / runs
     diff = abs(fractions[Backend.EXACT_STATEVECTOR] - fractions[Backend.ANALYTIC_SAMPLER])
     sigma = math.sqrt(2 * 0.25 / runs)  # worst-case joint deviation
@@ -316,14 +308,15 @@ def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     measures.
     """
     rng = _ScriptedStream(j, u)
-    hit, used, _, index = search(n, t, float(j), DEFAULT_GROWTH, rng)
+    used, _, index = search(n, t, float(j), DEFAULT_GROWTH, rng)
     assert used == j
     assert rng.uniform_draws == (1 if t > 0 else 0)
     # With nothing marked the search is settled without a round (n >= 2),
     # and a one-index domain only ever runs j = 0, which it need not draw.
     assert rng.j_drawn == (t > 0 and n > 1)
-    assert index == (0 if hit else t)
-    return hit
+    # The stub draws the lowest position of the class the search ended in.
+    assert index in (0, t)
+    return index < t
 
 
 def test_analytic_round_uses_the_closed_form_exactly(monkeypatch):
@@ -362,8 +355,8 @@ def test_round_draw_is_randrange_draw_for_draw(monkeypatch, seed):
     rng, twin = random.Random(seed), random.Random(seed)
     for high in range(2, 4097):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        hit, used, interrupted, index = search(16, 16, math.inf, DEFAULT_GROWTH, rng)
-        assert hit and not interrupted
+        used, interrupted, index = search(16, 16, math.inf, DEFAULT_GROWTH, rng)
+        assert not interrupted
         assert used == twin.randrange(high)
         twin.random()
         assert index == twin.randrange(16)
@@ -371,7 +364,7 @@ def test_round_draw_is_randrange_draw_for_draw(monkeypatch, seed):
     # A cap of 1 draws no j at all, only the hit's uniform draw and the
     # position in a one-index class.
     monkeypatch.undo()
-    assert search(1, 1, math.inf, DEFAULT_GROWTH, rng) == (True, 0, False, 0)
+    assert search(1, 1, math.inf, DEFAULT_GROWTH, rng) == (0, False, 0)
     twin.random()
     twin.randrange(1)
     assert rng.getstate() == twin.getstate()
@@ -387,9 +380,9 @@ def test_analytic_index_is_the_class_position_draw(seed):
     outcomes = set()
     for t in range(1, n):
         for _ in range(40):
-            hit, used, interrupted, index = search(n, t, 0.0, DEFAULT_GROWTH, rng)
+            used, interrupted, index = search(n, t, 0.0, DEFAULT_GROWTH, rng)
+            hit = twin.random() < success_probability(n, t, 0)
             assert (used, interrupted) == (0, not hit)
-            assert hit == (twin.random() < success_probability(n, t, 0))
             assert index == (twin.randrange(t) if hit else twin.randrange(t, n))
             assert rng.getstate() == twin.getstate()
             outcomes.add(hit)
@@ -408,8 +401,8 @@ def test_both_backends_run_the_rounds_of_one_schedule(monkeypatch, backend):
     rng, twin = random.Random(11), random.Random(11)
     for high in range(2, 300):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        hit, used, interrupted, index = search(n, n, math.inf, DEFAULT_GROWTH, rng, ladder)
-        assert hit and not interrupted
+        used, interrupted, index = search(n, n, math.inf, DEFAULT_GROWTH, rng, ladder)
+        assert not interrupted
         assert used == twin.randrange(high)
         twin.random()
         if backend is Backend.ANALYTIC_SAMPLER:

@@ -169,25 +169,25 @@ def test_minimum_with_duplicates():
     assert table.order.tolist() == [1, 2, 0, 3]
 
 
-def _pass_index(ranks: np.ndarray, y: int, t: int, hit: bool, position: int) -> int:
-    """Check one pass below threshold y against the pass rule; return its position.
+def _pass_hits(ranks: np.ndarray, y: int, t: int, position: int) -> bool:
+    """Check one pass below threshold y against the pass rule; return whether it hit.
 
     Both backends mark t = rank(y) - 1 entries, the first t positions in
     value order: a hit lands among them, strictly below the threshold's
     rank, and a miss does not.
     """
     assert t == int(ranks[y]) - 1
-    assert hit == (position < t)
+    hit = position < t
     assert (ranks[position] < ranks[y]) == hit
-    return position
+    return hit
 
 
 def _search_below(ranks: np.ndarray, y: int, budget: float, rng, backend: Backend) -> tuple:
     """The search of one pass below threshold y, as ``find_minimum`` makes it: ``(hit, index)``."""
     n, t = len(ranks), int(ranks[y]) - 1
     ladder = GroverLadder(n, t) if backend is Backend.EXACT_STATEVECTOR else None
-    hit, _, _, position = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
-    return hit, _pass_index(ranks, y, t, hit, position)
+    _, _, position = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
+    return _pass_hits(ranks, y, t, position), position
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 48), backend=st.sampled_from(list(Backend)))
@@ -209,14 +209,13 @@ def test_threshold_marks_strictly_smaller_entries(seed, n, backend):
         patch.setattr(minfind, "search", recording)
         result = minfind.find_minimum(ranks, backend, DEFAULT_GROWTH, timeout_cap(n), rng)
     y = result.history[0][1]
-    for t, ladder, (hit, _, _, position) in passes:
+    for t, ladder, (_, _, position) in passes:
         if backend is Backend.EXACT_STATEVECTOR:
             assert (ladder.n, ladder.t) == (n, t)
         else:
             assert ladder is None
-        index = _pass_index(ranks, y, t, hit, position)
-        if hit:
-            y = index
+        if _pass_hits(ranks, y, t, position):
+            y = position
     assert len(passes) == result.loop_passes
     assert y == result.returned_index
 
