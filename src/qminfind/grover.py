@@ -33,6 +33,19 @@ evolves one immutable state per iteration under a predicate queried
 afresh each time; the ladder's states match it bit for bit with the first
 t indices marked, and within 1e-12 once a scattered marked set's
 probabilities are put first.
+
+By Lemma 1 a run's threshold has rank r with probability 1/r, so most
+exact passes search under a few small t, and each pass would otherwise
+recompute the same states.  ``ladder(n, t)`` is the one accessor exact
+passes and equivalence cells take their ladders from: it keeps a shelf for
+the most recent n only, holding the ladders of t below
+``KEPT_LADDER_BYTES`` divided by the worst-case size of one ladder
+(ceil(sqrt(n)) CDFs of n floats plus the amplitude copy: 120 ladders at
+n = 1024, 1 at 16384), and builds a fresh ladder for any larger t.  A
+state is still computed by the ladder, once per (n, t) rather than once
+per pass, so every stream and report byte is what fresh ladders give.
+Equivalence's fixed-j draws reach j = 8, past a search's depth only at
+n <= 64, where the shelf's n + 1 ladders hold under 1 MB.
 """
 from __future__ import annotations
 
@@ -44,11 +57,15 @@ import numpy as np
 
 __all__ = [
     "GroverLadder",
+    "KEPT_LADDER_BYTES",
+    "ladder",
     "rotation_angle",
     "success_probability",
 ]
 
 NORM_TOL = 1e-9
+# What the shelf of ``ladder`` may hold, counted at every ladder's worst case.
+KEPT_LADDER_BYTES = 32 * 2**20
 
 
 def rotation_angle(n: int, t: int) -> float:
@@ -118,9 +135,8 @@ class GroverLadder:
     each iteration is computed once and depth j holds j + 1 CDFs of n
     floats.  ``measure(j, rng)`` reads the state through ``cdf(j)`` and
     draws one index from it, so measuring a state the ladder already holds
-    computes nothing.  A ladder serves every exact search over its (n, t):
-    an exact pass of ``find_minimum`` builds one per threshold, an
-    equivalence cell one per (n, t).
+    computes nothing.  A ladder serves every exact search over its (n, t);
+    exact passes and equivalence cells take theirs from ``ladder(n, t)``.
     """
 
     def __init__(self, n: int, t: int):
@@ -157,6 +173,39 @@ class GroverLadder:
         """
         cdf = self.cdf(j)
         return bisect_right(cdf, rng.random() * cdf[-1])
+
+
+def _worst_ladder_bytes(n: int) -> int:
+    """The most one ladder over n indices holds once searches have measured it.
+
+    A search's j stays below its saturated cap ceil(sqrt(n)) (``qsearch``'s
+    round schedule), so its ladder holds at most that many CDFs of n float64,
+    the shared uniform one counted too, and its complex128 amplitude copy.
+    """
+    return (math.ceil(math.sqrt(n)) * 8 + 16) * n
+
+
+@lru_cache(maxsize=1)
+def _shelf(n: int) -> tuple[int, dict[int, GroverLadder]]:
+    """The shelf of the most recent n: how many marked counts it keeps, and its ladders by t."""
+    _check_counts(n, 0)
+    return KEPT_LADDER_BYTES // _worst_ladder_bytes(n), {}
+
+
+def ladder(n: int, t: int) -> GroverLadder:
+    """The ``GroverLadder(n, t)`` for a search: shelved when t is below the shelf's count, else fresh.
+
+    Each ladder computes every state the same way whenever it is asked
+    for it, so a shelved ladder hands a later search the very CDFs a fresh
+    one would compute; only the work is shared.
+    """
+    kept, shelf = _shelf(n)
+    if t >= kept:
+        return GroverLadder(n, t)
+    held = shelf.get(t)
+    if held is None:
+        held = shelf[t] = GroverLadder(n, t)
+    return held
 
 
 def success_probability(n: int, t: int, j: int) -> float:

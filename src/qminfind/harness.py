@@ -30,7 +30,7 @@ the CLI layer.
 
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
 config per backend.  Its other checks take one pass per (n, t) cell under
-one ``GroverLadder(n, t)``, the ladder an exact pass builds, which serves
+one ``grover.ladder(n, t)``, the ladder an exact pass reads, which serves
 the cell's fixed-j draws and all of its exact searches; both backends'
 searches go through ``qsearch.search``, the call every algorithm run makes.  Neither it nor
 ``bounds`` takes a depth or size: both reach as far as n needs.
@@ -67,6 +67,7 @@ from .bounds import (
     sweep_search_cost_bound,
     timeout_cap,
 )
+from . import grover
 from .grover import GroverLadder, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, init_charge
 from .qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
@@ -767,7 +768,9 @@ def closed_form_deviation(n: int, depth: int) -> float:
     """Worst |statevector marked probability - closed form| over t and j <= depth.
 
     The statevector side is the exact backend's ladder: with indices
-    0..t-1 marked, the marked probability is the CDF at index t - 1.
+    0..t-1 marked, the marked probability is the CDF at index t - 1.  Each
+    t gets a fresh ``GroverLadder``: this check reaches past a search's
+    depth at small n, and a shelved ladder would keep those states.
     """
     worst = 0.0
     for t in range(n + 1):
@@ -785,8 +788,9 @@ def _equivalence_cells(n: int) -> list[int]:
 def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], list[dict]]:
     """The fixed-j rows and the search rows of the cell with indices 0..t-1 marked.
 
-    One ladder serves the whole cell, so it computes each iteration once
-    for the exact fixed-j draws and every exact search.  Fixed-j rows
+    The cell's ladder is ``grover.ladder(n, t)``, the one an exact pass at
+    (n, t) reads, and it serves the exact fixed-j draws and every exact
+    search, so each iteration is computed once.  Fixed-j rows
     compare measurement frequencies at pinned iteration counts with the
     closed form; search rows check that hit and miss indices are uniform
     within their class and that both backends' (hit, iterations) laws agree.
@@ -795,7 +799,7 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     from scipy.stats import binomtest
 
     n = config.n
-    ladder = GroverLadder(n, t)
+    ladder = grover.ladder(n, t)
     samples = min(config.runs, 20_000)
     measure = ladder.measure
     fixed_rows = []

@@ -37,7 +37,9 @@ all-duplicates table has nothing marked).  A run reads only the ranks of
 its table in value order (``table.sorted_table``), so on both backends the
 t marked entries are positions 0..t-1, and the start, every threshold and
 the returned index are positions in value order.  An exact pass hands the
-search a ``GroverLadder(N, t)``; an analytic pass hands it none.  A
+search the ladder ``grover.ladder(N, t)`` returns, which is shared with
+every earlier pass under the same (N, t) while t is small enough to be
+shelved, and fresh above; an analytic pass hands it none.  A
 returned position below t is a smaller entry, so the threshold moves to
 it; a miss draws its unmarked position all the same, since it is part of
 the run's stream (a boosted experiment runs several runs on one stream).
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grover import GroverLadder
+from . import grover
 from .qsearch import Backend, search
 
 __all__ = [
@@ -134,7 +136,7 @@ def find_minimum(
         # much as the rest of this bookkeeping.
         remaining = cap - spent if spent < cap else 0.0
         if exact:
-            ladder = GroverLadder(n, t)
+            ladder = grover.ladder(n, t)
         used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
         steps += used
         spent = passes * lg_n + steps

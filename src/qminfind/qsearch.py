@@ -27,7 +27,9 @@ position comes from:
   and returns the last position measured; it never reads the rotation
   angle.  Every round starts from the uniform state, so a ladder kept
   across searches computes each iteration once; each is still charged one
-  time step, as in every round.
+  time step, as in every round.  Exact passes and equivalence cells take
+  their ladder from ``grover.ladder(N, t)``, which keeps the small-t
+  ladders of the most recent N across searches and runs.
 
 With nothing marked (t = 0, N >= 2) every round misses with certainty and
 the rounds spend a finite budget down to its floor, so the search is

@@ -1,7 +1,10 @@
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from qminfind import grover
 
 # Some tests start a child interpreter, which inherits os.environ but not
 # pytest's ``pythonpath`` setting, so the checkout's sources go on its path.
@@ -18,3 +21,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def empty_ladder_shelf():
+    # ``grover.ladder`` keeps ladders across calls, so a test that patches
+    # ``_reflect``, ``_measured`` or ``GroverLadder`` must not read states an
+    # earlier test computed: every test starts from an empty shelf.
+    grover._shelf.cache_clear()

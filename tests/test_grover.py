@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from qminfind import grover
 from qminfind.grover import GroverLadder, rotation_angle, success_probability
+from qminfind.harness import ExperimentConfig, run_experiment
+from qminfind.qsearch import Backend
 from reference_grover import StateVector, grover_iterate, marked_subset, uniform_state
 
 # Success curve for 2 marked of 8, derived by hand from the rotation angle
@@ -317,3 +319,93 @@ def test_measuring_a_held_state_computes_nothing(monkeypatch, depth):
     for _ in range(50):
         ladder.measure(rng.randrange(depth + 1), rng)
     assert counts == {"_reflect": depth, "_measured": depth}
+
+
+def _held_bytes(n: int) -> int:
+    """Bytes the shelf of n holds: every CDF of its ladders and their amplitude copies."""
+    _, shelf = grover._shelf(n)
+    return sum(
+        len(held._cdfs) * n * 8 + (0 if held._amps is None else held._amps.nbytes)
+        for held in shelf.values()
+    )
+
+
+@pytest.mark.parametrize("n", [16, 1000, 1024])
+def test_shelf_ladder_cdfs_equal_a_fresh_ladders_bit_for_bit(n):
+    # A shelved ladder is extended by later searches, in any order of depths;
+    # every state it hands out is the one a fresh ladder computes.
+    depth = math.ceil(math.sqrt(n)) - 1
+    for t in sorted({0, 1, 2, 7, n // 16}):
+        shelved = grover.ladder(n, t)
+        for j in (1, depth // 2, 0, depth):
+            shelved.cdf(j)
+        assert grover.ladder(n, t) is shelved
+        fresh = GroverLadder(n, t)
+        for j in range(depth + 1):
+            assert bytes(shelved.cdf(j)) == bytes(fresh.cdf(j)), (t, j)
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_only_small_t_is_shelved(n):
+    kept, _ = grover._shelf(n)
+    worst = grover._worst_ladder_bytes(n)
+    assert kept * worst <= grover.KEPT_LADDER_BYTES < (kept + 1) * worst
+    assert kept == {1024: 120, 4096: 15, 16384: 1}[n]
+    assert grover.ladder(n, kept - 1) is grover.ladder(n, kept - 1)
+    assert grover.ladder(n, kept) is not grover.ladder(n, kept)
+    assert sorted(grover._shelf(n)[1]) == [kept - 1]
+
+
+def test_the_shelf_holds_one_n_at_a_time():
+    first = grover.ladder(1024, 3)
+    assert grover.ladder(2048, 3) is not first
+    assert grover._shelf.cache_info().currsize == 1
+    assert grover.ladder(1024, 3) is not first
+
+
+def test_a_bad_count_is_rejected_and_never_shelved():
+    for n, t in ((0, 0), (-4, 0), (8, -1), (8, 9)):
+        with pytest.raises(ValueError):
+            grover.ladder(n, t)
+    assert -1 not in grover._shelf(8)[1]
+
+
+@pytest.mark.parametrize("n, runs", [(1024, 2000), (16384, 50)])
+def test_the_shelf_holds_at_most_its_bytes_after_exact_runs(n, runs):
+    config = ExperimentConfig("success", n, runs, seed=1, backend=Backend.EXACT_STATEVECTOR)
+    assert run_experiment(config).passed
+    kept, shelf = grover._shelf(n)
+    assert shelf and max(shelf) < kept
+    # No search reads past its saturated cap, which the worst case assumes.
+    assert max(len(held._cdfs) for held in shelf.values()) <= math.ceil(math.sqrt(n))
+    assert _held_bytes(n) <= grover.KEPT_LADDER_BYTES
+
+
+def test_equivalence_cells_past_a_searchs_depth_hold_under_a_megabyte():
+    # At n <= 64 the fixed-j draws (to j = 8) reach past a search's depth,
+    # which the worst case does not count; all n + 1 ladders fit the shelf.
+    assert run_experiment(ExperimentConfig("equivalence", 64, 100, seed=1)).passed
+    kept, shelf = grover._shelf(64)
+    assert kept > 64
+    assert max(len(held._cdfs) for held in shelf.values()) == 9 > math.ceil(math.sqrt(64))
+    assert _held_bytes(64) < 2**20
+
+
+@pytest.mark.parametrize("step", ["warm", "patched"])
+def test_a_patch_takes_effect_after_a_test_that_warmed_the_shelf(monkeypatch, step):
+    # The first case leaves the shelf warm, as any exact run does.  The
+    # autouse fixture in conftest.py empties it before the second, so the
+    # states that case reads are computed by its patched ``_reflect``.
+    assert grover._shelf.cache_info().currsize == 0
+    if step == "warm":
+        grover.ladder(8, 1).cdf(2)
+        assert grover._shelf.cache_info().currsize == 1
+        return
+
+    def leaky(amps, t):
+        amps[:t] *= -1
+        amps *= 1.001
+
+    monkeypatch.setattr(grover, "_reflect", leaky)
+    with pytest.raises(ValueError, match="not normalized"):
+        grover.ladder(8, 1).cdf(2)

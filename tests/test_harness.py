@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import __version__, harness, minfind, qsearch
+from qminfind import __version__, grover, harness, minfind, qsearch
 from qminfind.bounds import timeout_cap
 from qminfind.harness import (
     ExperimentConfig,
@@ -705,9 +705,10 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
 
 
 def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
-    # Each cell builds one ladder of (n, t), which serves the cell's fixed-j
-    # draws and is handed to every exact search of the cell; its analytic
-    # searches get none.
+    # Each cell's ladder is ``grover.ladder(n, t)``, the ladder an exact pass
+    # reads.  On the empty shelf a test starts with, the cell builds it, it
+    # serves the cell's fixed-j draws and is handed to every exact search of
+    # the cell; its analytic searches get none.
     ladders = []
     handed = []
     cells = {}
@@ -736,6 +737,7 @@ def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
     assert sorted(cells) == harness._equivalence_cells(16)
     for t, ((ladder,), searches) in cells.items():
         assert (ladder.n, ladder.t) == (16, t)
+        assert ladder is grover.ladder(16, t)
         assert searches == [ladder] * 200 + [None] * 200
 
 

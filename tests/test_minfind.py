@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import harness, minfind
+from qminfind import grover, harness, minfind
 from qminfind.bounds import timeout_cap
-from qminfind.harness import ExperimentConfig
+from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.minfind import RunResult, find_minimum
 from qminfind.qsearch import DEFAULT_GROWTH, Backend
 from qminfind.seeding import derive_stream
@@ -258,3 +258,33 @@ def test_run_results_hold_python_scalars(tmp_path, backend, kind):
                 assert all(type(time) is float and type(y) is int for time, y in value)
             else:
                 assert type(value) in (int, float, bool, type(None)), (f.name, type(value))
+
+
+EXACT_REPORTS = {
+    "success": dict(experiment="success", n=256, runs=300, seed=3),
+    "cost": dict(experiment="expected-cost", n=64, runs=200, seed=4),
+    "lemma1": dict(experiment="lemma1", n=64, runs=300, seed=2),
+    "run": dict(experiment="single-run", n=100, runs=20, seed=2),
+}
+
+
+@pytest.mark.parametrize("fields", EXACT_REPORTS.values(), ids=EXACT_REPORTS)
+def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatch, fields):
+    # Exact passes read their ladders from ``grover.ladder``'s shelf.  Cold,
+    # warm, after a run at another n, at two workers, and with every pass
+    # building a fresh ladder (the shelf bypassed), the report is the same.
+    config = ExperimentConfig(backend=Backend.EXACT_STATEVECTOR, **fields)
+
+    def render(config):
+        report = run_experiment(config)
+        return report.render("json"), report.render("csv")
+
+    cold = render(config)
+    assert grover._shelf(config.n)[1]
+    warm = render(config)
+    run_experiment(dataclasses.replace(config, n=2 * config.n))
+    after_another_n = render(config)
+    two_workers = render(dataclasses.replace(config, workers=2))
+    monkeypatch.setattr(grover, "ladder", grover.GroverLadder)
+    fresh = render(config)
+    assert cold == warm == after_another_n == two_workers == fresh
