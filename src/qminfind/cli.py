@@ -14,10 +14,12 @@ its name (--lambda sets ``growth``, --table ``table_path``) and passes its
 text through; the config states each default, grammar and valid range.
 
 Exit status: 0 when every check passes, 1 when one fails (the stderr line
-names each failing check), 2 on bad usage or configuration.  The report
-goes to stdout (or --out); wall-clock timing and the git revision go to
-stderr only, so reports with the same seed are byte-identical across
-invocations, worker counts and commits.
+names each failing check), 2 on bad usage or configuration, all of which
+the config (a table file's contents included) rejects before the first
+run; an exception during a run is a fault and ends in a traceback.  The
+report goes to stdout (or --out); wall-clock timing and the git revision
+go to stderr only, so reports with the same seed are byte-identical
+across invocations, worker counts and commits.
 """
 from __future__ import annotations
 
@@ -104,16 +106,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qminfind: error: {exc}", file=sys.stderr)
         return 2
 
     started = time.perf_counter()
-    try:
-        report = run_experiment(config)
-    except (ValueError, OSError) as exc:
-        print(f"qminfind: error: {exc}", file=sys.stderr)
-        return 2
+    report = run_experiment(config)
     duration = time.perf_counter() - started
 
     text = report.render(args.format)

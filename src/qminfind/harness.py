@@ -239,10 +239,17 @@ class ExperimentConfig:
             raise ValueError(f"lemma1 reports one row per rank; n <= {LEMMA1_MAX_N}")
         if self.experiment in ("expected-cost", "bounds") and self.n < 2:
             raise ValueError(f"{self.experiment} experiment needs n >= 2")
+        self.fixed_table  # read last, so every check above comes before any I/O
+        # Only a distinct table's verdict reads max_rank, so no other may set it.
+        if self.max_rank != ExperimentConfig.max_rank and self.mode_label != "distinct":
+            raise ValueError(
+                f"lemma1 reads max_rank (--max-rank) only on distinct tables, not {self.mode_label}"
+            )
 
     @functools.cached_property
     def fixed_table(self) -> Table | None:
-        """The table file every run uses, read once; None when runs draw their own."""
+        """The table file every run uses, read once as the config is built and
+        pickled with it to workers; None when runs draw their own."""
         if self.table_path is None:
             return None
         table = read_table(self.table_path)
@@ -540,9 +547,6 @@ def _fold_runs(config: ExperimentConfig, key: tuple, fold) -> tuple:
     for any split of the run range, and a worker sends back one small
     tuple per span.
     """
-    # Read the table file here, before any worker starts: the cached table
-    # travels inside the pickled config, so no worker reads the file again.
-    config.fixed_table
     workers = min(config.workers, config.runs)
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
@@ -591,13 +595,8 @@ def estimate_rank_selection(config: ExperimentConfig) -> Report:
     must stay at or below 1/r.  Counting includes the uniformly random
     starting threshold, and the minimum (rank 1) is always reached.
     """
-    # Every run sees the same kind of table: the file's, or the mode's.  Only
-    # a distinct table's verdict reads max_rank, so no other may set it.
+    # Every run sees the same kind of table: the file's, or the mode's.
     distinct = config.mode_label == "distinct"
-    if not distinct and config.max_rank != ExperimentConfig.max_rank:
-        raise ValueError(
-            f"lemma1 reads max_rank (--max-rank) only on distinct tables, not {config.mode_label}"
-        )
     represented, chosen = _fold_runs(config, ("lemma1",), _lemma1_fold)
 
     rows = []

@@ -122,61 +122,57 @@ def search(
     """
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    index = None
     if t == 0 and n >= 2:
         if budget == math.inf:
             raise ValueError("a search with nothing marked never ends without a finite budget")
         # Every round misses, and the rounds end exactly when their integer
         # iteration counts have spent the budget down to its floor, the last
-        # one truncated if need be.
-        hit, used, interrupted = False, int(budget), True
+        # one truncated if need be.  No iteration moves the uniform state.
+        index = rng.randrange(t, n) if ladder is None else ladder.measure(0, rng)
+        return int(budget), True, index
+    growing, saturated = _round_schedule(n, growth)
+    if ladder is None:
+        theta = rotation_angle(n, t)
     else:
-        growing, saturated = _round_schedule(n, growth)
-        if ladder is None:
-            theta = rotation_angle(n, t)
-        else:
-            measure = ladder.measure
-        getrandbits = rng.getrandbits
-        uniform = rng.random
-        sin = math.sin
-        remaining = budget
-        used = 0
-        for high, bits in chain(growing, repeat(saturated)):
-            if high > 1:
+        measure = ladder.measure
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    sin = math.sin
+    remaining = budget
+    used = 0
+    for high, bits in chain(growing, repeat(saturated)):
+        if high > 1:
+            j = getrandbits(bits)
+            while j >= high:
                 j = getrandbits(bits)
-                while j >= high:
-                    j = getrandbits(bits)
-            else:
-                j = 0
-            truncated = j > remaining
-            if truncated:
-                j = int(remaining)
-            if ladder is None:
-                # Inline, not a per-round callable: a call per round makes
-                # the analytic loop take about 15% longer.  t = 0 here only
-                # on a one-index domain.  With every index marked the
-                # probability is exactly 1, so no search ends on a miss
-                # whose unmarked position could not be drawn.
-                hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
-            else:
-                index = measure(j, rng)
-                hit = index < t
-            remaining -= j
-            used += j
-            if hit:
-                interrupted = truncated
-                break
-            # A miss ends the search when its round was truncated, when the
-            # budget is spent, or on a one-index domain: there every draw is
-            # j = 0, so the budget can never be consumed.
-            if truncated or remaining <= 0 or n == 1:
-                interrupted = True
-                break
+        else:
+            j = 0
+        truncated = j > remaining
+        if truncated:
+            j = int(remaining)
+        if ladder is None:
+            # Inline, not a per-round callable: a call per round makes
+            # the analytic loop take about 15% longer.  t = 0 here only
+            # on a one-index domain.  With every index marked the
+            # probability is exactly 1, so no search ends on a miss
+            # whose unmarked position could not be drawn.
+            hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
+        else:
+            index = measure(j, rng)
+            hit = index < t
+        remaining -= j
+        used += j
+        if hit:
+            interrupted = truncated
+            break
+        # A miss ends the search when its round was truncated, when the
+        # budget is spent, or on a one-index domain: there every draw is
+        # j = 0, so the budget can never be consumed.
+        if truncated or remaining <= 0 or n == 1:
+            interrupted = True
+            break
     if ladder is None:
         # The rounds draw no index: it is uniform within the class the
         # search ended in, whatever the rounds did.
         index = rng.randrange(t) if hit else rng.randrange(t, n)
-    elif index is None:
-        # Settled in closed form: the state is still uniform.
-        index = ladder.measure(0, rng)
     return used, interrupted, index

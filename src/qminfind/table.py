@@ -78,16 +78,19 @@ def read_table(path: str | Path) -> Table:
     # An int64 array rejects a value outside its range with OverflowError.
     parsed = array("q")
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                parsed.append(int(text, 10))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: not a decimal integer: {text!r}") from exc
-            except OverflowError:
-                raise ValueError(f"{path}:{line_no}: value outside int64 range") from None
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    parsed.append(int(text, 10))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: not a decimal integer: {text!r}") from exc
+                except OverflowError:
+                    raise ValueError(f"{path}:{line_no}: value outside int64 range") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
     if not parsed:
         raise ValueError(f"{path}: no values")
     order = np.argsort(np.frombuffer(parsed, dtype=np.int64), kind="stable")

@@ -1,0 +1,73 @@
+"""Check that a run's memory keeps its bounds at full scale.
+
+Each check runs ``qminfind success --seed 1`` in-process in a fresh
+interpreter at a small and at a large number of runs, and exits 1 when the
+large one's peak resident memory (``VmHWM``, read by the child from
+``/proc/self/status``) grows over the small one's by more than its limit:
+
+* the fold: ``--n 4`` at 10^6 runs against 10^4 runs, within 10 MB.  Every
+  span of runs folds into a few exact integer sums, so nothing is kept per
+  run.
+* the exact backend's shelf of ladders: ``--backend exact`` at n = 4096
+  (2000 runs) and n = 16384 (100 runs) against 1 run at the same n, within
+  ``grover.KEPT_LADDER_BYTES`` plus one worst-case ladder (the fresh one a
+  pass above the shelf builds) plus 10 MB.
+
+It takes about 20 s on a 2-core x86-64 Linux host, so it runs beside the
+tier-1 suite, not in it:
+
+    PYTHONPATH=src python tests/memory_bounds.py
+"""
+import subprocess
+import sys
+
+from qminfind import grover
+
+CHILD = """
+import os, sys
+from qminfind.cli import main
+
+code = main(["success", *sys.argv[1:], "--seed", "1", "--out", os.devnull])
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(code, status["VmHWM"].split()[0])
+"""
+SLACK_KB = 10 * 1024
+
+
+def peak_kb(n: int, runs: int, *flags: str) -> int:
+    argv = ["--n", str(n), "--runs", str(runs), *flags]
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True
+    )
+    code, peak = map(int, result.stdout.split())
+    # One run is too few for the success verdict to pass, so a 1-run
+    # baseline may exit 1; every other invocation must pass.
+    if code != 0 and not (runs == 1 and code == 1):
+        raise SystemExit(f"success {' '.join(argv)} exited {code}: {result.stderr}")
+    return peak
+
+
+def main() -> int:
+    # (label, n, flags, baseline runs, measured runs, limit in kB)
+    checks = [("fold", 4, (), 10**4, 10**6, SLACK_KB)]
+    checks += [
+        (
+            "ladder shelf", n, ("--backend", "exact"), 1, runs,
+            (grover.KEPT_LADDER_BYTES + grover._worst_ladder_bytes(n)) // 1024 + SLACK_KB,
+        )
+        for n, runs in [(4096, 2000), (16384, 100)]
+    ]
+    ok = True
+    for label, n, flags, small, large, limit in checks:
+        baseline, peak = peak_kb(n, small, *flags), peak_kb(n, large, *flags)
+        growth = peak - baseline
+        ok &= growth <= limit
+        print(
+            f"{label} n={n}: VmHWM {baseline} kB at {small} runs, {peak} kB at {large} runs: "
+            f"growth {growth} kB, limit {limit} kB: {'PASS' if growth <= limit else 'FAIL'}"
+        )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

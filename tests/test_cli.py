@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import __version__
+from qminfind import __version__, grover, harness
 from qminfind.cli import _SUBCOMMANDS, _config_from_args, build_parser, main
 from qminfind.harness import _FLAGS, EXPERIMENT_FIELDS, ExperimentConfig, run_experiment
 
@@ -321,6 +321,21 @@ def test_table_value_outside_int64_is_config_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    ("module", "name", "backend"),
+    [(harness, "find_minimum", "analytic"), (grover, "_check_norm", "exact")],
+)
+def test_a_fault_inside_a_run_propagates_out_of_main(monkeypatch, module, name, backend):
+    # Every input is checked before the first run, so a ValueError raised
+    # by a run is a fault, not a usage error: it must not become exit 2.
+    def fault(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(ValueError, match="injected fault"):
+        main(["success", "--n", "16", "--runs", "3", "--seed", "1", "--backend", backend])
+
+
 def test_lemma1_takes_its_comparison_from_a_duplicate_table_file(tmp_path, capsys):
     # 48 values from -4..4: ties everywhere, under the default --mode distinct.
     path = tmp_path / "dup.txt"
@@ -602,16 +617,21 @@ FUZZ_VALUES = {
     "format": st.sampled_from(["json", "csv", "yaml"]),
     "out": st.just("@dir/missing/report.json"),
     "table": st.sampled_from(
-        ["@dir/distinct.txt", "@dir/dup.txt", "@dir/empty.txt", "@dir/words.txt", "@dir/missing.txt"]
+        [
+            "@dir/distinct.txt", "@dir/dup.txt", "@dir/empty.txt", "@dir/words.txt",
+            "@dir/binary.txt", "@dir/overflow.txt", "@dir/missing.txt",
+        ]
     ),
     "workers": st.sampled_from(["-1", "0", "1"]),
     "max-rank": st.integers(-1, 12).map(str),
 }
 FUZZ_TABLES = {
-    "distinct.txt": "5\n-2\n9\n0\n7\n4\n1\n8\n",
-    "dup.txt": "3\n3\n1\n3\n1\n1\n3\n1\n",
-    "empty.txt": "",
-    "words.txt": "1\ntwo\n",
+    "distinct.txt": b"5\n-2\n9\n0\n7\n4\n1\n8\n",
+    "dup.txt": b"3\n3\n1\n3\n1\n1\n3\n1\n",
+    "empty.txt": b"",
+    "words.txt": b"1\ntwo\n",
+    "binary.txt": b"\xff\xfe",
+    "overflow.txt": b"9223372036854775808\n",
 }
 
 
@@ -641,7 +661,7 @@ def fuzz_argv(draw) -> list[str]:
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     for name, text in FUZZ_TABLES.items():
-        (path / name).write_text(text)
+        (path / name).write_bytes(text)
     return path
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -608,9 +609,51 @@ def test_pickled_config_carries_its_table_file(tmp_path):
 def test_fixed_table_size_mismatch_is_an_error(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text("3\n1\n2\n")
-    config = ExperimentConfig(experiment="success", n=8, runs=10, table_path=str(path))
     with pytest.raises(ValueError, match="table file"):
-        run_experiment(config)
+        ExperimentConfig(experiment="success", n=8, runs=10, table_path=str(path))
+
+
+# The lemma1 config fields of each case, its table file's bytes ("dir" for a
+# directory, None for no file at t.txt) and the error it must raise.
+BAD_INPUTS = {
+    "missing": ({"table_path": "t.txt"}, None, FileNotFoundError, "t.txt"),
+    "directory": ({"table_path": "t.txt"}, "dir", IsADirectoryError, "t.txt"),
+    "words": ({"table_path": "t.txt"}, b"1\ntwo\n", ValueError, "t.txt:2: not a decimal integer"),
+    "empty": ({"table_path": "t.txt"}, b"", ValueError, "t.txt: no values"),
+    "binary": ({"table_path": "t.txt"}, b"\xff\xfe", ValueError, "t.txt: not UTF-8 text"),
+    "overflow": (
+        {"table_path": "t.txt"}, b"1\n9223372036854775808\n", ValueError,
+        "t.txt:2: value outside int64 range",
+    ),
+    "size-mismatch": (
+        {"table_path": "t.txt"}, b"1\n2\n", ValueError, "holds 2 values but --n is 8"
+    ),
+    "max-rank-dup-mode": (
+        {"mode": "dup:8", "max_rank": 3}, None, ValueError, "only on distinct tables, not dup:8"
+    ),
+    "max-rank-tied-file": (
+        {"table_path": "t.txt", "max_rank": 3}, b"2\n1\n" * 4, ValueError,
+        "only on distinct tables, not dup:2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_every_input_error_is_raised_while_the_config_is_built(tmp_path, monkeypatch, case):
+    # A config that builds is a valid input, so no run may meet one of these.
+    fields, contents, error, message = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    if contents == "dir":
+        (tmp_path / "t.txt").mkdir()
+    elif contents is not None:
+        (tmp_path / "t.txt").write_bytes(contents)
+
+    def no_runs(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_fold_runs", no_runs)
+    with pytest.raises(error, match=re.escape(message)):
+        ExperimentConfig("lemma1", n=8, runs=5, **fields)
 
 
 def test_fixed_table_is_used_verbatim(tmp_path):
