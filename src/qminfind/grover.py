@@ -38,20 +38,24 @@ By Lemma 1 a run's threshold has rank r with probability 1/r, so most
 exact passes search under a few small t, and each pass would otherwise
 recompute the same states.  ``ladder(n, t)`` is the one accessor exact
 passes and equivalence cells take their ladders from: it keeps a shelf for
-the most recent n only, holding the ladders of t below
-``KEPT_LADDER_BYTES`` divided by the worst-case size of one ladder
-(ceil(sqrt(n)) CDFs of n floats plus the amplitude copy: 120 ladders at
-n = 1024, 1 at 16384), and builds a fresh ladder for any larger t.  A
-state is still computed by the ladder, once per (n, t) rather than once
-per pass, so every stream and report byte is what fresh ladders give.
-Equivalence's fixed-j draws reach j = 8, past a search's depth only at
-n <= 64, where the shelf's n + 1 ladders hold under 1 MB.
+the most recent n only, which shelves the ladder of every t and counts the
+bytes they hold, each ladder's own states after j = 0 and its amplitude
+copy (the shared uniform CDF is held once per n and not counted).  A
+ladder counts its growth before it computes it, and when the count would
+pass ``KEPT_LADDER_BYTES`` the shelf evicts the other ladders, largest t
+first: a pass searches under t with probability 1/(t + 1), so the largest
+t are the least used.  A ladder alone over the bound leaves the shelf too.
+An evicted ladder is freed when the search still reading it ends, and the
+next pass at its t shelves a new one.  A state is still computed by the
+ladder, once per (n, t) rather than once per pass while it stays shelved,
+so every stream and report byte is what fresh ladders give.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from weakref import ref
 
 import numpy as np
 
@@ -64,7 +68,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
-# What the shelf of ``ladder`` may hold, counted at every ladder's worst case.
+# What the shelf of ``ladder`` may hold: its ladders' own states and amplitude copies.
 KEPT_LADDER_BYTES = 32 * 2**20
 
 
@@ -136,7 +140,12 @@ class GroverLadder:
     floats.  ``measure(j, rng)`` reads the state through ``cdf(j)`` and
     draws one index from it, so measuring a state the ladder already holds
     computes nothing.  A ladder serves every exact search over its (n, t);
-    exact passes and equivalence cells take theirs from ``ladder(n, t)``.
+    exact passes and equivalence cells take theirs from ``ladder(n, t)``,
+    which sets ``shelf`` to a weak reference to the shelf holding it (weak,
+    so a shelf that ``_shelf``'s cache drops is freed at once, not at a
+    later cycle collection).  A shelved ladder counts the bytes of the
+    states it is about to compute on that shelf first; ``shelf`` is None
+    on any other ladder.
     """
 
     def __init__(self, n: int, t: int):
@@ -144,6 +153,7 @@ class GroverLadder:
         self.n, self.t = n, t
         self._cdfs = [_uniform(n)[1]]
         self._amps: np.ndarray | None = None
+        self.shelf: ref[_Shelf] | None = None
 
     def cdf(self, j: int) -> memoryview:
         """Cumulative |a_i|^2 of the state after j iterations."""
@@ -152,6 +162,10 @@ class GroverLadder:
             if j < 0:
                 raise ValueError("iteration count must be >= 0")
             return cdfs[j]
+        shelf = self.shelf and self.shelf()
+        if shelf is not None:
+            # n floats per new state, and 2n for the amplitude copy if new.
+            shelf.grow(self, (j + 1 - len(cdfs) + 2 * (self._amps is None)) * 8 * self.n)
         if self._amps is None:
             self._amps = _uniform(self.n)[0].copy()
         while len(cdfs) <= j:
@@ -181,30 +195,61 @@ def _worst_ladder_bytes(n: int) -> int:
     A search's j stays below its saturated cap ceil(sqrt(n)) (``qsearch``'s
     round schedule), so its ladder holds at most that many CDFs of n float64,
     the shared uniform one counted too, and its complex128 amplitude copy.
+    It bounds the one ladder the shelf does not count: the one evicted while
+    its search still reads it.
     """
     return (math.ceil(math.sqrt(n)) * 8 + 16) * n
 
 
+class _Shelf(dict):
+    """The ladders of one n by t; ``held`` counts their own states and amplitude copies in bytes."""
+
+    held = 0
+
+    def grow(self, growing: GroverLadder, size: int) -> None:
+        """Count ``size`` more bytes for ``growing``, evicting while the count passes the bound.
+
+        The other ladders leave largest t first; ``growing`` leaves last, so
+        only when it alone is over the bound.  An evicted ladder's ``shelf``
+        is cleared, so its later growth is not counted.
+        """
+        self.held += size
+        if self.held <= KEPT_LADDER_BYTES:
+            return
+        for t in sorted(self, reverse=True):
+            if t != growing.t:
+                evicted = self.pop(t)
+                evicted.shelf = None
+                own = len(evicted._cdfs) - 1 + 2 * (evicted._amps is not None)
+                self.held -= own * 8 * evicted.n
+                if self.held <= KEPT_LADDER_BYTES:
+                    return
+        del self[growing.t]
+        growing.shelf = None
+        self.held = 0
+
+
 @lru_cache(maxsize=1)
-def _shelf(n: int) -> tuple[int, dict[int, GroverLadder]]:
-    """The shelf of the most recent n: how many marked counts it keeps, and its ladders by t."""
+def _shelf(n: int) -> _Shelf:
+    """The shelf of the most recent n: its ladders by t, and the bytes they hold."""
     _check_counts(n, 0)
-    return KEPT_LADDER_BYTES // _worst_ladder_bytes(n), {}
+    return _Shelf()
 
 
 def ladder(n: int, t: int) -> GroverLadder:
-    """The ``GroverLadder(n, t)`` for a search: shelved when t is below the shelf's count, else fresh.
+    """The shelved ``GroverLadder(n, t)`` for a search, built and shelved on first use.
 
     Each ladder computes every state the same way whenever it is asked
     for it, so a shelved ladder hands a later search the very CDFs a fresh
-    one would compute; only the work is shared.
+    one would compute; only the work is shared.  A ladder the shelf
+    evicted stays with the searches that hold it; the next call shelves a
+    new one.
     """
-    kept, shelf = _shelf(n)
-    if t >= kept:
-        return GroverLadder(n, t)
+    shelf = _shelf(n)
     held = shelf.get(t)
     if held is None:
         held = shelf[t] = GroverLadder(n, t)
+        held.shelf = ref(shelf)
     return held
 
 

@@ -28,8 +28,9 @@ position comes from:
   angle.  Every round starts from the uniform state, so a ladder kept
   across searches computes each iteration once; each is still charged one
   time step, as in every round.  Exact passes and equivalence cells take
-  their ladder from ``grover.ladder(N, t)``, which keeps the small-t
-  ladders of the most recent N across searches and runs.
+  their ladder from ``grover.ladder(N, t)``, which keeps the ladders of
+  the most recent N across searches and runs, within a byte bound that
+  evicts the largest t first.
 
 With nothing marked (t = 0, N >= 2) every round misses with certainty and
 the rounds spend a finite budget down to its floor, so the search is

@@ -8,12 +8,15 @@ large one's peak resident memory (``VmHWM``, read by the child from
 * the fold: ``--n 4`` at 10^6 runs against 10^4 runs, within 10 MB.  Every
   span of runs folds into a few exact integer sums, so nothing is kept per
   run.
-* the exact backend's shelf of ladders: ``--backend exact`` at n = 4096
-  (2000 runs) and n = 16384 (100 runs) against 1 run at the same n, within
-  ``grover.KEPT_LADDER_BYTES`` plus one worst-case ladder (the fresh one a
-  pass above the shelf builds) plus 10 MB.
+* the exact backend's shelf of ladders: ``--backend exact`` at n = 1024
+  (20000 runs), n = 4096 (2000 runs) and n = 16384 (100 runs) against 1
+  run at the same n, within ``grover.KEPT_LADDER_BYTES`` plus one
+  worst-case ladder (one evicted while its search still reads it) plus
+  10 MB.  The shelf fills most of its bound at n = 1024, the benchmark's
+  n, and evicts at the larger two.  Each of these lines also prints the
+  shelf's ladder count and the bytes it has counted.
 
-It takes about 20 s on a 2-core x86-64 Linux host, so it runs beside the
+It takes about 25 s on a 2-core x86-64 Linux host, so it runs beside the
 tier-1 suite, not in it:
 
     PYTHONPATH=src python tests/memory_bounds.py
@@ -25,26 +28,29 @@ from qminfind import grover
 
 CHILD = """
 import os, sys
+from qminfind import grover
 from qminfind.cli import main
 
 code = main(["success", *sys.argv[1:], "--seed", "1", "--out", os.devnull])
 status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-print(code, status["VmHWM"].split()[0])
+shelf = grover._shelf(int(sys.argv[2]))
+print(code, status["VmHWM"].split()[0], len(shelf), shelf.held)
 """
 SLACK_KB = 10 * 1024
 
 
-def peak_kb(n: int, runs: int, *flags: str) -> int:
+def peak_kb(n: int, runs: int, *flags: str) -> tuple[int, int, int]:
+    """The child's VmHWM in kB, and its shelf's ladder count and counted bytes."""
     argv = ["--n", str(n), "--runs", str(runs), *flags]
     result = subprocess.run(
         [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True
     )
-    code, peak = map(int, result.stdout.split())
+    code, peak, ladders, held = map(int, result.stdout.split())
     # One run is too few for the success verdict to pass, so a 1-run
     # baseline may exit 1; every other invocation must pass.
     if code != 0 and not (runs == 1 and code == 1):
         raise SystemExit(f"success {' '.join(argv)} exited {code}: {result.stderr}")
-    return peak
+    return peak, ladders, held
 
 
 def main() -> int:
@@ -55,15 +61,17 @@ def main() -> int:
             "ladder shelf", n, ("--backend", "exact"), 1, runs,
             (grover.KEPT_LADDER_BYTES + grover._worst_ladder_bytes(n)) // 1024 + SLACK_KB,
         )
-        for n, runs in [(4096, 2000), (16384, 100)]
+        for n, runs in [(1024, 20000), (4096, 2000), (16384, 100)]
     ]
     ok = True
     for label, n, flags, small, large, limit in checks:
-        baseline, peak = peak_kb(n, small, *flags), peak_kb(n, large, *flags)
+        baseline, _, _ = peak_kb(n, small, *flags)
+        peak, ladders, held = peak_kb(n, large, *flags)
         growth = peak - baseline
         ok &= growth <= limit
+        shelved = f", shelf {ladders} ladders, {held} B counted" if flags else ""
         print(
-            f"{label} n={n}: VmHWM {baseline} kB at {small} runs, {peak} kB at {large} runs: "
+            f"{label} n={n}: VmHWM {baseline} kB at {small} runs, {peak} kB at {large} runs{shelved}: "
             f"growth {growth} kB, limit {limit} kB: {'PASS' if growth <= limit else 'FAIL'}"
         )
     return 0 if ok else 1

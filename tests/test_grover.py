@@ -1,12 +1,14 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import grover
+from qminfind import grover, harness
 from qminfind.grover import GroverLadder, rotation_angle, success_probability
 from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.qsearch import Backend
@@ -322,11 +324,10 @@ def test_measuring_a_held_state_computes_nothing(monkeypatch, depth):
 
 
 def _held_bytes(n: int) -> int:
-    """Bytes the shelf of n holds: every CDF of its ladders and their amplitude copies."""
-    _, shelf = grover._shelf(n)
+    """Bytes the shelf of n holds: its ladders' states after j = 0 and their amplitude copies."""
     return sum(
-        len(held._cdfs) * n * 8 + (0 if held._amps is None else held._amps.nbytes)
-        for held in shelf.values()
+        (len(held._cdfs) - 1) * n * 8 + (0 if held._amps is None else held._amps.nbytes)
+        for held in grover._shelf(n).values()
     )
 
 
@@ -346,14 +347,41 @@ def test_shelf_ladder_cdfs_equal_a_fresh_ladders_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [1024, 4096, 16384])
-def test_only_small_t_is_shelved(n):
-    kept, _ = grover._shelf(n)
-    worst = grover._worst_ladder_bytes(n)
-    assert kept * worst <= grover.KEPT_LADDER_BYTES < (kept + 1) * worst
-    assert kept == {1024: 120, 4096: 15, 16384: 1}[n]
-    assert grover.ladder(n, kept - 1) is grover.ladder(n, kept - 1)
-    assert grover.ladder(n, kept) is not grover.ladder(n, kept)
-    assert sorted(grover._shelf(n)[1]) == [kept - 1]
+def test_every_t_is_shelved_under_the_bound(n):
+    ladders = [grover.ladder(n, t) for t in range(n + 1)]
+    for t in (0, 1, 2, n // 2, n):
+        ladders[t].cdf(2)
+    assert all(grover.ladder(n, t) is held for t, held in enumerate(ladders))
+    assert sorted(grover._shelf(n)) == list(range(n + 1))
+    # t = 0's j = 2 state is the uniform one again, but it is computed.
+    assert grover._shelf(n).held == _held_bytes(n) == 5 * (2 * 8 + 16) * n
+
+
+def test_the_largest_other_t_leaves_first(monkeypatch):
+    # Room for three ladders of depth 2 at n = 64: 2 states of 512 bytes
+    # and an amplitude copy of 1024 bytes each.
+    n, depth_2 = 64, 2 * 512 + 1024
+    monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 3 * depth_2)
+    shelf = grover._shelf(n)
+    ladders = {t: grover.ladder(n, t) for t in (1, 2, 3)}
+    for held in ladders.values():
+        held.cdf(2)
+    assert sorted(shelf) == [1, 2, 3] and shelf.held == 3 * depth_2
+    # A new t that grows evicts the largest other t, not itself.
+    grover.ladder(n, 5).cdf(2)
+    assert sorted(shelf) == [1, 2, 5] and ladders[3].shelf is None
+    # One more state of t = 1 evicts 5, the largest other t, and only it.
+    ladders[1].cdf(3)
+    assert sorted(shelf) == [1, 2] and shelf.held == _held_bytes(n) == 2 * depth_2 + 512
+    assert grover.ladder(n, 1) is ladders[1] and grover.ladder(n, 2) is ladders[2]
+    # An evicted ladder's growth is not counted.
+    ladders[3].cdf(9)
+    assert shelf.held == _held_bytes(n) == 2 * depth_2 + 512
+    # A ladder alone over the bound leaves the shelf too, after the others.
+    ladders[2].cdf(12)
+    assert not shelf and shelf.held == 0 and ladders[2].shelf is None
+    assert len(ladders[2]._cdfs) == 13
+    assert grover.ladder(n, 2) is not ladders[2]
 
 
 def test_the_shelf_holds_one_n_at_a_time():
@@ -363,32 +391,68 @@ def test_the_shelf_holds_one_n_at_a_time():
     assert grover.ladder(1024, 3) is not first
 
 
+def test_a_dropped_shelf_is_freed_with_its_ladders():
+    # A shelf and its ladders refer to each other; the ladders' reference
+    # is weak, so the shelf of the last n is freed as soon as a new n
+    # replaces it, without waiting for the cycle collector.
+    gc.disable()
+    try:
+        grover.ladder(1024, 3).cdf(4)
+        dropped = weakref.ref(grover._shelf(1024))
+        grover.ladder(2048, 3)
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_a_bad_count_is_rejected_and_never_shelved():
     for n, t in ((0, 0), (-4, 0), (8, -1), (8, 9)):
         with pytest.raises(ValueError):
             grover.ladder(n, t)
-    assert -1 not in grover._shelf(8)[1]
+    assert -1 not in grover._shelf(8)
 
 
 @pytest.mark.parametrize("n, runs", [(1024, 2000), (16384, 50)])
 def test_the_shelf_holds_at_most_its_bytes_after_exact_runs(n, runs):
     config = ExperimentConfig("success", n, runs, seed=1, backend=Backend.EXACT_STATEVECTOR)
     assert run_experiment(config).passed
-    kept, shelf = grover._shelf(n)
-    assert shelf and max(shelf) < kept
-    # No search reads past its saturated cap, which the worst case assumes.
+    shelf = grover._shelf(n)
+    assert shelf
+    # No search reads past its saturated cap, which bounds an evicted ladder.
     assert max(len(held._cdfs) for held in shelf.values()) <= math.ceil(math.sqrt(n))
-    assert _held_bytes(n) <= grover.KEPT_LADDER_BYTES
+    assert _held_bytes(n) == shelf.held <= grover.KEPT_LADDER_BYTES
+
+
+def test_the_shelf_holds_at_most_its_bytes_at_every_state(monkeypatch):
+    # With room for about 128 states of n = 1024, the shelf evicts while the
+    # runs go on; before every state is computed, the bytes it holds and
+    # those it has counted for the states being computed fit the bound.
+    n, bound = 1024, 2**20
+    monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", bound)
+    reflect = grover._reflect
+    states = []
+
+    def checked(amps, t):
+        assert _held_bytes(n) <= grover._shelf(n).held <= bound
+        states.append(t)
+        reflect(amps, t)
+
+    monkeypatch.setattr(grover, "_reflect", checked)
+    config = ExperimentConfig("success", n, 500, seed=1, backend=Backend.EXACT_STATEVECTOR)
+    assert run_experiment(config).passed
+    # More states than the bound holds, so the shelf has evicted.
+    assert len(states) > bound // (8 * n)
+    assert _held_bytes(n) == grover._shelf(n).held <= bound
 
 
 def test_equivalence_cells_past_a_searchs_depth_hold_under_a_megabyte():
-    # At n <= 64 the fixed-j draws (to j = 8) reach past a search's depth,
-    # which the worst case does not count; all n + 1 ladders fit the shelf.
+    # At n <= 64 the fixed-j draws (to j = 8) reach past a search's depth;
+    # the shelf counts those states too, and keeps every cell's ladder.
     assert run_experiment(ExperimentConfig("equivalence", 64, 100, seed=1)).passed
-    kept, shelf = grover._shelf(64)
-    assert kept > 64
+    shelf = grover._shelf(64)
+    assert set(harness._equivalence_cells(64)) <= set(shelf)
     assert max(len(held._cdfs) for held in shelf.values()) == 9 > math.ceil(math.sqrt(64))
-    assert _held_bytes(64) < 2**20
+    assert _held_bytes(64) == shelf.held < 2**20
 
 
 @pytest.mark.parametrize("step", ["warm", "patched"])

@@ -271,8 +271,10 @@ EXACT_REPORTS = {
 @pytest.mark.parametrize("fields", EXACT_REPORTS.values(), ids=EXACT_REPORTS)
 def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatch, fields):
     # Exact passes read their ladders from ``grover.ladder``'s shelf.  Cold,
-    # warm, after a run at another n, at two workers, and with every pass
-    # building a fresh ladder (the shelf bypassed), the report is the same.
+    # warm, after a run at another n, at two workers, on a cold shelf with
+    # room for about two ladders (so it evicts while the runs go on), and
+    # with every pass building a fresh ladder (the shelf bypassed), the
+    # report is the same.
     config = ExperimentConfig(backend=Backend.EXACT_STATEVECTOR, **fields)
 
     def render(config):
@@ -280,11 +282,24 @@ def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatc
         return report.render("json"), report.render("csv")
 
     cold = render(config)
-    assert grover._shelf(config.n)[1]
+    assert grover._shelf(config.n)
     warm = render(config)
     run_experiment(dataclasses.replace(config, n=2 * config.n))
     after_another_n = render(config)
     two_workers = render(dataclasses.replace(config, workers=2))
+    grover._shelf.cache_clear()
+    monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 2 * grover._worst_ladder_bytes(config.n))
+    builds = []
+    build = grover.GroverLadder.__init__
+
+    def counting_build(self, n, t):
+        builds.append(t)
+        build(self, n, t)
+
+    monkeypatch.setattr(grover.GroverLadder, "__init__", counting_build)
+    evicting = render(config)
+    # Some t was shelved again after its ladder was evicted.
+    assert len(builds) > len(set(builds))
     monkeypatch.setattr(grover, "ladder", grover.GroverLadder)
     fresh = render(config)
-    assert cold == warm == after_another_n == two_workers == fresh
+    assert cold == warm == after_another_n == two_workers == evicting == fresh
