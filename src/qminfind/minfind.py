@@ -39,8 +39,9 @@ t marked entries are positions 0..t-1, and the start, every threshold and
 the returned index are positions in value order.  An exact pass hands the
 search the ladder ``grover.ladder(N, t)`` returns, which is shared with
 every earlier pass under the same (N, t) while the shelf keeps it; an
-analytic pass hands it none.  A
-returned position below t is a smaller entry, so the threshold moves to
+analytic pass hands it none, and the search reads its hit probabilities
+from the table ``qsearch`` keeps for (N, t) in the same way.  A returned
+position below t is a smaller entry, so the threshold moves to
 it; a miss draws its unmarked position all the same, since it is part of
 the run's stream (a boosted experiment runs several runs on one stream).
 """

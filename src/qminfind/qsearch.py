@@ -18,10 +18,18 @@ The backends differ only in how a round is measured and where the
 position comes from:
 
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
-  sin^2((2j+1) arcsin(sqrt(t/N))) in O(1) per round, independent of N.
-  The position is uniform within the success or failure class whatever
-  the rounds did, so the search draws it once the rounds end: one of
-  0..t-1 on a hit, one of t..N-1 on a miss.
+  sin^2((2j+1) arcsin(sqrt(t/N))), read in O(1) per round from a hit table
+  of (N, t): entry j holds that probability, computed by the same
+  expression.  The tables of the most recent N are kept across searches
+  and runs, within a byte bound, ``KEPT_HIT_BYTES``; past it the store is
+  emptied.  A table grows only when a round draws j past its end, and
+  then to that round's cap, so a search at a large t, which ends within a
+  few rounds, fills only the first few entries.  The probabilities depend
+  on (N, t, j) alone, so one table serves every growth factor, and a kept
+  table gives every search the floats a fresh one would.  The position is
+  uniform within the success or failure class whatever the rounds did, so
+  the search draws it once the rounds end: one of 0..t-1 on a hit, one of
+  t..N-1 on a miss.
 * ``EXACT_STATEVECTOR`` measures the state after j iterations with one
   ``GroverLadder.measure`` call on the caller's ``GroverLadder(N, t)``,
   and returns the last position measured; it never reads the rotation
@@ -32,11 +40,14 @@ position comes from:
   the most recent N across searches and runs, within a byte bound that
   evicts the largest t first.
 
-With nothing marked (t = 0, N >= 2) every round misses with certainty and
-the rounds spend a finite budget down to its floor, so the search is
-settled in closed form without rounds, and then draws one position (the
-exact backend measures the uniform state, which no iteration moves; the
-analytic one draws an unmarked position).
+With nothing marked (t = 0) every round misses with certainty.  For
+N >= 2 the rounds spend a finite budget down to its floor; on a one-index
+domain every round is j = 0, so the first miss ends the search with
+nothing spent.  Either way the search is settled in closed form without
+rounds, and then draws one position (the exact backend measures the
+uniform state, which no iteration moves; the analytic one draws an
+unmarked position).  So every round runs with t >= 1, and a one-index
+domain's round always hits.
 
 Each search consumes one random stream and one budget; concurrent searches
 need disjoint streams.
@@ -53,11 +64,19 @@ from .grover import GroverLadder, rotation_angle
 __all__ = [
     "Backend",
     "DEFAULT_GROWTH",
+    "KEPT_HIT_BYTES",
     "check_growth",
     "search",
 ]
 
 DEFAULT_GROWTH = 8.0 / 7.0
+# What the store of analytic hit tables may hold, counted as below.
+KEPT_HIT_BYTES = 8 * 2**20
+# The count: a float and its list slot per entry; per table, its list with
+# spare slots, its key and its slot in the store (about 130 B traced at
+# n = 16384, rounded up).
+_ENTRY_BYTES = 32
+_TABLE_BYTES = 192
 
 
 class Backend(enum.Enum):
@@ -96,6 +115,47 @@ def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...],
     return tuple(growing), (high, high.bit_length())
 
 
+class _HitTables(dict):
+    """The hit tables of one n by t; ``held`` counts the bytes they hold."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.held = 0
+
+    def grow(self, t: int, probs: list[float], high: int) -> None:
+        """Extend ``probs``, the hit table of t, to its first ``high`` entries.
+
+        Entry j is sin^2((2j+1) theta) with theta = ``rotation_angle(n, t)``,
+        the probability that a round of j iterations hits.  The counts are
+        checked before anything is stored, and the table is stored and
+        counted whole before its new entries are computed.  When the count
+        would pass ``KEPT_HIT_BYTES`` every table leaves the store, at one
+        step per table stored since the store was last emptied; the growing
+        table is then stored again unless it alone is over the bound, and
+        its search reads it either way.
+        """
+        theta = rotation_angle(self.n, t)
+        if self.get(t) is probs:
+            self.held -= _TABLE_BYTES + len(probs) * _ENTRY_BYTES
+        whole = _TABLE_BYTES + high * _ENTRY_BYTES
+        if self.held + whole > KEPT_HIT_BYTES:
+            self.clear()
+            self.held = 0
+        if whole <= KEPT_HIT_BYTES:
+            self[t] = probs
+            self.held += whole
+        sin = math.sin
+        for j in range(len(probs), high):
+            probs.append(sin((2 * j + 1) * theta) ** 2)
+
+
+@lru_cache(maxsize=1)
+def _hit_tables(n: int) -> _HitTables:
+    """The store of the most recent n: its hit tables by t, and the bytes they hold."""
+    return _HitTables(n)
+
+
 def search(
     n: int, t: int, budget: float, growth: float, rng, ladder: GroverLadder | None = None
 ) -> tuple[int, bool, int]:
@@ -118,27 +178,31 @@ def search(
     (partially rotated) state is still measured, and the search comes back
     ``interrupted``.  Running out of budget is a normal outcome, not an
     error; with nothing marked the search always ends that way, consuming
-    the whole budget (its floor), so an infinite budget with nothing marked
-    is rejected unless the domain has a single index.
+    the whole budget (its floor) unless the domain has a single index, so
+    an infinite budget with nothing marked is rejected there.
     """
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if t == 0 and n >= 2:
-        if budget == math.inf:
+    if t == 0 and n >= 1:
+        if budget == math.inf and n >= 2:
             raise ValueError("a search with nothing marked never ends without a finite budget")
         # Every round misses, and the rounds end exactly when their integer
         # iteration counts have spent the budget down to its floor, the last
-        # one truncated if need be.  No iteration moves the uniform state.
+        # one truncated if need be; on one index the first j = 0 round ends
+        # it.  No iteration moves the uniform state.
         index = rng.randrange(t, n) if ladder is None else ladder.measure(0, rng)
-        return int(budget), True, index
+        return (int(budget) if n >= 2 else 0), True, index
     growing, saturated = _round_schedule(n, growth)
     if ladder is None:
-        theta = rotation_angle(n, t)
+        # The stored table of t, or a new one that its first round
+        # stores; a stored table is never empty.
+        tables = _hit_tables(n)
+        probs = tables.get(t) or []
+        depth = len(probs)
     else:
         measure = ladder.measure
     getrandbits = rng.getrandbits
     uniform = rng.random
-    sin = math.sin
     remaining = budget
     used = 0
     for high, bits in chain(growing, repeat(saturated)):
@@ -152,12 +216,16 @@ def search(
         if truncated:
             j = int(remaining)
         if ladder is None:
-            # Inline, not a per-round callable: a call per round makes
-            # the analytic loop take about 15% longer.  t = 0 here only
-            # on a one-index domain.  With every index marked the
-            # probability is exactly 1, so no search ends on a miss
-            # whose unmarked position could not be drawn.
-            hit = t > 0 and uniform() < sin((2 * j + 1) * theta) ** 2
+            # The table is read inline, with no call per round (a call
+            # per round made the analytic loop take about 15% longer); it
+            # grows only when j is past its end, and then to this round's
+            # cap.  With every index marked the probability is exactly 1,
+            # so no search ends on a miss whose unmarked position could not
+            # be drawn.
+            if j >= depth:
+                tables.grow(t, probs, high)
+                depth = high
+            hit = uniform() < probs[j]
         else:
             index = measure(j, rng)
             hit = index < t
@@ -166,10 +234,7 @@ def search(
         if hit:
             interrupted = truncated
             break
-        # A miss ends the search when its round was truncated, when the
-        # budget is spent, or on a one-index domain: there every draw is
-        # j = 0, so the budget can never be consumed.
-        if truncated or remaining <= 0 or n == 1:
+        if truncated or remaining <= 0:
             interrupted = True
             break
     if ladder is None:

@@ -73,24 +73,37 @@ def _distinct_ranks(n: int) -> np.ndarray:
     return ranks
 
 
-def read_table(path: str | Path) -> Table:
-    """Load a table from newline-delimited decimal integers."""
+def _parse_lines(lines, path: str | Path) -> array:
+    """The values of ``lines``, blank ones skipped, or an error naming the first bad line."""
     # An int64 array rejects a value outside its range with OverflowError.
     parsed = array("q")
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            parsed.append(int(text, 10))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: not a decimal integer: {text!r}") from exc
+        except OverflowError:
+            raise ValueError(f"{path}:{line_no}: value outside int64 range") from None
+    return parsed
+
+
+def read_table(path: str | Path) -> Table:
+    """Load a table from newline-delimited decimal integers."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    parsed.append(int(text, 10))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: not a decimal integer: {text!r}") from exc
-                except OverflowError:
-                    raise ValueError(f"{path}:{line_no}: value outside int64 range") from None
-        except UnicodeDecodeError:
+            # One pass of C iterators: each line stripped, blank ones
+            # dropped, the rest parsed, one line held at a time.
+            parsed = array("q", map(int, filter(None, map(str.strip, fh))))
+        except UnicodeDecodeError:  # a ValueError too, so caught first
             raise ValueError(f"{path}: not UTF-8 text") from None
+        except (ValueError, OverflowError):
+            # Some line is not an int64: read the file again line by line,
+            # which names it.
+            fh.seek(0)
+            parsed = _parse_lines(fh, path)
     if not parsed:
         raise ValueError(f"{path}: no values")
     order = np.argsort(np.frombuffer(parsed, dtype=np.int64), kind="stable")

@@ -13,10 +13,18 @@ large one's peak resident memory (``VmHWM``, read by the child from
   run at the same n, within ``grover.KEPT_LADDER_BYTES`` plus one
   worst-case ladder (one evicted while its search still reads it) plus
   10 MB.  The shelf fills most of its bound at n = 1024, the benchmark's
-  n, and evicts at the larger two.  Each of these lines also prints the
-  shelf's ladder count and the bytes it has counted.
+  n, and evicts at the larger two.
+* the analytic backend's store of hit tables (``qsearch._hit_tables``):
+  ``--n 1048576`` at 60000 runs against 1 run, within
+  ``qsearch.KEPT_HIT_BYTES`` plus 10 MB.  Nearly every run searches under
+  some t no earlier run reached, so the store fills its bound and is
+  emptied again and again; unbounded, it grew by about 52 MB over
+  198,748 tables.
 
-It takes about 25 s on a 2-core x86-64 Linux host, so it runs beside the
+Each line also prints what the shelf and the store hold at the end of the
+large run: their ladder and table counts and the bytes they have counted.
+
+It takes about 40 s on a 2-core x86-64 Linux host, so it runs beside the
 tier-1 suite, not in it:
 
     PYTHONPATH=src python tests/memory_bounds.py
@@ -24,33 +32,35 @@ tier-1 suite, not in it:
 import subprocess
 import sys
 
-from qminfind import grover
+from qminfind import grover, qsearch
 
 CHILD = """
 import os, sys
-from qminfind import grover
+from qminfind import grover, qsearch
 from qminfind.cli import main
 
 code = main(["success", *sys.argv[1:], "--seed", "1", "--out", os.devnull])
 status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-shelf = grover._shelf(int(sys.argv[2]))
-print(code, status["VmHWM"].split()[0], len(shelf), shelf.held)
+n = int(sys.argv[2])
+shelf, tables = grover._shelf(n), qsearch._hit_tables(n)
+print(code, status["VmHWM"].split()[0], len(shelf), shelf.held, len(tables), tables.held)
 """
 SLACK_KB = 10 * 1024
 
 
-def peak_kb(n: int, runs: int, *flags: str) -> tuple[int, int, int]:
-    """The child's VmHWM in kB, and its shelf's ladder count and counted bytes."""
+def peak_kb(n: int, runs: int, *flags: str) -> tuple[int, str]:
+    """The child's VmHWM in kB, and what its ladder shelf and hit tables hold."""
     argv = ["--n", str(n), "--runs", str(runs), *flags]
     result = subprocess.run(
         [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True
     )
-    code, peak, ladders, held = map(int, result.stdout.split())
+    code, peak, ladders, shelf_held, tables, tables_held = map(int, result.stdout.split())
     # One run is too few for the success verdict to pass, so a 1-run
     # baseline may exit 1; every other invocation must pass.
     if code != 0 and not (runs == 1 and code == 1):
         raise SystemExit(f"success {' '.join(argv)} exited {code}: {result.stderr}")
-    return peak, ladders, held
+    held = f"shelf {ladders} ladders, {shelf_held} B; store {tables} hit tables, {tables_held} B"
+    return peak, held
 
 
 def main() -> int:
@@ -63,15 +73,15 @@ def main() -> int:
         )
         for n, runs in [(1024, 20000), (4096, 2000), (16384, 100)]
     ]
+    checks += [("analytic hit tables", 2**20, (), 1, 60000, qsearch.KEPT_HIT_BYTES // 1024 + SLACK_KB)]
     ok = True
     for label, n, flags, small, large, limit in checks:
-        baseline, _, _ = peak_kb(n, small, *flags)
-        peak, ladders, held = peak_kb(n, large, *flags)
+        baseline, _ = peak_kb(n, small, *flags)
+        peak, held = peak_kb(n, large, *flags)
         growth = peak - baseline
         ok &= growth <= limit
-        shelved = f", shelf {ladders} ladders, {held} B counted" if flags else ""
         print(
-            f"{label} n={n}: VmHWM {baseline} kB at {small} runs, {peak} kB at {large} runs{shelved}: "
+            f"{label} n={n}: VmHWM {baseline} kB at {small} runs, {peak} kB at {large} runs ({held}): "
             f"growth {growth} kB, limit {limit} kB: {'PASS' if growth <= limit else 'FAIL'}"
         )
     return 0 if ok else 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import grover, harness, minfind
+from qminfind import grover, harness, minfind, qsearch
 from qminfind.bounds import timeout_cap
 from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.minfind import RunResult, find_minimum
@@ -303,3 +303,49 @@ def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatc
     monkeypatch.setattr(grover, "ladder", grover.GroverLadder)
     fresh = render(config)
     assert cold == warm == after_another_n == two_workers == evicting == fresh
+
+
+ANALYTIC_REPORTS = {
+    "success": dict(experiment="success", n=256, runs=300, seed=3),
+    "lemma1": dict(experiment="lemma1", n=64, runs=300, seed=2),
+    "cost": dict(experiment="expected-cost", n=64, runs=200, seed=4),
+    "cost-dup8": dict(experiment="expected-cost", n=64, runs=200, seed=4, mode="dup:8"),
+}
+
+
+@pytest.mark.parametrize("fields", ANALYTIC_REPORTS.values(), ids=ANALYTIC_REPORTS)
+def test_analytic_reports_keep_their_bytes_however_warm_the_hit_tables(monkeypatch, fields):
+    # Analytic rounds read their hit probabilities from ``qsearch``'s store
+    # of tables.  Cold, warm, after a run at another n, at two workers, with
+    # a bound of a few tables (so the store is emptied while the runs go
+    # on), and with every search on a fresh table (the store bypassed), the
+    # report is the same.
+    config = ExperimentConfig(**fields)
+
+    def render(config):
+        report = run_experiment(config)
+        return report.render("json"), report.render("csv")
+
+    cold = render(config)
+    assert qsearch._hit_tables(config.n)
+    warm = render(config)
+    run_experiment(dataclasses.replace(config, n=2 * config.n))
+    after_another_n = render(config)
+    two_workers = render(dataclasses.replace(config, workers=2))
+    qsearch._hit_tables.cache_clear()
+    # Four tables of 16 entries, the deepest at n = 256.
+    four_tables = 4 * (qsearch._TABLE_BYTES + 16 * qsearch._ENTRY_BYTES)
+    monkeypatch.setattr(qsearch, "KEPT_HIT_BYTES", four_tables)
+    emptied = []
+    clear = qsearch._HitTables.clear
+
+    def counting_clear(self):
+        emptied.append(len(self))
+        clear(self)
+
+    monkeypatch.setattr(qsearch._HitTables, "clear", counting_clear)
+    dropping = render(config)
+    assert emptied and max(emptied) > 1
+    monkeypatch.setattr(qsearch, "_hit_tables", qsearch._HitTables)
+    fresh = render(config)
+    assert cold == warm == after_another_n == two_workers == dropping == fresh

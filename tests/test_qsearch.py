@@ -446,3 +446,100 @@ def test_round_schedule_is_cached_per_size_and_growth():
     search(64, 1, math.inf, second, rng)
     info = _round_schedule.cache_info()
     assert (info.hits, info.currsize) == (hits + 1, 1)
+
+
+def _schedule_caps(n: int, growth: float) -> set[int]:
+    growing, saturated = _round_schedule(n, growth)
+    return {high for high, _ in (*growing, saturated)}
+
+
+def _counted_bytes(tables) -> int:
+    """What the store should count for ``tables``: each table whole."""
+    return sum(qsearch._TABLE_BYTES + len(probs) * qsearch._ENTRY_BYTES for probs in tables.values())
+
+
+def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
+    # Analytic rounds read sin^2((2j+1) theta) from the store's table of
+    # (n, t).  Every entry the searches stored is that closed form bit for
+    # bit, and a table grows only to the cap of a round, so it ends at the
+    # largest cap it was grown to.
+    grow = qsearch._HitTables.grow
+    grown = {}
+
+    def recording_grow(self, t, probs, high):
+        grown.setdefault((self.n, t), []).append(high)
+        grow(self, t, probs, high)
+
+    monkeypatch.setattr(qsearch._HitTables, "grow", recording_grow)
+    rng = random.Random(5)
+    for n in range(2, 65):
+        caps = _schedule_caps(n, DEFAULT_GROWTH)
+        for t in range(1, n + 1):
+            for budget in (math.inf, 3.0, 0.0):
+                for _ in range(4):
+                    search(n, t, budget, DEFAULT_GROWTH, rng)
+        tables = qsearch._hit_tables(n)
+        assert sorted(tables) == list(range(1, n + 1))
+        for t, probs in tables.items():
+            highs = grown[n, t]
+            assert set(highs) <= caps and highs == sorted(set(highs))
+            assert len(probs) == highs[-1]
+            assert [p.hex() for p in probs] == [
+                success_probability(n, t, j).hex() for j in range(len(probs))
+            ]
+        assert tables.held == _counted_bytes(tables)
+
+
+def test_the_store_holds_at_most_its_bytes_before_every_growth(monkeypatch):
+    # With the bound at a few tables, the store is emptied as searches go
+    # on, and before every growth it counts exactly the tables it holds,
+    # never more bytes than the bound.
+    bound = 6 * (qsearch._TABLE_BYTES + 16 * qsearch._ENTRY_BYTES)
+    monkeypatch.setattr(qsearch, "KEPT_HIT_BYTES", bound)
+    grow = qsearch._HitTables.grow
+    counts = []
+
+    def checked_grow(self, t, probs, high):
+        assert self.held == _counted_bytes(self) <= bound
+        counts.append(len(self))
+        grow(self, t, probs, high)
+
+    monkeypatch.setattr(qsearch._HitTables, "grow", checked_grow)
+    rng = random.Random(7)
+    for t in [*range(1, 257), *range(1, 257, 7)]:
+        search(256, t, math.inf, DEFAULT_GROWTH, rng)
+    tables = qsearch._hit_tables(256)
+    assert tables.held == _counted_bytes(tables) <= bound
+    # The store filled up and was emptied more than once.
+    assert max(counts) > 3 and sum(b < a for a, b in zip(counts, counts[1:])) > 2
+
+
+@pytest.mark.parametrize(("n", "t"), [(4, 5), (4, -1), (0, 0), (0, 1)])
+def test_a_bad_count_raises_and_stores_nothing(n, t):
+    with pytest.raises(ValueError, match="must be positive|outside"):
+        search(n, t, math.inf, DEFAULT_GROWTH, random.Random(1))
+    assert not qsearch._hit_tables(n)
+    assert qsearch._hit_tables(n).held == 0
+
+
+def test_one_table_serves_every_growth_factor(monkeypatch):
+    # The hit probabilities depend on (n, t, j) alone: searches at another
+    # growth factor or under a patched schedule read and extend the very
+    # tables stored before, by t alone.
+    n = 64
+    rng = random.Random(3)
+    for t in range(1, n + 1):
+        search(n, t, math.inf, 1.05, rng)
+    tables = qsearch._hit_tables(n)
+    stored = dict(tables)
+    for growth in (DEFAULT_GROWTH, 1.3):
+        for t in range(1, n + 1):
+            search(n, t, math.inf, growth, rng)
+    monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(40))
+    for t in range(1, n + 1):
+        search(n, t, math.inf, DEFAULT_GROWTH, rng)
+    assert qsearch._hit_tables(n) is tables
+    assert sorted(tables) == sorted(stored) == list(range(1, n + 1))
+    assert all(tables[t] is stored[t] for t in stored)
+    assert max(map(len, tables.values())) == 40
+    assert tables.held == _counted_bytes(tables)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,7 @@ from qminfind.bounds import timeout_cap
 from qminfind.harness import two_sample_chisquare
 from qminfind.grover import GroverLadder
 from qminfind.qsearch import DEFAULT_GROWTH, Backend, search
-from qminfind.table import Table, read_table, sorted_table
+from qminfind.table import Table, _parse_lines, read_table, sorted_table
 
 
 def _read(values) -> Table:
@@ -284,3 +285,78 @@ def test_read_table_rejects_empty(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError, match="no values"):
         read_table(path)
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [("two", "not a decimal integer: 'two'"), (str(2**63), "value outside int64 range")],
+    ids=["junk", "overflow"],
+)
+def test_read_table_names_a_bad_line_deep_in_a_large_file(tmp_path, bad, message):
+    # Blank and whitespace-only lines count toward the line number, far
+    # from the start of a file of more than a megabyte.
+    lines = [f"{value}\n" for value in _arranged(200_000, 4).tolist()]
+    for at in range(10, 150_000, 9_973):
+        lines[at] = " \t\n" if at % 2 else "\n"
+    lines[150_000] = f" {bad}\n"
+    path = tmp_path / "deep.txt"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"deep.txt:150001: {message}"):
+        read_table(path)
+
+
+def test_read_table_skips_lines_holding_only_whitespace(tmp_path):
+    # A line is stripped as ``str.strip`` strips it, so Unicode spaces and
+    # the ASCII separators \x1c-\x1f around a value or alone count too.
+    path = tmp_path / "spaced.txt"
+    path.write_text("\n \n3\n\t\x0b\x0c\n  -1 \n \n\x1c5\x1f\n\u30002\n\n\n", encoding="utf-8")
+    loaded = read_table(path)
+    values = [3, -1, 5, 2]
+    assert loaded.order.tolist() == sorted(range(4), key=values.__getitem__)
+    assert loaded.ranks.tolist() == [1, 2, 3, 4]
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["0", "7", "-3", "+12", "1_000", " 4 ", "\t", "", "\x1c9", "x", "1.5", "\u0663", str(2**63)]
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_read_table_reads_every_line_as_the_line_by_line_parse_does(lines):
+    # The bulk parse accepts, rejects and numbers lines as a line-by-line
+    # parse of the same lines does.
+    text = "".join(f"{line}\n" for line in lines)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                expected = _parse_lines(fh, path).tolist()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                read_table(path)
+            return
+        if not expected:
+            with pytest.raises(ValueError, match="no values"):
+                read_table(path)
+            return
+        loaded = read_table(path)
+    assert loaded.order.tolist() == sorted(range(len(expected)), key=expected.__getitem__)
+    assert [expected[i] for i in loaded.order.tolist()] == sorted(expected)
+
+
+def test_read_table_names_the_first_fault_of_a_file(tmp_path):
+    # A bad line well before bytes that are not UTF-8 is named; the bytes
+    # are reported when they come first.
+    lines = b"".join(b"%d\n" % value for value in range(100_000))
+    junk_first = tmp_path / "junk-first.txt"
+    junk_first.write_bytes(b"1\nx\n" + lines + b"\xff\n")
+    with pytest.raises(ValueError, match="junk-first.txt:2: not a decimal integer: 'x'"):
+        read_table(junk_first)
+    bytes_first = tmp_path / "bytes-first.txt"
+    bytes_first.write_bytes(b"1\n\xff\n" + lines + b"x\n")
+    with pytest.raises(ValueError, match="bytes-first.txt: not UTF-8 text"):
+        read_table(bytes_first)
