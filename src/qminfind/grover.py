@@ -20,10 +20,13 @@ marked count: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
 passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
-draws one index from such a state, and every measurement of the exact
-backend is one call to it.  The uniform state is the same for every t,
-so it is cached once per N, its read-only amplitudes with their CDF, and
-shared by all ladders: a ladder's j = 0 CDF is the cached one, and it
+draws one index from such a state.  The exact backend's search rounds
+make the same draw inline, on the CDFs the ladder holds, and call
+``GroverLadder.cdf`` only for a state it does not yet hold; its
+closed-form t = 0 draw and equivalence's fixed-j draws call ``measure``.
+The uniform state is the same for every t, so it is cached once per N,
+its read-only amplitudes with their CDF, and shared by all ladders: a
+ladder's j = 0 CDF is the cached one, and it
 copies the cached amplitudes only at its first iteration; an iteration
 negates the slice of its first t amplitudes in place.  The exact
 backend's searches, its closed-form t = 0 draw and equivalence's fixed-j
@@ -139,7 +142,9 @@ class GroverLadder:
     each iteration is computed once and depth j holds j + 1 CDFs of n
     floats.  ``measure(j, rng)`` reads the state through ``cdf(j)`` and
     draws one index from it, so measuring a state the ladder already holds
-    computes nothing.  A ladder serves every exact search over its (n, t);
+    computes nothing; ``qsearch.search`` reads ``_cdfs``, the CDFs held,
+    in place and makes the same draw, and grows the ladder only through
+    ``cdf``.  A ladder serves every exact search over its (n, t);
     exact passes and equivalence cells take theirs from ``ladder(n, t)``,
     which sets ``shelf`` to a weak reference to the shelf holding it (weak,
     so a shelf that ``_shelf``'s cache drops is freed at once, not at a
@@ -176,7 +181,10 @@ class GroverLadder:
     def measure(self, j: int, rng) -> int:
         """Measure the state after j iterations: index i with probability |a_i|^2.
 
-        Consumes exactly one ``rng.random()`` u and returns the first index
+        The exact backend's closed-form t = 0 draw and equivalence's fixed-j
+        draws call it; a search round makes the same draw inline (see
+        ``qsearch.search``), and the two must stay the same draw.  Consumes
+        exactly one ``rng.random()`` u and returns the first index
         whose cumulative sum exceeds u times the total, so cells of
         probability 0 are passed over.  On this nondecreasing CDF
         ``bisect_right`` finds the index ``searchsorted(side="right")``

@@ -30,15 +30,19 @@ position comes from:
   uniform within the success or failure class whatever the rounds did, so
   the search draws it once the rounds end: one of 0..t-1 on a hit, one of
   t..N-1 on a miss.
-* ``EXACT_STATEVECTOR`` measures the state after j iterations with one
-  ``GroverLadder.measure`` call on the caller's ``GroverLadder(N, t)``,
-  and returns the last position measured; it never reads the rotation
-  angle.  Every round starts from the uniform state, so a ladder kept
-  across searches computes each iteration once; each is still charged one
-  time step, as in every round.  Exact passes and equivalence cells take
-  their ladder from ``grover.ladder(N, t)``, which keeps the ladders of
-  the most recent N across searches and runs, within a byte bound that
-  evicts the largest t first.
+* ``EXACT_STATEVECTOR`` measures the state after j iterations of the
+  caller's ``GroverLadder(N, t)`` as ``GroverLadder.measure`` does, one
+  ``random()`` draw bisected on the right of the state's CDF, and returns
+  the last position measured; it never reads the rotation angle.  The
+  round reads the CDFs the ladder holds inline, with no call per round,
+  and calls ``GroverLadder.cdf`` only for a state the ladder does not yet
+  hold, which grows the ladder to that j alone.  Every round starts from
+  the uniform state, so a ladder kept across searches computes each
+  iteration once; each is still charged one time step, as in every round.
+  Exact passes and equivalence cells take their ladder from
+  ``grover.ladder(N, t)``, which keeps the ladders of the most recent N
+  across searches and runs, within a byte bound that evicts the largest t
+  first.
 
 With nothing marked (t = 0) every round misses with certainty.  For
 N >= 2 the rounds spend a finite budget down to its floor; on a one-index
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain, repeat
 
@@ -200,7 +205,9 @@ def search(
         probs = tables.get(t) or []
         depth = len(probs)
     else:
-        measure = ladder.measure
+        # The CDFs the ladder holds, read in place; only ``cdf`` grows them.
+        cdfs = ladder._cdfs
+        depth = len(cdfs)
     getrandbits = rng.getrandbits
     uniform = rng.random
     remaining = budget
@@ -227,7 +234,18 @@ def search(
                 depth = high
             hit = uniform() < probs[j]
         else:
-            index = measure(j, rng)
+            # ``GroverLadder.measure`` inline: a stored state is read with
+            # no call (calling ``measure`` and ``cdf`` every round made
+            # exact runs at n = 1024 about 8% slower), and a new one is
+            # grown by ``cdf`` to j alone, which counts its bytes on the
+            # shelf first.  Then the one uniform draw, bisected on the
+            # right as ``measure`` does.
+            if j < depth:
+                cdf = cdfs[j]
+            else:
+                cdf = ladder.cdf(j)
+                depth = len(cdfs)
+            index = bisect_right(cdf, uniform() * cdf[-1])
             hit = index < t
         remaining -= j
         used += j

@@ -349,3 +349,26 @@ def test_analytic_reports_keep_their_bytes_however_warm_the_hit_tables(monkeypat
     monkeypatch.setattr(qsearch, "_hit_tables", qsearch._HitTables)
     fresh = render(config)
     assert cold == warm == after_another_n == two_workers == dropping == fresh
+
+
+def test_an_exact_run_computes_each_state_it_measures_once(monkeypatch):
+    # Exact rounds grow a ladder only to the j they draw, and read a state
+    # it holds without computing it again.  The shelf evicts nothing at
+    # n = 256, so every state the run computed is still held, once; a
+    # ladder grown past the j its round drew computes more than the pinned
+    # count.
+    reflected = []
+    reflect = grover._reflect
+
+    def counting_reflect(amps, t):
+        reflected.append(t)
+        reflect(amps, t)
+
+    monkeypatch.setattr(grover, "_reflect", counting_reflect)
+    config = ExperimentConfig(
+        experiment="success", n=256, runs=300, seed=1, backend=Backend.EXACT_STATEVECTOR
+    )
+    run_experiment(config)
+    shelf = grover._shelf(config.n)
+    assert len(reflected) == sum(len(held._cdfs) - 1 for held in shelf.values()) == 207
+    assert len(shelf) == 226

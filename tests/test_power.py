@@ -100,10 +100,36 @@ def _tie(monkeypatch):
     _patch_search(monkeypatch, mutated)
 
 
+class _SkippingState13(list):
+    """A ladder's list of CDFs that never stores the state after 13 iterations.
+
+    The ladder appends states while the list is too short for the depth it
+    is asked for, so it computes the next state in place of the skipped
+    one: entry j >= 13 holds the state after j + 1 iterations.
+    """
+
+    skipped = False
+
+    def append(self, cdf):
+        if len(self) == 13 and not self.skipped:
+            self.skipped = True
+        else:
+            super().append(cdf)
+
+
 def _late_ladder(monkeypatch):
-    """Every statevector past 12 iterations is measured one iteration late."""
-    cdf = GroverLadder.cdf
-    monkeypatch.setattr(GroverLadder, "cdf", lambda self, j: cdf(self, j + 1 if j >= 13 else j))
+    """Every statevector past 12 iterations is measured one iteration late.
+
+    The ladder's stored CDFs are shifted, so every reader sees it: ``cdf``,
+    ``measure`` and the search rounds that read the stored CDFs in place.
+    """
+    init = GroverLadder.__init__
+
+    def late_init(self, n, t):
+        init(self, n, t)
+        self._cdfs = _SkippingState13(self._cdfs)
+
+    monkeypatch.setattr(GroverLadder, "__init__", late_init)
 
 
 MUTANTS = {

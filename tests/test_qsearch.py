@@ -2,13 +2,15 @@ import math
 import random
 import signal
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import qsearch
+from qminfind import grover, qsearch
+from qminfind.bounds import timeout_cap
 from qminfind.grover import GroverLadder, success_probability
 from qminfind.harness import CHI2_ALPHA, uniform_chisquare
 from qminfind.qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
@@ -543,3 +545,81 @@ def test_one_table_serves_every_growth_factor(monkeypatch):
     assert all(tables[t] is stored[t] for t in stored)
     assert max(map(len, tables.values())) == 40
     assert tables.held == _counted_bytes(tables)
+
+
+def _measured_search(n: int, t: int, budget: float, growth: float, rng, ladder: GroverLadder):
+    """The exact search written out, every round measured by ``GroverLadder.measure``.
+
+    The schedule's caps, j as ``randrange(cap)`` draws it above a cap of
+    1, truncation to the budget and the stop rule, as ``search`` runs them.
+    """
+    if t == 0:
+        return (int(budget) if n >= 2 else 0), True, ladder.measure(0, rng)
+    growing, saturated = _round_schedule(n, growth)
+    remaining, used = budget, 0
+    for high, _ in chain(growing, repeat(saturated)):
+        j = rng.randrange(high) if high > 1 else 0
+        truncated = j > remaining
+        if truncated:
+            j = int(remaining)
+        index = ladder.measure(j, rng)
+        remaining -= j
+        used += j
+        if index < t or truncated or remaining <= 0:
+            return used, truncated or index >= t, index
+
+
+class _GridStream:
+    """A stream whose uniform draws are multiples of 1/16.
+
+    The uniform state's CDF entries at n = 16 and 64 are exact multiples
+    of 1/64 summing to exactly 1, so such a draw times the total lands on
+    an entry, where only the side of the bisection decides the index.
+    """
+
+    def __init__(self, seed: str):
+        self._rng = random.Random(seed)
+        self.getrandbits = self._rng.getrandbits
+        self.randrange = self._rng.randrange
+        self.getstate = self._rng.getstate
+
+    def random(self) -> float:
+        return math.floor(self._rng.random() * 16) / 16
+
+
+@pytest.mark.parametrize("stream", [random.Random, _GridStream])
+@pytest.mark.parametrize("shelf", ["fresh", "warm", "evicting"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 1000])
+def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
+    # An exact search reads its ladder's CDFs in place.  It must return
+    # what the rounds give when each is measured by ``GroverLadder.measure``
+    # on a ladder of its own, and leave its stream where they leave theirs,
+    # under random draws and draws that land on CDF entries (``_GridStream``):
+    # on a fresh ladder, on a shelved one already holding half a search's
+    # states, and on a shelf with room for one amplitude copy and one
+    # state, so a search that draws j >= 2 evicts its own ladder while it
+    # still reads it.
+    if shelf == "evicting":
+        monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 3 * 8 * n)
+    depth = math.ceil(math.sqrt(n))
+    ts = sorted({0, 1, 2, n // 4, n // 2, n - 1, n} & set(range(n + 1)))
+    budgets = [0.0, 0.5, 7.5, timeout_cap(n), math.inf]
+    evicted = 0
+    for t in ts:
+        if shelf == "warm":
+            grover.ladder(n, t).cdf(depth // 2)
+        for budget in budgets[: 4 + (t > 0)]:
+            for seed in range(6):
+                if shelf == "fresh":
+                    ladder = GroverLadder(n, t)
+                else:
+                    ladder = grover.ladder(n, t)
+                    shelved = ladder.shelf is not None
+                rng, twin = stream(f"{seed}-{t}-{budget}"), stream(f"{seed}-{t}-{budget}")
+                outcome = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
+                reference = GroverLadder(n, t)
+                assert outcome == _measured_search(n, t, budget, DEFAULT_GROWTH, twin, reference)
+                assert rng.getstate() == twin.getstate()
+                if shelf != "fresh":
+                    evicted += shelved and ladder.shelf is None
+    assert (evicted > 0) == (shelf == "evicting" and n >= 16)
