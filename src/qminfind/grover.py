@@ -22,7 +22,7 @@ iteration once and keeps the measurement CDF of every state it has
 passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
 draws one index from such a state.  The exact backend's search rounds
 make the same draw inline, on the CDFs the ladder holds, and call
-``GroverLadder.cdf`` only for a state it does not yet hold; its
+``extend`` only for a state it does not yet hold; its
 closed-form t = 0 draw and equivalence's fixed-j draws call ``measure``.
 The uniform state is the same for every t, so it is cached once per N,
 its read-only amplitudes with their CDF, and shared by all ladders: a
@@ -37,42 +37,47 @@ afresh each time; the ladder's states match it bit for bit with the first
 t indices marked, and within 1e-12 once a scattered marked set's
 probabilities are put first.
 
-By Lemma 1 a run's threshold has rank r with probability 1/r, so most
-exact passes search under a few small t, and each pass would otherwise
-recompute the same states.  ``ladder(n, t)`` is the one accessor exact
-passes and equivalence cells take their ladders from: it keeps a shelf for
-the most recent n only, which shelves the ladder of every t and counts the
-bytes they hold, each ladder's own states after j = 0 and its amplitude
-copy (the shared uniform CDF is held once per n and not counted).  A
-ladder counts its growth before it computes it, and when the count would
-pass ``KEPT_LADDER_BYTES`` the shelf evicts the other ladders, largest t
-first: a pass searches under t with probability 1/(t + 1), so the largest
-t are the least used.  A ladder alone over the bound leaves the shelf too.
-An evicted ladder is freed when the search still reading it ends, and the
-next pass at its t shelves a new one.  A state is still computed by the
-ladder, once per (n, t) rather than once per pass while it stays shelved,
-so every stream and report byte is what fresh ladders give.
+By Lemma 1 a pass searches under t with probability 1/(t + 1) on either
+backend, so most passes search under a few small t and would otherwise
+recompute the same states or hit probabilities.  Both backends keep
+their per-(N, t) tables in a ``_Store`` for the most recent n, bounded in
+bytes: ``_shelf(n)`` the exact ladders within ``KEPT_LADDER_BYTES``,
+``_hit_tables(n)`` the analytic hit tables within ``KEPT_HIT_BYTES``.
+Whoever grows a table tells the store first what it will hold; past the
+bound the other tables leave largest t first, the least used, and the
+growing one only when it alone is over.  A table that grows while
+evicted is stored again.  Exact passes and equivalence cells take their
+ladders from ``ladder(n, t)`` and grow them through ``extend``, which
+counts each ladder's own states after j = 0 and its amplitude copy (the
+shared uniform CDF is held once per n).  A ladder evicted while a search
+reads it is freed when that search ends.  Each state is still computed by
+the ladder, once per (n, t) while it stays stored, so every stream and
+report byte is what fresh ladders give.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from weakref import ref
+from heapq import heappop, heappush
 
 import numpy as np
 
 __all__ = [
     "GroverLadder",
+    "KEPT_HIT_BYTES",
     "KEPT_LADDER_BYTES",
+    "extend",
     "ladder",
     "rotation_angle",
     "success_probability",
 ]
 
 NORM_TOL = 1e-9
-# What the shelf of ``ladder`` may hold: its ladders' own states and amplitude copies.
+# What the two stores may hold: the exact ladders' own states and amplitude
+# copies (``extend``), and the analytic hit tables as ``qsearch`` counts them.
 KEPT_LADDER_BYTES = 32 * 2**20
+KEPT_HIT_BYTES = 8 * 2**20
 
 
 def rotation_angle(n: int, t: int) -> float:
@@ -144,13 +149,9 @@ class GroverLadder:
     draws one index from it, so measuring a state the ladder already holds
     computes nothing; ``qsearch.search`` reads ``_cdfs``, the CDFs held,
     in place and makes the same draw, and grows the ladder only through
-    ``cdf``.  A ladder serves every exact search over its (n, t);
-    exact passes and equivalence cells take theirs from ``ladder(n, t)``,
-    which sets ``shelf`` to a weak reference to the shelf holding it (weak,
-    so a shelf that ``_shelf``'s cache drops is freed at once, not at a
-    later cycle collection).  A shelved ladder counts the bytes of the
-    states it is about to compute on that shelf first; ``shelf`` is None
-    on any other ladder.
+    ``extend``.  A ladder only computes states: it serves every exact
+    search over its (n, t), and the store that exact passes and
+    equivalence cells take it from (``ladder(n, t)``) counts its bytes.
     """
 
     def __init__(self, n: int, t: int):
@@ -158,7 +159,6 @@ class GroverLadder:
         self.n, self.t = n, t
         self._cdfs = [_uniform(n)[1]]
         self._amps: np.ndarray | None = None
-        self.shelf: ref[_Shelf] | None = None
 
     def cdf(self, j: int) -> memoryview:
         """Cumulative |a_i|^2 of the state after j iterations."""
@@ -167,10 +167,6 @@ class GroverLadder:
             if j < 0:
                 raise ValueError("iteration count must be >= 0")
             return cdfs[j]
-        shelf = self.shelf and self.shelf()
-        if shelf is not None:
-            # n floats per new state, and 2n for the amplitude copy if new.
-            shelf.grow(self, (j + 1 - len(cdfs) + 2 * (self._amps is None)) * 8 * self.n)
         if self._amps is None:
             self._amps = _uniform(self.n)[0].copy()
         while len(cdfs) <= j:
@@ -197,68 +193,90 @@ class GroverLadder:
         return bisect_right(cdf, rng.random() * cdf[-1])
 
 
-def _worst_ladder_bytes(n: int) -> int:
-    """The most one ladder over n indices holds once searches have measured it.
+class _Store(dict):
+    """The tables of one n by t within ``bound`` bytes; ``held`` counts what they hold.
 
-    A search's j stays below its saturated cap ceil(sqrt(n)) (``qsearch``'s
-    round schedule), so its ladder holds at most that many CDFs of n float64,
-    the shared uniform one counted too, and its complex128 amplitude copy.
-    It bounds the one ladder the shelf does not count: the one evicted while
-    its search still reads it.
+    ``grow`` alone counts and evicts; it records each t's bytes, so it never
+    looks inside a table.
     """
-    return (math.ceil(math.sqrt(n)) * 8 + 16) * n
 
-
-class _Shelf(dict):
-    """The ladders of one n by t; ``held`` counts their own states and amplitude copies in bytes."""
-
-    held = 0
-
-    def grow(self, growing: GroverLadder, size: int) -> None:
-        """Count ``size`` more bytes for ``growing``, evicting while the count passes the bound.
-
-        The other ladders leave largest t first; ``growing`` leaves last, so
-        only when it alone is over the bound.  An evicted ladder's ``shelf``
-        is cleared, so its later growth is not counted.
-        """
-        self.held += size
-        if self.held <= KEPT_LADDER_BYTES:
-            return
-        for t in sorted(self, reverse=True):
-            if t != growing.t:
-                evicted = self.pop(t)
-                evicted.shelf = None
-                own = len(evicted._cdfs) - 1 + 2 * (evicted._amps is not None)
-                self.held -= own * 8 * evicted.n
-                if self.held <= KEPT_LADDER_BYTES:
-                    return
-        del self[growing.t]
-        growing.shelf = None
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
         self.held = 0
+        self._sizes: dict[int, int] = {}
+        # -t for every stored t: the largest t is the heap's first entry.
+        self._heap: list[int] = []
+
+    def grow(self, t: int, table, size: int) -> None:
+        """Store ``table`` as t's at ``size`` bytes, before it grows to them, within the bound.
+
+        A table stored again after it was evicted, or in place of another
+        table of t, is counted at ``size`` alone.  Past the bound the other
+        tables leave largest t first, just until the count is back within
+        it: a pass searches under t with probability 1/(t + 1), so the
+        largest t are the least used.  ``table`` leaves last, so only when it
+        alone is over the bound; whoever holds it still reads it.
+        """
+        sizes, heap = self._sizes, self._heap
+        if t not in sizes:
+            heappush(heap, -t)
+        self[t] = table
+        self.held += size - sizes.get(t, 0)
+        sizes[t] = size
+        set_aside = False
+        while self.held > self.bound and heap:
+            largest = -heappop(heap)
+            if largest == t:
+                set_aside = True
+            else:
+                del self[largest]
+                self.held -= sizes.pop(largest)
+        if self.held > self.bound:
+            del self[t]
+            self.held -= sizes.pop(t)
+        elif set_aside:
+            heappush(heap, -t)
 
 
 @lru_cache(maxsize=1)
-def _shelf(n: int) -> _Shelf:
-    """The shelf of the most recent n: its ladders by t, and the bytes they hold."""
-    _check_counts(n, 0)
-    return _Shelf()
+def _shelf(n: int) -> _Store:
+    """The store of the most recent n's ladders, by t, within ``KEPT_LADDER_BYTES``."""
+    return _Store(KEPT_LADDER_BYTES)
+
+
+@lru_cache(maxsize=1)
+def _hit_tables(n: int) -> _Store:
+    """The store of the most recent n's analytic hit tables, by t, within ``KEPT_HIT_BYTES``."""
+    return _Store(KEPT_HIT_BYTES)
 
 
 def ladder(n: int, t: int) -> GroverLadder:
-    """The shelved ``GroverLadder(n, t)`` for a search, built and shelved on first use.
+    """The stored ``GroverLadder(n, t)`` for a search, built and stored on first use.
 
     Each ladder computes every state the same way whenever it is asked
-    for it, so a shelved ladder hands a later search the very CDFs a fresh
-    one would compute; only the work is shared.  A ladder the shelf
-    evicted stays with the searches that hold it; the next call shelves a
+    for it, so a stored ladder hands a later search the very CDFs a fresh
+    one would compute; only the work is shared.  A ladder the store
+    evicted stays with the searches that hold it; the next call stores a
     new one.
     """
-    shelf = _shelf(n)
-    held = shelf.get(t)
+    store = _shelf(n)
+    held = store.get(t)
     if held is None:
-        held = shelf[t] = GroverLadder(n, t)
-        held.shelf = ref(shelf)
+        held = GroverLadder(n, t)
+        store.grow(t, held, 0)
     return held
+
+
+def extend(ladder: GroverLadder, j: int) -> memoryview:
+    """``ladder.cdf(j)`` for j >= 1, counted first in the ladder store of its n.
+
+    It counts the ladder's states after j = 0, n floats each, and its
+    amplitude copy of 2n, and stores the ladder again if it was evicted.
+    """
+    n = ladder.n
+    _shelf(n).grow(ladder.t, ladder, (max(j, len(ladder._cdfs) - 1) + 2) * 8 * n)
+    return ladder.cdf(j)
 
 
 def success_probability(n: int, t: int, j: int) -> float:

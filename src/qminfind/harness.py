@@ -31,8 +31,9 @@ the CLI layer.
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
 config per backend.  Its other checks take one pass per (n, t) cell under
 one ``grover.ladder(n, t)``, the ladder an exact pass reads, which serves
-the cell's fixed-j draws and all of its exact searches; both backends'
-searches go through ``qsearch.search``, the call every algorithm run makes.  Neither it nor
+the cell's fixed-j draws, grown first through ``grover.extend``, and all
+of its exact searches; both backends' searches go through
+``qsearch.search``, the call every algorithm run makes.  Neither it nor
 ``bounds`` takes a depth or size: both reach as far as n needs.
 
 Verdict conventions: every verdict is a list of ``_check_row`` checks, and a
@@ -799,6 +800,8 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
 
     n = config.n
     ladder = grover.ladder(n, t)
+    # Counted in the store first: at small n these pass a search's depth.
+    grover.extend(ladder, FIXED_J_MAX)
     samples = min(config.runs, 20_000)
     measure = ladder.measure
     fixed_rows = []

@@ -38,10 +38,10 @@ its table in value order (``table.sorted_table``), so on both backends the
 t marked entries are positions 0..t-1, and the start, every threshold and
 the returned index are positions in value order.  An exact pass hands the
 search the ladder ``grover.ladder(N, t)`` returns, which is shared with
-every earlier pass under the same (N, t) while the shelf keeps it, and
+every earlier pass under the same (N, t) while its store keeps it, and
 the search's rounds read the CDFs that ladder holds in place; an analytic
 pass hands it none, and the rounds read their hit probabilities in place
-from the table ``qsearch`` keeps for (N, t) in the same way.  A returned
+from the hit table of (N, t), kept in a store of the same kind.  A returned
 position below t is a smaller entry, so the threshold moves to
 it; a miss draws its unmarked position all the same, since it is part of
 the run's stream (a boosted experiment runs several runs on one stream).

@@ -21,12 +21,12 @@ position comes from:
   sin^2((2j+1) arcsin(sqrt(t/N))), read in O(1) per round from a hit table
   of (N, t): entry j holds that probability, computed by the same
   expression.  The tables of the most recent N are kept across searches
-  and runs, within a byte bound, ``KEPT_HIT_BYTES``; past it the store is
-  emptied.  A table grows only when a round draws j past its end, and
-  then to that round's cap, so a search at a large t, which ends within a
-  few rounds, fills only the first few entries.  The probabilities depend
-  on (N, t, j) alone, so one table serves every growth factor, and a kept
-  table gives every search the floats a fresh one would.  The position is
+  and runs in ``grover``'s bounded store of hit tables.  A table grows
+  only when a round draws j past its end, and then to that round's cap,
+  so a search at a large t, which ends within a few rounds, fills only
+  the first few entries.  The probabilities depend on (N, t, j) alone,
+  so one table serves every growth factor, and a kept table gives every
+  search the floats a fresh one would.  The position is
   uniform within the success or failure class whatever the rounds did, so
   the search draws it once the rounds end: one of 0..t-1 on a hit, one of
   t..N-1 on a miss.
@@ -35,14 +35,15 @@ position comes from:
   ``random()`` draw bisected on the right of the state's CDF, and returns
   the last position measured; it never reads the rotation angle.  The
   round reads the CDFs the ladder holds inline, with no call per round,
-  and calls ``GroverLadder.cdf`` only for a state the ladder does not yet
+  and calls ``grover.extend`` only for a state the ladder does not yet
   hold, which grows the ladder to that j alone.  Every round starts from
   the uniform state, so a ladder kept across searches computes each
   iteration once; each is still charged one time step, as in every round.
   Exact passes and equivalence cells take their ladder from
   ``grover.ladder(N, t)``, which keeps the ladders of the most recent N
-  across searches and runs, within a byte bound that evicts the largest t
-  first.
+  across searches and runs in ``grover``'s bounded store of ladders,
+  within ``grover.KEPT_LADDER_BYTES``.  Both stores follow one
+  largest-t-first rule (see ``grover``).
 
 With nothing marked (t = 0) every round misses with certainty.  For
 N >= 2 the rounds spend a finite budget down to its floor; on a one-index
@@ -64,24 +65,22 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .grover import GroverLadder, rotation_angle
+from .grover import GroverLadder, _hit_tables, extend, rotation_angle
 
 __all__ = [
     "Backend",
     "DEFAULT_GROWTH",
-    "KEPT_HIT_BYTES",
     "check_growth",
     "search",
 ]
 
 DEFAULT_GROWTH = 8.0 / 7.0
-# What the store of analytic hit tables may hold, counted as below.
-KEPT_HIT_BYTES = 8 * 2**20
-# The count: a float and its list slot per entry; per table, its list with
-# spare slots, its key and its slot in the store (about 130 B traced at
-# n = 16384, rounded up).
+# What a hit table counts in its store (``grover.KEPT_HIT_BYTES``): a float
+# and its list slot per entry; per table, its list with spare slots, its
+# key, and the store's slot, size and heap entry for it (180-215 B traced
+# at n = 16384 and 2^20, rounded up).
 _ENTRY_BYTES = 32
-_TABLE_BYTES = 192
+_TABLE_BYTES = 256
 
 
 class Backend(enum.Enum):
@@ -120,45 +119,20 @@ def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...],
     return tuple(growing), (high, high.bit_length())
 
 
-class _HitTables(dict):
-    """The hit tables of one n by t; ``held`` counts the bytes they hold."""
+def _grow(n: int, t: int, probs: list[float], high: int) -> None:
+    """Extend ``probs``, the hit table of (n, t), to its first ``high`` entries.
 
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-        self.held = 0
-
-    def grow(self, t: int, probs: list[float], high: int) -> None:
-        """Extend ``probs``, the hit table of t, to its first ``high`` entries.
-
-        Entry j is sin^2((2j+1) theta) with theta = ``rotation_angle(n, t)``,
-        the probability that a round of j iterations hits.  The counts are
-        checked before anything is stored, and the table is stored and
-        counted whole before its new entries are computed.  When the count
-        would pass ``KEPT_HIT_BYTES`` every table leaves the store, at one
-        step per table stored since the store was last emptied; the growing
-        table is then stored again unless it alone is over the bound, and
-        its search reads it either way.
-        """
-        theta = rotation_angle(self.n, t)
-        if self.get(t) is probs:
-            self.held -= _TABLE_BYTES + len(probs) * _ENTRY_BYTES
-        whole = _TABLE_BYTES + high * _ENTRY_BYTES
-        if self.held + whole > KEPT_HIT_BYTES:
-            self.clear()
-            self.held = 0
-        if whole <= KEPT_HIT_BYTES:
-            self[t] = probs
-            self.held += whole
-        sin = math.sin
-        for j in range(len(probs), high):
-            probs.append(sin((2 * j + 1) * theta) ** 2)
-
-
-@lru_cache(maxsize=1)
-def _hit_tables(n: int) -> _HitTables:
-    """The store of the most recent n: its hit tables by t, and the bytes they hold."""
-    return _HitTables(n)
+    Entry j is sin^2((2j+1) theta) with theta = ``rotation_angle(n, t)``,
+    the probability that a round of j iterations hits.  The counts are
+    checked before anything is stored, and the table is stored and counted
+    whole in the store of n before its new entries are computed; its
+    search reads it even if the store evicts it.
+    """
+    theta = rotation_angle(n, t)
+    _hit_tables(n).grow(t, probs, _TABLE_BYTES + high * _ENTRY_BYTES)
+    sin = math.sin
+    for j in range(len(probs), high):
+        probs.append(sin((2 * j + 1) * theta) ** 2)
 
 
 def search(
@@ -201,11 +175,10 @@ def search(
     if ladder is None:
         # The stored table of t, or a new one that its first round
         # stores; a stored table is never empty.
-        tables = _hit_tables(n)
-        probs = tables.get(t) or []
+        probs = _hit_tables(n).get(t) or []
         depth = len(probs)
     else:
-        # The CDFs the ladder holds, read in place; only ``cdf`` grows them.
+        # The CDFs the ladder holds, read in place; only ``extend`` grows them.
         cdfs = ladder._cdfs
         depth = len(cdfs)
     getrandbits = rng.getrandbits
@@ -230,20 +203,20 @@ def search(
             # so no search ends on a miss whose unmarked position could not
             # be drawn.
             if j >= depth:
-                tables.grow(t, probs, high)
+                _grow(n, t, probs, high)
                 depth = high
             hit = uniform() < probs[j]
         else:
             # ``GroverLadder.measure`` inline: a stored state is read with
             # no call (calling ``measure`` and ``cdf`` every round made
             # exact runs at n = 1024 about 8% slower), and a new one is
-            # grown by ``cdf`` to j alone, which counts its bytes on the
-            # shelf first.  Then the one uniform draw, bisected on the
+            # grown by ``extend`` to j alone, which counts its bytes in
+            # the store first.  Then the one uniform draw, bisected on the
             # right as ``measure`` does.
             if j < depth:
                 cdf = cdfs[j]
             else:
-                cdf = ladder.cdf(j)
+                cdf = extend(ladder, j)
                 depth = len(cdfs)
             index = bisect_right(cdf, uniform() * cdf[-1])
             hit = index < t

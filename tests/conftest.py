@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qminfind import grover, qsearch
+from qminfind import grover
 
 # Some tests start a child interpreter, which inherits os.environ but not
 # pytest's ``pythonpath`` setting, so the checkout's sources go on its path.
@@ -24,11 +24,11 @@ settings.load_profile("suite")
 
 
 @pytest.fixture(autouse=True)
-def empty_ladder_shelf_and_hit_tables():
-    # ``grover.ladder`` keeps ladders across calls, so a test that patches
-    # ``_reflect``, ``_measured`` or ``GroverLadder`` must not read states an
-    # earlier test computed: every test starts from an empty shelf.  The
-    # analytic hit tables of ``qsearch`` are kept in the same way, so every
-    # test starts from an empty store too.
-    grover._shelf.cache_clear()
-    qsearch._hit_tables.cache_clear()
+def empty_both_table_stores():
+    # ``grover`` keeps the exact ladders and the analytic hit tables of the
+    # most recent n across calls, each in a store of its own, so a test that
+    # patches ``_reflect``, ``_measured``, ``GroverLadder`` or a bound must
+    # not read tables an earlier test computed: every test starts from two
+    # empty stores.
+    for store in (grover._shelf, grover._hit_tables):
+        store.cache_clear()

@@ -2,13 +2,15 @@ import gc
 import math
 import random
 import weakref
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import grover, harness
+from qminfind import grover, harness, qsearch
 from qminfind.grover import GroverLadder, rotation_angle, success_probability
 from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.qsearch import Backend
@@ -323,12 +325,17 @@ def test_measuring_a_held_state_computes_nothing(monkeypatch, depth):
     assert counts == {"_reflect": depth, "_measured": depth}
 
 
-def _held_bytes(n: int) -> int:
-    """Bytes the shelf of n holds: its ladders' states after j = 0 and their amplitude copies."""
+def _ladder_bytes(store) -> int:
+    """Bytes the ladders of ``store`` hold: their states after j = 0 and their amplitude copies."""
     return sum(
-        (len(held._cdfs) - 1) * n * 8 + (0 if held._amps is None else held._amps.nbytes)
-        for held in grover._shelf(n).values()
+        (len(held._cdfs) - 1) * held.n * 8 + (0 if held._amps is None else held._amps.nbytes)
+        for held in store.values()
     )
+
+
+def _held_bytes(n: int) -> int:
+    """Bytes the ladder store of n holds."""
+    return _ladder_bytes(grover._shelf(n))
 
 
 @pytest.mark.parametrize("n", [16, 1000, 1024])
@@ -350,7 +357,7 @@ def test_shelf_ladder_cdfs_equal_a_fresh_ladders_bit_for_bit(n):
 def test_every_t_is_shelved_under_the_bound(n):
     ladders = [grover.ladder(n, t) for t in range(n + 1)]
     for t in (0, 1, 2, n // 2, n):
-        ladders[t].cdf(2)
+        grover.extend(ladders[t], 2)
     assert all(grover.ladder(n, t) is held for t, held in enumerate(ladders))
     assert sorted(grover._shelf(n)) == list(range(n + 1))
     # t = 0's j = 2 state is the uniform one again, but it is computed.
@@ -365,51 +372,37 @@ def test_the_largest_other_t_leaves_first(monkeypatch):
     shelf = grover._shelf(n)
     ladders = {t: grover.ladder(n, t) for t in (1, 2, 3)}
     for held in ladders.values():
-        held.cdf(2)
+        grover.extend(held, 2)
     assert sorted(shelf) == [1, 2, 3] and shelf.held == 3 * depth_2
     # A new t that grows evicts the largest other t, not itself.
-    grover.ladder(n, 5).cdf(2)
-    assert sorted(shelf) == [1, 2, 5] and ladders[3].shelf is None
+    grover.extend(grover.ladder(n, 5), 2)
+    assert sorted(shelf) == [1, 2, 5] and 3 not in shelf
     # One more state of t = 1 evicts 5, the largest other t, and only it.
-    ladders[1].cdf(3)
+    grover.extend(ladders[1], 3)
     assert sorted(shelf) == [1, 2] and shelf.held == _held_bytes(n) == 2 * depth_2 + 512
     assert grover.ladder(n, 1) is ladders[1] and grover.ladder(n, 2) is ladders[2]
-    # An evicted ladder's growth is not counted.
-    ladders[3].cdf(9)
-    assert shelf.held == _held_bytes(n) == 2 * depth_2 + 512
+    # An evicted ladder that grows is stored again, and evicts the largest other t.
+    grover.extend(ladders[3], 3)
+    assert sorted(shelf) == [1, 3] and shelf.held == _held_bytes(n) == 2 * (depth_2 + 512)
     # A ladder alone over the bound leaves the shelf too, after the others.
-    ladders[2].cdf(12)
-    assert not shelf and shelf.held == 0 and ladders[2].shelf is None
+    grover.extend(ladders[2], 12)
+    assert not shelf and shelf.held == 0
     assert len(ladders[2]._cdfs) == 13
     assert grover.ladder(n, 2) is not ladders[2]
 
 
-def test_the_shelf_holds_one_n_at_a_time():
-    first = grover.ladder(1024, 3)
-    assert grover.ladder(2048, 3) is not first
-    assert grover._shelf.cache_info().currsize == 1
-    assert grover.ladder(1024, 3) is not first
-
-
 def test_a_dropped_shelf_is_freed_with_its_ladders():
-    # A shelf and its ladders refer to each other; the ladders' reference
-    # is weak, so the shelf of the last n is freed as soon as a new n
-    # replaces it, without waiting for the cycle collector.
+    # A store refers to its ladders and no ladder refers back to it, so
+    # the store of the last n is freed as soon as a new n replaces it,
+    # without waiting for the cycle collector.
     gc.disable()
     try:
-        grover.ladder(1024, 3).cdf(4)
+        grover.extend(grover.ladder(1024, 3), 4)
         dropped = weakref.ref(grover._shelf(1024))
         grover.ladder(2048, 3)
         assert dropped() is None
     finally:
         gc.enable()
-
-
-def test_a_bad_count_is_rejected_and_never_shelved():
-    for n, t in ((0, 0), (-4, 0), (8, -1), (8, 9)):
-        with pytest.raises(ValueError):
-            grover.ladder(n, t)
-    assert -1 not in grover._shelf(8)
 
 
 @pytest.mark.parametrize("n, runs", [(1024, 2000), (16384, 50)])
@@ -423,31 +416,9 @@ def test_the_shelf_holds_at_most_its_bytes_after_exact_runs(n, runs):
     assert _held_bytes(n) == shelf.held <= grover.KEPT_LADDER_BYTES
 
 
-def test_the_shelf_holds_at_most_its_bytes_at_every_state(monkeypatch):
-    # With room for about 128 states of n = 1024, the shelf evicts while the
-    # runs go on; before every state is computed, the bytes it holds and
-    # those it has counted for the states being computed fit the bound.
-    n, bound = 1024, 2**20
-    monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", bound)
-    reflect = grover._reflect
-    states = []
-
-    def checked(amps, t):
-        assert _held_bytes(n) <= grover._shelf(n).held <= bound
-        states.append(t)
-        reflect(amps, t)
-
-    monkeypatch.setattr(grover, "_reflect", checked)
-    config = ExperimentConfig("success", n, 500, seed=1, backend=Backend.EXACT_STATEVECTOR)
-    assert run_experiment(config).passed
-    # More states than the bound holds, so the shelf has evicted.
-    assert len(states) > bound // (8 * n)
-    assert _held_bytes(n) == grover._shelf(n).held <= bound
-
-
 def test_equivalence_cells_past_a_searchs_depth_hold_under_a_megabyte():
     # At n <= 64 the fixed-j draws (to j = 8) reach past a search's depth;
-    # the shelf counts those states too, and keeps every cell's ladder.
+    # the store counts those states too, and keeps every cell's ladder.
     assert run_experiment(ExperimentConfig("equivalence", 64, 100, seed=1)).passed
     shelf = grover._shelf(64)
     assert set(harness._equivalence_cells(64)) <= set(shelf)
@@ -457,9 +428,9 @@ def test_equivalence_cells_past_a_searchs_depth_hold_under_a_megabyte():
 
 @pytest.mark.parametrize("step", ["warm", "patched"])
 def test_a_patch_takes_effect_after_a_test_that_warmed_the_shelf(monkeypatch, step):
-    # The first case leaves the shelf warm, as any exact run does.  The
-    # autouse fixture in conftest.py empties it before the second, so the
-    # states that case reads are computed by its patched ``_reflect``.
+    # The first case leaves the ladder store warm, as any exact run does.
+    # The autouse fixture in conftest.py empties it before the second, so
+    # the states that case reads are computed by its patched ``_reflect``.
     assert grover._shelf.cache_info().currsize == 0
     if step == "warm":
         grover.ladder(8, 1).cdf(2)
@@ -473,3 +444,143 @@ def test_a_patch_takes_effect_after_a_test_that_warmed_the_shelf(monkeypatch, st
     monkeypatch.setattr(grover, "_reflect", leaky)
     with pytest.raises(ValueError, match="not normalized"):
         grover.ladder(8, 1).cdf(2)
+
+
+# The rules of ``grover._Store``, run over both of its stores: the exact
+# backend's ladders and the analytic backend's hit tables.
+class _Kind(NamedTuple):
+    store: Callable  # the accessor of the store of n
+    bound: str  # the name of its bound in ``grover``
+    backend: Backend
+    # What a table of n grown to depth d counts: states 1..d and the
+    # amplitude copy of a ladder, entries 0..d-1 of a hit table.
+    size: Callable[[int, int], int]
+    # The table of (n, t), a new one for None, grown to depth d by the
+    # code its backend grows it with.
+    grow: Callable
+    # The bytes a mapping's tables hold.
+    held: Callable
+
+
+def _grow_ladder(n, t, table, depth):
+    table = grover.ladder(n, t) if table is None else table
+    grover.extend(table, depth)
+    return table
+
+
+def _grow_hit_table(n, t, table, depth):
+    table = [] if table is None else table
+    qsearch._grow(n, t, table, depth)
+    return table
+
+
+def _hit_bytes(store) -> int:
+    return sum(qsearch._TABLE_BYTES + len(probs) * qsearch._ENTRY_BYTES for probs in store.values())
+
+
+KINDS = {
+    "ladders": _Kind(
+        grover._shelf, "KEPT_LADDER_BYTES", Backend.EXACT_STATEVECTOR,
+        lambda n, depth: (depth + 2) * 8 * n, _grow_ladder, _ladder_bytes,
+    ),
+    "hit-tables": _Kind(
+        grover._hit_tables, "KEPT_HIT_BYTES", Backend.ANALYTIC_SAMPLER,
+        lambda n, depth: qsearch._TABLE_BYTES + depth * qsearch._ENTRY_BYTES,
+        _grow_hit_table, _hit_bytes,
+    ),
+}
+by_kind = pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS)
+
+
+@by_kind
+def test_a_store_evicts_the_largest_other_t_first(monkeypatch, kind):
+    # Room for three tables of depth 2 at n = 64.
+    n = 64
+    monkeypatch.setattr(grover, kind.bound, 3 * kind.size(n, 2))
+    store = kind.store(n)
+    tables = {t: kind.grow(n, t, None, 2) for t in (3, 1, 5)}
+    assert sorted(store) == [1, 3, 5] and store.held == 3 * kind.size(n, 2)
+    # One table more: the largest t leaves, though it grew last but one.
+    tables[2] = kind.grow(n, 2, None, 2)
+    assert sorted(store) == [1, 2, 3]
+    # A new table of t = 5 evicts 3, the largest other t, not itself.
+    kind.grow(n, 5, None, 2)
+    assert sorted(store) == [1, 2, 5]
+    # One more state or entry of t = 1 evicts 5, and only it.
+    kind.grow(n, 1, tables[1], 3)
+    assert sorted(store) == [1, 2] and store[1] is tables[1] and store[2] is tables[2]
+    assert store.held == kind.held(store) == kind.size(n, 3) + kind.size(n, 2)
+
+
+@by_kind
+def test_a_growing_table_leaves_last_and_only_alone_over_the_bound(monkeypatch, kind):
+    n = 64
+    bound = 3 * kind.size(n, 2)
+    monkeypatch.setattr(grover, kind.bound, bound)
+    store = kind.store(n)
+    tables = {t: kind.grow(n, t, None, 2) for t in (1, 2, 3)}
+    # The largest t grows to fill the bound alone: the others leave, it stays.
+    deepest = max(d for d in range(2, 64) if kind.size(n, d) <= bound)
+    kind.grow(n, 3, tables[3], deepest)
+    assert list(store) == [3] and store.held == kind.held(store) == kind.size(n, deepest)
+    # One more state or entry and it leaves too; its grower still holds it, grown.
+    kind.grow(n, 3, tables[3], deepest + 1)
+    assert not store and store.held == 0
+    assert kind.held({3: tables[3]}) == kind.size(n, deepest + 1)
+
+
+@by_kind
+def test_an_evicted_table_that_grows_is_stored_again(monkeypatch, kind):
+    n = 64
+    monkeypatch.setattr(grover, kind.bound, 3 * kind.size(n, 2))
+    store = kind.store(n)
+    tables = {t: kind.grow(n, t, None, 2) for t in (1, 2, 3)}
+    kind.grow(n, 5, None, 2)
+    assert 3 not in store
+    # Counted at its new size, it evicts the other t largest first: 5, then 2.
+    kind.grow(n, 3, tables[3], 3)
+    assert sorted(store) == [1, 3] and store[3] is tables[3]
+    assert store.held == kind.held(store) == kind.size(n, 2) + kind.size(n, 3)
+
+
+@by_kind
+def test_held_is_what_the_tables_hold_before_every_growth(monkeypatch, kind):
+    # With room for four of the deepest tables a search at n = 1024 reaches,
+    # the store evicts while the runs go on; before every growth it counts
+    # exactly what its tables hold, never more than the bound.
+    n = 1024
+    bound = 4 * kind.size(n, math.ceil(math.sqrt(n)))
+    monkeypatch.setattr(grover, kind.bound, bound)
+    grow = grover._Store.grow
+    lengths = []
+
+    def checked_grow(self, t, table, size):
+        assert self is kind.store(n)
+        assert self.held == kind.held(self) <= bound
+        lengths.append(len(self))
+        grow(self, t, table, size)
+
+    monkeypatch.setattr(grover._Store, "grow", checked_grow)
+    config = ExperimentConfig("success", n, 500, seed=1, backend=kind.backend)
+    assert run_experiment(config).passed
+    store = kind.store(n)
+    assert store.held == kind.held(store) <= bound
+    # The store filled up and evicted more than once.
+    assert max(lengths) > 3 and sum(b < a for a, b in zip(lengths, lengths[1:])) > 2
+
+
+@by_kind
+def test_a_store_holds_one_n_at_a_time(kind):
+    first = kind.grow(1024, 3, None, 2)
+    assert kind.store(1024)[3] is first
+    kind.grow(2048, 3, None, 2)
+    assert kind.store.cache_info().currsize == 1
+    assert 3 not in kind.store(1024)
+
+
+@by_kind
+def test_a_bad_count_stores_nothing(kind):
+    for n, t in ((8, -1), (8, 9), (0, 0), (-4, 0)):
+        with pytest.raises(ValueError, match="must be positive|outside"):
+            kind.grow(n, t, None, 2)
+        assert not kind.store(n) and kind.store(n).held == 0

@@ -270,10 +270,10 @@ EXACT_REPORTS = {
 
 @pytest.mark.parametrize("fields", EXACT_REPORTS.values(), ids=EXACT_REPORTS)
 def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatch, fields):
-    # Exact passes read their ladders from ``grover.ladder``'s shelf.  Cold,
-    # warm, after a run at another n, at two workers, on a cold shelf with
+    # Exact passes read their ladders from ``grover.ladder``'s store.  Cold,
+    # warm, after a run at another n, at two workers, on a cold store with
     # room for about two ladders (so it evicts while the runs go on), and
-    # with every pass building a fresh ladder (the shelf bypassed), the
+    # with every pass building a fresh ladder (the store bypassed), the
     # report is the same.
     config = ExperimentConfig(backend=Backend.EXACT_STATEVECTOR, **fields)
 
@@ -288,7 +288,10 @@ def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatc
     after_another_n = render(config)
     two_workers = render(dataclasses.replace(config, workers=2))
     grover._shelf.cache_clear()
-    monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 2 * grover._worst_ladder_bytes(config.n))
+    # The most one ladder holds: a search's j stays below its saturated cap
+    # ceil(sqrt(n)), so ceil(sqrt(n)) CDFs of n floats and its amplitude copy.
+    deepest = (math.ceil(math.sqrt(config.n)) * 8 + 16) * config.n
+    monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 2 * deepest)
     builds = []
     build = grover.GroverLadder.__init__
 
@@ -315,9 +318,9 @@ ANALYTIC_REPORTS = {
 
 @pytest.mark.parametrize("fields", ANALYTIC_REPORTS.values(), ids=ANALYTIC_REPORTS)
 def test_analytic_reports_keep_their_bytes_however_warm_the_hit_tables(monkeypatch, fields):
-    # Analytic rounds read their hit probabilities from ``qsearch``'s store
-    # of tables.  Cold, warm, after a run at another n, at two workers, with
-    # a bound of a few tables (so the store is emptied while the runs go
+    # Analytic rounds read their hit probabilities from ``grover``'s store
+    # of hit tables.  Cold, warm, after a run at another n, at two workers,
+    # with a bound of a few tables (so the store evicts while the runs go
     # on), and with every search on a fresh table (the store bypassed), the
     # report is the same.
     config = ExperimentConfig(**fields)
@@ -327,28 +330,29 @@ def test_analytic_reports_keep_their_bytes_however_warm_the_hit_tables(monkeypat
         return report.render("json"), report.render("csv")
 
     cold = render(config)
-    assert qsearch._hit_tables(config.n)
+    assert grover._hit_tables(config.n)
     warm = render(config)
     run_experiment(dataclasses.replace(config, n=2 * config.n))
     after_another_n = render(config)
     two_workers = render(dataclasses.replace(config, workers=2))
-    qsearch._hit_tables.cache_clear()
+    grover._hit_tables.cache_clear()
     # Four tables of 16 entries, the deepest at n = 256.
     four_tables = 4 * (qsearch._TABLE_BYTES + 16 * qsearch._ENTRY_BYTES)
-    monkeypatch.setattr(qsearch, "KEPT_HIT_BYTES", four_tables)
-    emptied = []
-    clear = qsearch._HitTables.clear
+    monkeypatch.setattr(grover, "KEPT_HIT_BYTES", four_tables)
+    evicted = []
+    grow = grover._Store.grow
 
-    def counting_clear(self):
-        emptied.append(len(self))
-        clear(self)
+    def counting_grow(self, t, table, size):
+        stored = len(self) + (t not in self)
+        grow(self, t, table, size)
+        evicted.append(stored - len(self))
 
-    monkeypatch.setattr(qsearch._HitTables, "clear", counting_clear)
-    dropping = render(config)
-    assert emptied and max(emptied) > 1
-    monkeypatch.setattr(qsearch, "_hit_tables", qsearch._HitTables)
+    monkeypatch.setattr(grover._Store, "grow", counting_grow)
+    evicting = render(config)
+    assert sum(evicted) > 1
+    monkeypatch.setattr(qsearch, "_hit_tables", lambda n: grover._Store(four_tables))
     fresh = render(config)
-    assert cold == warm == after_another_n == two_workers == dropping == fresh
+    assert cold == warm == after_another_n == two_workers == evicting == fresh
 
 
 def test_an_exact_run_computes_each_state_it_measures_once(monkeypatch):

@@ -465,14 +465,14 @@ def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
     # (n, t).  Every entry the searches stored is that closed form bit for
     # bit, and a table grows only to the cap of a round, so it ends at the
     # largest cap it was grown to.
-    grow = qsearch._HitTables.grow
+    grow = qsearch._grow
     grown = {}
 
-    def recording_grow(self, t, probs, high):
-        grown.setdefault((self.n, t), []).append(high)
-        grow(self, t, probs, high)
+    def recording_grow(n, t, probs, high):
+        grown.setdefault((n, t), []).append(high)
+        grow(n, t, probs, high)
 
-    monkeypatch.setattr(qsearch._HitTables, "grow", recording_grow)
+    monkeypatch.setattr(qsearch, "_grow", recording_grow)
     rng = random.Random(5)
     for n in range(2, 65):
         caps = _schedule_caps(n, DEFAULT_GROWTH)
@@ -490,30 +490,6 @@ def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
                 success_probability(n, t, j).hex() for j in range(len(probs))
             ]
         assert tables.held == _counted_bytes(tables)
-
-
-def test_the_store_holds_at_most_its_bytes_before_every_growth(monkeypatch):
-    # With the bound at a few tables, the store is emptied as searches go
-    # on, and before every growth it counts exactly the tables it holds,
-    # never more bytes than the bound.
-    bound = 6 * (qsearch._TABLE_BYTES + 16 * qsearch._ENTRY_BYTES)
-    monkeypatch.setattr(qsearch, "KEPT_HIT_BYTES", bound)
-    grow = qsearch._HitTables.grow
-    counts = []
-
-    def checked_grow(self, t, probs, high):
-        assert self.held == _counted_bytes(self) <= bound
-        counts.append(len(self))
-        grow(self, t, probs, high)
-
-    monkeypatch.setattr(qsearch._HitTables, "grow", checked_grow)
-    rng = random.Random(7)
-    for t in [*range(1, 257), *range(1, 257, 7)]:
-        search(256, t, math.inf, DEFAULT_GROWTH, rng)
-    tables = qsearch._hit_tables(256)
-    assert tables.held == _counted_bytes(tables) <= bound
-    # The store filled up and was emptied more than once.
-    assert max(counts) > 3 and sum(b < a for a, b in zip(counts, counts[1:])) > 2
 
 
 @pytest.mark.parametrize(("n", "t"), [(4, 5), (4, -1), (0, 0), (0, 1)])
@@ -595,8 +571,8 @@ def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
     # what the rounds give when each is measured by ``GroverLadder.measure``
     # on a ladder of its own, and leave its stream where they leave theirs,
     # under random draws and draws that land on CDF entries (``_GridStream``):
-    # on a fresh ladder, on a shelved one already holding half a search's
-    # states, and on a shelf with room for one amplitude copy and one
+    # on a fresh ladder, on a stored one already holding half a search's
+    # states, and in a store with room for one amplitude copy and one
     # state, so a search that draws j >= 2 evicts its own ladder while it
     # still reads it.
     if shelf == "evicting":
@@ -606,20 +582,19 @@ def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
     budgets = [0.0, 0.5, 7.5, timeout_cap(n), math.inf]
     evicted = 0
     for t in ts:
-        if shelf == "warm":
-            grover.ladder(n, t).cdf(depth // 2)
+        if shelf == "warm" and depth // 2:
+            grover.extend(grover.ladder(n, t), depth // 2)
         for budget in budgets[: 4 + (t > 0)]:
             for seed in range(6):
                 if shelf == "fresh":
                     ladder = GroverLadder(n, t)
                 else:
                     ladder = grover.ladder(n, t)
-                    shelved = ladder.shelf is not None
                 rng, twin = stream(f"{seed}-{t}-{budget}"), stream(f"{seed}-{t}-{budget}")
                 outcome = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
                 reference = GroverLadder(n, t)
                 assert outcome == _measured_search(n, t, budget, DEFAULT_GROWTH, twin, reference)
                 assert rng.getstate() == twin.getstate()
                 if shelf != "fresh":
-                    evicted += shelved and ladder.shelf is None
+                    evicted += grover._shelf(n).get(t) is not ladder
     assert (evicted > 0) == (shelf == "evicting" and n >= 16)
