@@ -22,17 +22,15 @@ iteration once and keeps the measurement CDF of every state it has
 passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
 draws one index from such a state.  The exact backend's search rounds
 make the same draw inline, on the CDFs the ladder holds, and call
-``extend`` only for a state it does not yet hold; its
-closed-form t = 0 draw and equivalence's fixed-j draws call ``measure``.
-The uniform state is the same for every t, so it is cached once per N,
-its read-only amplitudes with their CDF, and shared by all ladders: a
-ladder's j = 0 CDF is the cached one, and it
+``extend`` only for a state it does not yet hold; its closed-form t = 0
+draw and equivalence's fixed-j draws call ``measure``, and equivalence's
+closed-form check reads ``cdf``.  The uniform state is the same for every
+t, so it is cached once per N, its read-only amplitudes with their CDF,
+and shared by all ladders: a ladder's j = 0 CDF is the cached one, and it
 copies the cached amplitudes only at its first iteration; an iteration
-negates the slice of its first t amplitudes in place.  The exact
-backend's searches, its closed-form t = 0 draw and equivalence's fixed-j
-draws and closed-form check all read one.  The test suite keeps an
-independent statevector reference (``tests/reference_grover.py``) that
-evolves one immutable state per iteration under a predicate queried
+negates the slice of its first t amplitudes in place.  The test suite
+keeps an independent statevector reference (``tests/reference_grover.py``)
+that evolves one immutable state per iteration under a predicate queried
 afresh each time; the ladder's states match it bit for bit with the first
 t indices marked, and within 1e-12 once a scattered marked set's
 probabilities are put first.
@@ -46,13 +44,13 @@ bytes: ``_shelf(n)`` the exact ladders within ``KEPT_LADDER_BYTES``,
 Whoever grows a table tells the store first what it will hold; past the
 bound the other tables leave largest t first, the least used, and the
 growing one only when it alone is over.  A table that grows while
-evicted is stored again.  Exact passes and equivalence cells take their
-ladders from ``ladder(n, t)`` and grow them through ``extend``, which
-counts each ladder's own states after j = 0 and its amplitude copy (the
-shared uniform CDF is held once per n).  A ladder evicted while a search
-reads it is freed when that search ends.  Each state is still computed by
-the ladder, once per (n, t) while it stays stored, so every stream and
-report byte is what fresh ladders give.
+evicted is stored again.  Exact searches and equivalence's fixed-j
+draws take their ladders from ``ladder(n, t)`` and grow them through
+``extend``, which counts each ladder's own states after j = 0 and its
+amplitude copy (the shared uniform CDF is held once per n).  A ladder
+evicted while a search reads it is freed when that search ends.  Each
+state is still computed by the ladder, once per (n, t) while it stays
+stored, so every stream and report byte is what fresh ladders give.
 """
 from __future__ import annotations
 
@@ -150,8 +148,8 @@ class GroverLadder:
     computes nothing; ``qsearch.search`` reads ``_cdfs``, the CDFs held,
     in place and makes the same draw, and grows the ladder only through
     ``extend``.  A ladder only computes states: it serves every exact
-    search over its (n, t), and the store that exact passes and
-    equivalence cells take it from (``ladder(n, t)``) counts its bytes.
+    search over its (n, t), and the store it is taken from
+    (``ladder(n, t)``) counts its bytes.
     """
 
     def __init__(self, n: int, t: int):

@@ -29,12 +29,12 @@ Reports deliberately contain no wall-clock data; timing goes to stderr in
 the CLI layer.
 
 ``equivalence`` maps its whole-algorithm runs as one derived ``success``
-config per backend.  Its other checks take one pass per (n, t) cell under
-one ``grover.ladder(n, t)``, the ladder an exact pass reads, which serves
-the cell's fixed-j draws, grown first through ``grover.extend``, and all
-of its exact searches; both backends' searches go through
-``qsearch.search``, the call every algorithm run makes.  Neither it nor
-``bounds`` takes a depth or size: both reach as far as n needs.
+config per backend.  Its other checks take one pass per (n, t) cell: the
+cell's fixed-j draws measure ``grover.ladder(n, t)``, the ladder an exact
+search reads, grown first through ``grover.extend``, and both backends'
+searches go through ``qsearch.search``, the call every algorithm run
+makes.  Neither it nor ``bounds`` takes a depth or size: both reach as
+far as n needs.
 
 Verdict conventions: every verdict is a list of ``_check_row`` checks, and a
 report passes when each is ok.  Equality checks pass within max(0.01, 3 SE),
@@ -76,20 +76,11 @@ from .seeding import derive_stream
 from .table import Table, read_table, sorted_table
 
 __all__ = [
+    "EXPERIMENT_FIELDS",
     "ExperimentConfig",
     "Report",
-    "run_experiment",
-    "estimate_rank_selection",
-    "estimate_success_rate",
-    "estimate_expected_cost",
-    "backend_equivalence",
-    "bounds_report",
-    "single_run_records",
-    "closed_form_deviation",
-    "wilson_interval",
-    "two_sample_chisquare",
-    "uniform_chisquare",
     "build_identifier",
+    "run_experiment",
 ]
 
 # The config fields each experiment reads besides ``experiment``.  A field
@@ -388,15 +379,15 @@ def _check_row(
 # statistics helpers
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 99% confidence interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z99 * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / denom
     # The edges are exact (the interval closes at the observed boundary);
     # computing them through the general formula loses an ulp.
     lo = 0.0 if successes == 0 else max(0.0, center - half)
@@ -427,13 +418,11 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return float(chdtrc(dof, stat))
 
 
-def two_sample_chisquare(
-    counts_a: Counter, counts_b: Counter, min_pooled: int = 10
-) -> tuple[float, float, int]:
+def two_sample_chisquare(counts_a: Counter, counts_b: Counter) -> tuple[float, float, int]:
     """Chi-square homogeneity test for two category-count samples.
 
     Categories are pooled in sorted-key order until each bin holds at least
-    ``min_pooled`` observations combined.  Returns (statistic, p, dof);
+    10 observations combined.  Returns (statistic, p, dof);
     fewer than two usable bins yields the degenerate (0, 1, 0).
     """
     total_a = sum(counts_a.values())
@@ -445,7 +434,7 @@ def two_sample_chisquare(
     for key in sorted(set(counts_a) | set(counts_b)):
         acc_a += counts_a.get(key, 0)
         acc_b += counts_b.get(key, 0)
-        if acc_a + acc_b >= min_pooled:
+        if acc_a + acc_b >= 10:
             bins.append((acc_a, acc_b))
             acc_a = acc_b = 0
     if acc_a + acc_b > 0:
@@ -788,13 +777,12 @@ def _equivalence_cells(n: int) -> list[int]:
 def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], list[dict]]:
     """The fixed-j rows and the search rows of the cell with indices 0..t-1 marked.
 
-    The cell's ladder is ``grover.ladder(n, t)``, the one an exact pass at
-    (n, t) reads, and it serves the exact fixed-j draws and every exact
-    search, so each iteration is computed once.  Fixed-j rows
-    compare measurement frequencies at pinned iteration counts with the
-    closed form; search rows check that hit and miss indices are uniform
-    within their class and that both backends' (hit, iterations) laws agree.
-    With 0..t-1 marked, a search's position is its index.
+    The fixed-j draws measure ``grover.ladder(n, t)``, the ladder every
+    exact search at (n, t) reads, so each iteration is computed once.
+    Fixed-j rows compare measurement frequencies at pinned iteration counts
+    with the closed form; search rows check that hit and miss indices are
+    uniform within their class and that both backends' (hit, iterations)
+    laws agree.  With 0..t-1 marked, a search's position is its index.
     """
     from scipy.stats import binomtest
 
@@ -823,10 +811,9 @@ def _equivalence_cell(config: ExperimentConfig, t: int) -> tuple[list[dict], lis
     for backend in Backend:
         law = laws[backend] = Counter()
         index_counts = np.zeros(n, dtype=np.int64)
-        search_ladder = ladder if backend is Backend.EXACT_STATEVECTOR else None
         for i in range(config.runs):
             rng = derive_stream(config.seed, "eqv-cell", backend.value, t, i)
-            used, _, index = search(n, t, budget, config.growth, rng, search_ladder)
+            used, _, index = search(n, t, budget, config.growth, rng, backend)
             law[(index < t, used)] += 1
             index_counts[index] += 1
         for label, class_counts in (("hit", index_counts[:t]), ("miss", index_counts[t:])):

@@ -36,15 +36,12 @@ entries strictly smaller than T[y] (so y itself is never marked, and an
 all-duplicates table has nothing marked).  A run reads only the ranks of
 its table in value order (``table.sorted_table``), so on both backends the
 t marked entries are positions 0..t-1, and the start, every threshold and
-the returned index are positions in value order.  An exact pass hands the
-search the ladder ``grover.ladder(N, t)`` returns, which is shared with
-every earlier pass under the same (N, t) while its store keeps it, and
-the search's rounds read the CDFs that ladder holds in place; an analytic
-pass hands it none, and the rounds read their hit probabilities in place
-from the hit table of (N, t), kept in a store of the same kind.  A returned
-position below t is a smaller entry, so the threshold moves to
-it; a miss draws its unmarked position all the same, since it is part of
-the run's stream (a boosted experiment runs several runs on one stream).
+the returned index are positions in value order.  A pass hands the search
+its backend, and the search takes the per-(N, t) table that backend reads
+from ``grover``'s stores.  A returned position below t is a smaller entry,
+so the threshold moves to it; a miss draws its unmarked position all the
+same, since it is part of the run's stream (a boosted experiment runs
+several runs on one stream).
 """
 from __future__ import annotations
 
@@ -53,7 +50,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grover
 from .qsearch import Backend, search
 
 __all__ = [
@@ -116,13 +112,11 @@ def find_minimum(
     y = rng.randrange(n)
     uncapped = cap == math.inf
 
-    exact = backend is Backend.EXACT_STATEVECTOR
     # ``item`` reads a Python int, not a numpy scalar that would need
     # converting.  Entries strictly below the threshold: the ones its
     # search marks.
     rank_of = ranks.item
     t = rank_of(y) - 1
-    ladder = None
     history = [(0.0, y)]
     # The account is two integers, (passes, steps); the time spent,
     # passes * lg N + steps, is computed from them where it is compared with
@@ -137,9 +131,7 @@ def find_minimum(
         # max(0.0, cap - spent) without the builtin call, which costs as
         # much as the rest of this bookkeeping.
         remaining = cap - spent if spent < cap else 0.0
-        if exact:
-            ladder = grover.ladder(n, t)
-        used, interrupted, index = search(n, t, remaining, growth, rng, ladder)
+        used, interrupted, index = search(n, t, remaining, growth, rng, backend)
         steps += used
         spent = passes * lg_n + steps
         if index < t:

@@ -31,19 +31,18 @@ position comes from:
   the search draws it once the rounds end: one of 0..t-1 on a hit, one of
   t..N-1 on a miss.
 * ``EXACT_STATEVECTOR`` measures the state after j iterations of the
-  caller's ``GroverLadder(N, t)`` as ``GroverLadder.measure`` does, one
-  ``random()`` draw bisected on the right of the state's CDF, and returns
-  the last position measured; it never reads the rotation angle.  The
-  round reads the CDFs the ladder holds inline, with no call per round,
-  and calls ``grover.extend`` only for a state the ladder does not yet
-  hold, which grows the ladder to that j alone.  Every round starts from
-  the uniform state, so a ladder kept across searches computes each
-  iteration once; each is still charged one time step, as in every round.
-  Exact passes and equivalence cells take their ladder from
-  ``grover.ladder(N, t)``, which keeps the ladders of the most recent N
-  across searches and runs in ``grover``'s bounded store of ladders,
-  within ``grover.KEPT_LADDER_BYTES``.  Both stores follow one
-  largest-t-first rule (see ``grover``).
+  ladder ``grover.ladder(N, t)``, taken once per search, as
+  ``GroverLadder.measure`` does, one ``random()`` draw bisected on the
+  right of the state's CDF, and returns the last position measured; it
+  never reads the rotation angle.  The round reads the CDFs the ladder
+  holds inline, with no call per round, and calls ``grover.extend`` only
+  for a state the ladder does not yet hold, which grows the ladder to
+  that j alone.  Every round starts from the uniform state, so a ladder
+  kept across searches computes each iteration once; each is still
+  charged one time step, as in every round.  The ladders of the most
+  recent N are kept in ``grover``'s bounded store of ladders, within
+  ``grover.KEPT_LADDER_BYTES``.  Both stores follow one largest-t-first
+  rule (see ``grover``).
 
 With nothing marked (t = 0) every round misses with certainty.  For
 N >= 2 the rounds spend a finite budget down to its floor; on a one-index
@@ -65,7 +64,8 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .grover import GroverLadder, _hit_tables, extend, rotation_angle
+from . import grover
+from .grover import _hit_tables, extend, rotation_angle
 
 __all__ = [
     "Backend",
@@ -88,6 +88,11 @@ class Backend(enum.Enum):
 
     EXACT_STATEVECTOR = "exact"
     ANALYTIC_SAMPLER = "analytic"
+
+
+# What ``search`` compares its backend with: a member read through the enum
+# class costs about 0.1 us on CPython 3.11, a module global a tenth of that.
+_ANALYTIC, _EXACT = Backend.ANALYTIC_SAMPLER, Backend.EXACT_STATEVECTOR
 
 
 def check_growth(growth: float) -> None:
@@ -136,18 +141,17 @@ def _grow(n: int, t: int, probs: list[float], high: int) -> None:
 
 
 def search(
-    n: int, t: int, budget: float, growth: float, rng, ladder: GroverLadder | None = None
+    n: int, t: int, budget: float, growth: float, rng, backend: Backend = Backend.ANALYTIC_SAMPLER
 ) -> tuple[int, bool, int]:
     """Hunt for one of t marked indices of n within ``budget`` time steps.
 
     Returns ``(iterations_used, interrupted, index)``.  The marked indices
     are 0..t-1, so the search hit exactly when ``index < t``.  ``growth``
-    must lie strictly in (1, 4/3) (see ``check_growth``).  With a
-    ``ladder`` (a ``GroverLadder(n, t)``) the search runs on the exact
-    backend and ``index`` is the last position measured; without one it
-    runs on the analytic backend, and ``index`` is a class position drawn
-    after the rounds: ``randrange(t)`` on a hit, ``randrange(t, n)`` on a
-    miss.  A caller maps that position to an index of its own.
+    must lie strictly in (1, 4/3) (see ``check_growth``).  On the exact
+    ``backend`` ``index`` is the last position measured; on the analytic
+    one it is a class position drawn after the rounds: ``randrange(t)`` on
+    a hit, ``randrange(t, n)`` on a miss.  A caller maps that position to
+    an index of its own.  Any other ``backend`` is rejected.
 
     A round capped above 1 draws j as ``randrange(high)`` does
     (``getrandbits`` of the cap's bit length until the value is below the
@@ -160,6 +164,9 @@ def search(
     the whole budget (its floor) unless the domain has a single index, so
     an infinite budget with nothing marked is rejected there.
     """
+    analytic = backend is _ANALYTIC
+    if not analytic and backend is not _EXACT:
+        raise ValueError(f"unknown backend {backend!r}")
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if t == 0 and n >= 1:
@@ -169,16 +176,18 @@ def search(
         # iteration counts have spent the budget down to its floor, the last
         # one truncated if need be; on one index the first j = 0 round ends
         # it.  No iteration moves the uniform state.
-        index = rng.randrange(t, n) if ladder is None else ladder.measure(0, rng)
+        index = rng.randrange(t, n) if analytic else grover.ladder(n, t).measure(0, rng)
         return (int(budget) if n >= 2 else 0), True, index
     growing, saturated = _round_schedule(n, growth)
-    if ladder is None:
+    if analytic:
         # The stored table of t, or a new one that its first round
         # stores; a stored table is never empty.
         probs = _hit_tables(n).get(t) or []
         depth = len(probs)
     else:
-        # The CDFs the ladder holds, read in place; only ``extend`` grows them.
+        # The CDFs the stored ladder holds, read in place; only ``extend``
+        # grows them.
+        ladder = grover.ladder(n, t)
         cdfs = ladder._cdfs
         depth = len(cdfs)
     getrandbits = rng.getrandbits
@@ -195,7 +204,7 @@ def search(
         truncated = j > remaining
         if truncated:
             j = int(remaining)
-        if ladder is None:
+        if analytic:
             # The table is read inline, with no call per round (a call
             # per round made the analytic loop take about 15% longer); it
             # grows only when j is past its end, and then to this round's
@@ -228,7 +237,7 @@ def search(
         if truncated or remaining <= 0:
             interrupted = True
             break
-    if ladder is None:
+    if analytic:
         # The rounds draw no index: it is uniform within the class the
         # search ended in, whatever the rounds did.
         index = rng.randrange(t) if hit else rng.randrange(t, n)

@@ -48,10 +48,14 @@ RECORD_FIELDS = [
 
 
 def test_wilson_reference_values():
-    # Standard textbook example, worked out independently.
-    lo, hi = wilson_interval(55, 100, z=1.96)
-    assert lo == pytest.approx(0.45244427031643447, abs=1e-12)
-    assert hi == pytest.approx(0.6438562489359654, abs=1e-12)
+    # The interval is always the 99% one; scipy computes it independently.
+    from scipy.stats import binomtest
+
+    for k, n in ((55, 100), (0, 50), (50, 50), (15, 20), (1, 3)):
+        expected = binomtest(k, n).proportion_ci(0.99, method="wilson")
+        lo, hi = wilson_interval(k, n)
+        assert lo == pytest.approx(expected.low, abs=1e-12)
+        assert hi == pytest.approx(expected.high, abs=1e-12)
 
 
 def test_wilson_edge_cases():
@@ -75,7 +79,7 @@ def test_chisquare_matches_scipy_reference():
     # Frozen against scipy.stats.chi2_contingency(correction=False).
     a = Counter({0: 500, 1: 300, 2: 200})
     b = Counter({0: 480, 1: 310, 2: 230})
-    stat, p, dof = two_sample_chisquare(a, b, min_pooled=1)
+    stat, p, dof = two_sample_chisquare(a, b)
     assert stat == pytest.approx(2.4673430180306957, abs=1e-9)
     assert p == pytest.approx(0.291221390486803, abs=1e-9)
     assert dof == 2
@@ -100,7 +104,7 @@ def test_replaced_scipy_calls_match_scipy_bit_for_bit():
             a = Counter(dict(enumerate(counts.tolist())))
             b = Counter(dict(enumerate(rng.poisson(40, dof + 1).tolist())))
             for other in (a, b):
-                stat, p, k = two_sample_chisquare(a, other, min_pooled=1)
+                stat, p, k = two_sample_chisquare(a, other)
                 assert k == dof and p == float(stats.chi2.sf(stat, dof)), (a, other)
 
 
@@ -112,7 +116,7 @@ def test_chisquare_identical_samples():
 def test_chisquare_pools_sparse_bins():
     a = Counter({0: 100, 1: 3, 2: 2, 3: 1})
     b = Counter({0: 90, 1: 4, 2: 4, 3: 3})
-    stat, p, dof = two_sample_chisquare(a, b, min_pooled=10)
+    stat, p, dof = two_sample_chisquare(a, b)
     assert dof == 1
     assert stat == pytest.approx(1.8772263347019318, abs=1e-9)
 
@@ -713,9 +717,9 @@ def test_equivalence_fails_when_searches_with_nothing_marked_spend_differently(m
     # With nothing marked both backends must spend exactly the budget's floor.
     search = harness.search
 
-    def short_exact(n, t, budget, growth, rng, ladder=None):
-        used, interrupted, index = search(n, t, budget, growth, rng, ladder)
-        if t == 0 and ladder is not None:
+    def short_exact(n, t, budget, growth, rng, backend=Backend.ANALYTIC_SAMPLER):
+        used, interrupted, index = search(n, t, budget, growth, rng, backend)
+        if t == 0 and backend is Backend.EXACT_STATEVECTOR:
             used -= 1
         return used, interrupted, index
 
@@ -748,10 +752,10 @@ def test_fixed_j_rows_pass_near_certain_hits_and_fail_one_iteration_late(monkeyp
 
 
 def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
-    # Each cell's ladder is ``grover.ladder(n, t)``, the ladder an exact pass
-    # reads.  On the empty shelf a test starts with, the cell builds it, it
-    # serves the cell's fixed-j draws and is handed to every exact search of
-    # the cell; its analytic searches get none.
+    # Each cell's ladder is ``grover.ladder(n, t)``, the ladder an exact
+    # search reads.  On the empty shelf a test starts with, the cell builds
+    # it once for its fixed-j draws, and each search is handed its backend
+    # alone: the exact searches find the ladder in the store.
     ladders = []
     handed = []
     cells = {}
@@ -763,9 +767,9 @@ def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
         ladders.append(self)
         build(self, n, t)
 
-    def recording_search(n, t, budget, growth, rng, ladder=None):
-        handed.append(ladder)
-        return search(n, t, budget, growth, rng, ladder)
+    def recording_search(n, t, budget, growth, rng, backend=Backend.ANALYTIC_SAMPLER):
+        handed.append(backend)
+        return search(n, t, budget, growth, rng, backend)
 
     def recording_cell(config, t):
         built, searched = len(ladders), len(handed)
@@ -781,13 +785,12 @@ def test_equivalence_builds_one_ladder_per_cell(monkeypatch):
     for t, ((ladder,), searches) in cells.items():
         assert (ladder.n, ladder.t) == (16, t)
         assert ladder is grover.ladder(16, t)
-        assert searches == [ladder] * 200 + [None] * 200
+        assert searches == [Backend.EXACT_STATEVECTOR] * 200 + [Backend.ANALYTIC_SAMPLER] * 200
 
 
 def test_equivalence_cells_make_the_search_call_of_the_runs(monkeypatch):
     # Every search of an equivalence cell and of every algorithm pass is the
-    # one ``qsearch.search`` call, with a ladder exactly on the exact
-    # backend, so the cells' analytic rows test the search the analytic
+    # one ``qsearch.search`` call, handed the backend it runs on, so the cells' analytic rows test the search the analytic
     # runs make.  Each run's searches are counted against its passes.
     calls = []
     run_backends = Counter()
@@ -795,9 +798,9 @@ def test_equivalence_cells_make_the_search_call_of_the_runs(monkeypatch):
     find = harness.find_minimum
 
     def counting(caller):
-        def counted(n, t, budget, growth, rng, ladder=None):
-            calls.append((caller, ladder is None))
-            return search(n, t, budget, growth, rng, ladder)
+        def counted(n, t, budget, growth, rng, backend=Backend.ANALYTIC_SAMPLER):
+            calls.append((caller, backend is Backend.ANALYTIC_SAMPLER))
+            return search(n, t, budget, growth, rng, backend)
 
         return counted
 

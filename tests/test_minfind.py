@@ -109,8 +109,8 @@ def test_an_unmarked_position_never_moves_the_threshold(monkeypatch, backend):
     search = minfind.search
     returned = []
 
-    def unmarked(n, t, budget, growth, rng, ladder=None):
-        used, interrupted, _ = search(n, t, budget, growth, rng, ladder)
+    def unmarked(n, t, budget, growth, rng, backend=Backend.ANALYTIC_SAMPLER):
+        used, interrupted, _ = search(n, t, budget, growth, rng, backend)
         returned.append(rng.randrange(t, n))
         return used, interrupted, returned[-1]
 
@@ -270,7 +270,7 @@ EXACT_REPORTS = {
 
 @pytest.mark.parametrize("fields", EXACT_REPORTS.values(), ids=EXACT_REPORTS)
 def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatch, fields):
-    # Exact passes read their ladders from ``grover.ladder``'s store.  Cold,
+    # Exact searches read their ladders from ``grover.ladder``'s store.  Cold,
     # warm, after a run at another n, at two workers, on a cold store with
     # room for about two ladders (so it evicts while the runs go on), and
     # with every pass building a fresh ladder (the store bypassed), the

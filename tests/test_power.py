@@ -14,14 +14,17 @@ import pytest
 from qminfind import harness, minfind
 from qminfind.grover import GroverLadder
 from qminfind.harness import ExperimentConfig, run_experiment
+from qminfind.qsearch import Backend
+
+ANALYTIC = Backend.ANALYTIC_SAMPLER
 
 
 def _patch_search(monkeypatch, mutated):
-    """Run every pass's search as ``mutated(search, n, t, budget, growth, rng, ladder)``."""
+    """Run every pass's search as ``mutated(search, n, t, budget, growth, rng, backend)``."""
     search = minfind.search
 
-    def patched(n, t, budget, growth, rng, ladder=None):
-        return mutated(search, n, t, budget, growth, rng, ladder)
+    def patched(n, t, budget, growth, rng, backend=ANALYTIC):
+        return mutated(search, n, t, budget, growth, rng, backend)
 
     monkeypatch.setattr(minfind, "search", patched)
 
@@ -31,9 +34,9 @@ def _rank(monkeypatch):
     below t - 1, as if it marked one entry too few; the correct law draws
     one below t."""
 
-    def mutated(search, n, t, budget, growth, rng, ladder):
-        used, interrupted, index = search(n, t, budget, growth, rng, ladder)
-        if index < t and t > 1 and ladder is None:
+    def mutated(search, n, t, budget, growth, rng, backend):
+        used, interrupted, index = search(n, t, budget, growth, rng, backend)
+        if index < t and t > 1 and backend is ANALYTIC:
             index = rng.randrange(t - 1)
         return used, interrupted, index
 
@@ -43,8 +46,8 @@ def _rank(monkeypatch):
 def _overcharge(monkeypatch):
     """Every search is charged 1.1 times the iterations it used."""
 
-    def mutated(search, n, t, budget, growth, rng, ladder):
-        used, interrupted, index = search(n, t, budget, growth, rng, ladder)
+    def mutated(search, n, t, budget, growth, rng, backend):
+        used, interrupted, index = search(n, t, budget, growth, rng, backend)
         return used * 1.1, interrupted, index
 
     _patch_search(monkeypatch, mutated)
@@ -53,8 +56,8 @@ def _overcharge(monkeypatch):
 def _fast_growth(monkeypatch):
     """Analytic passes search at growth 1.25 whatever the config says."""
 
-    def mutated(search, n, t, budget, growth, rng, ladder):
-        return search(n, t, budget, 1.25 if ladder is None else growth, rng, ladder)
+    def mutated(search, n, t, budget, growth, rng, backend):
+        return search(n, t, budget, 1.25 if backend is ANALYTIC else growth, rng, backend)
 
     _patch_search(monkeypatch, mutated)
 
@@ -62,9 +65,9 @@ def _fast_growth(monkeypatch):
 def _ceil_budget(monkeypatch):
     """A finite remaining budget is rounded up, so a search may overrun the cap."""
 
-    def mutated(search, n, t, budget, growth, rng, ladder):
+    def mutated(search, n, t, budget, growth, rng, backend):
         budget = math.ceil(budget) if math.isfinite(budget) else budget
-        return search(n, t, budget, growth, rng, ladder)
+        return search(n, t, budget, growth, rng, backend)
 
     _patch_search(monkeypatch, mutated)
 
@@ -87,9 +90,9 @@ def _tie(monkeypatch):
         run_ranks[:] = [ranks]
         return find(ranks, *args)
 
-    def mutated(search, n, t, budget, growth, rng, ladder):
-        used, interrupted, index = search(n, t, budget, growth, rng, ladder)
-        if index < t and ladder is None:
+    def mutated(search, n, t, budget, growth, rng, backend):
+        used, interrupted, index = search(n, t, budget, growth, rng, backend)
+        if index < t and backend is ANALYTIC:
             below = run_ranks[0][:t]
             held = np.unique(below)
             positions = np.flatnonzero(below == held[rng.randrange(len(held))])

@@ -17,11 +17,6 @@ from qminfind.qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_gro
 from qminfind.seeding import derive_stream
 
 
-def _backend_ladder(backend: Backend, n: int, t: int) -> GroverLadder | None:
-    """What a search on ``backend`` is handed: a ``GroverLadder(n, t)`` on the exact one."""
-    return GroverLadder(n, t) if backend is Backend.EXACT_STATEVECTOR else None
-
-
 def test_backend_parse():
     assert Backend("exact") is Backend.EXACT_STATEVECTOR
     assert Backend("analytic") is Backend.ANALYTIC_SAMPLER
@@ -48,14 +43,23 @@ def test_growth_factor_bounds():
 def test_negative_budget_rejected():
     for backend in Backend:
         with pytest.raises(ValueError, match="budget"):
-            search(4, 1, -1.0, DEFAULT_GROWTH, random.Random(0), _backend_ladder(backend, 4, 1))
+            search(4, 1, -1.0, DEFAULT_GROWTH, random.Random(0), backend)
+
+
+@pytest.mark.parametrize(
+    "backend", [None, "analytic", GroverLadder(4, 1)], ids=["none", "value", "ladder"]
+)
+def test_a_backend_that_is_no_backend_is_rejected(backend):
+    # A ladder or None in the backend's place would otherwise silently run
+    # one backend or the other.
+    with pytest.raises(ValueError, match="unknown backend"):
+        search(4, 1, 10.0, DEFAULT_GROWTH, random.Random(0), backend)
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_everything_marked_ends_immediately(backend):
     # First round measures the uniform state with zero iterations and hits.
-    ladder = _backend_ladder(backend, 9, 9)
-    used, interrupted, index = search(9, 9, 100.0, DEFAULT_GROWTH, random.Random(1), ladder)
+    used, interrupted, index = search(9, 9, 100.0, DEFAULT_GROWTH, random.Random(1), backend)
     assert used == 0
     assert not interrupted
     assert 0 <= index < 9
@@ -64,8 +68,7 @@ def test_everything_marked_ends_immediately(backend):
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("budget", [1, 5, 23])
 def test_nothing_marked_consumes_integer_budget_exactly(backend, budget):
-    ladder = _backend_ladder(backend, 16, 0)
-    used, interrupted, _ = search(16, 0, float(budget), DEFAULT_GROWTH, random.Random(2), ladder)
+    used, interrupted, _ = search(16, 0, float(budget), DEFAULT_GROWTH, random.Random(2), backend)
     assert interrupted
     assert used == budget
 
@@ -119,8 +122,7 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
         assert played == math.floor(budget)
         for backend in Backend:
             rng = _CountingStream(seed)
-            ladder = _backend_ladder(backend, n, 0)
-            used, interrupted, index = search(n, 0, budget, DEFAULT_GROWTH, rng, ladder)
+            used, interrupted, index = search(n, 0, budget, DEFAULT_GROWTH, rng, backend)
             assert used == played
             assert type(used) is int
             assert interrupted
@@ -131,11 +133,10 @@ def test_nothing_marked_closed_form_matches_the_rounds(n, budget):
 def test_exact_search_with_nothing_marked_measures_a_uniform_index():
     # The state stays uniform, so the one measurement is uniform over all n.
     n = 16
-    ladder = GroverLadder(n, 0)
     rng = derive_stream(8, "unit-exact-empty")
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(4000):
-        counts[search(n, 0, 9.5, DEFAULT_GROWTH, rng, ladder)[2]] += 1
+        counts[search(n, 0, 9.5, DEFAULT_GROWTH, rng, Backend.EXACT_STATEVECTOR)[2]] += 1
     _, p_value, dof = uniform_chisquare(counts)
     assert dof == n - 1
     assert p_value > CHI2_ALPHA
@@ -159,7 +160,7 @@ def deadline():
 @pytest.mark.parametrize("n", [2, 16])
 def test_nothing_marked_with_an_infinite_budget_is_rejected(deadline, backend, n):
     with pytest.raises(ValueError, match="nothing marked"):
-        search(n, 0, math.inf, DEFAULT_GROWTH, random.Random(0), _backend_ladder(backend, n, 0))
+        search(n, 0, math.inf, DEFAULT_GROWTH, random.Random(0), backend)
 
 
 @pytest.mark.parametrize(("marked", "budget"), [(range(1), 1.0), (range(4), 0.0), (range(0), 9.5)])
@@ -172,11 +173,10 @@ def test_miss_indices_are_uniform_over_the_unmarked_set(marked, budget):
     n, t = 16, len(marked)
     unmarked = list(range(t, n))
     for backend in Backend:
-        ladder = _backend_ladder(backend, n, t)
         rng = derive_stream(7, "unit-miss", backend.value, t)
         misses = Counter()
         for _ in range(4000):
-            _, interrupted, index = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
+            _, interrupted, index = search(n, t, budget, DEFAULT_GROWTH, rng, backend)
             if index >= t:
                 assert interrupted
                 misses[index] += 1
@@ -199,10 +199,8 @@ def test_single_index_domain_terminates():
     # consume the budget, so the search must bail out rather than spin.
     for backend in Backend:
         rng = random.Random(4)
-        ladder = _backend_ladder(backend, 1, 0)
-        assert search(1, 0, math.inf, DEFAULT_GROWTH, rng, ladder) == (0, True, 0)
-        ladder = _backend_ladder(backend, 1, 1)
-        assert search(1, 1, math.inf, DEFAULT_GROWTH, rng, ladder) == (0, False, 0)
+        assert search(1, 0, math.inf, DEFAULT_GROWTH, rng, backend) == (0, True, 0)
+        assert search(1, 1, math.inf, DEFAULT_GROWTH, rng, backend) == (0, False, 0)
 
 
 @given(
@@ -213,8 +211,7 @@ def test_single_index_domain_terminates():
 )
 def test_uninterrupted_search_returns_a_marked_index(seed, n, t_frac, backend):
     t = max(1, round(t_frac * n))
-    ladder = _backend_ladder(backend, n, t)
-    _, interrupted, index = search(n, t, math.inf, DEFAULT_GROWTH, random.Random(seed), ladder)
+    _, interrupted, index = search(n, t, math.inf, DEFAULT_GROWTH, random.Random(seed), backend)
     assert not interrupted
     assert index < t
 
@@ -228,9 +225,9 @@ def test_iterations_never_exceed_budget(seed, n, budget):
 
 @given(seed=st.integers(0, 10**6))
 def test_search_is_deterministic_per_stream(seed):
-    for ladder in (None, GroverLadder(32, 2)):
-        a = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), ladder)
-        b = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), ladder)
+    for backend in Backend:
+        a = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), backend)
+        b = search(32, 2, 40.0, DEFAULT_GROWTH, random.Random(seed), backend)
         assert a == b
 
 
@@ -257,11 +254,10 @@ def test_backends_hit_at_matching_rates():
     n, t, budget, runs = 16, 3, 20.0, 600
     fractions = {}
     for backend in Backend:
-        ladder = _backend_ladder(backend, n, t)
         hits = 0
         rng = derive_stream(5, "unit-agree", backend.value)
         for _ in range(runs):
-            hits += search(n, t, budget, DEFAULT_GROWTH, rng, ladder)[2] < t
+            hits += search(n, t, budget, DEFAULT_GROWTH, rng, backend)[2] < t
         fractions[backend] = hits / runs
     diff = abs(fractions[Backend.EXACT_STATEVECTOR] - fractions[Backend.ANALYTIC_SAMPLER])
     sigma = math.sqrt(2 * 0.25 / runs)  # worst-case joint deviation
@@ -399,11 +395,10 @@ def test_both_backends_run_the_rounds_of_one_schedule(monkeypatch, backend):
     # the measurement's uniform draw and, on the analytic backend, the
     # position draw, and must end in the same state.
     n = 4
-    ladder = _backend_ladder(backend, n, n)
     rng, twin = random.Random(11), random.Random(11)
     for high in range(2, 300):
         monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(high))
-        used, interrupted, index = search(n, n, math.inf, DEFAULT_GROWTH, rng, ladder)
+        used, interrupted, index = search(n, n, math.inf, DEFAULT_GROWTH, rng, backend)
         assert not interrupted
         assert used == twin.randrange(high)
         twin.random()
@@ -571,10 +566,13 @@ def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
     # what the rounds give when each is measured by ``GroverLadder.measure``
     # on a ladder of its own, and leave its stream where they leave theirs,
     # under random draws and draws that land on CDF entries (``_GridStream``):
-    # on a fresh ladder, on a stored one already holding half a search's
-    # states, and in a store with room for one amplitude copy and one
-    # state, so a search that draws j >= 2 evicts its own ladder while it
-    # still reads it.
+    # on a fresh ladder (``grover.ladder`` replaced by the constructor, so
+    # the store is bypassed), on a stored one already holding half a
+    # search's states, and in a store with room for one amplitude copy and
+    # one state, so a search that draws j >= 2 evicts its own ladder while
+    # it still reads it.
+    if shelf == "fresh":
+        monkeypatch.setattr(grover, "ladder", GroverLadder)
     if shelf == "evicting":
         monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 3 * 8 * n)
     depth = math.ceil(math.sqrt(n))
@@ -586,12 +584,10 @@ def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
             grover.extend(grover.ladder(n, t), depth // 2)
         for budget in budgets[: 4 + (t > 0)]:
             for seed in range(6):
-                if shelf == "fresh":
-                    ladder = GroverLadder(n, t)
-                else:
-                    ladder = grover.ladder(n, t)
+                # The ladder the search will take from the store.
+                ladder = grover.ladder(n, t)
                 rng, twin = stream(f"{seed}-{t}-{budget}"), stream(f"{seed}-{t}-{budget}")
-                outcome = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
+                outcome = search(n, t, budget, DEFAULT_GROWTH, rng, Backend.EXACT_STATEVECTOR)
                 reference = GroverLadder(n, t)
                 assert outcome == _measured_search(n, t, budget, DEFAULT_GROWTH, twin, reference)
                 assert rng.getstate() == twin.getstate()

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qminfind import minfind
 from qminfind.bounds import timeout_cap
 from qminfind.harness import two_sample_chisquare
-from qminfind.grover import GroverLadder
 from qminfind.qsearch import DEFAULT_GROWTH, Backend, search
 from qminfind.table import Table, _parse_lines, read_table, sorted_table
 
@@ -186,35 +185,31 @@ def _pass_hits(ranks: np.ndarray, y: int, t: int, position: int) -> bool:
 def _search_below(ranks: np.ndarray, y: int, budget: float, rng, backend: Backend) -> tuple:
     """The search of one pass below threshold y, as ``find_minimum`` makes it: ``(hit, index)``."""
     n, t = len(ranks), int(ranks[y]) - 1
-    ladder = GroverLadder(n, t) if backend is Backend.EXACT_STATEVECTOR else None
-    _, _, position = search(n, t, budget, DEFAULT_GROWTH, rng, ladder)
+    _, _, position = search(n, t, budget, DEFAULT_GROWTH, rng, backend)
     return _pass_hits(ranks, y, t, position), position
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 48), backend=st.sampled_from(list(Backend)))
 def test_threshold_marks_strictly_smaller_entries(seed, n, backend):
-    # Every pass of a run on a table with ties follows the pass rule, with
-    # the ladder of (n, t) on the exact backend and none on the analytic
-    # one; each hit moves the threshold to a strictly smaller rank.
+    # Every pass of a run on a table with ties follows the pass rule, its
+    # search handed the run's backend; each hit moves the threshold to a
+    # strictly smaller rank.
     rng = random.Random(seed)
     ranks = sorted_table(n, rng, k=max(1, n // 2))
     search_once = minfind.search
     passes = []
 
-    def recording(n, t, budget, growth, stream, ladder=None):
-        outcome = search_once(n, t, budget, growth, stream, ladder)
-        passes.append((t, ladder, outcome))
+    def recording(n, t, budget, growth, stream, backend=Backend.ANALYTIC_SAMPLER):
+        outcome = search_once(n, t, budget, growth, stream, backend)
+        passes.append((t, backend, outcome))
         return outcome
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(minfind, "search", recording)
         result = minfind.find_minimum(ranks, backend, DEFAULT_GROWTH, timeout_cap(n), rng)
     y = result.history[0][1]
-    for t, ladder, (_, _, position) in passes:
-        if backend is Backend.EXACT_STATEVECTOR:
-            assert (ladder.n, ladder.t) == (n, t)
-        else:
-            assert ladder is None
+    for t, handed, (_, _, position) in passes:
+        assert handed is backend
         if _pass_hits(ranks, y, t, position):
             y = position
     assert len(passes) == result.loop_passes
