@@ -21,7 +21,7 @@ after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
 passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
 draws one index from such a state.  The exact backend's search rounds
-make the same draw inline, on the CDFs the ladder holds, and call
+make the same draw inline, on ``cdfs``, the CDFs the ladder holds, and call
 ``extend`` only for a state it does not yet hold; its closed-form t = 0
 draw and equivalence's fixed-j draws call ``measure``, and equivalence's
 closed-form check reads ``cdf``.  The uniform state is the same for every
@@ -41,16 +41,17 @@ recompute the same states or hit probabilities.  Both backends keep
 their per-(N, t) tables in a ``_Store`` for the most recent n, bounded in
 bytes: ``_shelf(n)`` the exact ladders within ``KEPT_LADDER_BYTES``,
 ``_hit_tables(n)`` the analytic hit tables within ``KEPT_HIT_BYTES``.
-Whoever grows a table tells the store first what it will hold; past the
-bound the other tables leave largest t first, the least used, and the
-growing one only when it alone is over.  A table that grows while
-evicted is stored again.  Exact searches and equivalence's fixed-j
-draws take their ladders from ``ladder(n, t)`` and grow them through
-``extend``, which counts each ladder's own states after j = 0 and its
-amplitude copy (the shared uniform CDF is held once per n).  A ladder
-evicted while a search reads it is freed when that search ends.  Each
-state is still computed by the ladder, once per (n, t) while it stays
-stored, so every stream and report byte is what fresh ladders give.
+Both kinds have one life cycle.  ``ladder(n, t)`` and ``hit_table(n, t)``
+return the stored table of (n, t), or a fresh one that is not stored.
+Only the growers store a table: ``extend(ladder, j)`` and
+``extend_hits(probs, n, t, high)`` tell the store first what the table
+will hold, so a table enters its store at its first growth and, if
+evicted, again at its next.  Past the bound the other tables leave
+largest t first, the least used, and the growing one only when it alone
+is over.  A table evicted while a search reads it is freed when that
+search ends.  A table's entries depend on (n, t) alone and are computed
+once each while it stays stored, so every stream and report byte is what
+fresh tables give.
 """
 from __future__ import annotations
 
@@ -66,6 +67,8 @@ __all__ = [
     "KEPT_HIT_BYTES",
     "KEPT_LADDER_BYTES",
     "extend",
+    "extend_hits",
+    "hit_table",
     "ladder",
     "rotation_angle",
     "success_probability",
@@ -73,9 +76,15 @@ __all__ = [
 
 NORM_TOL = 1e-9
 # What the two stores may hold: the exact ladders' own states and amplitude
-# copies (``extend``), and the analytic hit tables as ``qsearch`` counts them.
+# copies (``extend``), and the analytic hit tables (``extend_hits``).
 KEPT_LADDER_BYTES = 32 * 2**20
 KEPT_HIT_BYTES = 8 * 2**20
+# What a hit table counts in its store: a float and its list slot per
+# entry; per table, its list with spare slots, its key, and the store's
+# slot, size and heap entry for it (180-215 B traced at n = 16384 and
+# 2^20, rounded up).
+_ENTRY_BYTES = 32
+_TABLE_BYTES = 256
 
 
 def rotation_angle(n: int, t: int) -> float:
@@ -145,22 +154,21 @@ class GroverLadder:
     each iteration is computed once and depth j holds j + 1 CDFs of n
     floats.  ``measure(j, rng)`` reads the state through ``cdf(j)`` and
     draws one index from it, so measuring a state the ladder already holds
-    computes nothing; ``qsearch.search`` reads ``_cdfs``, the CDFs held,
+    computes nothing; ``qsearch.search`` reads ``cdfs``, the CDFs held,
     in place and makes the same draw, and grows the ladder only through
     ``extend``.  A ladder only computes states: it serves every exact
-    search over its (n, t), and the store it is taken from
-    (``ladder(n, t)``) counts its bytes.
+    search over its (n, t), and ``extend`` counts its bytes in the store.
     """
 
     def __init__(self, n: int, t: int):
         _check_counts(n, t)
         self.n, self.t = n, t
-        self._cdfs = [_uniform(n)[1]]
+        self.cdfs = [_uniform(n)[1]]
         self._amps: np.ndarray | None = None
 
     def cdf(self, j: int) -> memoryview:
         """Cumulative |a_i|^2 of the state after j iterations."""
-        cdfs = self._cdfs
+        cdfs = self.cdfs
         if j < len(cdfs):
             if j < 0:
                 raise ValueError("iteration count must be >= 0")
@@ -250,31 +258,45 @@ def _hit_tables(n: int) -> _Store:
 
 
 def ladder(n: int, t: int) -> GroverLadder:
-    """The stored ``GroverLadder(n, t)`` for a search, built and stored on first use.
+    """The stored ``GroverLadder(n, t)``, or a fresh one that is not stored.
 
     Each ladder computes every state the same way whenever it is asked
     for it, so a stored ladder hands a later search the very CDFs a fresh
-    one would compute; only the work is shared.  A ladder the store
-    evicted stays with the searches that hold it; the next call stores a
-    new one.
+    one would compute; only the work is shared.
     """
-    store = _shelf(n)
-    held = store.get(t)
-    if held is None:
-        held = GroverLadder(n, t)
-        store.grow(t, held, 0)
-    return held
+    return _shelf(n).get(t) or GroverLadder(n, t)
 
 
 def extend(ladder: GroverLadder, j: int) -> memoryview:
     """``ladder.cdf(j)`` for j >= 1, counted first in the ladder store of its n.
 
     It counts the ladder's states after j = 0, n floats each, and its
-    amplitude copy of 2n, and stores the ladder again if it was evicted.
+    amplitude copy of 2n, and stores the ladder if it is not stored.
     """
     n = ladder.n
-    _shelf(n).grow(ladder.t, ladder, (max(j, len(ladder._cdfs) - 1) + 2) * 8 * n)
+    _shelf(n).grow(ladder.t, ladder, (max(j, len(ladder.cdfs) - 1) + 2) * 8 * n)
     return ladder.cdf(j)
+
+
+def hit_table(n: int, t: int) -> list[float]:
+    """The stored hit table of (n, t), or a fresh empty one that is not stored."""
+    return _hit_tables(n).get(t) or []
+
+
+def extend_hits(probs: list[float], n: int, t: int, high: int) -> None:
+    """Extend ``probs``, the hit table of (n, t), to its first ``high`` entries.
+
+    Entry j is sin^2((2j+1) theta) with theta = ``rotation_angle(n, t)``,
+    the probability that a round of j iterations hits, by the expression
+    of ``success_probability``.  The counts are checked before anything is
+    stored, and the table is counted whole in the hit-table store of n,
+    and stored if it is not, before its new entries are computed.
+    """
+    theta = rotation_angle(n, t)
+    _hit_tables(n).grow(t, probs, _TABLE_BYTES + high * _ENTRY_BYTES)
+    sin = math.sin
+    for j in range(len(probs), high):
+        probs.append(sin((2 * j + 1) * theta) ** 2)
 
 
 def success_probability(n: int, t: int, j: int) -> float:

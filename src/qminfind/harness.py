@@ -280,7 +280,9 @@ class ExperimentConfig:
         table = self.fixed_table
         if table is None:
             return "distinct" if self.mode == "distinct" else f"dup:{self.dup_k}"
-        k = len(np.unique(table.ranks))
+        # The ranks are in value order, so each distinct one starts a run.
+        ranks = table.ranks
+        k = 1 + np.count_nonzero(ranks[1:] != ranks[:-1])
         return "distinct" if k == len(table) else f"dup:{k}"
 
     def to_dict(self) -> dict:

@@ -18,31 +18,22 @@ The backends differ only in how a round is measured and where the
 position comes from:
 
 * ``ANALYTIC_SAMPLER`` declares success with the closed-form probability
-  sin^2((2j+1) arcsin(sqrt(t/N))), read in O(1) per round from a hit table
-  of (N, t): entry j holds that probability, computed by the same
-  expression.  The tables of the most recent N are kept across searches
-  and runs in ``grover``'s bounded store of hit tables.  A table grows
-  only when a round draws j past its end, and then to that round's cap,
-  so a search at a large t, which ends within a few rounds, fills only
-  the first few entries.  The probabilities depend on (N, t, j) alone,
-  so one table serves every growth factor, and a kept table gives every
-  search the floats a fresh one would.  The position is
-  uniform within the success or failure class whatever the rounds did, so
-  the search draws it once the rounds end: one of 0..t-1 on a hit, one of
-  t..N-1 on a miss.
-* ``EXACT_STATEVECTOR`` measures the state after j iterations of the
-  ladder ``grover.ladder(N, t)``, taken once per search, as
-  ``GroverLadder.measure`` does, one ``random()`` draw bisected on the
-  right of the state's CDF, and returns the last position measured; it
-  never reads the rotation angle.  The round reads the CDFs the ladder
-  holds inline, with no call per round, and calls ``grover.extend`` only
-  for a state the ladder does not yet hold, which grows the ladder to
-  that j alone.  Every round starts from the uniform state, so a ladder
-  kept across searches computes each iteration once; each is still
-  charged one time step, as in every round.  The ladders of the most
-  recent N are kept in ``grover``'s bounded store of ladders, within
-  ``grover.KEPT_LADDER_BYTES``.  Both stores follow one largest-t-first
-  rule (see ``grover``).
+  sin^2((2j+1) arcsin(sqrt(t/N))), read from entry j of the hit table
+  ``grover.hit_table(N, t)``.  The position is uniform within the success
+  or failure class whatever the rounds did, so the search draws it once
+  the rounds end: one of 0..t-1 on a hit, one of t..N-1 on a miss.
+* ``EXACT_STATEVECTOR`` measures the state after j iterations, entry j of
+  the CDFs of the ladder ``grover.ladder(N, t)``, as
+  ``GroverLadder.measure`` does: one ``random()`` draw bisected on the
+  right of the state's CDF.  It returns the last position measured and
+  never reads the rotation angle.  Each round is still charged j time
+  steps, however many of the states the ladder already held.
+
+A search fetches its table once and reads entry j inline, with no call
+per round.  When j passes the table's end one block grows it, a hit table
+to the round's cap (``grover.extend_hits``), a ladder to j alone
+(``grover.extend``); ``grover`` stores, counts and evicts both kinds of
+table under one life cycle (see its docstring).
 
 With nothing marked (t = 0) every round misses with certainty.  For
 N >= 2 the rounds spend a finite budget down to its floor; on a one-index
@@ -65,7 +56,6 @@ from functools import lru_cache
 from itertools import chain, repeat
 
 from . import grover
-from .grover import _hit_tables, extend, rotation_angle
 
 __all__ = [
     "Backend",
@@ -75,12 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_GROWTH = 8.0 / 7.0
-# What a hit table counts in its store (``grover.KEPT_HIT_BYTES``): a float
-# and its list slot per entry; per table, its list with spare slots, its
-# key, and the store's slot, size and heap entry for it (180-215 B traced
-# at n = 16384 and 2^20, rounded up).
-_ENTRY_BYTES = 32
-_TABLE_BYTES = 256
 
 
 class Backend(enum.Enum):
@@ -124,22 +108,6 @@ def _round_schedule(n: int, growth: float) -> tuple[tuple[tuple[int, int], ...],
     return tuple(growing), (high, high.bit_length())
 
 
-def _grow(n: int, t: int, probs: list[float], high: int) -> None:
-    """Extend ``probs``, the hit table of (n, t), to its first ``high`` entries.
-
-    Entry j is sin^2((2j+1) theta) with theta = ``rotation_angle(n, t)``,
-    the probability that a round of j iterations hits.  The counts are
-    checked before anything is stored, and the table is stored and counted
-    whole in the store of n before its new entries are computed; its
-    search reads it even if the store evicts it.
-    """
-    theta = rotation_angle(n, t)
-    _hit_tables(n).grow(t, probs, _TABLE_BYTES + high * _ENTRY_BYTES)
-    sin = math.sin
-    for j in range(len(probs), high):
-        probs.append(sin((2 * j + 1) * theta) ** 2)
-
-
 def search(
     n: int, t: int, budget: float, growth: float, rng, backend: Backend = Backend.ANALYTIC_SAMPLER
 ) -> tuple[int, bool, int]:
@@ -179,17 +147,14 @@ def search(
         index = rng.randrange(t, n) if analytic else grover.ladder(n, t).measure(0, rng)
         return (int(budget) if n >= 2 else 0), True, index
     growing, saturated = _round_schedule(n, growth)
+    # The stored table of (n, t), or a fresh one that its first growth
+    # stores: hit probabilities, or the CDFs of the ladder's states.
     if analytic:
-        # The stored table of t, or a new one that its first round
-        # stores; a stored table is never empty.
-        probs = _hit_tables(n).get(t) or []
-        depth = len(probs)
+        table = grover.hit_table(n, t)
     else:
-        # The CDFs the stored ladder holds, read in place; only ``extend``
-        # grows them.
         ladder = grover.ladder(n, t)
-        cdfs = ladder._cdfs
-        depth = len(cdfs)
+        table = ladder.cdfs
+    depth = len(table)
     getrandbits = rng.getrandbits
     uniform = rng.random
     remaining = budget
@@ -204,30 +169,28 @@ def search(
         truncated = j > remaining
         if truncated:
             j = int(remaining)
-        if analytic:
-            # The table is read inline, with no call per round (a call
-            # per round made the analytic loop take about 15% longer); it
-            # grows only when j is past its end, and then to this round's
-            # cap.  With every index marked the probability is exactly 1,
-            # so no search ends on a miss whose unmarked position could not
-            # be drawn.
-            if j >= depth:
-                _grow(n, t, probs, high)
-                depth = high
-            hit = uniform() < probs[j]
-        else:
-            # ``GroverLadder.measure`` inline: a stored state is read with
-            # no call (calling ``measure`` and ``cdf`` every round made
-            # exact runs at n = 1024 about 8% slower), and a new one is
-            # grown by ``extend`` to j alone, which counts its bytes in
-            # the store first.  Then the one uniform draw, bisected on the
-            # right as ``measure`` does.
-            if j < depth:
-                cdf = cdfs[j]
+        # The table is read inline, with no call per round (a call per
+        # round made the analytic loop take about 15% longer and exact runs
+        # at n = 1024 about 8% slower).  It grows only when j is past its
+        # end: a hit table to this round's cap, a ladder to j alone, each
+        # counted in its store first.
+        if j >= depth:
+            if analytic:
+                grover.extend_hits(table, n, t, high)
             else:
-                cdf = extend(ladder, j)
-                depth = len(cdfs)
-            index = bisect_right(cdf, uniform() * cdf[-1])
+                grover.extend(ladder, j)
+            depth = len(table)
+        if analytic:
+            # With every index marked the probability is exactly 1, so no
+            # search ends on a miss whose unmarked position could not be
+            # drawn.  The entry is read inside the comparison: naming it
+            # before the branch made capped analytic runs at n = 16384
+            # about 1% slower.
+            hit = uniform() < table[j]
+        else:
+            # One uniform draw, bisected on the right as ``measure`` does.
+            entry = table[j]
+            index = bisect_right(entry, uniform() * entry[-1])
             hit = index < t
         remaining -= j
         used += j

@@ -20,12 +20,15 @@ large one's peak resident memory (``VmHWM``, read by the child from
   some t no earlier run reached, so the store fills its bound and evicts
   again and again; unbounded, it grew by about 52 MB over 198,748 tables.
 
-Both stores follow one rule (``grover._Store.grow``): past the bound the
-other tables leave largest t first, just until the count is back within
-it, and a growing table leaves only when it alone is over the bound.
+Both kinds of table follow one life cycle (see ``grover``): a table enters
+its store at its first growth (``grover.extend``, ``grover.extend_hits``),
+which counts it first, and fetching one stores nothing.  Past the bound
+the other tables leave largest t first, just until the count is back
+within it, and a growing table leaves only when it alone is over the
+bound.
 
 Each line also prints what the two stores hold at the end of the large
-run: their ladder and table counts and the bytes they have counted.
+run: how many grown ladders and hit tables, and the bytes they count.
 
 It takes about 40 s on a 2-core x86-64 Linux host, so it runs beside the
 tier-1 suite, not in it:

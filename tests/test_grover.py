@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import grover, harness, qsearch
+from qminfind import grover, harness
 from qminfind.grover import GroverLadder, rotation_angle, success_probability
 from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.qsearch import Backend
@@ -328,7 +328,7 @@ def test_measuring_a_held_state_computes_nothing(monkeypatch, depth):
 def _ladder_bytes(store) -> int:
     """Bytes the ladders of ``store`` hold: their states after j = 0 and their amplitude copies."""
     return sum(
-        (len(held._cdfs) - 1) * held.n * 8 + (0 if held._amps is None else held._amps.nbytes)
+        (len(held.cdfs) - 1) * held.n * 8 + (0 if held._amps is None else held._amps.nbytes)
         for held in store.values()
     )
 
@@ -346,7 +346,7 @@ def test_shelf_ladder_cdfs_equal_a_fresh_ladders_bit_for_bit(n):
     for t in sorted({0, 1, 2, 7, n // 16}):
         shelved = grover.ladder(n, t)
         for j in (1, depth // 2, 0, depth):
-            shelved.cdf(j)
+            grover.extend(shelved, j)
         assert grover.ladder(n, t) is shelved
         fresh = GroverLadder(n, t)
         for j in range(depth + 1):
@@ -354,12 +354,15 @@ def test_shelf_ladder_cdfs_equal_a_fresh_ladders_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [1024, 4096, 16384])
-def test_every_t_is_shelved_under_the_bound(n):
+def test_every_grown_t_is_shelved_under_the_bound(n):
+    # Every t has a ladder to fetch; the shelf holds those that grew, and
+    # every other fetch builds a fresh ladder.
     ladders = [grover.ladder(n, t) for t in range(n + 1)]
-    for t in (0, 1, 2, n // 2, n):
+    grown = (0, 1, 2, n // 2, n)
+    for t in grown:
         grover.extend(ladders[t], 2)
-    assert all(grover.ladder(n, t) is held for t, held in enumerate(ladders))
-    assert sorted(grover._shelf(n)) == list(range(n + 1))
+    assert all((grover.ladder(n, t) is held) == (t in grown) for t, held in enumerate(ladders))
+    assert sorted(grover._shelf(n)) == list(grown)
     # t = 0's j = 2 state is the uniform one again, but it is computed.
     assert grover._shelf(n).held == _held_bytes(n) == 5 * (2 * 8 + 16) * n
 
@@ -387,7 +390,7 @@ def test_the_largest_other_t_leaves_first(monkeypatch):
     # A ladder alone over the bound leaves the shelf too, after the others.
     grover.extend(ladders[2], 12)
     assert not shelf and shelf.held == 0
-    assert len(ladders[2]._cdfs) == 13
+    assert len(ladders[2].cdfs) == 13
     assert grover.ladder(n, 2) is not ladders[2]
 
 
@@ -412,7 +415,7 @@ def test_the_shelf_holds_at_most_its_bytes_after_exact_runs(n, runs):
     shelf = grover._shelf(n)
     assert shelf
     # No search reads past its saturated cap, which bounds an evicted ladder.
-    assert max(len(held._cdfs) for held in shelf.values()) <= math.ceil(math.sqrt(n))
+    assert max(len(held.cdfs) for held in shelf.values()) <= math.ceil(math.sqrt(n))
     assert _held_bytes(n) == shelf.held <= grover.KEPT_LADDER_BYTES
 
 
@@ -422,7 +425,7 @@ def test_equivalence_cells_past_a_searchs_depth_hold_under_a_megabyte():
     assert run_experiment(ExperimentConfig("equivalence", 64, 100, seed=1)).passed
     shelf = grover._shelf(64)
     assert set(harness._equivalence_cells(64)) <= set(shelf)
-    assert max(len(held._cdfs) for held in shelf.values()) == 9 > math.ceil(math.sqrt(64))
+    assert max(len(held.cdfs) for held in shelf.values()) == 9 > math.ceil(math.sqrt(64))
     assert _held_bytes(64) == shelf.held < 2**20
 
 
@@ -450,13 +453,14 @@ def test_a_patch_takes_effect_after_a_test_that_warmed_the_shelf(monkeypatch, st
 # backend's ladders and the analytic backend's hit tables.
 class _Kind(NamedTuple):
     store: Callable  # the accessor of the store of n
+    fetch: Callable  # the stored table of (n, t), or a fresh one
     bound: str  # the name of its bound in ``grover``
     backend: Backend
     # What a table of n grown to depth d counts: states 1..d and the
     # amplitude copy of a ladder, entries 0..d-1 of a hit table.
     size: Callable[[int, int], int]
-    # The table of (n, t), a new one for None, grown to depth d by the
-    # code its backend grows it with.
+    # The table of (n, t), fetched for None, grown to depth d by the code
+    # its backend grows it with.
     grow: Callable
     # The bytes a mapping's tables hold.
     held: Callable
@@ -469,27 +473,41 @@ def _grow_ladder(n, t, table, depth):
 
 
 def _grow_hit_table(n, t, table, depth):
-    table = [] if table is None else table
-    qsearch._grow(n, t, table, depth)
+    table = grover.hit_table(n, t) if table is None else table
+    grover.extend_hits(table, n, t, depth)
     return table
 
 
 def _hit_bytes(store) -> int:
-    return sum(qsearch._TABLE_BYTES + len(probs) * qsearch._ENTRY_BYTES for probs in store.values())
+    return sum(grover._TABLE_BYTES + len(probs) * grover._ENTRY_BYTES for probs in store.values())
 
 
 KINDS = {
     "ladders": _Kind(
-        grover._shelf, "KEPT_LADDER_BYTES", Backend.EXACT_STATEVECTOR,
+        grover._shelf, grover.ladder, "KEPT_LADDER_BYTES", Backend.EXACT_STATEVECTOR,
         lambda n, depth: (depth + 2) * 8 * n, _grow_ladder, _ladder_bytes,
     ),
     "hit-tables": _Kind(
-        grover._hit_tables, "KEPT_HIT_BYTES", Backend.ANALYTIC_SAMPLER,
-        lambda n, depth: qsearch._TABLE_BYTES + depth * qsearch._ENTRY_BYTES,
+        grover._hit_tables, grover.hit_table, "KEPT_HIT_BYTES", Backend.ANALYTIC_SAMPLER,
+        lambda n, depth: grover._TABLE_BYTES + depth * grover._ENTRY_BYTES,
         _grow_hit_table, _hit_bytes,
     ),
 }
 by_kind = pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS)
+
+
+@by_kind
+def test_a_table_enters_its_store_at_its_first_growth(kind):
+    # Fetching a table stores nothing, so a table no round grew costs its
+    # store nothing; its first growth stores it, counted at the grown size.
+    n = 64
+    store = kind.store(n)
+    fetched = kind.fetch(n, 3)
+    assert not store and store.held == 0
+    assert kind.fetch(n, 3) is not fetched
+    kind.grow(n, 3, fetched, 2)
+    assert list(store) == [3] and store[3] is fetched and kind.fetch(n, 3) is fetched
+    assert store.held == kind.held(store) == kind.size(n, 2)
 
 
 @by_kind

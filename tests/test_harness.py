@@ -8,8 +8,10 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,19 +212,42 @@ def test_mode_label_renders_the_duplicates_count():
     assert ExperimentConfig(experiment="lemma1").dup_k is None
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(
+    st.one_of(
+        st.builds(lambda value, n: [value] * n, _INT64, st.integers(1, 50)),
+        st.lists(_INT64, min_size=1, max_size=200, unique=True),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=200),
+    )
+)
+def test_mode_label_counts_what_np_unique_counts(values):
+    # A table file's label counts its distinct ranks in one pass over the
+    # sorted ranks: all equal, all distinct, or mixed, that is the count
+    # np.unique gives.
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "table.txt"
+        path.write_text("".join(f"{value}\n" for value in values))
+        config = ExperimentConfig("success", len(values), 1, table_path=str(path))
+        k = len(np.unique(config.fixed_table.ranks))
+    assert k == len(set(values))
+    assert config.mode_label == ("distinct" if k == len(values) else f"dup:{k}")
+
+
 @pytest.mark.parametrize("experiment", ["lemma1", "success", "expected-cost", "single-run"])
 def test_mode_label_reads_a_table_file_once_per_invocation(monkeypatch, tmp_path, experiment):
-    # A table file's kind is an np.unique over its ranks; lemma1 reads the
-    # label in its fold and in its report.
+    # A table file's kind is one pass of np.count_nonzero over its ranks;
+    # lemma1 reads the label in its fold and in its report.
     path = tmp_path / "ties.txt"
     path.write_text("".join(f"{v}\n" for v in (5, 3, 3, 9, 1, 1, 1, 7, 2, 5, 8, 0)))
-    unique, calls = np.unique, []
+    count_nonzero, calls = np.count_nonzero, []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return unique(*args, **kwargs)
+        return count_nonzero(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counting)
+    monkeypatch.setattr(np, "count_nonzero", counting)
     config = ExperimentConfig(experiment=experiment, n=12, runs=20, seed=1, table_path=str(path))
     assert run_experiment(config).config["mode"] == "dup:8"
     assert len(calls) == 1
@@ -701,12 +726,16 @@ def test_equivalence_battery_passes_at_small_size():
 def test_equivalence_battery_fails_when_the_analytic_law_is_wrong(monkeypatch):
     # A sampler rotating 10% too far per iteration (t < n; at t = n every
     # round hits whatever the angle) must fail the cross-backend comparison.
-    rotation_angle = qsearch.rotation_angle
+    # Only the analytic hit tables are skewed: ``success_probability``,
+    # which the closed-form and fixed-j rows read, keeps the true angle.
+    extend_hits = grover.extend_hits
 
-    def skewed(n, t):
-        return rotation_angle(n, t) * (1.1 if t < n else 1.0)
+    def skewed(probs, n, t, high):
+        extend_hits(probs, n, t, high)
+        theta = grover.rotation_angle(n, t) * (1.1 if t < n else 1.0)
+        probs[:] = [math.sin((2 * j + 1) * theta) ** 2 for j in range(high)]
 
-    monkeypatch.setattr(qsearch, "rotation_angle", skewed)
+    monkeypatch.setattr(grover, "extend_hits", skewed)
     report = run_experiment(ExperimentConfig(experiment="equivalence", n=16, runs=1000, seed=1))
     assert not report.passed
     failed = {row["check"] for row in report.checks if not row["ok"]}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qminfind import grover, harness, minfind, qsearch
+from qminfind import grover, harness, minfind
 from qminfind.bounds import timeout_cap
 from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.minfind import RunResult, find_minimum
@@ -292,17 +292,19 @@ def test_exact_reports_keep_their_bytes_however_warm_the_ladder_shelf(monkeypatc
     # ceil(sqrt(n)), so ceil(sqrt(n)) CDFs of n floats and its amplitude copy.
     deepest = (math.ceil(math.sqrt(config.n)) * 8 + 16) * config.n
     monkeypatch.setattr(grover, "KEPT_LADDER_BYTES", 2 * deepest)
-    builds = []
-    build = grover.GroverLadder.__init__
+    shelved, again = set(), []
+    grow = grover._Store.grow
 
-    def counting_build(self, n, t):
-        builds.append(t)
-        build(self, n, t)
+    def counting_grow(self, t, table, size):
+        if t in shelved and t not in self:
+            again.append(t)
+        shelved.add(t)
+        grow(self, t, table, size)
 
-    monkeypatch.setattr(grover.GroverLadder, "__init__", counting_build)
+    monkeypatch.setattr(grover._Store, "grow", counting_grow)
     evicting = render(config)
     # Some t was shelved again after its ladder was evicted.
-    assert len(builds) > len(set(builds))
+    assert again
     monkeypatch.setattr(grover, "ladder", grover.GroverLadder)
     fresh = render(config)
     assert cold == warm == after_another_n == two_workers == evicting == fresh
@@ -337,7 +339,7 @@ def test_analytic_reports_keep_their_bytes_however_warm_the_hit_tables(monkeypat
     two_workers = render(dataclasses.replace(config, workers=2))
     grover._hit_tables.cache_clear()
     # Four tables of 16 entries, the deepest at n = 256.
-    four_tables = 4 * (qsearch._TABLE_BYTES + 16 * qsearch._ENTRY_BYTES)
+    four_tables = 4 * (grover._TABLE_BYTES + 16 * grover._ENTRY_BYTES)
     monkeypatch.setattr(grover, "KEPT_HIT_BYTES", four_tables)
     evicted = []
     grow = grover._Store.grow
@@ -350,7 +352,7 @@ def test_analytic_reports_keep_their_bytes_however_warm_the_hit_tables(monkeypat
     monkeypatch.setattr(grover._Store, "grow", counting_grow)
     evicting = render(config)
     assert sum(evicted) > 1
-    monkeypatch.setattr(qsearch, "_hit_tables", lambda n: grover._Store(four_tables))
+    monkeypatch.setattr(grover, "_hit_tables", lambda n: grover._Store(four_tables))
     fresh = render(config)
     assert cold == warm == after_another_n == two_workers == evicting == fresh
 
@@ -374,5 +376,6 @@ def test_an_exact_run_computes_each_state_it_measures_once(monkeypatch):
     )
     run_experiment(config)
     shelf = grover._shelf(config.n)
-    assert len(reflected) == sum(len(held._cdfs) - 1 for held in shelf.values()) == 207
-    assert len(shelf) == 226
+    assert len(reflected) == sum(len(held.cdfs) - 1 for held in shelf.values()) == 207
+    # Only ladders that grew are stored: 136 of the run's t, each past j = 0.
+    assert len(shelf) == 136 and all(len(held.cdfs) > 1 for held in shelf.values())

@@ -130,7 +130,7 @@ def _late_ladder(monkeypatch):
 
     def late_init(self, n, t):
         init(self, n, t)
-        self._cdfs = _SkippingState13(self._cdfs)
+        self.cdfs = _SkippingState13(self.cdfs)
 
     monkeypatch.setattr(GroverLadder, "__init__", late_init)
 

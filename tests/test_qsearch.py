@@ -452,7 +452,7 @@ def _schedule_caps(n: int, growth: float) -> set[int]:
 
 def _counted_bytes(tables) -> int:
     """What the store should count for ``tables``: each table whole."""
-    return sum(qsearch._TABLE_BYTES + len(probs) * qsearch._ENTRY_BYTES for probs in tables.values())
+    return sum(grover._TABLE_BYTES + len(probs) * grover._ENTRY_BYTES for probs in tables.values())
 
 
 def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
@@ -460,14 +460,14 @@ def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
     # (n, t).  Every entry the searches stored is that closed form bit for
     # bit, and a table grows only to the cap of a round, so it ends at the
     # largest cap it was grown to.
-    grow = qsearch._grow
+    grow = grover.extend_hits
     grown = {}
 
-    def recording_grow(n, t, probs, high):
+    def recording_grow(probs, n, t, high):
         grown.setdefault((n, t), []).append(high)
-        grow(n, t, probs, high)
+        grow(probs, n, t, high)
 
-    monkeypatch.setattr(qsearch, "_grow", recording_grow)
+    monkeypatch.setattr(grover, "extend_hits", recording_grow)
     rng = random.Random(5)
     for n in range(2, 65):
         caps = _schedule_caps(n, DEFAULT_GROWTH)
@@ -475,7 +475,7 @@ def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
             for budget in (math.inf, 3.0, 0.0):
                 for _ in range(4):
                     search(n, t, budget, DEFAULT_GROWTH, rng)
-        tables = qsearch._hit_tables(n)
+        tables = grover._hit_tables(n)
         assert sorted(tables) == list(range(1, n + 1))
         for t, probs in tables.items():
             highs = grown[n, t]
@@ -491,8 +491,8 @@ def test_every_stored_hit_probability_is_the_closed_form(monkeypatch):
 def test_a_bad_count_raises_and_stores_nothing(n, t):
     with pytest.raises(ValueError, match="must be positive|outside"):
         search(n, t, math.inf, DEFAULT_GROWTH, random.Random(1))
-    assert not qsearch._hit_tables(n)
-    assert qsearch._hit_tables(n).held == 0
+    assert not grover._hit_tables(n)
+    assert grover._hit_tables(n).held == 0
 
 
 def test_one_table_serves_every_growth_factor(monkeypatch):
@@ -503,7 +503,7 @@ def test_one_table_serves_every_growth_factor(monkeypatch):
     rng = random.Random(3)
     for t in range(1, n + 1):
         search(n, t, math.inf, 1.05, rng)
-    tables = qsearch._hit_tables(n)
+    tables = grover._hit_tables(n)
     stored = dict(tables)
     for growth in (DEFAULT_GROWTH, 1.3):
         for t in range(1, n + 1):
@@ -511,7 +511,7 @@ def test_one_table_serves_every_growth_factor(monkeypatch):
     monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(40))
     for t in range(1, n + 1):
         search(n, t, math.inf, DEFAULT_GROWTH, rng)
-    assert qsearch._hit_tables(n) is tables
+    assert grover._hit_tables(n) is tables
     assert sorted(tables) == sorted(stored) == list(range(1, n + 1))
     assert all(tables[t] is stored[t] for t in stored)
     assert max(map(len, tables.values())) == 40
@@ -567,7 +567,7 @@ def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
     # on a ladder of its own, and leave its stream where they leave theirs,
     # under random draws and draws that land on CDF entries (``_GridStream``):
     # on a fresh ladder (``grover.ladder`` replaced by the constructor, so
-    # the store is bypassed), on a stored one already holding half a
+    # no search finds one stored), on a stored one already holding half a
     # search's states, and in a store with room for one amplitude copy and
     # one state, so a search that draws j >= 2 evicts its own ladder while
     # it still reads it.
@@ -584,8 +584,11 @@ def test_exact_rounds_draw_what_measure_draws(monkeypatch, n, shelf, stream):
             grover.extend(grover.ladder(n, t), depth // 2)
         for budget in budgets[: 4 + (t > 0)]:
             for seed in range(6):
-                # The ladder the search will take from the store.
+                # The ladder the search will take from the store, stored
+                # there by its growth to j = 1 if it was not.
                 ladder = grover.ladder(n, t)
+                if shelf != "fresh":
+                    grover.extend(ladder, 1)
                 rng, twin = stream(f"{seed}-{t}-{budget}"), stream(f"{seed}-{t}-{budget}")
                 outcome = search(n, t, budget, DEFAULT_GROWTH, rng, Backend.EXACT_STATEVECTOR)
                 reference = GroverLadder(n, t)
