@@ -19,16 +19,21 @@ sorted order, so a measured index is a position in that order.
 marked count: every round starts from the uniform state, so the state
 after j iterations is the same in each of them.  The ladder computes each
 iteration once and keeps the measurement CDF of every state it has
-passed, as a read-only ``memoryview`` of floats; ``GroverLadder.measure``
-draws one index from such a state.  The exact backend's search rounds
-make the same draw inline, on ``cdfs``, the CDFs the ladder holds, and call
-``extend`` only for a state it does not yet hold; its closed-form t = 0
-draw and equivalence's fixed-j draws call ``measure``, and equivalence's
-closed-form check reads ``cdf``.  The uniform state is the same for every
-t, so it is cached once per N, its read-only amplitudes with their CDF,
-and shared by all ladders: a ladder's j = 0 CDF is the cached one, and it
-copies the cached amplitudes only at its first iteration; an iteration
-negates the slice of its first t amplitudes in place.  The test suite
+passed, as a read-only ``memoryview`` of floats, after checking its
+marked mass, entry t - 1, against ``success_probability`` within
+``NORM_TOL`` (``marked_mass_deviation``, which equivalence's closed-form
+check reads too); ``GroverLadder.measure`` draws one index from such a state.
+The exact backend's search rounds make the same draw inline, on
+``cdfs``, the CDFs the ladder holds: each decides its hit by that marked
+mass, and only the state that ends the search is bisected.  They call
+``extend`` only for a state the ladder does not yet hold.  Equivalence's
+fixed-j draws call ``measure``.
+The uniform state is the same for every t, so it is cached once per N,
+its read-only amplitudes with their CDF (``uniform_cdf``, which the
+closed-form t = 0 search measures), and shared by all ladders: a
+ladder's j = 0 CDF is the cached one, and it copies the cached
+amplitudes only at its first iteration; an iteration negates the slice
+of its first t amplitudes in place.  The test suite
 keeps an independent statevector reference (``tests/reference_grover.py``)
 that evolves one immutable state per iteration under a predicate queried
 afresh each time; the ladder's states match it bit for bit with the first
@@ -70,8 +75,10 @@ __all__ = [
     "extend_hits",
     "hit_table",
     "ladder",
+    "marked_mass_deviation",
     "rotation_angle",
     "success_probability",
+    "uniform_cdf",
 ]
 
 NORM_TOL = 1e-9
@@ -110,6 +117,26 @@ def _check_norm(norm_sq: float) -> None:
         raise ValueError(f"state is not normalized: |a|^2 = {norm_sq!r}")
 
 
+def marked_mass_deviation(cdf: memoryview, n: int, t: int, j: int) -> float:
+    """|marked mass - sin^2((2j+1) theta)| of ``cdf``, the state after j iterations.
+
+    With indices 0..t-1 marked, the marked mass is the CDF's entry t - 1,
+    the entry an exact search round compares its draw with.
+    """
+    marked = cdf[t - 1] if t else 0.0
+    return abs(marked - success_probability(n, t, j))
+
+
+def _check_mass(cdf: memoryview, n: int, t: int, j: int) -> None:
+    """Raise unless ``cdf``, to be stored as state j, has the closed-form marked mass."""
+    deviation = marked_mass_deviation(cdf, n, t, j)
+    if deviation > NORM_TOL:
+        raise ValueError(
+            f"marked mass of state {j} with {t} of {n} marked is off "
+            f"sin^2((2j+1) theta) by {deviation!r}"
+        )
+
+
 def _reflect(amps: np.ndarray, t: int) -> None:
     """One iteration in place: negate the first t amplitudes, then invert about the mean."""
     # Bare ufunc calls: the same loops as the in-place operators and the sum
@@ -142,6 +169,11 @@ def _uniform(n: int) -> tuple[np.ndarray, memoryview]:
     return amps, _measured(amps)
 
 
+def uniform_cdf(n: int) -> memoryview:
+    """The CDF of the uniform state over n >= 1 indices, the j = 0 state of every ladder of n."""
+    return _uniform(n)[1]
+
+
 class GroverLadder:
     """Measurement CDFs after 0, 1, 2, ... iterations from the uniform state.
 
@@ -152,18 +184,20 @@ class GroverLadder:
     computed, each negating amplitudes 0..t-1, and keeps the CDF of each
     state it passes (norm-checked once, a read-only ``memoryview``), so
     each iteration is computed once and depth j holds j + 1 CDFs of n
-    floats.  ``measure(j, rng)`` reads the state through ``cdf(j)`` and
-    draws one index from it, so measuring a state the ladder already holds
-    computes nothing; ``qsearch.search`` reads ``cdfs``, the CDFs held,
-    in place and makes the same draw, and grows the ladder only through
-    ``extend``.  A ladder only computes states: it serves every exact
-    search over its (n, t), and ``extend`` counts its bytes in the store.
+    floats.  Each state must carry the closed-form marked mass before it
+    is stored, or ``cdf`` raises.  ``measure(j, rng)`` reads the state through
+    ``cdf(j)`` and draws one index from it, so measuring a state the
+    ladder already holds computes nothing; ``qsearch.search`` reads
+    ``cdfs``, the CDFs held, in place and makes the same draw, and grows
+    the ladder only through ``extend``.  A ladder only computes states: it
+    serves every exact search over its (n, t), and ``extend`` counts its
+    bytes in the store.
     """
 
     def __init__(self, n: int, t: int):
         _check_counts(n, t)
         self.n, self.t = n, t
-        self.cdfs = [_uniform(n)[1]]
+        self.cdfs = [uniform_cdf(n)]
         self._amps: np.ndarray | None = None
 
     def cdf(self, j: int) -> memoryview:
@@ -177,18 +211,23 @@ class GroverLadder:
             self._amps = _uniform(self.n)[0].copy()
         while len(cdfs) <= j:
             _reflect(self._amps, self.t)
-            cdfs.append(_measured(self._amps))
+            state = _measured(self._amps)
+            _check_mass(state, self.n, self.t, len(cdfs))
+            cdfs.append(state)
         return cdfs[j]
 
     def measure(self, j: int, rng) -> int:
         """Measure the state after j iterations: index i with probability |a_i|^2.
 
-        The exact backend's closed-form t = 0 draw and equivalence's fixed-j
-        draws call it; a search round makes the same draw inline (see
-        ``qsearch.search``), and the two must stay the same draw.  Consumes
-        exactly one ``rng.random()`` u and returns the first index
-        whose cumulative sum exceeds u times the total, so cells of
-        probability 0 are passed over.  On this nondecreasing CDF
+        Equivalence's fixed-j draws call it.  A search round makes the same
+        draw inline (see ``qsearch.search``) but only compares x = u times
+        the total with ``cdf[t - 1]``, which tells whether this bisection
+        would land below t; it bisects once, the state that ends the
+        search, from that round's x.  The closed-form
+        t = 0 search bisects ``uniform_cdf`` the same way.  All must stay
+        the same draw.  Consumes exactly one ``rng.random()`` u and returns
+        the first index whose cumulative sum exceeds u times the total, so
+        cells of probability 0 are passed over.  On this nondecreasing CDF
         ``bisect_right`` finds the index ``searchsorted(side="right")``
         would, as a Python int and faster at the sizes the exact backend
         runs.  It returns at most n - 1 with no clamp: u <= 1 - 2^-53, and

@@ -69,7 +69,7 @@ from .bounds import (
     timeout_cap,
 )
 from . import grover
-from .grover import GroverLadder, success_probability
+from .grover import GroverLadder, marked_mass_deviation, success_probability
 from .minfind import INIT_CHARGE_POLICY, RunResult, find_minimum, init_charge
 from .qsearch import DEFAULT_GROWTH, Backend, _round_schedule, check_growth, search
 from .seeding import derive_stream
@@ -758,8 +758,9 @@ def estimate_expected_cost(config: ExperimentConfig) -> Report:
 def closed_form_deviation(n: int, depth: int) -> float:
     """Worst |statevector marked probability - closed form| over t and j <= depth.
 
-    The statevector side is the exact backend's ladder: with indices
-    0..t-1 marked, the marked probability is the CDF at index t - 1.  Each
+    The statevector side is the exact backend's ladder, read through
+    ``grover.marked_mass_deviation``: with indices 0..t-1 marked, the
+    marked probability is the CDF at index t - 1.  Each
     t gets a fresh ``GroverLadder``: this check reaches past a search's
     depth at small n, and a shelved ladder would keep those states.
     """
@@ -767,8 +768,7 @@ def closed_form_deviation(n: int, depth: int) -> float:
     for t in range(n + 1):
         ladder = GroverLadder(n, t)
         for j in range(depth + 1):
-            marked = ladder.cdf(j)[t - 1] if t else 0.0
-            worst = max(worst, abs(marked - success_probability(n, t, j)))
+            worst = max(worst, marked_mass_deviation(ladder.cdf(j), n, t, j))
     return worst
 
 

@@ -23,11 +23,18 @@ position comes from:
   or failure class whatever the rounds did, so the search draws it once
   the rounds end: one of 0..t-1 on a hit, one of t..N-1 on a miss.
 * ``EXACT_STATEVECTOR`` measures the state after j iterations, entry j of
-  the CDFs of the ladder ``grover.ladder(N, t)``, as
-  ``GroverLadder.measure`` does: one ``random()`` draw bisected on the
-  right of the state's CDF.  It returns the last position measured and
-  never reads the rotation angle.  Each round is still charged j time
-  steps, however many of the states the ladder already held.
+  the CDFs of the ladder ``grover.ladder(N, t)``, with the draw of
+  ``GroverLadder.measure``: one ``random()`` u, and x = u times the CDF's
+  total.  The state's marked mass, its CDF entry t - 1, decides the hit
+  (x below it), which is exactly when ``bisect_right`` of x would land
+  below t.  Only the state that ends the search is bisected, once the
+  rounds end, from its round's x, so the search returns the position
+  ``measure`` would have drawn from that state.  It never reads
+  the rotation angle.  Each round is still charged j time steps, however
+  many of the states the ladder already held.
+
+So both backends run one round shape: a per-state scalar decides the
+hit, and the position is drawn once, when the search ends.
 
 A search fetches its table once and reads entry j inline, with no call
 per round.  When j passes the table's end one block grows it, a hit table
@@ -40,8 +47,9 @@ N >= 2 the rounds spend a finite budget down to its floor; on a one-index
 domain every round is j = 0, so the first miss ends the search with
 nothing spent.  Either way the search is settled in closed form without
 rounds, and then draws one position (the exact backend measures the
-uniform state, which no iteration moves; the analytic one draws an
-unmarked position).  So every round runs with t >= 1, and a one-index
+uniform state, which no iteration moves, from its CDF shared by every
+ladder of N, so it builds no ladder; the analytic one draws an unmarked
+position).  So every round runs with t >= 1, and a one-index
 domain's round always hits.
 
 Each search consumes one random stream and one budget; concurrent searches
@@ -116,7 +124,8 @@ def search(
     Returns ``(iterations_used, interrupted, index)``.  The marked indices
     are 0..t-1, so the search hit exactly when ``index < t``.  ``growth``
     must lie strictly in (1, 4/3) (see ``check_growth``).  On the exact
-    ``backend`` ``index`` is the last position measured; on the analytic
+    ``backend`` ``index`` is the position measured from the last round's
+    state, bisected from the draw that decided its hit; on the analytic
     one it is a class position drawn after the rounds: ``randrange(t)`` on
     a hit, ``randrange(t, n)`` on a miss.  A caller maps that position to
     an index of its own.  Any other ``backend`` is rejected.
@@ -144,7 +153,11 @@ def search(
         # iteration counts have spent the budget down to its floor, the last
         # one truncated if need be; on one index the first j = 0 round ends
         # it.  No iteration moves the uniform state.
-        index = rng.randrange(t, n) if analytic else grover.ladder(n, t).measure(0, rng)
+        if analytic:
+            index = rng.randrange(t, n)
+        else:
+            cdf = grover.uniform_cdf(n)
+            index = bisect_right(cdf, rng.random() * cdf[-1])
         return (int(budget) if n >= 2 else 0), True, index
     growing, saturated = _round_schedule(n, growth)
     # The stored table of (n, t), or a fresh one that its first growth
@@ -188,10 +201,13 @@ def search(
             # about 1% slower.
             hit = uniform() < table[j]
         else:
-            # One uniform draw, bisected on the right as ``measure`` does.
+            # One uniform draw, as ``measure`` makes it.  The state's marked
+            # mass decides the hit: ``bisect_right`` counts the entries <= x
+            # of the nondecreasing CDF, so it returns a position below t
+            # exactly when x < entry[t - 1].
             entry = table[j]
-            index = bisect_right(entry, uniform() * entry[-1])
-            hit = index < t
+            x = uniform() * entry[-1]
+            hit = x < entry[t - 1]
         remaining -= j
         used += j
         if hit:
@@ -204,4 +220,8 @@ def search(
         # The rounds draw no index: it is uniform within the class the
         # search ended in, whatever the rounds did.
         index = rng.randrange(t) if hit else rng.randrange(t, n)
+    else:
+        # Only the last round's state is measured to a position, from the
+        # draw that decided its hit.
+        index = bisect_right(entry, x)
     return used, interrupted, index

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -379,3 +380,31 @@ def test_an_exact_run_computes_each_state_it_measures_once(monkeypatch):
     assert len(reflected) == sum(len(held.cdfs) - 1 for held in shelf.values()) == 207
     # Only ladders that grew are stored: 136 of the run's t, each past j = 0.
     assert len(shelf) == 136 and all(len(held.cdfs) > 1 for held in shelf.values())
+
+
+def test_an_exact_run_builds_no_ladder_for_nothing_marked(monkeypatch):
+    # A search with nothing marked measures the uniform state, the j = 0
+    # state every ladder of n shares, so it builds no ladder; every capped
+    # run ends in such a search once its threshold is the minimum.
+    built = Counter()
+    init = grover.GroverLadder.__init__
+
+    def counting_init(self, n, t):
+        built[t] += 1
+        init(self, n, t)
+
+    searched = Counter()
+    search = minfind.search
+
+    def counting_search(n, t, *args):
+        searched[t] += 1
+        return search(n, t, *args)
+
+    monkeypatch.setattr(grover.GroverLadder, "__init__", counting_init)
+    monkeypatch.setattr(minfind, "search", counting_search)
+    config = ExperimentConfig(
+        experiment="success", n=256, runs=300, seed=1, backend=Backend.EXACT_STATEVECTOR
+    )
+    run_experiment(config)
+    assert searched[0] >= config.runs
+    assert sum(built.values()) > 0 and built[0] == 0

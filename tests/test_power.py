@@ -4,6 +4,12 @@ A check is only useful if it can fail.  Each mutant plants one defect with
 ``monkeypatch``; each config is a user-facing verdict at a small fixed
 size.  The table of failing check names is a ratchet: a later change may
 add names to an entry, never drop one.  Correct code fails no check.
+
+A run that the algorithm's own checks stop (an exact ladder state whose
+marked mass is not the closed form) ends in a traceback before any
+verdict is read: its entry reads ``STOPPED``.  A mutant that is stopped
+so is run again with that check switched off, so the table still names
+the verdicts that would catch it on their own.
 """
 import math
 import types
@@ -11,7 +17,7 @@ import types
 import numpy as np
 import pytest
 
-from qminfind import harness, minfind
+from qminfind import grover, harness, minfind
 from qminfind.grover import GroverLadder
 from qminfind.harness import ExperimentConfig, run_experiment
 from qminfind.qsearch import Backend
@@ -125,6 +131,9 @@ def _late_ladder(monkeypatch):
 
     The ladder's stored CDFs are shifted, so every reader sees it: ``cdf``,
     ``measure`` and the search rounds that read the stored CDFs in place.
+    The ladder's check of each state it stores finds the shifted state's
+    marked mass off the closed form, so any run whose searches reach 14
+    iterations stops.
     """
     init = GroverLadder.__init__
 
@@ -133,6 +142,12 @@ def _late_ladder(monkeypatch):
         self.cdfs = _SkippingState13(self.cdfs)
 
     monkeypatch.setattr(GroverLadder, "__init__", late_init)
+
+
+def _late_ladder_unchecked(monkeypatch):
+    """The late-ladder mutant with the ladder's own marked-mass check off."""
+    _late_ladder(monkeypatch)
+    monkeypatch.setattr(grover, "_check_mass", lambda cdf, n, t, j: None)
 
 
 MUTANTS = {
@@ -144,6 +159,7 @@ MUTANTS = {
     "init-plus-1": _init_plus_one,
     "tie": _tie,
     "late-ladder": _late_ladder,
+    "late-ladder-unchecked": _late_ladder_unchecked,
 }
 CONFIGS = {
     "lemma1": {"experiment": "lemma1", "n": 64, "runs": 2000, "seed": 1},
@@ -153,7 +169,13 @@ CONFIGS = {
     # Searches at n = 256 measure states up to 15 iterations, past the
     # closed-form check's floor of 12.
     "equivalence-256": {"experiment": "equivalence", "n": 256, "runs": 20, "seed": 1},
+    # 1000 exact runs at n = 256 grow ladders to 14 iterations, past the
+    # state the late-ladder mutant skips (300 runs reach only 12).
+    "success-exact-256": {
+        "experiment": "success", "n": 256, "runs": 1000, "seed": 1, "backend": "exact"
+    },
 }
+STOPPED = "stopped: marked mass"
 # Under the rank mutant, distinct tables read a worst asserted deviation of
 # about 0.13 from 1/r (rank 2 is reached by 0.37 of runs, not 1/2); the dup
 # check only bounds each frequency from above, which the mutant stays under.  The other run mutants move the means they
@@ -177,7 +199,14 @@ FAILING = {
     },
     # Every run spends more than cap + lg N (max 252.4 against 236.4).
     ("overcharge-1.1", "success"): {"ledger-budget"},
-    ("late-ladder", "equivalence-256"): {"closed-form"},
+    # Each ladder checks the states it stores, so it stops the run before
+    # equivalence reads its closed-form row; with that check off, the row
+    # catches the shifted states.
+    ("late-ladder", "equivalence-256"): {STOPPED},
+    ("late-ladder-unchecked", "equivalence-256"): {"closed-form"},
+    ("correct", "success-exact-256"): set(),
+    ("overcharge-1.1", "success-exact-256"): {"ledger-budget"},
+    ("late-ladder", "success-exact-256"): {STOPPED},
 }
 
 
@@ -185,5 +214,12 @@ FAILING = {
 def test_failing_checks_under_each_mutant(monkeypatch, mutant, config):
     if MUTANTS[mutant] is not None:
         MUTANTS[mutant](monkeypatch)
-    report = run_experiment(ExperimentConfig(**CONFIGS[config]))
-    assert {check["check"] for check in report.checks if not check["ok"]} == FAILING[mutant, config]
+    try:
+        report = run_experiment(ExperimentConfig(**CONFIGS[config]))
+    except ValueError as error:
+        if "marked mass" not in str(error):
+            raise
+        failing = {STOPPED}
+    else:
+        failing = {check["check"] for check in report.checks if not check["ok"]}
+    assert failing == FAILING[mutant, config]

@@ -1,7 +1,9 @@
 import math
 import random
 import signal
+from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -315,6 +317,44 @@ def _scripted_round_hits(n: int, t: int, j: int, u: float) -> bool:
     # The stub draws the lowest position of the class the search ended in.
     assert index in (0, t)
     return index < t
+
+
+def test_an_exact_round_hits_exactly_when_its_bisection_lands_below_t(monkeypatch):
+    # An exact round decides its hit by x < cdf[t - 1], x = u * cdf[-1],
+    # and only the state that ends the search is bisected.  bisect_right
+    # counts the entries <= x of a nondecreasing CDF, so the two agree for
+    # every x: at each entry (runs of zero-probability cells repeat one),
+    # at its float neighbours, and at random points, for every ladder
+    # state up to the saturated cap, n <= 64 and t = 1..n.  A one-round
+    # search ends with the index ``GroverLadder.measure`` draws from u.
+    rng = random.Random(38)
+    exact = Backend.EXACT_STATEVECTOR
+    for n in range(1, 65):
+        high = _round_schedule(n, DEFAULT_GROWTH)[1][0]
+        for t in range(1, n + 1):
+            ladder = GroverLadder(n, t)
+            for j in range(high):
+                cdf = ladder.cdf(j)
+                entries = np.asarray(cdf)
+                randoms = [rng.random() for _ in range(8)]
+                xs = np.concatenate(
+                    [
+                        entries,
+                        np.nextafter(entries, -math.inf),
+                        np.nextafter(entries, math.inf),
+                        np.multiply(randoms, entries[-1]),
+                        [0.0],
+                    ]
+                ).tolist()
+                mass = cdf[t - 1]
+                positions = list(map(partial(bisect_right, cdf), xs))
+                assert [x < mass for x in xs] == [i < t for i in positions]
+                monkeypatch.setattr(qsearch, "_round_schedule", _fixed_cap(j + 1))
+                for u in randoms[:2]:
+                    scripted = _ScriptedStream(j, u)
+                    used, _, index = search(n, t, j, DEFAULT_GROWTH, scripted, exact)
+                    assert used == j
+                    assert index == ladder.measure(j, _ScriptedStream(j, u))
 
 
 def test_analytic_round_uses_the_closed_form_exactly(monkeypatch):
